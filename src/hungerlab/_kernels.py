@@ -1,61 +1,42 @@
 """Hot loops for the greedy firing process.
 
-Every kernel is written as straight numpy so the same function body runs in
-two ways: compiled by numba's @njit (default whenever numba imports), or as
-the plain interpreted fallback. Set HUNGERLAB_BACKEND=numpy to force the
-fallback, HUNGERLAB_BACKEND=numba to insist on compilation (ImportError if
-numba is missing). benchmarks/bench_backends.py measures the difference.
+There are two implementations of the same five kernels:
+
+- ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
+  first time this module is imported and loaded through ctypes. The shared
+  library is cached in this package's ``__pycache__`` under a name holding
+  a hash of the source and flags, so it is rebuilt only when they change.
+- ``numpy``: the plain numpy loops defined below. They are the reference
+  the compiled code is tested against (``reference.greedy_run`` etc.), and
+  the fallback when no compiler is available.
+
+HUNGERLAB_BACKEND selects one at import: unset means ``c`` if it builds and
+``numpy`` otherwise, ``c`` insists (ImportError carrying the compiler's
+error if the build fails), ``numpy`` forces the reference loops.
 
 Kernels take either int64 state (exact arithmetic, hunger scaled by a common
-denominator) or float64 state; numba specializes per dtype. np.argmax
-returns the first maximal index in both numpy and numba, which is exactly
-the tie-breaking rule (fire the smallest hungriest index).
+denominator) or float64 state. np.argmax returns the first maximal index,
+which is exactly the tie-breaking rule (fire the smallest hungriest index);
+the C code finds the same index with a strict '>'.
 """
 
+import ctypes
+import hashlib
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 _choice = os.environ.get("HUNGERLAB_BACKEND", "").strip().lower()
-if _choice not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"HUNGERLAB_BACKEND must be 'numba' or 'numpy', got {_choice!r}"
-    )
-
-if _choice == "numpy":
-    _use_numba = False
-else:
-    try:
-        from numba import njit
-
-        _use_numba = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-        _use_numba = False
-
-if not _use_numba:
-
-    def njit(*args, **kwargs):
-        """No-op decorator standing in for numba.njit."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+if _choice not in ("", "c", "numpy"):
+    raise ValueError(f"HUNGERLAB_BACKEND must be 'c' or 'numpy', got {_choice!r}")
 
 
-BACKEND = "numba" if _use_numba else "numpy"
+# ---------------------------------------------------------------------------
+# numpy reference bodies
 
 
-def active_backend() -> str:
-    """Name of the backend the kernels run on ("numba" or "numpy")."""
-    return BACKEND
-
-
-@njit(cache=True)
 def greedy_run(h, rows, steps, fired, v):
     """Fire the hungriest state `steps` times.
 
@@ -69,7 +50,6 @@ def greedy_run(h, rows, steps, fired, v):
         v[i] += 1
 
 
-@njit(cache=True)
 def greedy_advance(h, rows, steps):
     """Fire `steps` times without recording anything."""
     for _ in range(steps):
@@ -77,7 +57,6 @@ def greedy_advance(h, rows, steps):
         h += rows[i]
 
 
-@njit(cache=True)
 def chip_add_count(h, rows, absorbing, cap):
     """Fire until the chip lands on an absorbing state.
 
@@ -93,7 +72,6 @@ def chip_add_count(h, rows, absorbing, cap):
     return -1
 
 
-@njit(cache=True)
 def brent_cycle(h0, rows, cap):
     """Brent's cycle detection on the firing orbit of h0.
 
@@ -149,7 +127,6 @@ def brent_cycle(h0, rows, cap):
     return mu, lam
 
 
-@njit(cache=True)
 def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
     """Combined fire / remove-and-reinsert walk for `steps` steps.
 
@@ -194,3 +171,194 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
             if h[j] > hi:
                 hi = h[j]
     return si, lo, hi
+
+
+reference = SimpleNamespace(
+    greedy_run=greedy_run,
+    greedy_advance=greedy_advance,
+    chip_add_count=chip_add_count,
+    brent_cycle=brent_cycle,
+    reinsert_loop=reinsert_loop,
+)
+
+
+# ---------------------------------------------------------------------------
+# compiled bodies
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv")
+
+
+def _build() -> Path:
+    """Compile SOURCE into __pycache__ unless this source is built already.
+
+    Returns the shared library's path. The compiler writes to a file named
+    after this process and os.replace moves it into place, so concurrent
+    imports never load a half-written library.
+
+    Raises:
+        ImportError: cc is missing, fails, or the cache is not writable.
+    """
+    cache = SOURCE.parent / "__pycache__"
+    tmp = None
+    try:
+        code = SOURCE.read_bytes()
+        digest = hashlib.sha256(code + " ".join(CFLAGS).encode()).hexdigest()[:16]
+        lib = cache / f"_kernels-{digest}.so"
+        if lib.exists():
+            return lib
+        import subprocess  # only a cache miss needs it; keeps imports fast
+
+        cache.mkdir(exist_ok=True)
+        tmp = cache / f"{lib.name}.{os.getpid()}.tmp"
+        proc = subprocess.run(
+            ["cc", *CFLAGS, "-o", str(tmp), str(SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            raise ImportError(f"cc could not build {SOURCE.name}:\n{proc.stderr}")
+        os.replace(tmp, lib)
+    except OSError as exc:
+        raise ImportError(f"cannot build {SOURCE.name}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+    return lib
+
+
+def _load(path: Path) -> dict:
+    """Bind the library's functions: dtype -> namespace of kernels."""
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise ImportError(f"cannot load {path}: {exc}") from exc
+    P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    table = {}
+    for dtype, suffix, T in ((np.int64, "i64", I), (np.float64, "f64", D)):
+        signatures = {
+            "greedy_run": ([P, P, I, I, P, P], None),
+            "greedy_advance": ([P, P, I, I], None),
+            "chip_add_count": ([P, P, I, P, I], I),
+            "brent_cycle": ([P, P, I, I, P, ctypes.POINTER(I)], I),
+            "reinsert_loop": ([P, P, I, P, T, P, I, P, P, ctypes.POINTER(T)], I),
+        }
+        kernels = SimpleNamespace(extrema=T * 2)
+        for name, (argtypes, restype) in signatures.items():
+            fn = getattr(lib, f"{name}_{suffix}")
+            fn.argtypes = argtypes
+            fn.restype = restype
+            setattr(kernels, name, fn)
+        table[np.dtype(dtype)] = kernels
+    return table
+
+
+_compiled = None
+if _choice != "numpy":
+    try:
+        _compiled = _load(_build())
+    except ImportError:
+        if _choice == "c":
+            raise
+
+BACKEND = "numpy" if _compiled is None else "c"
+
+
+def active_backend() -> str:
+    """Name of the backend the kernels run on ("c" or "numpy")."""
+    return BACKEND
+
+
+# The compiled kernels keep the reference signatures. Each checks dtypes,
+# shapes and contiguity before handing raw pointers to C, inline: a helper
+# function here would itself be counted as a kernel call by tracers that
+# wrap this module's functions.
+
+_INT64 = np.dtype(np.int64)
+_BOOL = np.dtype(np.bool_)
+_MISFIT = "arrays do not match the kernel's dtypes, shapes or layout"
+
+if _compiled is not None:
+
+    def greedy_run(h, rows, steps, fired, v):
+        """Compiled reference.greedy_run."""
+        n = h.shape[0]
+        if not (
+            h.ndim == 1 and h.dtype in _compiled
+            and rows.dtype == h.dtype and rows.shape == (n, n)
+            and fired.dtype == v.dtype == _INT64 and v.shape == (n,)
+            and fired.shape[0] >= steps >= 0 and h.flags.c_contiguous
+            and rows.flags.c_contiguous and fired.flags.c_contiguous
+            and v.flags.c_contiguous
+        ):
+            raise ValueError("greedy_run: " + _MISFIT)
+        _compiled[h.dtype].greedy_run(
+            h.ctypes.data, rows.ctypes.data, n, steps, fired.ctypes.data, v.ctypes.data
+        )
+
+    def greedy_advance(h, rows, steps):
+        """Compiled reference.greedy_advance."""
+        n = h.shape[0]
+        if not (
+            h.ndim == 1 and h.dtype in _compiled
+            and rows.dtype == h.dtype and rows.shape == (n, n)
+            and h.flags.c_contiguous and rows.flags.c_contiguous
+        ):
+            raise ValueError("greedy_advance: " + _MISFIT)
+        _compiled[h.dtype].greedy_advance(h.ctypes.data, rows.ctypes.data, n, steps)
+
+    def chip_add_count(h, rows, absorbing, cap):
+        """Compiled reference.chip_add_count."""
+        n = h.shape[0]
+        if not (
+            h.ndim == 1 and h.dtype in _compiled
+            and rows.dtype == h.dtype and rows.shape == (n, n)
+            and absorbing.dtype == _BOOL and absorbing.shape == (n,)
+            and h.flags.c_contiguous and rows.flags.c_contiguous
+            and absorbing.flags.c_contiguous
+        ):
+            raise ValueError("chip_add_count: " + _MISFIT)
+        return _compiled[h.dtype].chip_add_count(
+            h.ctypes.data, rows.ctypes.data, n, absorbing.ctypes.data, cap
+        )
+
+    def brent_cycle(h0, rows, cap):
+        """Compiled reference.brent_cycle; h0 is left unchanged."""
+        n = h0.shape[0]
+        if not (
+            h0.ndim == 1 and h0.dtype in _compiled
+            and rows.dtype == h0.dtype and rows.shape == (n, n)
+            and h0.flags.c_contiguous and rows.flags.c_contiguous
+        ):
+            raise ValueError("brent_cycle: " + _MISFIT)
+        scratch = np.empty(2 * n, dtype=h0.dtype)  # tortoise and hare
+        lam = ctypes.c_int64()
+        mu = _compiled[h0.dtype].brent_cycle(
+            h0.ctypes.data, rows.ctypes.data, n, cap, scratch.ctypes.data,
+            ctypes.byref(lam),
+        )
+        return mu, lam.value
+
+    def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
+        """Compiled reference.reinsert_loop."""
+        n = h.shape[0]
+        if not (
+            h.ndim == 1 and h.dtype in _compiled
+            and rows.dtype == h.dtype and rows.shape == (n, n)
+            and absorbing.dtype == _BOOL and absorbing.shape == (n,)
+            and schedule.dtype == fired.dtype == v.dtype == _INT64
+            and v.shape == (n,) and fired.shape[0] >= steps >= 0
+            and schedule.shape[0] >= steps
+            and (steps == 0 or 0 <= schedule.min() <= schedule.max() < n)
+            and h.flags.c_contiguous and rows.flags.c_contiguous
+            and absorbing.flags.c_contiguous and schedule.flags.c_contiguous
+            and fired.flags.c_contiguous and v.flags.c_contiguous
+        ):
+            raise ValueError("reinsert_loop: " + _MISFIT)
+        kernels = _compiled[h.dtype]
+        extrema = kernels.extrema()
+        si = kernels.reinsert_loop(
+            h.ctypes.data, rows.ctypes.data, n, absorbing.ctypes.data, one,
+            schedule.ctypes.data, steps, fired.ctypes.data, v.ctypes.data, extrema,
+        )
+        return si, extrema[0], extrema[1]

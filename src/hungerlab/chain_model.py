@@ -131,6 +131,8 @@ class MarkovChain:
         out = []
         for x in row:
             x = float(x)
+            if not math.isfinite(x):
+                raise ChainFormatError(f"row {i + 1}: non-finite entry {x}")
             if x < 0:
                 raise ChainFormatError(f"row {i + 1}: negative entry {x}")
             if x > 1 + _ROW_SUM_TOL:

@@ -81,7 +81,8 @@ def coerce_hunger(chain: MarkovChain, h: Optional[Sequence]) -> HungerVector:
     """Normalize h to a tuple of scalars in the chain's mode.
 
     None means the zero vector. Rational mode accepts Fractions and ints
-    only; silently converting a float would manufacture precision.
+    only; silently converting a float would manufacture precision. Float
+    mode rejects NaN and infinities, which have no hungriest state.
     """
     if h is None:
         return zero_hunger(chain)
@@ -97,7 +98,10 @@ def coerce_hunger(chain: MarkovChain, h: Optional[Sequence]) -> HungerVector:
                 )
             out.append(Fraction(x))
         return tuple(out)
-    return tuple(float(x) for x in vals)
+    out = tuple(float(x) for x in vals)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"hunger values must be finite, got {out}")
+    return out
 
 
 def hungriest_index(h: Sequence) -> int:

@@ -36,8 +36,12 @@ def basin_demo3():
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    """Compile every jit kernel once (both dtypes) so tests with runtime
-    budgets measure the algorithms, not compilation."""
+    """Call every kernel once, on both dtypes, before any test runs.
+
+    The C kernels are built when hungerlab is imported, not here; this
+    pays each kernel's first-call costs up front, so tests with runtime
+    budgets measure the algorithms, and a kernel broken on the live
+    backend fails before the long tests start."""
     rational = load_chain("reflecting3.json")
     absorbing = load_chain("two_sinks5.json")
     run(rational, None, 4)

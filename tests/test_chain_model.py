@@ -91,6 +91,15 @@ def test_float_row_sum_tolerance():
         parse_chain('{"mode": "float", "P": [[0.6, 0.5], [0.5, 0.5]]}')
 
 
+def test_float_rows_reject_non_finite():
+    # json reads NaN and Infinity; NaN used to pass every range check
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ChainFormatError, match="non-finite"):
+            parse_chain(f'{{"mode": "float", "P": [[{bad}, 1.0], [0.5, 0.5]]}}')
+    with pytest.raises(ChainFormatError, match="non-finite"):
+        MarkovChain([[float("nan"), 1.0], [0.5, 0.5]], mode=FLOAT)
+
+
 def test_document_round_trip(two_sinks5, basin_demo3):
     for chain in (two_sinks5, basin_demo3):
         assert parse_chain(chain_to_document(chain)) == chain

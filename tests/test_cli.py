@@ -344,6 +344,19 @@ def test_mode_override_rejects_float_to_rational(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"mode": "float", "P": [[NaN, 1.0], [0.5, 0.5]]}')
+    code, _, err = run_cli(capsys, "simulate", "--chain", str(path))
+    assert code == 2
+    assert "non-finite" in err
+    code, _, err = run_cli(
+        capsys, "simulate", "--chain", REFLECT, "--mode", "float", "--h0=nan,0,0"
+    )
+    assert code == 2
+    assert "finite" in err
+
+
 def test_hunger_accepts_decimal_tokens(capsys):
     # decimal strings are exact in rational mode: 1.5 is 3/2
     code, out, err = run_cli(

@@ -133,6 +133,18 @@ def test_run_float_mode_tracks_rational(reflecting3):
     assert ft.final_h == pytest.approx([float(x) for x in rt.final_h])
 
 
+def test_float_hunger_rejects_non_finite():
+    fchain = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.5, 0.5]]}')
+    absorbing = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.0, 1.0]]}')
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            run(fchain, [bad, 0.0], 5)
+        with pytest.raises(ValueError, match="finite"):
+            chip_add(absorbing, [0.0, bad], 0)
+        with pytest.raises(ValueError, match="finite"):
+            run_with_reinsertion(absorbing, [bad, 0.0], [0], 5)
+
+
 def test_run_huge_denominator_falls_back():
     # scale overflows the int64 budget, forcing the exact path
     chain = parse_chain(

@@ -1,0 +1,224 @@
+"""The compiled kernels against the numpy reference, and the build fallback.
+
+Each property test builds the same random arguments twice, runs the active
+kernel on one copy and `_kernels.reference` on the other, and requires
+bit-identical results: return values and every array the kernel writes.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hungerlab
+from hungerlab import _kernels
+
+compiled = pytest.mark.skipif(
+    _kernels.active_backend() != "c", reason="the C kernels are not loaded"
+)
+
+
+@st.composite
+def cases(draw):
+    """Random rows, start, absorbing mask, schedule and step count.
+
+    Rows are S*(P - I) on int64 or P - I on float64 for a random sparse P
+    with entries k/S. A power-of-two S makes the float arithmetic exact so
+    float orbits can close; small integer starts make argmax ties common.
+    """
+    n = draw(st.integers(2, 40))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    S = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 64]))
+    steps = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        support = rng.choice(n, size=rng.integers(1, min(n, 4) + 1), replace=False)
+        np.add.at(counts[i], rng.choice(support, size=S), 1)
+    start = rng.integers(-2 * S, 2 * S + 1, size=n)
+    if dtype is np.int64:
+        rows = counts - S * np.eye(n, dtype=np.int64)
+        h = start.astype(np.int64)
+        one = np.int64(S)
+    else:
+        rows = counts / S - np.eye(n)
+        h = start / S
+        h[rng.random(n) < 0.2] = -0.0
+        one = 1.0
+    absorbing = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    schedule = rng.integers(0, n, size=steps + 1)
+    return h, rows, absorbing, one, schedule, steps
+
+
+def both(name, *args):
+    """Run kernel `name` on the active backend and on the reference.
+
+    Returns ((result, args), (result, args)), each on its own copy of the
+    array arguments.
+    """
+    out = []
+    for fn in (getattr(_kernels, name), getattr(_kernels.reference, name)):
+        mine = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        out.append((fn(*mine), mine))
+    return out
+
+
+def assert_same_arrays(a, b):
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+
+
+@compiled
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases())
+def test_greedy_run_and_advance_match_reference(case):
+    h, rows, _, _, _, steps = case
+    fired = np.zeros(steps, dtype=np.int64)
+    v = np.zeros(h.shape[0], dtype=np.int64)
+    (_, c_args), (_, ref_args) = both("greedy_run", h, rows, steps, fired, v)
+    assert_same_arrays(c_args, ref_args)
+    (_, c_args), (_, ref_args) = both("greedy_advance", h, rows, steps)
+    assert_same_arrays(c_args, ref_args)
+
+
+@compiled
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases())
+def test_chip_add_count_matches_reference(case):
+    h, rows, absorbing, _, _, steps = case
+    (c_res, c_args), (ref_res, ref_args) = both(
+        "chip_add_count", h, rows, absorbing, steps
+    )
+    assert c_res == ref_res
+    assert_same_arrays(c_args, ref_args)
+
+
+@compiled
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases())
+def test_brent_cycle_matches_reference(case):
+    h, rows, _, _, _, steps = case
+    cap = 10 * steps
+    (c_res, c_args), (ref_res, ref_args) = both("brent_cycle", h, rows, cap)
+    assert tuple(map(int, c_res)) == tuple(map(int, ref_res))
+    assert_same_arrays(c_args, ref_args)
+    assert c_args[0].tobytes() == h.tobytes()
+
+
+@compiled
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases())
+def test_reinsert_loop_matches_reference(case):
+    h, rows, absorbing, one, schedule, steps = case
+    fired = np.zeros(steps, dtype=np.int64)
+    v = np.zeros(h.shape[0], dtype=np.int64)
+    (c_res, c_args), (ref_res, ref_args) = both(
+        "reinsert_loop", h, rows, absorbing, one, schedule, steps, fired, v
+    )
+    assert int(c_res[0]) == int(ref_res[0])
+    assert (
+        np.array(c_res[1:], dtype=h.dtype).tobytes()
+        == np.array(ref_res[1:], dtype=h.dtype).tobytes()
+    )
+    assert_same_arrays(c_args, ref_args)
+
+
+@compiled
+def test_compiled_kernels_reject_mismatched_arrays():
+    h = np.zeros(3, dtype=np.int64)
+    rows = np.zeros((3, 3), dtype=np.int64)
+    v = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ValueError):
+        _kernels.greedy_run(h, rows.astype(np.float64), 1, np.zeros(1, np.int64), v)
+    with pytest.raises(ValueError):
+        _kernels.greedy_run(h, rows, 5, np.zeros(4, np.int64), v)
+    with pytest.raises(ValueError):
+        _kernels.greedy_advance(h.astype(np.int32), rows.astype(np.int32), 1)
+    with pytest.raises(ValueError):
+        _kernels.brent_cycle(h, np.zeros((3, 6), np.int64)[:, ::2], 10)
+    with pytest.raises(ValueError):
+        _kernels.reinsert_loop(
+            h, rows, np.zeros(3, np.bool_), np.int64(1), np.array([0, 3]), 1,
+            np.zeros(1, np.int64), v,
+        )
+
+
+# ---------------------------------------------------------------------------
+# building and falling back, in a fresh copy of the package
+
+REFLECT = Path(__file__).resolve().parent.parent / "chains" / "reflecting3.json"
+RUN = (
+    "import hungerlab, pathlib\n"
+    f"chain = hungerlab.parse_chain(pathlib.Path(r'{REFLECT}').read_text())\n"
+    "print(hungerlab.__file__)\n"
+    "print(hungerlab.active_backend())\n"
+    "print([int(i) for i in hungerlab.run(chain, None, 20).fired])\n"
+)
+
+
+def import_copy(root, backend=None, path=None, break_source=False):
+    """Copy the package, without its build cache, to root and import it there
+    in a child process running RUN."""
+    root.mkdir()
+    pkg = root / "hungerlab"
+    shutil.copytree(
+        Path(hungerlab.__file__).parent, pkg,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    if break_source:
+        with open(pkg / "_kernels.c", "a") as f:
+            f.write("\nthis is not C;\n")
+    env = {k: v for k, v in os.environ.items() if k != "HUNGERLAB_BACKEND"}
+    env["PYTHONPATH"] = str(root)
+    if backend is not None:
+        env["HUNGERLAB_BACKEND"] = backend
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.run(
+        [sys.executable, "-c", RUN],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120,
+    )
+
+
+def expected_output(root, backend):
+    trace = hungerlab.run(hungerlab.parse_chain(REFLECT.read_text()), None, 20)
+    fired = [int(i) for i in trace.fired]
+    return f"{root / 'hungerlab' / '__init__.py'}\n{backend}\n{fired}\n"
+
+
+def test_import_without_compiler_falls_back_to_numpy(tmp_path):
+    empty = tmp_path / "empty-bin"
+    empty.mkdir()
+    proc = import_copy(tmp_path / "pkg", path=empty)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected_output(tmp_path / "pkg", "numpy")
+
+    proc = import_copy(tmp_path / "insist", backend="c", path=empty)
+    assert proc.returncode != 0
+    assert "ImportError: cannot build _kernels.c" in proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_build_is_cached_and_compiler_errors_surface(tmp_path):
+    proc = import_copy(tmp_path / "fresh")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected_output(tmp_path / "fresh", "c")
+    cache = tmp_path / "fresh" / "hungerlab" / "__pycache__"
+    assert [p.suffix for p in cache.glob("_kernels-*")] == [".so"]
+
+    proc = import_copy(tmp_path / "insist", backend="c", break_source=True)
+    assert proc.returncode != 0
+    assert "ImportError: cc could not build _kernels.c" in proc.stderr
+    assert "error" in proc.stderr.split("could not build", 1)[1]
+
+    proc = import_copy(tmp_path / "fallback", break_source=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected_output(tmp_path / "fallback", "numpy")
