@@ -40,7 +40,6 @@ from .errors import (
     IIsAbsorbing,
     NoAbsorbingStates,
     NonUniqueStationary,
-    OrbitMemoryExceeded,
     Stabilized,
     UEqualsV,
     VIsAbsorbing,

@@ -15,9 +15,11 @@ HUNGERLAB_BACKEND selects one at import: unset means ``c`` if it builds and
 error if the build fails), ``numpy`` forces the reference loops.
 
 Kernels take either int64 state (exact arithmetic, hunger scaled by a common
-denominator) or float64 state. np.argmax returns the first maximal index,
-which is exactly the tie-breaking rule (fire the smallest hungriest index);
-the C code finds the same index with a strict '>'.
+denominator) or float64 state. The reference bodies also run dtype=object
+arrays of Python ints, exact at any scale: the engine uses them when the
+scaled hunger could overflow int64. np.argmax returns the first maximal
+index, which is exactly the tie-breaking rule (fire the smallest hungriest
+index); the C code finds the same index with a strict '>'.
 """
 
 import ctypes

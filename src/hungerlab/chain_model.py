@@ -188,11 +188,13 @@ def parse_chain(text: str) -> MarkovChain:
     """Parse a chain definition document (JSON).
 
     The document is one object with fields `mode` ("rational" or "float"),
-    optional `states` (array of names), and `P` (n rows of n entries).
-    Rational entries are strings "a/b" or "a"; float entries are numbers.
+    optional `states` (array of names), and `P` (n rows of n entries), and
+    no others. Rational entries are strings "a/b" or "a"; float entries are
+    numbers.
 
     Raises:
-        ChainFormatError: on malformed documents of any kind.
+        ChainFormatError: on malformed documents of any kind, including
+            unknown keys, which would otherwise be dropped unread.
     """
     try:
         doc = json.loads(text)
@@ -200,6 +202,11 @@ def parse_chain(text: str) -> MarkovChain:
         raise ChainFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ChainFormatError("chain document must be a JSON object")
+    unknown = sorted(set(doc) - {"mode", "states", "P"})
+    if unknown:
+        raise ChainFormatError(
+            f"unknown keys {unknown}; a chain has only mode, states and P"
+        )
     mode = doc.get("mode")
     if mode not in (RATIONAL, FLOAT):
         raise ChainFormatError(f"mode must be 'rational' or 'float', got {mode!r}")
@@ -225,6 +232,8 @@ def parse_chain(text: str) -> MarkovChain:
                 parsed.append(float(x))
         rows.append(parsed)
     labels = doc.get("states")
+    if "states" in doc and not isinstance(labels, list):
+        raise ChainFormatError(f"states must be an array of names, got {labels!r}")
     return MarkovChain(rows, labels=labels, mode=mode)
 
 

@@ -2,8 +2,8 @@
 
 Every subcommand reads a chain definition file, writes plot-ready CSV to
 --output (or standard output) and a short human summary to standard
-error. Exit codes: 0 success, 2 validation or usage error, 3 a cap or
-memory limit was hit, 4 the operation does not support the chain's mode.
+error. Exit codes: 0 success, 2 validation or usage error, 3 a step cap
+was hit, 4 the operation does not support the chain's mode.
 """
 
 import argparse
@@ -28,7 +28,6 @@ from .errors import (
     ChainFormatError,
     FloatModeUnsupported,
     HungerLabError,
-    OrbitMemoryExceeded,
     Stabilized,
 )
 from .estimators import (
@@ -565,7 +564,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, OrbitMemoryExceeded) as exc:
+    except CapExceeded as exc:
         _say(f"error: {exc}")
         return 3
     except FloatModeUnsupported as exc:

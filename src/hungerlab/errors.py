@@ -63,14 +63,6 @@ class CapExceeded(HungerLabError):
         super().__init__(message or f"step cap {cap} exceeded")
 
 
-class OrbitMemoryExceeded(HungerLabError):
-    """The orbit hash table outgrew its memory cap before repeating."""
-
-    def __init__(self, limit, message=None):
-        self.limit = limit
-        super().__init__(message or f"orbit storage exceeded {limit} vectors")
-
-
 class Stabilized(HungerLabError):
     """Chip-firing run ran out of eligible states before any repeat."""
 

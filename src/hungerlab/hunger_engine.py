@@ -5,11 +5,12 @@ hungriest state i (smallest index on ties) and adds row H_i = P_i - I_i to
 the vector, so total hunger never changes. The fired index depends on the
 hunger vector alone, never on where the chip happens to sit.
 
-Rational chains run exactly: hunger is scaled by a common denominator S and
-the loop works on int64 (the boundedness lemmas keep the scaled values far
-inside the int64 range, which is checked before entering the kernel; chains
-that fail the check fall back to a Fraction loop). Float chains run on
-float64 with exact-equality tie-breaking.
+Rational chains run exactly: hunger is scaled once by a common denominator
+S and every operation runs one kernel loop body on the scaled integers. The
+boundedness lemmas keep them far inside the int64 range unless S is huge; a
+check picks int64 state on the live kernels when it fits and Python ints on
+the numpy reference bodies when it does not. Float chains run on float64
+with exact-equality tie-breaking.
 """
 
 import itertools
@@ -29,7 +30,6 @@ from .chain_model import (
     absorbing_states,
     common_denominator,
     float_matrix,
-    hunger_matrix,
 )
 from .errors import CapExceeded, IIsAbsorbing
 
@@ -120,23 +120,7 @@ def fire_step(chain: MarkovChain, h: Sequence) -> Tuple[HungerVector, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact/int64 plumbing
-
-
-def _int_rows(chain: MarkovChain, S: int) -> np.ndarray:
-    """S * H as an exact int64 matrix (requires d | S)."""
-    H = hunger_matrix(chain).H
-    out = np.empty((chain.n, chain.n), dtype=np.int64)
-    for i in range(chain.n):
-        for j in range(chain.n):
-            x = H[i][j]
-            out[i, j] = x.numerator * (S // x.denominator)
-    return out
-
-
-def _scale_for(chain: MarkovChain, h: HungerVector) -> int:
-    d = common_denominator(chain)
-    return math.lcm(d, *(x.denominator for x in h))
+# scaling for the kernels
 
 
 def _int64_safe(S: int, h: HungerVector, n: int) -> bool:
@@ -149,18 +133,37 @@ def _int64_safe(S: int, h: HungerVector, n: int) -> bool:
     return S * m < 2**62
 
 
-def _to_int64(h: HungerVector, S: int) -> np.ndarray:
-    return np.array(
-        [x.numerator * (S // x.denominator) for x in h], dtype=np.int64
+def _scaled(chain: MarkovChain, h: HungerVector):
+    """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, S).
+
+    Float chains give float64 arrays, the live kernels and S = 1.0. Rational
+    chains are scaled by S, the common denominator of P and h, to integers:
+    int64 arrays on the live kernels when _int64_safe holds, otherwise
+    dtype=object arrays of Python ints on the numpy reference bodies, which
+    fire identically and never overflow.
+    """
+    if chain.mode == FLOAT:
+        rows = float_matrix(chain) - np.eye(chain.n)
+        return np.array(h, dtype=np.float64), rows, _kernels, 1.0
+    S = math.lcm(common_denominator(chain), *(x.denominator for x in h))
+    if _int64_safe(S, h, chain.n):
+        dtype, kernels = np.int64, _kernels
+    else:
+        dtype, kernels = object, _kernels.reference
+    g = np.array([x.numerator * (S // x.denominator) for x in h], dtype=dtype)
+    rows = np.array(
+        [[x.numerator * (S // x.denominator) for x in row] for row in chain.P],
+        dtype=dtype,
     )
+    rows[np.diag_indices(chain.n)] -= S
+    return g, rows, kernels, S
 
 
-def _from_int64(g: np.ndarray, S: int) -> HungerVector:
-    return tuple(Fraction(int(x), S) for x in g)
-
-
-def _float_rows(chain: MarkovChain) -> np.ndarray:
-    return float_matrix(chain) - np.eye(chain.n)
+def _unscaled(chain: MarkovChain, values, S) -> HungerVector:
+    """Kernel values back as the chain's scalars (value / S)."""
+    if chain.mode == FLOAT:
+        return tuple(float(x) for x in values)
+    return tuple(Fraction(int(x), S) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +182,9 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
     v = np.zeros(chain.n, dtype=np.int64)
     if steps == 0:
         return FiringTrace(fired, v, h, h, 0)
-    if chain.mode == RATIONAL:
-        S = _scale_for(chain, h)
-        if _int64_safe(S, h, chain.n):
-            g = _to_int64(h, S)
-            _kernels.greedy_run(g, _int_rows(chain, S), steps, fired, v)
-            return FiringTrace(fired, v, h, _from_int64(g, S), steps)
-        return _run_fraction(chain, h, steps, fired, v)
-    g = np.array(h, dtype=np.float64)
-    _kernels.greedy_run(g, _float_rows(chain), steps, fired, v)
-    return FiringTrace(fired, v, h, tuple(float(x) for x in g), steps)
-
-
-def _run_fraction(chain, h, steps, fired, v):
-    """Pure-Fraction loop for chains whose scale overflows int64."""
-    H = hunger_matrix(chain).H
-    cur = list(h)
-    for t in range(steps):
-        i = hungriest_index(cur)
-        row = H[i]
-        for j in range(chain.n):
-            cur[j] += row[j]
-        fired[t] = i
-        v[i] += 1
-    return FiringTrace(fired, v, h, tuple(cur), steps)
+    g, rows, kernels, S = _scaled(chain, h)
+    kernels.greedy_run(g, rows, steps, fired, v)
+    return FiringTrace(fired, v, h, _unscaled(chain, g, S), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -243,57 +225,17 @@ def chip_add(
     mask = np.zeros(chain.n, dtype=np.bool_)
     for a in absorbing:
         mask[a] = True
-    if chain.mode == RATIONAL:
-        S = _scale_for(chain, inserted)
-        if _int64_safe(S, inserted, chain.n):
-            rows = _int_rows(chain, S)
-            scratch = _to_int64(inserted, S)
-            k_steps = _kernels.chip_add_count(scratch, rows, mask, cap)
-            if k_steps < 0:
-                raise CapExceeded(cap)
-            g = _to_int64(inserted, S)
-            fired = np.empty(k_steps, dtype=np.int64)
-            v = np.zeros(chain.n, dtype=np.int64)
-            _kernels.greedy_run(g, rows, k_steps, fired, v)
-            pre_removal = _from_int64(g, S)
-            g[fired[-1]] -= S
-            result = _from_int64(g, S)
-            return result, FiringTrace(fired, v, inserted, pre_removal, k_steps)
-        return _chip_add_fraction(chain, inserted, absorbing, cap)
-    g = np.array(inserted, dtype=np.float64)
-    rows = _float_rows(chain)
-    k_steps = _kernels.chip_add_count(g.copy(), rows, mask, cap)
+    g, rows, kernels, S = _scaled(chain, inserted)
+    k_steps = kernels.chip_add_count(g.copy(), rows, mask, cap)
     if k_steps < 0:
         raise CapExceeded(cap)
     fired = np.empty(k_steps, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    _kernels.greedy_run(g, rows, k_steps, fired, v)
-    pre_removal = tuple(float(x) for x in g)
-    g[fired[-1]] -= 1.0
-    result = tuple(float(x) for x in g)
+    kernels.greedy_run(g, rows, k_steps, fired, v)
+    pre_removal = _unscaled(chain, g, S)
+    g[fired[-1]] -= S
+    result = _unscaled(chain, g, S)
     return result, FiringTrace(fired, v, inserted, pre_removal, k_steps)
-
-
-def _chip_add_fraction(chain, inserted, absorbing, cap):
-    H = hunger_matrix(chain).H
-    cur = list(inserted)
-    fired: List[int] = []
-    for _ in range(cap):
-        i = hungriest_index(cur)
-        row = H[i]
-        for j in range(chain.n):
-            cur[j] += row[j]
-        fired.append(i)
-        if i in absorbing:
-            pre_removal = tuple(cur)
-            cur[i] -= 1
-            result = tuple(cur)
-            v = np.bincount(fired, minlength=chain.n).astype(np.int64)
-            trace = FiringTrace(
-                np.array(fired, dtype=np.int64), v, inserted, pre_removal, len(fired)
-            )
-            return result, trace
-    raise CapExceeded(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -349,60 +291,12 @@ def run_with_reinsertion(
         lo = min(h) if h else 0
         hi = max(h) if h else 0
         return ReinsertionTrace(fired, v, h, h, 0, 0, lo, hi)
-    if chain.mode == RATIONAL:
-        S = _scale_for(chain, h)
-        if _int64_safe(S, h, chain.n):
-            g = _to_int64(h, S)
-            si, lo, hi = _kernels.reinsert_loop(
-                g, _int_rows(chain, S), mask, np.int64(S), sched, steps, fired, v
-            )
-            return ReinsertionTrace(
-                fired,
-                v,
-                h,
-                _from_int64(g, S),
-                steps,
-                int(si),
-                Fraction(int(lo), S),
-                Fraction(int(hi), S),
-            )
-        return _reinsert_fraction(chain, h, absorbing, sched, steps, fired, v)
-    g = np.array(h, dtype=np.float64)
-    si, lo, hi = _kernels.reinsert_loop(
-        g, _float_rows(chain), mask, 1.0, sched, steps, fired, v
-    )
+    g, rows, kernels, S = _scaled(chain, h)
+    si, lo, hi = kernels.reinsert_loop(g, rows, mask, S, sched, steps, fired, v)
+    lo, hi = _unscaled(chain, (lo, hi), S)
     return ReinsertionTrace(
-        fired, v, h, tuple(float(x) for x in g), steps, int(si), float(lo), float(hi)
+        fired, v, h, _unscaled(chain, g, S), steps, int(si), lo, hi
     )
-
-
-def _reinsert_fraction(chain, h, absorbing, sched, steps, fired, v):
-    H = hunger_matrix(chain).H
-    cur = list(h)
-    lo = min(cur)
-    hi = max(cur)
-    si = 0
-    chip = -2
-    for t in range(steps):
-        if chip == -2 or (chip >= 0 and chip in absorbing):
-            if chip >= 0:
-                cur[chip] -= 1
-            s = int(sched[si])
-            si += 1
-            for j in range(chain.n):
-                cur[j] += chain.P[s][j]
-            fired[t] = -1
-            chip = -1
-        else:
-            i = hungriest_index(cur)
-            for j in range(chain.n):
-                cur[j] += H[i][j]
-            fired[t] = i
-            v[i] += 1
-            chip = i
-        lo = min(lo, min(cur))
-        hi = max(hi, max(cur))
-    return ReinsertionTrace(fired, v, h, tuple(cur), steps, si, lo, hi)
 
 
 # ---------------------------------------------------------------------------

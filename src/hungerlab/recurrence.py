@@ -3,8 +3,8 @@ classification, basin scans over a grid of starts, and the displacement
 lattice tests behind the covering theorem.
 
 Rational mode only. Orbits of a rational-entry chain live on a shifted
-integer lattice, so cycle detection is exact; float orbits never close
-reliably and are rejected up front.
+integer lattice, so cycle detection is exact at any scale; float orbits
+never close reliably and are rejected up front.
 """
 
 import math
@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from ._linalg import solve
 from .chain_model import (
     RATIONAL,
@@ -25,27 +24,15 @@ from .chain_model import (
     lcd_of_stationary,
     stationary_distribution,
 )
-from .errors import (
-    CapExceeded,
-    FloatModeUnsupported,
-    HasAbsorbing,
-    OrbitMemoryExceeded,
-    YNotOnZ,
-)
+from .errors import CapExceeded, FloatModeUnsupported, HasAbsorbing, YNotOnZ
 from .hunger_engine import (
     DEFAULT_CAP,
-    _from_int64,
-    _int64_safe,
-    _int_rows,
-    _scale_for,
-    _to_int64,
+    _scaled,
+    _unscaled,
     coerce_hunger,
-    fire_step,
     run,
     zero_hunger,
 )
-
-ORBIT_MEMORY_LIMIT = 10**7
 
 
 @dataclass
@@ -82,44 +69,25 @@ def _check_cycle_chain(chain: MarkovChain) -> None:
 def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo:
     """Run the greedy game until the hunger vector repeats.
 
-    Uses constant-memory cycle detection on the scaled integer fast path
-    and falls back to a hash-table walk over exact vectors otherwise.
+    Brent's constant-memory cycle detection runs on the scaled integer
+    state: int64 on the live kernels, or Python ints on the numpy reference
+    bodies when the scale would overflow int64.
 
     Raises:
         CapExceeded: the orbit did not close within cap steps.
-        OrbitMemoryExceeded: the fallback walk stored too many vectors.
     """
     _check_cycle_chain(chain)
     h = coerce_hunger(chain, h0)
-    S = _scale_for(chain, h)
-    if _int64_safe(S, h, chain.n):
-        rows = _int_rows(chain, S)
-        g = _to_int64(h, S)
-        mu, lam = _kernels.brent_cycle(g.copy(), rows, cap)
-        if mu < 0 or mu + lam > cap:
-            raise CapExceeded(cap)
-        _kernels.greedy_advance(g, rows, mu)
-        rep = _from_int64(g, S)
-    else:
-        mu, lam, rep = _fraction_cycle(chain, h, cap)
-    trace = run(chain, rep, lam)
-    order = tuple(int(i) for i in trace.fired)
+    g, rows, kernels, S = _scaled(chain, h)
+    mu, lam = kernels.brent_cycle(g, rows, cap)
+    if mu < 0 or mu + lam > cap:
+        raise CapExceeded(cap)
+    kernels.greedy_advance(g, rows, mu)
+    rep = _unscaled(chain, g, S)
+    fired = np.empty(lam, dtype=np.int64)
+    kernels.greedy_run(g, rows, lam, fired, np.zeros(chain.n, dtype=np.int64))
+    order = tuple(int(i) for i in fired)
     return CycleInfo(mu, lam, rep, order, canonical_order(order, chain.n))
-
-
-def _fraction_cycle(chain, h, cap):
-    """Hash-table cycle walk on exact vectors. Returns (mu, lam, rep)."""
-    seen = {h: 0}
-    x = h
-    for step in range(1, cap + 1):
-        x, _ = fire_step(chain, x)
-        if x in seen:
-            mu = seen[x]
-            return mu, step - mu, x
-        if len(seen) >= ORBIT_MEMORY_LIMIT:
-            raise OrbitMemoryExceeded(ORBIT_MEMORY_LIMIT)
-        seen[x] = step
-    raise CapExceeded(cap)
 
 
 def is_recurrent(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> bool:
@@ -190,7 +158,7 @@ def canonical_order(order: Sequence[int], n: Optional[int] = None) -> str:
 @dataclass
 class BasinCell:
     """One grid cell of a basin scan. Fields are None when the orbit
-    exceeded the cap or the memory limit."""
+    exceeded the cap."""
 
     h1: Fraction
     h2: Fraction
@@ -238,7 +206,7 @@ def basin_scan(
             h = (h1, h2, -h1 - h2)
             try:
                 info = find_cycle(chain, h, cap)
-            except (CapExceeded, OrbitMemoryExceeded):
+            except CapExceeded:
                 cells.append(BasinCell(h1, h2, None, None, None, None))
                 continue
             if info.order_class not in class_ids:
@@ -416,7 +384,7 @@ def conjecture_reports(
         h = _random_hunger(rng, chain.n, lo, hi)
         try:
             info = find_cycle(chain, h, cap)
-        except (CapExceeded, OrbitMemoryExceeded):
+        except CapExceeded:
             skipped += 1
             continue
         checked += 1
@@ -470,7 +438,7 @@ def conjecture_reports(
                                 notes.append(
                                     f"recurrent overlap at shift {combo} from x={x}"
                                 )
-                except (CapExceeded, OrbitMemoryExceeded):
+                except CapExceeded:
                     skipped += 1
     tiling_report = ConjectureReport(
         "recurrent-tiling", checked, violations, skipped, notes

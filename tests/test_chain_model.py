@@ -61,6 +61,20 @@ def test_parse_rejects_bad_documents():
         )
 
 
+def test_parse_rejects_unknown_keys_and_non_array_states():
+    # the key is "states"; a "labels" key used to be dropped silently
+    with pytest.raises(ChainFormatError, match="unknown keys"):
+        parse_chain(
+            '{"mode": "rational", "P": [["1"]], "labels": ["a"]}'
+        )
+    with pytest.raises(ChainFormatError, match="unknown keys"):
+        parse_chain('{"mode": "rational", "P": [["1"]], "name": "one"}')
+    for states in ('"a"', "null", '{"a": 1}'):
+        with pytest.raises(ChainFormatError, match="states must be an array"):
+            parse_chain(f'{{"mode": "rational", "P": [["1"]], "states": {states}}}')
+    assert parse_chain('{"mode": "rational", "P": [["1"]], "states": ["a"]}').labels == ("a",)
+
+
 def test_parse_mode_mismatch():
     # float literals inside a rational document
     with pytest.raises(ChainFormatError):

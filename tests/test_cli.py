@@ -357,6 +357,18 @@ def test_non_finite_input_exit_code(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_unknown_document_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(
+        '{"mode": "rational", "P": [["1/2", "1/2"], ["1/2", "1/2"]],'
+        ' "labels": ["a", "b"]}'
+    )
+    code, out, err = run_cli(capsys, "validate", "--chain", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unknown keys ['labels']" in err
+
+
 def test_hunger_accepts_decimal_tokens(capsys):
     # decimal strings are exact in rational mode: 1.5 is 3/2
     code, out, err = run_cli(

@@ -20,12 +20,8 @@ from hungerlab import (
     run_with_reinsertion,
     zero_hunger,
 )
-from hungerlab.hunger_engine import (
-    SparseHunger,
-    _chip_add_fraction,
-    _reinsert_fraction,
-    _run_fraction,
-)
+from hungerlab import hunger_engine
+from hungerlab.hunger_engine import SparseHunger
 from oracles import random_absorbing_chain, random_irreducible_chain
 
 F = Fraction
@@ -101,7 +97,21 @@ def test_run_trace_invariant_and_conservation():
         assert list(counts) == list(t.v)
 
 
-def test_run_int64_path_matches_fraction_path(reflecting3, basin_demo3):
+def fire_steps(chain, h, steps):
+    """Iterate fire_step, the one-step oracle: (fired indices, final h)."""
+    fired = []
+    for _ in range(steps):
+        h, i = fire_step(chain, h)
+        fired.append(i)
+    return fired, h
+
+
+def force_big_ints(monkeypatch):
+    """Send every rational chain down the Python-int path, whatever its scale."""
+    monkeypatch.setattr(hunger_engine, "_int64_safe", lambda *a: False)
+
+
+def test_run_int64_path_matches_fraction_path(reflecting3, basin_demo3, monkeypatch):
     rng = random.Random(23)
     cases = [
         (reflecting3, (F(1, 7), F(-1, 7), F(0))),
@@ -111,14 +121,16 @@ def test_run_int64_path_matches_fraction_path(reflecting3, basin_demo3):
         chain = random_irreducible_chain(rng, 3)
         h0 = tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(3))
         cases.append((chain, h0))
-    for chain, h0 in cases:
-        fast = run(chain, h0, 200)
-        fired = np.empty(200, dtype=np.int64)
-        v = np.zeros(chain.n, dtype=np.int64)
-        slow = _run_fraction(chain, h0, 200, fired, v)
+    fast = [run(chain, h0, 200) for chain, h0 in cases]
+    assert all(hunger_engine._scaled(c, h)[0].dtype == np.int64 for c, h in cases)
+    force_big_ints(monkeypatch)
+    for (chain, h0), fast in zip(cases, fast):
+        assert hunger_engine._scaled(chain, h0)[0].dtype == object
+        slow = run(chain, h0, 200)
         assert list(fast.fired) == list(slow.fired)
         assert fast.final_h == slow.final_h
         assert list(fast.v) == list(slow.v)
+        assert fire_steps(chain, h0, 200) == (list(slow.fired), slow.final_h)
 
 
 def test_run_float_mode_tracks_rational(reflecting3):
@@ -208,19 +220,23 @@ def test_chip_add_deterministic(absorbing_walk5):
     assert list(a[1].fired) == list(b[1].fired)
 
 
-def test_chip_add_fraction_fallback_agrees(absorbing_walk5):
+def test_chip_add_fraction_fallback_agrees(absorbing_walk5, monkeypatch):
     chain = absorbing_walk5
     h0 = zero_hunger(chain)
-    inserted = list(h0)
-    for j in range(chain.n):
-        inserted[j] += chain.P[2][j]
-    slow_result, slow_trace = _chip_add_fraction(
-        chain, tuple(inserted), absorbing_states(chain), 10**6
-    )
     fast_result, fast_trace = chip_add(chain, h0, 2)
+    force_big_ints(monkeypatch)
+    slow_result, slow_trace = chip_add(chain, h0, 2)
     assert slow_result == fast_result
     assert list(slow_trace.fired) == list(fast_trace.fired)
+    assert slow_trace.initial_h == fast_trace.initial_h
     assert slow_trace.final_h == fast_trace.final_h
+    fired, h = fire_steps(chain, slow_trace.initial_h, slow_trace.steps)
+    assert fired == list(slow_trace.fired)
+    assert h == slow_trace.final_h
+    assert fired[-1] in absorbing_states(chain)
+    assert not absorbing_states(chain) & set(fired[:-1])
+    with pytest.raises(CapExceeded):
+        chip_add(chain, h0, 2, cap=1)
 
 
 def test_chip_add_random_chains_terminate():
@@ -286,21 +302,34 @@ def test_reinsertion_min_includes_initial(absorbing_walk5):
     assert t.min_h <= -2
 
 
-def test_reinsertion_fraction_path_agrees(absorbing_walk5):
+def test_reinsertion_fraction_path_agrees(absorbing_walk5, monkeypatch):
     chain = absorbing_walk5
     steps = 60
     fast = run_with_reinsertion(chain, None, [1, 3], steps)
-    sched = np.array([[1, 3][k % 2] for k in range(steps + 1)], dtype=np.int64)
-    fired = np.empty(steps, dtype=np.int64)
-    v = np.zeros(chain.n, dtype=np.int64)
-    slow = _reinsert_fraction(
-        chain, zero_hunger(chain), absorbing_states(chain), sched, steps, fired, v
-    )
+    force_big_ints(monkeypatch)
+    slow = run_with_reinsertion(chain, None, [1, 3], steps)
     assert [int(x) for x in fast.fired] == [int(x) for x in slow.fired]
     assert fast.final_h == slow.final_h
     assert fast.min_h == slow.min_h
     assert fast.max_h == slow.max_h
     assert fast.insertions == slow.insertions
+    # replay: fire_step for fires, remove-and-reinsert by hand otherwise
+    cur, prev, inserted = zero_hunger(chain), None, 0
+    seen = list(cur)
+    for f in slow.fired:
+        if f == -1:
+            s = [1, 3][inserted % 2]
+            inserted += 1
+            cur = tuple(
+                x + p - (j == prev) for j, (x, p) in enumerate(zip(cur, chain.P[s]))
+            )
+        else:
+            cur, i = fire_step(chain, cur)
+            assert i == f
+        prev = int(f)
+        seen.extend(cur)
+    assert cur == slow.final_h
+    assert (min(seen), max(seen), inserted) == (slow.min_h, slow.max_h, slow.insertions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The compiled kernels against the numpy reference, and the build fallback.
+"""The compiled kernels against the numpy reference, the reference bodies on
+Python ints against int64, and the build fallback.
 
 Each property test builds the same random arguments twice, runs the active
 kernel on one copy and `_kernels.reference` on the other, and requires
@@ -129,6 +130,60 @@ def test_reinsert_loop_matches_reference(case):
         == np.array(ref_res[1:], dtype=h.dtype).tobytes()
     )
     assert_same_arrays(c_args, ref_args)
+
+
+BIG = 2**70
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases().filter(lambda case: case[0].dtype == np.int64))
+def test_reference_on_python_ints_matches_int64(case):
+    """The big-int path: each reference body on object arrays of Python ints,
+    scaled by BIG past the int64 range, fires exactly as the live kernel on
+    int64, and its hunger values are the int64 ones times BIG."""
+    h, rows, absorbing, one, schedule, steps = case
+    n = h.shape[0]
+    big_h, big_rows = h.astype(object) * BIG, rows.astype(object) * BIG
+    ref = _kernels.reference
+
+    def scaled(a):
+        return (np.asarray(a).astype(object) * BIG).tolist()
+
+    small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+    big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+    _kernels.greedy_run(small[0], rows, steps, small[1], small[2])
+    ref.greedy_run(big[0], big_rows, steps, big[1], big[2])
+    assert big[1].tolist() == small[1].tolist()
+    assert big[2].tolist() == small[2].tolist()
+    assert big[0].tolist() == scaled(small[0])
+
+    small_h, big_h2 = h.copy(), big_h.copy()
+    _kernels.greedy_advance(small_h, rows, steps)
+    ref.greedy_advance(big_h2, big_rows, steps)
+    assert big_h2.tolist() == scaled(small_h)
+
+    small_h, big_h2 = h.copy(), big_h.copy()
+    k = _kernels.chip_add_count(small_h, rows, absorbing, steps)
+    assert ref.chip_add_count(big_h2, big_rows, absorbing, steps) == k
+    assert big_h2.tolist() == scaled(small_h)
+
+    mu_lam = tuple(map(int, _kernels.brent_cycle(h, rows, 10 * steps)))
+    assert ref.brent_cycle(big_h, big_rows, 10 * steps) == mu_lam
+    assert big_h.tolist() == scaled(h)
+
+    small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+    big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+    si, lo, hi = _kernels.reinsert_loop(
+        small[0], rows, absorbing, one, schedule, steps, small[1], small[2]
+    )
+    big_si, big_lo, big_hi = ref.reinsert_loop(
+        big[0], big_rows, absorbing, int(one) * BIG, schedule, steps, big[1], big[2]
+    )
+    assert big_si == si
+    assert [big_lo, big_hi] == scaled([lo, hi])
+    assert big[1].tolist() == small[1].tolist()
+    assert big[2].tolist() == small[2].tolist()
+    assert big[0].tolist() == scaled(small[0])
 
 
 @compiled

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,9 @@ from hungerlab import (
     zero_hunger,
     zero_period,
 )
-from hungerlab.recurrence import _fraction_cycle
+from hungerlab import hunger_engine
+from hungerlab.cli import main
+from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
 
 F = Fraction
@@ -76,19 +79,45 @@ def test_find_cycle_validation(basin_demo3, absorbing_walk5):
         find_cycle(basin_demo3, None, cap=5)
 
 
-def test_fraction_walk_matches_brent(reflecting3, basin_demo3):
+def assert_closes(chain, info):
+    """The representative returns to itself after `period` fire_steps, firing
+    `order` on the way."""
+    h, order = info.representative, []
+    for _ in range(info.period):
+        h, i = fire_step(chain, h)
+        order.append(i)
+    assert h == info.representative
+    assert tuple(order) == info.order
+
+
+def test_fraction_walk_matches_brent(reflecting3, basin_demo3, monkeypatch):
     starts = [
         (reflecting3, (F(1), F(-1), F(0))),
         (basin_demo3, zero_hunger(basin_demo3)),
         (basin_demo3, (F(4, 5), F(-1, 10), F(-7, 10))),
     ]
-    for chain, h in starts:
-        info = find_cycle(chain, h)
-        mu, lam, rep = _fraction_cycle(chain, h, 10**6)
-        assert (mu, lam) == (info.entry_steps, info.period)
-        assert rep == info.representative
+    fast = [find_cycle(chain, h) for chain, h in starts]
+    monkeypatch.setattr(hunger_engine, "_int64_safe", lambda *a: False)
+    for (chain, h), info in zip(starts, fast):
+        slow = find_cycle(chain, h)
+        assert slow == info
+        assert_closes(chain, slow)
     with pytest.raises(CapExceeded):
-        _fraction_cycle(basin_demo3, zero_hunger(basin_demo3), 3)
+        find_cycle(basin_demo3, zero_hunger(basin_demo3), 3)
+
+
+def test_cycle_of_start_that_overflows_int64(basin_demo3, capsys):
+    p, q = 2**40 + 15, 2**41 - 9
+    h = (F(1, p), F(1, q), -F(1, p) - F(1, q))
+    assert hunger_engine._scaled(basin_demo3, h)[0].dtype == object
+    info = find_cycle(basin_demo3, h)
+    assert (info.entry_steps, info.period, info.order_class) == (0, 18, RED)
+    assert info.representative == h
+    assert_closes(basin_demo3, info)
+    demo = str(Path(__file__).resolve().parent.parent / "chains" / "basin_demo3.json")
+    h0 = ",".join(str(x) for x in h)
+    assert main(["cycle", "--chain", demo, "--h0", h0]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"0,18,{RED}"
 
 
 def test_cycle_counts_solve_stationary():
