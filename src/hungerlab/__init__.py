@@ -59,6 +59,7 @@ from .estimators import (
     hitting_distribution,
     hitting_oracle,
     hitting_profile,
+    hitting_profiles,
     normalized_firing_vector,
     return_time_profile,
 )

@@ -9,8 +9,10 @@ was hit, 4 the operation does not support the chain's mode.
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
+
+import numpy as np
 
 from .baselines import compare_two_state, engel_run, rotor_run
 from .chain_model import (
@@ -32,11 +34,9 @@ from .errors import (
 )
 from .estimators import (
     absorption_profile,
-    absorption_time,
     discrepancy_profile,
     escape_profile,
-    hitting_distribution,
-    hitting_profile,
+    hitting_profiles,
     return_time_profile,
 )
 from .hunger_engine import DEFAULT_CAP, chip_add, run
@@ -45,6 +45,7 @@ from .recurrence import basin_scan, conjecture_reports, covering_detail, find_cy
 DEFAULT_N = 1000
 DEFAULT_STEP = Fraction(1, 20)
 DEFAULT_BOUNDS = (Fraction(-3, 2), Fraction(3, 2))
+PROFILE_CHUNK = 1 << 14  # profile rows formatted per write
 
 
 def _fmt(x) -> str:
@@ -95,16 +96,10 @@ def _parse_hunger(chain: MarkovChain, text):
     return tuple(float(t) for t in tokens)
 
 
-@contextmanager
 def _out(args):
     if args.output:
-        f = open(args.output, "w", newline="")
-        try:
-            yield f
-        finally:
-            f.close()
-    else:
-        yield sys.stdout
+        return open(args.output, "w", newline="")
+    return nullcontext(sys.stdout)
 
 
 def _writer(f):
@@ -189,19 +184,49 @@ def cmd_chip_add(args) -> int:
     return 0
 
 
-def _write_profile(profile, f):
-    w = _writer(f)
-    w.writerow(["N", "estimate", "exact", "deviation", "N_times_deviation"])
-    for (N, dev, nd), est in zip(profile.entries, profile.estimates):
-        w.writerow([N, _cell(est), _cell(profile.exact), _fmt(dev), _fmt(nd)])
+def _texts(num, den):
+    """CSV cells of one profile column: reduced "a" or "a/b", or the repr of
+    a float when den is None; vector items join their components by ";"."""
+    if num.ndim == 2:
+        return list(map(";".join, zip(*(_texts(c, den) for c in num.T))))
+    if den is None:
+        return list(map(repr, num.tolist()))
+    g = np.gcd(num, den)
+    return [
+        str(a) if b == 1 else f"{a}/{b}"
+        for a, b in zip((num // g).tolist(), (den // g).tolist())
+    ]
+
+
+def _write_profile(args, profile):
+    exact = _cell(profile.exact)
+    with _out(args) as f:
+        f.write("N,estimate,exact,deviation,N_times_deviation\n")
+        for lo in range(0, len(profile.Ns), PROFILE_CHUNK):
+            part = slice(lo, lo + PROFILE_CHUNK)
+            est, dev, nd = (
+                _texts(num[part], None if den is None else den[part])
+                for num, den in (profile.est, profile.dev, profile.nd)
+            )
+            f.writelines(
+                f"{N},{e},{exact},{d},{x}\n"
+                for N, e, d, x in zip(profile.Ns[part].tolist(), est, dev, nd)
+            )
+
+
+def _last(profile, at="") -> str:
+    """The final estimate, then `at`, then its exact value and deviation."""
+    return (
+        f"{_fmt(profile.estimates[-1])}{at} (exact {_fmt(profile.exact)},"
+        f" deviation {_fmt(profile.entries[-1][1])})"
+    )
 
 
 def cmd_stationary(args) -> int:
     chain = _load_chain(args)
     h0 = _parse_hunger(chain, args.h0)
     profile = discrepancy_profile(chain, h0, args.N)
-    with _out(args) as f:
-        _write_profile(profile, f)
+    _write_profile(args, profile)
     _say(f"stationary: {_cell(profile.exact)}")
     _say(f"sup of N times L1 deviation over N <= {args.N}: {_fmt(profile.sup_Nd)}")
     return 0
@@ -218,28 +243,20 @@ def cmd_hitting(args) -> int:
             raise ValueError("chain has no absorbing states")
         u = absorbing[0]
         _say(f"no --target given; using {chain.labels[u]}")
-    profile = hitting_profile(chain, v, u, args.N)
-    with _out(args) as f:
-        _write_profile(profile, f)
-    for est in hitting_distribution(chain, v, args.N):
-        _say(
-            f"target {chain.labels[est.target]}: a_N = {_fmt(est.a_N)}"
-            f" (exact {_fmt(est.exact)}, deviation {_fmt(est.deviation)})"
-        )
+    profiles = hitting_profiles(chain, v, args.N)
+    if u not in profiles:
+        raise ValueError(f"target {chain.labels[u]} is not absorbing")
+    _write_profile(args, profiles[u])
+    for w, p in profiles.items():
+        _say(f"target {chain.labels[w]}: a_N = {_last(p)}")
     return 0
 
 
 def cmd_absorb(args) -> int:
     chain = _load_chain(args)
-    v = _state_index(chain, args.src)
-    profile = absorption_profile(chain, v, args.N)
-    with _out(args) as f:
-        _write_profile(profile, f)
-    est = absorption_time(chain, v, args.N)
-    _say(
-        f"b_N = {_fmt(est.b_N)} at N = {args.N}"
-        f" (exact {_fmt(est.exact)}, deviation {_fmt(est.deviation)})"
-    )
+    profile = absorption_profile(chain, _state_index(chain, args.src), args.N)
+    _write_profile(args, profile)
+    _say(f"b_N = {_last(profile, f' at N = {args.N}')}")
     return 0
 
 
@@ -248,13 +265,10 @@ def cmd_escape(args) -> int:
     v = _state_index(chain, args.src)
     u = _state_index(chain, args.target)
     profile = escape_profile(chain, v, u, args.N)
-    with _out(args) as f:
-        _write_profile(profile, f)
-    N, dev, _ = profile.entries[-1]
+    _write_profile(args, profile)
     _say(
         f"escape probability to {chain.labels[u]} before returning to "
-        f"{chain.labels[v]}: {_fmt(profile.estimates[-1])} at N = {N}"
-        f" (exact {_fmt(profile.exact)}, deviation {_fmt(dev)})"
+        f"{chain.labels[v]}: {_last(profile, f' at N = {args.N}')}"
     )
     return 0
 
@@ -263,13 +277,8 @@ def cmd_return_time(args) -> int:
     chain = _load_chain(args)
     v = _state_index(chain, args.src)
     profile = return_time_profile(chain, v, args.N)
-    with _out(args) as f:
-        _write_profile(profile, f)
-    N, dev, _ = profile.entries[-1]
-    _say(
-        f"return time to {chain.labels[v]}: {_fmt(profile.estimates[-1])}"
-        f" at N = {N} (exact {_fmt(profile.exact)}, deviation {_fmt(dev)})"
-    )
+    _write_profile(args, profile)
+    _say(f"return time to {chain.labels[v]}: {_last(profile, f' at N = {args.N}')}")
     return 0
 
 
@@ -454,79 +463,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="parse and describe a chain file")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, chain=True):
+        p = sub.add_parser(name, help=help)
+        _add_common(p, chain)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="run the greedy game, emit a trace")
-    _add_common(p)
+    command("validate", cmd_validate, "parse and describe a chain file")
+
+    p = command("simulate", cmd_simulate, "run the greedy game, emit a trace")
     p.add_argument("--h0", help="initial hunger, comma separated")
     p.add_argument("--steps", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("chip-add", help="insert a chip and fire to absorption")
-    _add_common(p)
+    p = command("chip-add", cmd_chip_add, "insert a chip and fire to absorption")
     p.add_argument("--at", required=True, help="state to insert the chip at")
     p.add_argument("--h0", help="initial hunger, comma separated")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_chip_add)
 
-    p = sub.add_parser("stationary", help="stationary-distribution discrepancy sweep")
-    _add_common(p)
+    p = command(
+        "stationary", cmd_stationary, "stationary-distribution discrepancy sweep"
+    )
     p.add_argument("--h0", help="initial hunger, comma separated")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_stationary)
 
-    p = sub.add_parser("hitting", help="absorption-probability estimates")
-    _add_common(p)
+    p = command("hitting", cmd_hitting, "absorption-probability estimates")
     p.add_argument("--from", dest="src", required=True, help="start state")
     p.add_argument("--target", help="absorbing state for the sweep")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_hitting)
 
-    p = sub.add_parser("absorb", help="expected-absorption-time estimates")
-    _add_common(p)
+    p = command("absorb", cmd_absorb, "expected-absorption-time estimates")
     p.add_argument("--from", dest="src", required=True, help="start state")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_absorb)
 
-    p = sub.add_parser("escape", help="probability of reaching u before returning")
-    _add_common(p)
+    p = command("escape", cmd_escape, "probability of reaching u before returning")
     p.add_argument("--from", dest="src", required=True, help="home state v")
     p.add_argument("--target", required=True, help="target state u")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_escape)
 
-    p = sub.add_parser("return-time", help="expected-return-time estimates")
-    _add_common(p)
+    p = command("return-time", cmd_return_time, "expected-return-time estimates")
     p.add_argument("--from", dest="src", required=True, help="state to return to")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_return_time)
 
-    p = sub.add_parser("cycle", help="detect the orbit cycle of one start")
-    _add_common(p)
+    p = command("cycle", cmd_cycle, "detect the orbit cycle of one start")
     p.add_argument("--h0", help="initial hunger, comma separated")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_cycle)
 
-    p = sub.add_parser("basin", help="grid scan of recurrence on 3-state chains")
-    _add_common(p)
+    p = command("basin", cmd_basin, "grid scan of recurrence on 3-state chains")
     p.add_argument(
         "--bounds", nargs=2, default=DEFAULT_BOUNDS,
         help="grid bounds, low high (write negatives as decimals, e.g. -1.5)"
     )
     p.add_argument("--step", default=DEFAULT_STEP, help="grid step, e.g. 1/20")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_basin)
 
-    p = sub.add_parser("cover", help="push a start onto the recurrent set")
-    _add_common(p)
+    p = command("cover", cmd_cover, "push a start onto the recurrent set")
     p.add_argument("--h0", help="initial hunger, comma separated")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("conjectures", help="empirical scans of the open conjectures")
-    _add_common(p)
+    p = command(
+        "conjectures", cmd_conjectures, "empirical scans of the open conjectures"
+    )
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -535,27 +531,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--step", default=DEFAULT_STEP, help="tiling grid step")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_conjectures)
 
-    p = sub.add_parser("engel", help="threshold chip-firing until a repeat")
-    _add_common(p)
+    p = command("engel", cmd_engel, "threshold chip-firing until a repeat")
     p.add_argument("--chips", required=True, help="initial chips, comma separated")
     p.add_argument("--thresholds", help="per-state thresholds, comma separated")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_engel)
 
-    p = sub.add_parser("rotor", help="rotor-router walk")
-    _add_common(p)
+    p = command("rotor", cmd_rotor, "rotor-router walk")
     p.add_argument("--start", required=True, help="start state")
     p.add_argument("--rotors", help="initial rotor positions, comma separated")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_rotor)
 
-    p = sub.add_parser("compare2", help="greedy game vs rotor walk, 2-state chain")
-    _add_common(p, chain=False)
+    p = command(
+        "compare2", cmd_compare2, "greedy game vs rotor walk, 2-state chain",
+        chain=False,
+    )
     p.add_argument("--q", default="1/10", help="crossing probability")
     p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.set_defaults(func=cmd_compare2)
 
     return parser
 
@@ -564,15 +556,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        _say(f"error: {exc}")
-        return 3
-    except FloatModeUnsupported as exc:
-        _say(f"error: {exc}")
-        return 4
     except (HungerLabError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
-        return 2
+        if isinstance(exc, CapExceeded):
+            return 3
+        return 4 if isinstance(exc, FloatModeUnsupported) else 2
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ Estimator runs always start from the zero hunger vector; the underlying
 theory holds for any start, and zero is the reproducible choice.
 """
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .chain_model import (
     Scalar,
     absorbing_states,
     is_irreducible,
-    lcd_of_stationary,
     make_absorbing,
     reroute,
     split_vertex,
@@ -36,20 +37,66 @@ from .hunger_engine import FiringTrace, run
 _FLOAT_TOL = 1e-9
 
 
-@dataclass
+def _value(num, den, k):
+    """Item k of a (num, den) column: num[k] / den[k] as a Fraction, or the
+    float num[k] when den is None; a tuple of them for vector items."""
+    x = num[k]
+    if den is None:
+        return tuple(map(float, x)) if np.ndim(x) else float(x)
+    d = int(den[k])
+    return tuple(Fraction(int(c), d) for c in x) if np.ndim(x) else Fraction(int(x), d)
+
+
+class _Lazy(Sequence):
+    """Read-only sequence whose item k is row(k), built on access."""
+
+    def __init__(self, n, row):
+        self._n, self._row = n, row
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._row(i) for i in range(self._n)[k]]
+        return self._row(range(self._n)[k])
+
+
+def _largest(num, den):
+    """Exact max of a (num, den) column: the float quotients pick a
+    candidate, and cross-multiplied Python ints confirm or beat it."""
+    if den is None:
+        return float(num.max())
+    approx = np.asarray(num / den, dtype=np.float64)
+    near = np.flatnonzero(approx >= approx.max() * (1 - 1e-9))
+    a, b = num[near].astype(object), den[near].astype(object)
+    k = int(np.argmax(approx[near]))
+    while (above := np.flatnonzero(a * b[k] > a[k] * b)).size:
+        k = int(above[0])
+    return Fraction(int(a[k]), int(b[k]))
+
+
 class DiscrepancyProfile:
     """Per-N deviation record for one estimator sweep.
 
-    entries holds (N, deviation, N * deviation) sorted by N, where the
-    deviation is an L1 distance (vector estimators) or absolute error
-    (scalar estimators). estimates is aligned with entries; exact is the
-    oracle value the sweep was measured against.
+    entries[k] is (N, deviation, N * deviation) for the k-th N, sorted by N:
+    an L1 distance (vector estimators) or absolute error (scalar ones).
+    estimates[k] is the estimate at that N, sup_Nd the largest N * deviation
+    and exact the oracle value. Ns holds the Ns, and est, dev and nd hold
+    (num, den) array pairs whose item k is num[k] / den[k] (int64, or Python
+    ints where int64 could overflow), or the float num[k] when den is None
+    (float mode); vector estimates add an axis of n to est's num. entries and
+    estimates are lazy: their Fraction (float) tuples are built on indexing
+    or iteration, and len() is O(1).
     """
 
-    entries: List[Tuple[int, Scalar, Scalar]]
-    sup_Nd: Scalar
-    estimates: List
-    exact: object
+    def __init__(self, Ns, est, dev, nd, exact):
+        self.Ns, self.est, self.dev, self.nd, self.exact = Ns, est, dev, nd, exact
+        self.sup_Nd = _largest(*nd)
+        self.entries = _Lazy(
+            len(Ns), lambda k: (int(Ns[k]), _value(*dev, k), _value(*nd, k))
+        )
+        self.estimates = _Lazy(len(Ns), lambda k: _value(*est, k))
 
 
 @dataclass
@@ -84,12 +131,32 @@ def normalized_firing_vector(trace: FiringTrace) -> Tuple[Fraction, ...]:
     return tuple(Fraction(int(c), trace.steps) for c in trace.v)
 
 
-def _cumulative_counts(fired: np.ndarray, n: int) -> np.ndarray:
-    """counts[i, t] = times state i fired among the first t+1 steps."""
-    out = np.empty((n, fired.shape[0]), dtype=np.int64)
-    for i in range(n):
-        np.cumsum(fired == i, out=out[i])
-    return out
+def _counts(trace: FiringTrace, sweep: bool):
+    """(Ns, counts), counts[i, k] = firings of state i in the first Ns[k]
+    steps: every prefix of the run for a sweep, else the whole run only."""
+    if not sweep:
+        return np.array([trace.steps], dtype=np.int64), trace.v[:, None]
+    counts = np.empty((len(trace.v), trace.steps), dtype=np.int64)
+    for i in range(len(trace.v)):
+        np.cumsum(trace.fired == i, out=counts[i])
+    return np.arange(1, trace.steps + 1, dtype=np.int64), counts
+
+
+def _scalar(Ns, num, den, exact, rational) -> DiscrepancyProfile:
+    """Body of the scalar estimators: num / den (0 where den is 0) against
+    the exact value p / q, as |num q - p den| / (den q) in rational mode."""
+    num = np.where(den > 0, num, 0)
+    den = np.where(den > 0, den, 1)
+    if not rational:
+        est = num / den
+        dev = np.abs(est - exact)
+        return DiscrepancyProfile(Ns, (est, None), (dev, None), (dev * Ns, None), exact)
+    p, q = exact.numerator, exact.denominator
+    # num, den <= max(N, 1), so (N + 1)^2 max(p, q) bounds every product
+    if (int(Ns[-1]) + 1) ** 2 * max(p, q) >= 2**62:
+        Ns, num, den = (x.astype(object) for x in (Ns, num, den))
+    dev, den_q = np.abs(num * q - p * den), den * q
+    return DiscrepancyProfile(Ns, (num, den), (dev, den_q), (Ns * dev, den_q), exact)
 
 
 def discrepancy_profile(
@@ -105,34 +172,22 @@ def discrepancy_profile(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     pi = stationary_distribution(chain)
-    trace = run(chain, h0, N_max)
-    counts = _cumulative_counts(trace.fired, chain.n)
-    Ns = np.arange(1, N_max + 1, dtype=np.int64)
-    if chain.mode == RATIONAL:
-        lcd = lcd_of_stationary(chain)
-        a = np.array([int(p * lcd) for p in pi], dtype=np.int64)
-        # N * dist * lcd as exact integers, vectorized over N
-        D = np.abs(lcd * counts - Ns[None, :] * a[:, None]).sum(axis=0)
-        entries = [
-            (int(N), Fraction(int(d), int(N) * lcd), Fraction(int(d), lcd))
-            for N, d in zip(Ns, D)
-        ]
-        sup = Fraction(int(D.max()), lcd)
-        estimates = [
-            tuple(Fraction(int(c), int(N)) for c in counts[:, N - 1]) for N in Ns
-        ]
-    else:
-        pi_arr = np.array(pi, dtype=np.float64)
-        dist = np.abs(counts / Ns[None, :] - pi_arr[:, None]).sum(axis=0)
-        nd = dist * Ns
-        entries = [
-            (int(N), float(d), float(x)) for N, d, x in zip(Ns, dist, nd)
-        ]
-        sup = float(nd.max())
-        estimates = [
-            tuple(float(c / N) for c in counts[:, N - 1]) for N in Ns
-        ]
-    return DiscrepancyProfile(entries, sup, estimates, tuple(pi))
+    Ns, counts = _counts(run(chain, h0, N_max), sweep=True)
+    if chain.mode != RATIONAL:
+        est = counts / Ns
+        dist = np.abs(est - np.array(pi, dtype=np.float64)[:, None]).sum(axis=0)
+        nd = (dist * Ns, None)
+        return DiscrepancyProfile(Ns, (est.T, None), (dist, None), nd, pi)
+    lcd = math.lcm(*(p.denominator for p in pi))
+    a = [p.numerator * (lcd // p.denominator) for p in pi]
+    # every |lcd * count - N * a_i| is at most lcd * N
+    if chain.n * lcd * N_max >= 2**62:
+        Ns, counts = Ns.astype(object), counts.astype(object)
+    # N * dist * lcd as exact integers, vectorized over N
+    D = np.abs(lcd * counts - Ns * np.array(a, dtype=counts.dtype)[:, None]).sum(axis=0)
+    return DiscrepancyProfile(
+        Ns, (counts.T, Ns), (D, Ns * lcd), (D, np.full_like(D, lcd)), pi
+    )
 
 
 def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
@@ -146,36 +201,49 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
     idx = {x: k for k, x in enumerate(live)}
     one = Fraction(1) if chain.mode == RATIONAL else 1.0
     zero = one - one
-    A = [
-        [
-            (one if x == y else zero) - chain.P[x][y]
-            for y in live
-        ]
-        for x in live
-    ]
+    A = [[(x == y) - chain.P[x][y] for y in live] for x in live]
     tol = None if chain.mode == RATIONAL else _FLOAT_TOL
     out: Dict[int, Scalar] = {}
     for u in U:
-        if v == u:
-            out[u] = one
+        if v not in idx:  # v absorbs at u, or elsewhere and never reaches u
+            out[u] = one if v == u else zero
             continue
-        if v not in idx:  # v absorbs elsewhere, so it never reaches u
-            out[u] = zero
-            continue
-        b = [chain.P[x][u] for x in live]
-        z = solve(A, b, tol)
+        z = solve(A, [chain.P[x][u] for x in live], tol)
         if z is None:
             raise ValueError("hitting system is singular")
         out[u] = z[idx[v]]
     return out
 
 
-def _rerouted_run(chain: MarkovChain, v: int, N: int):
+def _rerouted_counts(chain: MarkovChain, v: int, N: int, sweep: bool):
+    """Run N steps from zero on chain with its absorbing states rerouted
+    into v: (the ReroutedChain, Ns, counts) as in _counts."""
     rer = reroute(chain, v)
-    trace = run(rer.chain, None, N)
-    new_index = {orig: new for new, orig in enumerate(rer.kept)}
-    U = sorted(absorbing_states(chain))
-    return rer, trace, new_index, U
+    return (rer, *_counts(run(rer.chain, None, N), sweep))
+
+
+def _hitting(chain: MarkovChain, v: int, N: int, sweep: bool):
+    """a_N for every absorbing target, from one run and one hitting_oracle call."""
+    rer, Ns, counts = _rerouted_counts(chain, v, N, sweep)
+    rows = {orig: counts[new] for new, orig in enumerate(rer.kept)}
+    zero = np.zeros_like(Ns)
+    exact = hitting_oracle(chain, v)
+    denom = sum((rows[u] for u in exact if u in rows), zero)
+    return {
+        u: _scalar(Ns, rows.get(u, zero), denom, x, chain.mode == RATIONAL)
+        for u, x in exact.items()
+    }
+
+
+def _absorption(
+    chain: MarkovChain, v: int, N: int, sweep: bool, exact: Optional[Scalar]
+) -> DiscrepancyProfile:
+    """b_N from one run; the exact value defaults to _absorption_oracle."""
+    rer, Ns, counts = _rerouted_counts(chain, v, N, sweep)
+    if exact is None:
+        exact = _absorption_oracle(rer)
+    denom = counts[sorted(rer.absorbing_images)].sum(axis=0)
+    return _scalar(Ns, Ns - denom, denom, exact, chain.mode == RATIONAL)
 
 
 def hitting_distribution(
@@ -187,20 +255,10 @@ def hitting_distribution(
     denominator is 0. States the reroute dropped are unreachable from v,
     so their estimate and oracle are both exactly 0.
     """
-    rer, trace, new_index, U = _rerouted_run(chain, v, N)
-    exact = hitting_oracle(chain, v)
-    denom = sum(int(trace.v[new_index[u]]) for u in U if u in new_index)
-    out = []
-    for u in U:
-        if denom and u in new_index:
-            a = Fraction(int(trace.v[new_index[u]]), denom)
-        else:
-            a = Fraction(0)
-        if chain.mode != RATIONAL:
-            a = float(a)
-        dev = abs(a - exact[u])
-        out.append(HittingEstimate(u, a, N, exact[u], dev))
-    return out
+    return [
+        HittingEstimate(u, p.estimates[0], N, p.exact, p.entries[0][1])
+        for u, p in _hitting(chain, v, N, sweep=False).items()
+    ]
 
 
 def absorption_time(chain: MarkovChain, v: int, N: int) -> AbsorptionEstimate:
@@ -210,23 +268,23 @@ def absorption_time(chain: MarkovChain, v: int, N: int) -> AbsorptionEstimate:
     absorbing visit happened. Exact oracle: on the rerouted chain,
     E = 1 / (stationary mass of the absorbing images) - 1.
     """
-    rer, trace, new_index, U = _rerouted_run(chain, v, N)
-    exact = _absorption_oracle(rer)
-    denom = sum(int(trace.v[u]) for u in rer.absorbing_images)
-    if denom:
-        b = Fraction(N, denom) - 1
-    else:
-        b = Fraction(0)
-    if chain.mode != RATIONAL:
-        b = float(b)
-    return AbsorptionEstimate(b, N, exact, abs(b - exact))
+    p = _absorption(chain, v, N, sweep=False, exact=None)
+    return AbsorptionEstimate(p.estimates[0], N, p.exact, p.entries[0][1])
 
 
 def _absorption_oracle(rer: ReroutedChain) -> Scalar:
     pi = stationary_distribution(rer.chain)
-    mass = sum(pi[u] for u in rer.absorbing_images)
-    one = Fraction(1) if rer.chain.mode == RATIONAL else 1.0
-    return one / mass - 1
+    return 1 / sum(pi[u] for u in rer.absorbing_images) - 1
+
+
+def _escape_chain(chain: MarkovChain, v: int, u: int):
+    """(chain with v split and u absorbing, departure copy v0)."""
+    if u == v:
+        raise UEqualsV("escape probability needs u != v")
+    if not is_irreducible(chain):
+        raise ValueError("escape probability is defined for irreducible chains")
+    split, v0, _v1 = split_vertex(chain, v)
+    return make_absorbing(split, u), v0
 
 
 def escape_probability(
@@ -242,17 +300,16 @@ def escape_probability(
         UEqualsV: the two states must differ.
         ValueError: the chain must be irreducible.
     """
-    if u == v:
-        raise UEqualsV("escape probability needs u != v")
+    target_chain, v0 = _escape_chain(chain, v, u)
+    return next(e for e in hitting_distribution(target_chain, v0, N) if e.target == u)
+
+
+def _return_chain(chain: MarkovChain, v: int):
+    """(chain with v split, departure copy v0, exact return time 1 / pi_v)."""
     if not is_irreducible(chain):
-        raise ValueError("escape probability is defined for irreducible chains")
+        raise ValueError("return time is defined for irreducible chains")
     split, v0, _v1 = split_vertex(chain, v)
-    target_chain = make_absorbing(split, u)
-    estimates = hitting_distribution(target_chain, v0, N)
-    for est in estimates:
-        if est.target == u:
-            return est
-    raise RuntimeError("unreachable: u is absorbing in the split chain")
+    return split, v0, 1 / stationary_distribution(chain)[v]
 
 
 def expected_return_time(chain: MarkovChain, v: int, N: int) -> AbsorptionEstimate:
@@ -267,96 +324,50 @@ def expected_return_time(chain: MarkovChain, v: int, N: int) -> AbsorptionEstima
     Raises:
         ValueError: the chain must be irreducible.
     """
-    if not is_irreducible(chain):
-        raise ValueError("return time is defined for irreducible chains")
-    pi = stationary_distribution(chain)
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    exact = one / pi[v]
-    split, v0, _v1 = split_vertex(chain, v)
-    est = absorption_time(split, v0, N)
-    return AbsorptionEstimate(est.b_N, N, exact, abs(est.b_N - exact))
+    split, v0, exact = _return_chain(chain, v)
+    p = _absorption(split, v0, N, sweep=False, exact=exact)
+    return AbsorptionEstimate(p.estimates[0], N, p.exact, p.entries[0][1])
 
 
 # ---------------------------------------------------------------------------
 # per-N sweeps (one run, every prefix)
 
 
-def _profile(Ns, estimates, exact):
-    entries = []
-    sup = None
-    for N, a in zip(Ns, estimates):
-        dev = abs(a - exact)
-        nd = dev * N
-        entries.append((int(N), dev, nd))
-        if sup is None or nd > sup:
-            sup = nd
-    return DiscrepancyProfile(entries, sup, list(estimates), exact)
+def hitting_profiles(
+    chain: MarkovChain, v: int, N_max: int
+) -> Dict[int, DiscrepancyProfile]:
+    """a_N at every N in 1..N_max for each absorbing target, keyed by the
+    target, from a single run and a single hitting_oracle call."""
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1")
+    return _hitting(chain, v, N_max, sweep=True)
 
 
 def hitting_profile(
     chain: MarkovChain, v: int, u: int, N_max: int
 ) -> DiscrepancyProfile:
-    """a_N for target u at every N in 1..N_max, from a single run."""
-    rer, trace, new_index, U = _rerouted_run(chain, v, N_max)
-    exact = hitting_oracle(chain, v)[u]
-    counts = _cumulative_counts(trace.fired, rer.chain.n)
-    denom = np.zeros(N_max, dtype=np.int64)
-    for w in U:
-        if w in new_index:
-            denom += counts[new_index[w]]
-    numer = (
-        counts[new_index[u]]
-        if u in new_index
-        else np.zeros(N_max, dtype=np.int64)
-    )
-    rational = chain.mode == RATIONAL
-    estimates = [
-        (Fraction(int(a), int(d)) if rational else a / d) if d else
-        (Fraction(0) if rational else 0.0)
-        for a, d in zip(numer, denom)
-    ]
-    return _profile(range(1, N_max + 1), estimates, exact)
+    """a_N for absorbing target u at every N in 1..N_max, from a single run."""
+    return hitting_profiles(chain, v, N_max)[u]
 
 
 def absorption_profile(
     chain: MarkovChain, v: int, N_max: int, exact: Optional[Scalar] = None
 ) -> DiscrepancyProfile:
     """b_N at every N in 1..N_max, from a single run."""
-    rer, trace, new_index, _U = _rerouted_run(chain, v, N_max)
-    if exact is None:
-        exact = _absorption_oracle(rer)
-    counts = _cumulative_counts(trace.fired, rer.chain.n)
-    denom = np.zeros(N_max, dtype=np.int64)
-    for w in rer.absorbing_images:
-        denom += counts[w]
-    rational = chain.mode == RATIONAL
-    estimates = []
-    for N, d in enumerate(denom, start=1):
-        if d:
-            b = Fraction(N, int(d)) - 1
-        else:
-            b = Fraction(0)
-        estimates.append(b if rational else float(b))
-    return _profile(range(1, N_max + 1), estimates, exact)
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1")
+    return _absorption(chain, v, N_max, sweep=True, exact=exact)
 
 
 def escape_profile(
     chain: MarkovChain, v: int, u: int, N_max: int
 ) -> DiscrepancyProfile:
     """Escape probability sweep (see escape_probability)."""
-    if u == v:
-        raise UEqualsV("escape probability needs u != v")
-    if not is_irreducible(chain):
-        raise ValueError("escape probability is defined for irreducible chains")
-    split, v0, _v1 = split_vertex(chain, v)
-    return hitting_profile(make_absorbing(split, u), v0, u, N_max)
+    target_chain, v0 = _escape_chain(chain, v, u)
+    return hitting_profile(target_chain, v0, u, N_max)
 
 
 def return_time_profile(chain: MarkovChain, v: int, N_max: int) -> DiscrepancyProfile:
     """Return time sweep (see expected_return_time)."""
-    if not is_irreducible(chain):
-        raise ValueError("return time is defined for irreducible chains")
-    pi = stationary_distribution(chain)
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    split, v0, _v1 = split_vertex(chain, v)
-    return absorption_profile(split, v0, N_max, exact=one / pi[v])
+    split, v0, exact = _return_chain(chain, v)
+    return absorption_profile(split, v0, N_max, exact=exact)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -156,6 +157,15 @@ def test_hitting_defaults_to_lowest_sink(capsys):
     rows = rows_of(out)
     assert len(rows) == 61
     assert rows[0][0] == "N"
+
+
+def test_hitting_rejects_non_absorbing_target(capsys):
+    code, out, err = run_cli(
+        capsys, "hitting", "--chain", SINKS, "--from", "v2", "--target", "v3",
+        "--N", "10",
+    )
+    assert code == 2
+    assert err.splitlines() == ["error: target v3 is not absorbing"]
 
 
 def test_absorb_and_escape_and_return(capsys):
@@ -380,3 +390,98 @@ def test_hunger_accepts_decimal_tokens(capsys):
     )
     assert code2 == 0
     assert out == out2
+
+
+# ---------------------------------------------------------------------------
+# sweep output pinned by sha256 (CSV on stdout, summary on stderr), N = 20000
+
+GOLDEN_SWEEPS = [
+    ("stationary", REFLECT, (), "rational",
+     "20c4a2502955567bf9707374b5ff7b91040a381696ed546fc43acf9d965fc607",
+     "40ea11c0927dbabf0e1a1097405ea50bd341175fa28d66eaec311c6763534d75"),
+    ("stationary", DEMO, (), "rational",
+     "7eb342997f22b71426285a50d5a65824e96557aca124000ce58c05cdb6ca6027",
+     "09ab8e2f76c5e66c52be83c4f3bdbe435b2856cee380c49bd8d21586808a1b62"),
+    ("hitting", SINKS, ("--from", "v2"), "rational",
+     "68947cf7eb1b7b3ae1f9979c5a5e3d29c33169695d10b8b57a99b25cca65475c",
+     "8c5f8ef88ca097002f493a12c2954d8f96ec4b8f72129a04b043c97980cc6fd0"),
+    ("hitting", WALK5, ("--from", "v3", "--target", "v5"), "rational",
+     "503e33a226a9433eec37fdf95f84679688cd5a63d9f1038b7fea811975fe747f",
+     "25759e4f87b2c21b82643b85ad9b60a252b1adb64fe732eda33ed4c16ae89f1d"),
+    ("absorb", SINKS, ("--from", "v2"), "rational",
+     "e2ea76dc67067178efa8c3c9f1009a2359f3398801ad9fb711e89b04783b26d7",
+     "d5aad9b335a147e65afbda822752ccb4f507e82af84b1332a4baab4e67adc860"),
+    ("absorb", WALK5, ("--from", "v3"), "rational",
+     "27e7d7de3ccd0adcba094d84ed30c901a8fa04cd89600e048e44ae9f294eb861",
+     "84683df0caf9e5a6002a0592e06f3e56a3afee8990aa7696a9f8120f4a6a5a31"),
+    ("escape", REFLECT, ("--from", "v1", "--target", "v3"), "rational",
+     "cc1b0033ab1ce6e58167ede55d3142257f2ca6174d353c84faef8bdfed8c003f",
+     "0850fcc8b51c546bb4cdffeb80e70bd0b0328a2dc3138ed592316ea8b664b6bf"),
+    ("return-time", REFLECT, ("--from", "v2"), "rational",
+     "e9f08e94dac1eb1a78fcbe1272bff3fd673c0487692de54568f599ef8f0d6ab8",
+     "55af7770db54edf06605b7c7471a28dbcc96b14df3dc52fd800797b35a622ae7"),
+    ("stationary", REFLECT, (), "float",
+     "d628f1f433a43b4a3e2d8790df2a5d82981f60d9b39c76e18cb932ddd04f0781",
+     "ae786f2fbd34ad2c2b4b43df945a11cb83cb4bdcf9d04386dcd742e75f087b7b"),
+    ("stationary", DEMO, (), "float",
+     "91bb13a2c56200fb2526e1dc12c5ecc3be801c789f79c983ea868efeb2e1fedf",
+     "02918356c4d17279254549b0cac912bbfe4ddddaa1f75f544f824e80b3461650"),
+    ("hitting", SINKS, ("--from", "v2"), "float",
+     "1e44e2d6157d60dcc3079db49a471e435c6559f9ccdd2ddcc9adc082bff54fe3",
+     "807371908ee0558cdcf3c25cffe48cfafcf7d124e658ab7ff5f532df13dda235"),
+    ("hitting", WALK5, ("--from", "v3", "--target", "v5"), "float",
+     "a6f291dc2660c7f8cde6ec81a5dcc181e9e0fa4a85721f8a86e47968bfd66eb8",
+     "56a79e4a2207546723b0b94bd763552202b137aac4fdd2927bd9e660aeb6ac61"),
+    ("absorb", SINKS, ("--from", "v2"), "float",
+     "8814d95bbb8bb397baf9fb232beaba9530b7507d1c4eef939c08044283e71879",
+     "ebc3670f083420540c577a53781a1a9c7d1dabeecd32c88c28a69f40d7918d67"),
+    ("absorb", WALK5, ("--from", "v3"), "float",
+     "af7226599d09dd020e32a3c2718b2bcc7d3a736eb1e57bbb1bebe495d7a06c93",
+     "c6025927b3ca1b10e53142a647e049ffb707fb7a0cdcc7b7c0926f31bd75a5a4"),
+    ("escape", REFLECT, ("--from", "v1", "--target", "v3"), "float",
+     "b871c581a8caf46d0f2010a9d76152533833c9186e29a3a38ac69cc82261335f",
+     "a74be784e854d943bc8bbaf49d00673894ca043ef210f2e60b47cf3ec216744a"),
+    ("return-time", REFLECT, ("--from", "v2"), "float",
+     "17b04d2d66339034fa8513cee3261ce468eca106ae26a5d9448b1bd45d734db1",
+     "529fc019be846e88a4a1c719960bc2bb71fe2acab9c381ee7afa027d6d46adcb"),
+]
+
+
+@pytest.mark.parametrize("sub, chain, extra, mode, out_sha, err_sha", GOLDEN_SWEEPS)
+def test_sweep_output_unchanged(capsys, sub, chain, extra, mode, out_sha, err_sha):
+    code, out, err = run_cli(
+        capsys, sub, "--chain", chain, "--mode", mode, *extra, "--N", "20000"
+    )
+    assert code == 0
+    assert out.count("\n") == 20001
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+@pytest.mark.parametrize("argv", [
+    ("stationary", "--chain", REFLECT),
+    ("hitting", "--chain", SINKS, "--from", "v2", "--target", "v1"),
+    ("absorb", "--chain", SINKS, "--from", "v2"),
+    ("escape", "--chain", REFLECT, "--from", "v1", "--target", "v3"),
+    ("return-time", "--chain", REFLECT, "--from", "v1"),
+])
+def test_sweeps_reject_zero_N(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--N", "0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: N_max must be >= 1"]
+
+
+def test_stationary_with_lcd_above_int64(tmp_path, capsys):
+    a, b = 2**60 + 1, 2**60 + 3
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"mode": "rational", "P": [
+        ["0", f"{a - 1}/{a}", f"1/{a}"], ["0", "0", "1"],
+        [f"{b - 1}/{b}", f"1/{b}", "0"],
+    ]}))
+    code, out, err = run_cli(capsys, "stationary", "--chain", str(path), "--N", "40")
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 41
+    assert rows[1][:2] == ["1", "1;0;0"]
+    assert err.startswith("stationary: ")

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from hungerlab import (
     hitting_profile,
     normalized_firing_vector,
     parse_chain,
+    reroute,
     return_time_profile,
     run,
     split_vertex,
@@ -257,3 +260,111 @@ def test_sweep_profiles_are_consistent(reflecting3):
     ret = return_time_profile(reflecting3, 0, 150)
     assert ret.exact == 3
     assert ret.estimates[-1] == expected_return_time(reflecting3, 0, 150).b_N
+
+
+# ---------------------------------------------------------------------------
+# profile values pinned at N = 20000, and chains whose lcd overflows int64
+
+
+@pytest.mark.parametrize("name, make, sup, rows", [
+    ("stationary", lambda get: discrepancy_profile(get("reflecting3"), None, 20000),
+     F(4, 3), [
+         ((1, F(4, 3), F(4, 3)), (F(1), F(0), F(0))),
+         ((10001, F(4, 30003), F(4, 3)),
+          (F(3334, 10001), F(3334, 10001), F(3333, 10001))),
+         ((20000, F(1, 15000), F(4, 3)),
+          (F(6667, 20000), F(6667, 20000), F(3333, 10000))),
+     ]),
+    ("hitting", lambda get: hitting_profile(get("two_sinks5"), 1, 0, 20000),
+     F(4, 3), [
+         ((1, F(1, 3), F(1, 3)), F(1)),
+         ((10001, F(1, 10002), F(10001, 10002)), F(2223, 3334)),
+         ((20000, F(1, 20001), F(20000, 20001)), F(4445, 6667)),
+     ]),
+    ("absorb", lambda get: absorption_profile(get("absorbing_walk5"), 2, 20000),
+     F(3918921, 108655), [
+         ((1, F(145, 31), F(145, 31)), F(0)),
+         ((10001, F(81, 54622), F(810081, 54622)), F(8239, 1762)),
+         ((20000, F(48, 109213), F(960000, 109213)), F(16477, 3523)),
+     ]),
+    ("escape", lambda get: escape_profile(get("reflecting3"), 0, 2, 20000),
+     F(5, 4), [
+         ((1, F(1, 4), F(1, 4)), F(0)),
+         ((10001, F(0), F(0)), F(1, 4)),
+         ((20000, F(0), F(0)), F(1, 4)),
+     ]),
+    ("return-time", lambda get: return_time_profile(get("reflecting3"), 1, 20000),
+     F(9999, 1250), [
+         ((1, F(3), F(3)), F(0)),
+         ((10001, F(1, 2500), F(10001, 2500)), F(7501, 2500)),
+         ((20000, F(0), F(0)), F(3)),
+     ]),
+])
+def test_profile_values_pinned(name, make, sup, rows, request):
+    prof = make(request.getfixturevalue)
+    assert len(prof.entries) == len(prof.estimates) == 20000
+    assert prof.sup_Nd == sup
+    for k, (entry, estimate) in zip((0, 10000, -1), rows):
+        assert prof.entries[k] == entry
+        assert prof.estimates[k] == estimate
+
+
+def big_lcd_chain(a=2**60 + 1, b=2**60 + 3):
+    """A 3-state cycle with a shortcut whose stationary lcd passes 2**63."""
+    rows = [["0", f"{a - 1}/{a}", f"1/{a}"], ["0", "0", "1"],
+            [f"{b - 1}/{b}", f"1/{b}", "0"]]
+    return json.dumps({"mode": "rational", "P": rows})
+
+
+def test_discrepancy_profile_with_lcd_above_int64():
+    chain = parse_chain(big_lcd_chain())
+    N_max = 150
+    prof = discrepancy_profile(chain, None, N_max)
+    pi = stationary_distribution(chain)
+    assert math.lcm(*(p.denominator for p in pi)) >= 2**63
+    fired = run(chain, None, N_max).fired
+    counts = [0] * chain.n
+    sup = 0
+    assert len(prof.entries) == N_max
+    for N, (entry, estimate) in enumerate(zip(prof.entries, prof.estimates), 1):
+        counts[int(fired[N - 1])] += 1
+        est = tuple(F(c, N) for c in counts)
+        dev = sum(abs(e - p) for e, p in zip(est, pi))
+        assert entry == (N, dev, N * dev)
+        assert estimate == est
+        sup = max(sup, N * dev)
+    assert prof.sup_Nd == sup
+
+
+def test_scalar_profiles_with_products_above_int64():
+    # exact values with ~2**61 denominators push N^2 * q past int64, so the
+    # hitting and absorption bodies run on Python ints; each row is
+    # recomputed here with Fractions from the rerouted run
+    a = 2**61 + 1
+    hit = parse_chain(json.dumps({"mode": "rational", "P": [
+        ["1", "0", "0"], [f"{a - 1}/{a}", "0", f"1/{a}"], ["0", "0", "1"]]}))
+    absorb = parse_chain(json.dumps({"mode": "rational", "P": [
+        ["1", "0"], [f"{a - 1}/{a}", f"1/{a}"]]}))
+    N_max = 80
+    for chain, prof, exact in (
+        (hit, hitting_profile(hit, 1, 0, N_max), F(a - 1, a)),
+        (absorb, absorption_profile(absorb, 1, N_max), F(a, a - 1)),
+    ):
+        assert prof.exact == exact
+        rer = reroute(chain, 1)
+        fired = run(rer.chain, None, N_max).fired
+        counts = [0] * rer.chain.n
+        sup = 0
+        for N, (entry, estimate) in enumerate(zip(prof.entries, prof.estimates), 1):
+            counts[int(fired[N - 1])] += 1
+            d = sum(counts[w] for w in rer.absorbing_images)
+            if not d:
+                est = F(0)
+            elif chain is hit:
+                est = F(counts[rer.kept.index(0)], d)
+            else:
+                est = F(N, d) - 1
+            dev = abs(est - exact)
+            assert (entry, estimate) == ((N, dev, N * dev), est)
+            sup = max(sup, N * dev)
+        assert prof.sup_Nd == sup
