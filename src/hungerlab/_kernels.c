@@ -1,4 +1,6 @@
-/* Compiled bodies of the firing kernels in _kernels.py.
+/* Compiled bodies of the three firing kernels in _kernels.py: greedy_run
+ * (fire, optionally until a stop state), brent_cycle (find an orbit's
+ * cycle) and reinsert_loop (fire with remove-and-reinsert steps).
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
  * int64_t (exact, hunger scaled by a common denominator) and double
@@ -43,35 +45,26 @@ static int same_##SUF(const T *a, const T *b, int64_t n)                       \
     return 1;                                                                  \
 }                                                                              \
                                                                                \
-void greedy_run_##SUF(T *h, const T *rows, int64_t n, int64_t steps,           \
-                      int64_t *fired, int64_t *v)                              \
+/* Fire up to `steps` times, stopping after the first fire at a state          \
+ * whose stop entry is set. Returns the number of fires. */                    \
+int64_t greedy_run_##SUF(T *h, const T *rows, int64_t n, int64_t steps,        \
+                         int64_t *fired, int64_t *v, const uint8_t *stop)      \
 {                                                                              \
     for (int64_t t = 0; t < steps; t++) {                                      \
         int64_t i = fire_##SUF(h, rows, n);                                    \
         fired[t] = i;                                                          \
         v[i] += 1;                                                             \
-    }                                                                          \
-}                                                                              \
-                                                                               \
-void greedy_advance_##SUF(T *h, const T *rows, int64_t n, int64_t steps)       \
-{                                                                              \
-    for (int64_t t = 0; t < steps; t++)                                        \
-        fire_##SUF(h, rows, n);                                                \
-}                                                                              \
-                                                                               \
-int64_t chip_add_count_##SUF(T *h, const T *rows, int64_t n,                   \
-                             const uint8_t *absorbing, int64_t cap)            \
-{                                                                              \
-    for (int64_t t = 0; t < cap; t++)                                          \
-        if (absorbing[fire_##SUF(h, rows, n)])                                 \
+        if (stop[i])                                                           \
             return t + 1;                                                      \
-    return -1;                                                                 \
+    }                                                                          \
+    return steps;                                                              \
 }                                                                              \
                                                                                \
 /* Brent's cycle detection on the firing orbit of h0. scratch holds 2n         \
- * entries (tortoise, then hare). Returns mu and stores lam, or returns -1     \
- * and stores -1 if a phase would pass cap iterations. */                      \
-int64_t brent_cycle_##SUF(const T *h0, const T *rows, int64_t n, int64_t cap,  \
+ * entries (tortoise, then hare). Returns mu, stores lam and copies the        \
+ * cycle-entry vector into h0; or returns -1, stores -1 and leaves h0 alone    \
+ * if a phase would pass cap iterations. */                                    \
+int64_t brent_cycle_##SUF(T *h0, const T *rows, int64_t n, int64_t cap,        \
                           T *scratch, int64_t *lam_out)                        \
 {                                                                              \
     T *tortoise = scratch, *hare = scratch + n;                                \
@@ -102,6 +95,7 @@ int64_t brent_cycle_##SUF(const T *h0, const T *rows, int64_t n, int64_t cap,  \
         if (mu > cap)                                                          \
             goto capped;                                                       \
     }                                                                          \
+    memcpy(h0, tortoise, bytes);                                               \
     *lam_out = lam;                                                            \
     return mu;                                                                 \
 capped:                                                                        \

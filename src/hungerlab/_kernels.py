@@ -1,6 +1,9 @@
 """Hot loops for the greedy firing process.
 
-There are two implementations of the same five kernels:
+There are three kernels: greedy_run fires the hungriest state, for a
+number of steps or until a stop state fires; brent_cycle finds where and
+how an orbit cycles; reinsert_loop fires with remove-and-reinsert steps.
+Each has two implementations:
 
 - ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
   first time this module is imported and loaded through ctypes. The shared
@@ -39,47 +42,32 @@ if _choice not in ("", "c", "numpy"):
 # numpy reference bodies
 
 
-def greedy_run(h, rows, steps, fired, v):
-    """Fire the hungriest state `steps` times.
+def greedy_run(h, rows, steps, fired, v, stop):
+    """Fire the hungriest state up to `steps` times.
 
     h is mutated in place; rows is the (scaled) hunger matrix H. fired and v
-    collect the firing sequence and per-state counts.
+    collect the firing sequence and per-state counts. The run ends early
+    after the first fire at a state whose bool `stop` entry is set. Returns
+    the number of fires.
     """
     for t in range(steps):
         i = np.argmax(h)
         h += rows[i]
         fired[t] = i
         v[i] += 1
-
-
-def greedy_advance(h, rows, steps):
-    """Fire `steps` times without recording anything."""
-    for _ in range(steps):
-        i = np.argmax(h)
-        h += rows[i]
-
-
-def chip_add_count(h, rows, absorbing, cap):
-    """Fire until the chip lands on an absorbing state.
-
-    Mutates h (pass a scratch copy). Returns the number of fires including
-    the absorbing arrival, or -1 if the cap ran out first. The hunger
-    subtraction at the absorbed state is left to the caller.
-    """
-    for t in range(cap):
-        i = np.argmax(h)
-        h += rows[i]
-        if absorbing[i]:
+        if stop[i]:
             return t + 1
-    return -1
+    return steps
 
 
 def brent_cycle(h0, rows, cap):
     """Brent's cycle detection on the firing orbit of h0.
 
-    Returns (entry_steps, period), or (-1, -1) if either phase would pass
-    `cap` iterations. O(1) memory; exact equality comparisons, so this is
-    only meaningful for integer-scaled state.
+    Returns (entry_steps, period) and overwrites h0 with the cycle-entry
+    vector, h0 advanced entry_steps steps. Returns (-1, -1) and leaves h0
+    unchanged if either phase would pass `cap` iterations. O(1) memory;
+    exact equality comparisons, so this is only meaningful for
+    integer-scaled state.
     """
     n = h0.shape[0]
     power = 1
@@ -126,6 +114,7 @@ def brent_cycle(h0, rows, cap):
         mu += 1
         if mu > cap:
             return -1, -1
+    h0[:] = tortoise
     return mu, lam
 
 
@@ -177,8 +166,6 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
 
 reference = SimpleNamespace(
     greedy_run=greedy_run,
-    greedy_advance=greedy_advance,
-    chip_add_count=chip_add_count,
     brent_cycle=brent_cycle,
     reinsert_loop=reinsert_loop,
 )
@@ -239,9 +226,7 @@ def _load(path: Path) -> dict:
     table = {}
     for dtype, suffix, T in ((np.int64, "i64", I), (np.float64, "f64", D)):
         signatures = {
-            "greedy_run": ([P, P, I, I, P, P], None),
-            "greedy_advance": ([P, P, I, I], None),
-            "chip_add_count": ([P, P, I, P, I], I),
+            "greedy_run": ([P, P, I, I, P, P, P], I),
             "brent_cycle": ([P, P, I, I, P, ctypes.POINTER(I)], I),
             "reinsert_loop": ([P, P, I, P, T, P, I, P, P, ctypes.POINTER(T)], I),
         }
@@ -282,50 +267,26 @@ _MISFIT = "arrays do not match the kernel's dtypes, shapes or layout"
 
 if _compiled is not None:
 
-    def greedy_run(h, rows, steps, fired, v):
+    def greedy_run(h, rows, steps, fired, v, stop):
         """Compiled reference.greedy_run."""
         n = h.shape[0]
         if not (
             h.ndim == 1 and h.dtype in _compiled
             and rows.dtype == h.dtype and rows.shape == (n, n)
             and fired.dtype == v.dtype == _INT64 and v.shape == (n,)
+            and stop.dtype == _BOOL and stop.shape == (n,)
             and fired.shape[0] >= steps >= 0 and h.flags.c_contiguous
             and rows.flags.c_contiguous and fired.flags.c_contiguous
-            and v.flags.c_contiguous
+            and v.flags.c_contiguous and stop.flags.c_contiguous
         ):
             raise ValueError("greedy_run: " + _MISFIT)
-        _compiled[h.dtype].greedy_run(
-            h.ctypes.data, rows.ctypes.data, n, steps, fired.ctypes.data, v.ctypes.data
-        )
-
-    def greedy_advance(h, rows, steps):
-        """Compiled reference.greedy_advance."""
-        n = h.shape[0]
-        if not (
-            h.ndim == 1 and h.dtype in _compiled
-            and rows.dtype == h.dtype and rows.shape == (n, n)
-            and h.flags.c_contiguous and rows.flags.c_contiguous
-        ):
-            raise ValueError("greedy_advance: " + _MISFIT)
-        _compiled[h.dtype].greedy_advance(h.ctypes.data, rows.ctypes.data, n, steps)
-
-    def chip_add_count(h, rows, absorbing, cap):
-        """Compiled reference.chip_add_count."""
-        n = h.shape[0]
-        if not (
-            h.ndim == 1 and h.dtype in _compiled
-            and rows.dtype == h.dtype and rows.shape == (n, n)
-            and absorbing.dtype == _BOOL and absorbing.shape == (n,)
-            and h.flags.c_contiguous and rows.flags.c_contiguous
-            and absorbing.flags.c_contiguous
-        ):
-            raise ValueError("chip_add_count: " + _MISFIT)
-        return _compiled[h.dtype].chip_add_count(
-            h.ctypes.data, rows.ctypes.data, n, absorbing.ctypes.data, cap
+        return _compiled[h.dtype].greedy_run(
+            h.ctypes.data, rows.ctypes.data, n, steps, fired.ctypes.data,
+            v.ctypes.data, stop.ctypes.data,
         )
 
     def brent_cycle(h0, rows, cap):
-        """Compiled reference.brent_cycle; h0 is left unchanged."""
+        """Compiled reference.brent_cycle."""
         n = h0.shape[0]
         if not (
             h0.ndim == 1 and h0.dtype in _compiled

@@ -9,18 +9,18 @@ here are tiny (n up to a few dozen), so plain row lists beat any dependency.
 from fractions import Fraction
 
 
-def _rref(M, tol):
+def _rref(M, tol, ncols):
     """Reduce M in place to reduced row echelon form.
 
     Args:
         M: list of row lists (Fractions, or floats when tol is not None).
         tol: None for exact arithmetic, else the pivot magnitude threshold.
+        ncols: pivot only in the first ncols columns.
 
     Returns:
         List of pivot column indices, one per pivot row.
     """
     nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -54,8 +54,8 @@ def nullspace(A, tol=None):
     if not A:
         return []
     M = [list(row) for row in A]
-    pivots = _rref(M, tol)
     ncols = len(M[0])
+    pivots = _rref(M, tol, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     zero = Fraction(0) if tol is None else 0.0
     one = Fraction(1) if tol is None else 1.0
@@ -69,28 +69,28 @@ def nullspace(A, tol=None):
     return basis
 
 
-def solve(A, b, tol=None):
-    """One solution x of A x = b, or None if the system is inconsistent.
+def solve(A, bs, tol=None):
+    """For each right-hand side b in bs, one solution x of A x = b, or None
+    if that system is inconsistent.
 
     Free variables, if any, are set to zero, so the caller gets a particular
-    solution of an underdetermined system.
+    solution of an underdetermined system. One elimination serves every b;
+    pivots are chosen in A's columns only, so each solution is bit for bit
+    the one a system with b alone would give.
     """
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
-    pivots = _rref(M, tol)
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the augmented column
-    # _rref never pivots past the first inconsistency, so re-check residual rows
-    for i in range(len(pivots), nrows):
-        if tol is None:
-            if M[i][ncols] != 0:
-                return None
-        elif abs(M[i][ncols]) > tol:
-            return None
+    M = [list(row) + [b[i] for b in bs] for i, row in enumerate(A)]
+    pivots = _rref(M, tol, ncols)
     zero = Fraction(0) if tol is None else 0.0
-    x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = M[r][ncols]
-    return tuple(x)
+    out = []
+    for k in range(ncols, ncols + len(bs)):
+        residual = [M[i][k] for i in range(len(pivots), nrows)]
+        if any(x != 0 if tol is None else abs(x) > tol for x in residual):
+            out.append(None)  # inconsistent
+            continue
+        x = [zero] * ncols
+        for r, c in enumerate(pivots):
+            x[c] = M[r][k]
+        out.append(tuple(x))
+    return out

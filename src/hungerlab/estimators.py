@@ -194,25 +194,22 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
     """Exact hitting probabilities h_u(v) for every absorbing u.
 
     Solves the first-step equations z_x = sum_y P_xy z_y with boundary 1
-    at u and 0 at the other absorbing states; exact in rational mode.
+    at u and 0 at the other absorbing states, all targets in one
+    elimination; exact in rational mode.
     """
     U = sorted(absorbing_states(chain))
     live = [x for x in range(chain.n) if x not in set(U)]
     idx = {x: k for k, x in enumerate(live)}
     one = Fraction(1) if chain.mode == RATIONAL else 1.0
     zero = one - one
+    if v not in idx:  # v absorbs at u, or elsewhere and never reaches u
+        return {u: one if v == u else zero for u in U}
     A = [[(x == y) - chain.P[x][y] for y in live] for x in live]
     tol = None if chain.mode == RATIONAL else _FLOAT_TOL
-    out: Dict[int, Scalar] = {}
-    for u in U:
-        if v not in idx:  # v absorbs at u, or elsewhere and never reaches u
-            out[u] = one if v == u else zero
-            continue
-        z = solve(A, [chain.P[x][u] for x in live], tol)
-        if z is None:
-            raise ValueError("hitting system is singular")
-        out[u] = z[idx[v]]
-    return out
+    zs = solve(A, [[chain.P[x][u] for x in live] for u in U], tol)
+    if None in zs:
+        raise ValueError("hitting system is singular")
+    return {u: z[idx[v]] for u, z in zip(U, zs)}
 
 
 def _rerouted_counts(chain: MarkovChain, v: int, N: int, sweep: bool):

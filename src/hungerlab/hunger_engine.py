@@ -183,7 +183,7 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
     if steps == 0:
         return FiringTrace(fired, v, h, h, 0)
     g, rows, kernels, S = _scaled(chain, h)
-    kernels.greedy_run(g, rows, steps, fired, v)
+    kernels.greedy_run(g, rows, steps, fired, v, np.zeros(chain.n, dtype=np.bool_))
     return FiringTrace(fired, v, h, _unscaled(chain, g, S), steps)
 
 
@@ -226,16 +226,19 @@ def chip_add(
     for a in absorbing:
         mask[a] = True
     g, rows, kernels, S = _scaled(chain, inserted)
-    k_steps = kernels.chip_add_count(g.copy(), rows, mask, cap)
-    if k_steps < 0:
-        raise CapExceeded(cap)
-    fired = np.empty(k_steps, dtype=np.int64)
+    # fire into a buffer that doubles up to cap until an absorbing arrival
+    fired = np.empty(0, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    kernels.greedy_run(g, rows, k_steps, fired, v)
+    k = 0
+    while k == 0 or not mask[fired[k - 1]]:
+        if k >= cap:
+            raise CapExceeded(cap)
+        fired = np.resize(fired, min(max(2 * k, 1024), cap))
+        k += kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
     pre_removal = _unscaled(chain, g, S)
-    g[fired[-1]] -= S
+    g[fired[k - 1]] -= S
     result = _unscaled(chain, g, S)
-    return result, FiringTrace(fired, v, inserted, pre_removal, k_steps)
+    return result, FiringTrace(fired[:k], v, inserted, pre_removal, k)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,9 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
 
     Brent's constant-memory cycle detection runs on the scaled integer
     state: int64 on the live kernels, or Python ints on the numpy reference
-    bodies when the scale would overflow int64.
+    bodies when the scale would overflow int64. It leaves the cycle-entry
+    vector in place, so only the `period` steps of the order are fired
+    again.
 
     Raises:
         CapExceeded: the orbit did not close within cap steps.
@@ -82,10 +84,10 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     mu, lam = kernels.brent_cycle(g, rows, cap)
     if mu < 0 or mu + lam > cap:
         raise CapExceeded(cap)
-    kernels.greedy_advance(g, rows, mu)
     rep = _unscaled(chain, g, S)
     fired = np.empty(lam, dtype=np.int64)
-    kernels.greedy_run(g, rows, lam, fired, np.zeros(chain.n, dtype=np.int64))
+    v = np.zeros(chain.n, dtype=np.int64)
+    kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))
     order = tuple(int(i) for i in fired)
     return CycleInfo(mu, lam, rep, order, canonical_order(order, chain.n))
 
@@ -251,8 +253,8 @@ def lattice_basis(chain: MarkovChain) -> HungerLattice:
         tuple(H[i][j] - H[i + 1][j] for j in range(chain.n))
         for i in range(chain.n - 1)
     )
-    lcd = lcd_of_stationary(chain)
     pi = stationary_distribution(chain)
+    lcd = math.lcm(*(p.denominator for p in pi))
     p_vec = tuple(int(p * lcd) for p in pi)
     return HungerLattice(basis, p_vec, lcd)
 
@@ -278,7 +280,7 @@ def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
     H = hunger_matrix(chain).H
     # solve w . H = y, i.e. H^T w = y
     Ht = [[H[i][j] for i in range(chain.n)] for j in range(chain.n)]
-    w0 = solve(Ht, list(y))
+    (w0,) = solve(Ht, [y])
     if w0 is None:
         return False
     t = -Fraction(sum(w0), lat.lcd)
@@ -311,7 +313,7 @@ def covering_detail(
     h = coerce_hunger(chain, h0)
     info = find_cycle(chain, h, cap)
     t = info.period * math.ceil(info.entry_steps / info.period)
-    x = run(chain, h, t).final_h
+    x = run(chain, info.representative, t - info.entry_steps).final_h
     diff = tuple(a - b for a, b in zip(x, h))
     return CoveringCheck(t, x, lattice_member(chain, diff))
 

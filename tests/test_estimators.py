@@ -26,6 +26,7 @@ from hungerlab import (
     split_vertex,
     stationary_distribution,
 )
+from hungerlab import _linalg
 from oracles import (
     absorption_solve_float,
     first_transient,
@@ -116,6 +117,16 @@ def test_hitting_oracle_five_state_walk(absorbing_walk5):
     # boundary rows of the solve
     assert hitting_oracle(absorbing_walk5, 0) == {0: F(1), 4: F(0)}
     assert hitting_oracle(absorbing_walk5, 4) == {0: F(0), 4: F(1)}
+
+
+def test_hitting_oracle_eliminates_once_for_all_targets(absorbing_walk5, monkeypatch):
+    calls = []
+    rref = _linalg._rref
+    monkeypatch.setattr(
+        _linalg, "_rref", lambda *args: calls.append(args) or rref(*args)
+    )
+    assert hitting_oracle(absorbing_walk5, 2) == {0: F(15, 31), 4: F(16, 31)}
+    assert len(calls) == 1
 
 
 def test_hitting_oracle_matches_float_solve():

@@ -239,6 +239,24 @@ def test_chip_add_fraction_fallback_agrees(absorbing_walk5, monkeypatch):
         chip_add(chain, h0, 2, cap=1)
 
 
+def test_chip_add_fires_each_step_once_past_buffer_doublings():
+    """2501 fires to absorption, two doublings past the 1024-entry fired
+    buffer; the cap counts fires, and absorption on fire `cap` succeeds."""
+    chain = parse_chain(
+        '{"mode": "rational", "P": [["4999/5000", "1/5000"], ["0", "1"]]}'
+    )
+    result, trace = chip_add(chain, None, 0, cap=2501)
+    assert trace.steps == len(trace.fired) == 2501
+    assert trace.v.tolist() == [2500, 1]
+    fired, h = fire_steps(chain, trace.initial_h, 2501)
+    assert fired == list(trace.fired)
+    assert h == trace.final_h
+    assert result == (F(2499, 5000), F(-2499, 5000))
+    for cap in (2500, 0, -1):
+        with pytest.raises(CapExceeded):
+            chip_add(chain, None, 0, cap=cap)
+
+
 def test_chip_add_random_chains_terminate():
     rng = random.Random(5)
     for _ in range(15):

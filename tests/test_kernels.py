@@ -80,38 +80,43 @@ def assert_same_arrays(a, b):
 @compiled
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
-def test_greedy_run_and_advance_match_reference(case):
-    h, rows, _, _, _, steps = case
+def test_greedy_run_matches_reference(case):
+    """Without a stop state (every fire recorded) and with the absorbing
+    mask as stop states (ends at the first absorbing arrival)."""
+    h, rows, absorbing, _, _, steps = case
     fired = np.zeros(steps, dtype=np.int64)
     v = np.zeros(h.shape[0], dtype=np.int64)
-    (_, c_args), (_, ref_args) = both("greedy_run", h, rows, steps, fired, v)
-    assert_same_arrays(c_args, ref_args)
-    (_, c_args), (_, ref_args) = both("greedy_advance", h, rows, steps)
-    assert_same_arrays(c_args, ref_args)
-
-
-@compiled
-@settings(max_examples=60, deadline=None, database=None)
-@given(cases())
-def test_chip_add_count_matches_reference(case):
-    h, rows, absorbing, _, _, steps = case
-    (c_res, c_args), (ref_res, ref_args) = both(
-        "chip_add_count", h, rows, absorbing, steps
-    )
-    assert c_res == ref_res
-    assert_same_arrays(c_args, ref_args)
+    for stop in (np.zeros_like(absorbing), absorbing):
+        (c_res, c_args), (ref_res, ref_args) = both(
+            "greedy_run", h, rows, steps, fired, v, stop
+        )
+        assert int(c_res) == int(ref_res)
+        assert_same_arrays(c_args, ref_args)
+        k = int(c_res)
+        assert k == steps or (0 < k < steps and stop[c_args[3][k - 1]])
+        assert not stop[c_args[3][: k - 1]].any()
 
 
 @compiled
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_brent_cycle_matches_reference(case):
+    """Both backends return the same (mu, lam) and leave the same vector in
+    h0: the start advanced mu steps, or the start itself when capped."""
     h, rows, _, _, _, steps = case
     cap = 10 * steps
     (c_res, c_args), (ref_res, ref_args) = both("brent_cycle", h, rows, cap)
-    assert tuple(map(int, c_res)) == tuple(map(int, ref_res))
+    mu, lam = map(int, c_res)
+    assert (mu, lam) == tuple(map(int, ref_res))
     assert_same_arrays(c_args, ref_args)
-    assert c_args[0].tobytes() == h.tobytes()
+    entry = h.copy()
+    if mu >= 0:
+        n = h.shape[0]
+        never = np.zeros(n, dtype=np.bool_)
+        _kernels.reference.greedy_run(
+            entry, rows, mu, np.zeros(mu, np.int64), np.zeros(n, np.int64), never
+        )
+    assert c_args[0].tobytes() == entry.tobytes()
 
 
 @compiled
@@ -149,27 +154,19 @@ def test_reference_on_python_ints_matches_int64(case):
     def scaled(a):
         return (np.asarray(a).astype(object) * BIG).tolist()
 
-    small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-    big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-    _kernels.greedy_run(small[0], rows, steps, small[1], small[2])
-    ref.greedy_run(big[0], big_rows, steps, big[1], big[2])
-    assert big[1].tolist() == small[1].tolist()
-    assert big[2].tolist() == small[2].tolist()
-    assert big[0].tolist() == scaled(small[0])
+    for stop in (np.zeros_like(absorbing), absorbing):
+        small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+        big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+        k = _kernels.greedy_run(small[0], rows, steps, small[1], small[2], stop)
+        assert ref.greedy_run(big[0], big_rows, steps, big[1], big[2], stop) == k
+        assert big[1].tolist() == small[1].tolist()
+        assert big[2].tolist() == small[2].tolist()
+        assert big[0].tolist() == scaled(small[0])
 
     small_h, big_h2 = h.copy(), big_h.copy()
-    _kernels.greedy_advance(small_h, rows, steps)
-    ref.greedy_advance(big_h2, big_rows, steps)
+    mu_lam = tuple(map(int, _kernels.brent_cycle(small_h, rows, 10 * steps)))
+    assert ref.brent_cycle(big_h2, big_rows, 10 * steps) == mu_lam
     assert big_h2.tolist() == scaled(small_h)
-
-    small_h, big_h2 = h.copy(), big_h.copy()
-    k = _kernels.chip_add_count(small_h, rows, absorbing, steps)
-    assert ref.chip_add_count(big_h2, big_rows, absorbing, steps) == k
-    assert big_h2.tolist() == scaled(small_h)
-
-    mu_lam = tuple(map(int, _kernels.brent_cycle(h, rows, 10 * steps)))
-    assert ref.brent_cycle(big_h, big_rows, 10 * steps) == mu_lam
-    assert big_h.tolist() == scaled(h)
 
     small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
     big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
@@ -191,12 +188,17 @@ def test_compiled_kernels_reject_mismatched_arrays():
     h = np.zeros(3, dtype=np.int64)
     rows = np.zeros((3, 3), dtype=np.int64)
     v = np.zeros(3, dtype=np.int64)
-    with pytest.raises(ValueError):
-        _kernels.greedy_run(h, rows.astype(np.float64), 1, np.zeros(1, np.int64), v)
-    with pytest.raises(ValueError):
-        _kernels.greedy_run(h, rows, 5, np.zeros(4, np.int64), v)
-    with pytest.raises(ValueError):
-        _kernels.greedy_advance(h.astype(np.int32), rows.astype(np.int32), 1)
+    stop = np.zeros(3, dtype=np.bool_)
+    fired = np.zeros(1, np.int64)
+    for bad in (
+        (h, rows.astype(np.float64), 1, fired, v, stop),
+        (h, rows, 5, np.zeros(4, np.int64), v, stop),
+        (h.astype(np.int32), rows.astype(np.int32), 1, fired, v, stop),
+        (h, rows, 1, fired, v, stop.astype(np.uint8)),
+        (h, rows, 1, fired, v, np.zeros(4, np.bool_)),
+    ):
+        with pytest.raises(ValueError):
+            _kernels.greedy_run(*bad)
     with pytest.raises(ValueError):
         _kernels.brent_cycle(h, np.zeros((3, 6), np.int64)[:, ::2], 10)
     with pytest.raises(ValueError):

@@ -21,11 +21,12 @@ from hungerlab import (
     lattice_member,
     lcd_of_stationary,
     parse_chain,
+    run,
     stationary_distribution,
     zero_hunger,
     zero_period,
 )
-from hungerlab import hunger_engine
+from hungerlab import chain_model, hunger_engine
 from hungerlab.cli import main
 from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
@@ -242,6 +243,16 @@ def test_lattice_basis_demo(basin_demo3):
         assert sum(row) == 0
 
 
+def test_lattice_basis_solves_once(basin_demo3, monkeypatch):
+    calls = []
+    nullspace = chain_model.nullspace
+    monkeypatch.setattr(
+        chain_model, "nullspace", lambda *args: calls.append(args) or nullspace(*args)
+    )
+    assert lattice_basis(basin_demo3).lcd == 18
+    assert len(calls) == 1
+
+
 def test_lattice_member_basics(reflecting3):
     lat = lattice_basis(reflecting3)
     assert lattice_member(reflecting3, (F(0), F(0), F(0)))
@@ -288,6 +299,16 @@ def test_covering_random_starts(basin_demo3):
         detail = covering_detail(basin_demo3, h)
         assert detail.steps % 18 == 0
         assert detail.member
+
+
+def test_covering_reaches_the_plain_run_endpoint(reflecting3, basin_demo3):
+    rng = random.Random(93)
+    for chain in (reflecting3, basin_demo3):
+        for _ in range(6):
+            h = tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(2))
+            h = h + (-sum(h),)
+            detail = covering_detail(chain, h)
+            assert detail.reached == run(chain, h, detail.steps).final_h
 
 
 # ---------------------------------------------------------------------------
