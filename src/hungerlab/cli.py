@@ -4,10 +4,15 @@ Every subcommand reads a chain definition file, writes plot-ready CSV to
 --output (or standard output) and a short human summary to standard
 error. Exit codes: 0 success, 2 validation or usage error, 3 a step cap
 was hit, 4 the operation does not support the chain's mode.
+
+CSV is written in blocks of PROFILE_CHUNK rows, straight from the integer
+(or float64) arrays of the run: the sweeps from their count arrays, the
+simulate and chip-add traces from the scaled hunger of the run itself.
 """
 
 import argparse
 import csv
+import io
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -21,7 +26,6 @@ from .chain_model import (
     MarkovChain,
     absorbing_states,
     fmt_scalar,
-    hunger_matrix,
     is_irreducible,
     parse_chain,
 )
@@ -39,13 +43,13 @@ from .estimators import (
     hitting_profiles,
     return_time_profile,
 )
-from .hunger_engine import DEFAULT_CAP, chip_add, run
+from .hunger_engine import DEFAULT_CAP, _hunger_blocks, chip_add, run
 from .recurrence import basin_scan, conjecture_reports, covering_detail, find_cycle
 
 DEFAULT_N = 1000
 DEFAULT_STEP = Fraction(1, 20)
 DEFAULT_BOUNDS = (Fraction(-3, 2), Fraction(3, 2))
-PROFILE_CHUNK = 1 << 14  # profile rows formatted per write
+PROFILE_CHUNK = 1 << 14  # profile and trace rows formatted per write
 
 
 def _fmt(x) -> str:
@@ -128,34 +132,41 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _trace_rows(chain, h, fired, last_removed=None):
-    """Replay a firing sequence into per-step hunger rows."""
-    H = hunger_matrix(chain).H
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    rows = [(0, "", h)]
-    for t, i in enumerate(fired, start=1):
-        i = int(i)
-        h = tuple(a + b for a, b in zip(h, H[i]))
-        if last_removed and t == len(fired):
-            h = tuple(a - one if j == i else a for j, a in enumerate(h))
-        rows.append((t, chain.labels[i], h))
-    return rows
-
-
-def _write_trace(chain, rows, f):
-    w = _writer(f)
-    w.writerow(["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)])
-    for step, fired, h in rows:
-        w.writerow([step, fired] + [_fmt(x) for x in h])
+def _write_trace(chain, h, fired, f, removed=False):
+    """Write the trace CSV: the hunger vector before the first step and
+    after each fire, from the run's own scaled values (h is the run's start,
+    fired its firing sequence). removed takes the chip off the last fired
+    state in the final row, as chip_add does."""
+    _writer(f).writerow(["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)])
+    # quote each label once, as csv would in a row (the empty lead field
+    # keeps an empty label from being written as "")
+    quoted = []
+    for label in chain.labels:
+        buf = io.StringIO()
+        _writer(buf).writerow(["", label])
+        quoted.append(buf.getvalue()[1:-1])
+    lo = 0
+    for block, S in _hunger_blocks(chain, h, fired, PROFILE_CHUNK):
+        hi = lo + len(block)
+        names = [quoted[i] for i in fired[max(lo - 1, 0) : hi - 1].tolist()]
+        if not lo:
+            names.insert(0, "")  # step 0 fires nothing
+        if removed and hi == len(fired) + 1:
+            block[-1, fired[-1]] -= S
+        den = None if chain.mode == FLOAT else S
+        cells = map(",".join, zip(*(_texts(col, den) for col in block.T)))
+        f.writelines(
+            f"{t},{name},{c}\n" for t, name, c in zip(range(lo, hi), names, cells)
+        )
+        lo = hi
 
 
 def cmd_simulate(args) -> int:
     chain = _load_chain(args)
     h0 = _parse_hunger(chain, args.h0)
     trace = run(chain, h0, args.steps)
-    start = trace.initial_h
     with _out(args) as f:
-        _write_trace(chain, _trace_rows(chain, start, trace.fired), f)
+        _write_trace(chain, trace.initial_h, trace.fired, f)
     v = ", ".join(
         f"{chain.labels[i]}:{int(c)}" for i, c in enumerate(trace.v)
     )
@@ -170,11 +181,7 @@ def cmd_chip_add(args) -> int:
     i = _state_index(chain, args.at)
     result, trace = chip_add(chain, h0, i, args.cap)
     with _out(args) as f:
-        _write_trace(
-            chain,
-            _trace_rows(chain, trace.initial_h, trace.fired, last_removed=True),
-            f,
-        )
+        _write_trace(chain, trace.initial_h, trace.fired, f, removed=True)
     _say(
         "fired: "
         + " ".join(chain.labels[int(k)] for k in trace.fired)
@@ -243,9 +250,9 @@ def cmd_hitting(args) -> int:
             raise ValueError("chain has no absorbing states")
         u = absorbing[0]
         _say(f"no --target given; using {chain.labels[u]}")
-    profiles = hitting_profiles(chain, v, args.N)
-    if u not in profiles:
+    if u not in absorbing:
         raise ValueError(f"target {chain.labels[u]} is not absorbing")
+    profiles = hitting_profiles(chain, v, args.N)
     _write_profile(args, profiles[u])
     for w, p in profiles.items():
         _say(f"target {chain.labels[w]}: a_N = {_last(p)}")

@@ -343,7 +343,13 @@ def hitting_profiles(
 def hitting_profile(
     chain: MarkovChain, v: int, u: int, N_max: int
 ) -> DiscrepancyProfile:
-    """a_N for absorbing target u at every N in 1..N_max, from a single run."""
+    """a_N for absorbing target u at every N in 1..N_max, from a single run.
+
+    Raises:
+        ValueError: u is not absorbing (checked before the run).
+    """
+    if u not in absorbing_states(chain):
+        raise ValueError(f"target {chain.labels[u]} is not absorbing")
     return hitting_profiles(chain, v, N_max)[u]
 
 

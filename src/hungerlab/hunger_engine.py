@@ -10,7 +10,9 @@ S and every operation runs one kernel loop body on the scaled integers. The
 boundedness lemmas keep them far inside the int64 range unless S is huge; a
 check picks int64 state on the live kernels when it fits and Python ints on
 the numpy reference bodies when it does not. Float chains run on float64
-with exact-equality tie-breaking.
+with exact-equality tie-breaking. A step-by-step trace of a run (the hunger
+vector after every fire) is rebuilt on the same scaled values, block by
+block, from the start vector and the firing sequence.
 """
 
 import itertools
@@ -166,6 +168,28 @@ def _unscaled(chain: MarkovChain, values, S) -> HungerVector:
     return tuple(Fraction(int(x), S) for x in values)
 
 
+def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
+    """Yield (block, S): the hunger vector h before the first step and after
+    each step of the firing sequence `fired`, scaled by S as in _scaled, in
+    blocks of at most `chunk` rows (row k of block b is step b*chunk + k).
+
+    Rows are running sums of the fired steps' rows on _scaled's own dtype:
+    int64 (the boundedness bound behind _int64_safe covers every row), Python
+    ints or float64. np.add.accumulate adds in order, so float rows equal
+    the run's own step-by-step additions bit for bit.
+    """
+    g, rows, _, S = _scaled(chain, h)
+    last = g[None, :]
+    for lo in range(0, len(fired) + 1, chunk):
+        # row lo is the carry (row lo - 1) plus the step fired at lo - 1
+        steps = rows[fired[max(lo - 1, 0) : lo + chunk - 1]]
+        block = np.add.accumulate(np.concatenate([last, steps]), axis=0)
+        if lo:
+            block = block[1:]
+        last = block[-1:]
+        yield block, S
+
+
 # ---------------------------------------------------------------------------
 # plain runs
 
@@ -211,13 +235,15 @@ def chip_add(
 
     Raises:
         IIsAbsorbing: insertion at an absorbing state.
-        CapExceeded: no absorbing arrival within `cap` fires (non-absorbing
-            chain, or the cap is too small).
+        CapExceeded: no absorbing arrival within `cap` fires; raised before
+            any fire when the chain has no absorbing state.
     """
     h = coerce_hunger(chain, h)
     absorbing = absorbing_states(chain)
     if i in absorbing:
         raise IIsAbsorbing(f"cannot insert at absorbing state {chain.labels[i]}")
+    if not absorbing:
+        raise CapExceeded(cap)  # no fire can ever absorb the chip
     inserted = list(h)
     for j in range(chain.n):
         inserted[j] += chain.P[i][j]

@@ -104,10 +104,17 @@ def zero_period(chain: MarkovChain, cap: int = DEFAULT_CAP) -> int:
     denominator of the stationary distribution; both facts are theorems,
     so a mismatch here means a bug and raises RuntimeError.
     """
+    return _zero_period(chain, cap)
+
+
+def _zero_period(chain: MarkovChain, cap: int, lcd: Optional[int] = None) -> int:
+    """zero_period, checked against lcd (the stationary lcd, solved here
+    when not given)."""
     info = find_cycle(chain, zero_hunger(chain), cap)
     if info.entry_steps != 0:
         raise RuntimeError("zero orbit reported as non-recurrent")
-    lcd = lcd_of_stationary(chain)
+    if lcd is None:
+        lcd = lcd_of_stationary(chain)
     if info.period != lcd:
         raise RuntimeError(
             f"zero orbit period {info.period} != stationary lcd {lcd}"
@@ -264,7 +271,7 @@ def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
 
     y must sit on the zero-sum hyperplane (YNotOnZ otherwise). Membership
     means y = w . H for some integer vector w with sum(w) = 0; the rational
-    solution space is a line in direction p_vec, and the zero-sum condition
+    solution space is a line in direction pi, and the zero-sum condition
     pins the only candidate, which is then checked for integrality.
     """
     if chain.mode != RATIONAL:
@@ -276,17 +283,15 @@ def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
         raise YNotOnZ("lattice vectors have zero total")
     if chain.n == 1:
         return True  # y is (0,) and the lattice is the origin
-    lat = lattice_basis(chain)
+    pi = stationary_distribution(chain)
     H = hunger_matrix(chain).H
     # solve w . H = y, i.e. H^T w = y
     Ht = [[H[i][j] for i in range(chain.n)] for j in range(chain.n)]
     (w0,) = solve(Ht, [y])
     if w0 is None:
         return False
-    t = -Fraction(sum(w0), lat.lcd)
-    return all(
-        (w0[i] + t * lat.p_vec[i]).denominator == 1 for i in range(chain.n)
-    )
+    total = sum(w0)  # sum(pi) = 1, so w0 - total * pi sums to zero
+    return all((w - total * p).denominator == 1 for w, p in zip(w0, pi))
 
 
 @dataclass
@@ -377,7 +382,9 @@ def conjecture_reports(
     """
     _check_cycle_chain(chain)
     rng = random.Random(seed)
-    base = zero_period(chain, cap)
+    # one stationary solve serves both the zero period and the lattice
+    lat = lattice_basis(chain) if chain.n == 3 else None
+    base = _zero_period(chain, cap, lat and lat.lcd)
     lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
 
     checked = violations = skipped = 0
@@ -403,7 +410,6 @@ def conjecture_reports(
     if chain.n != 3:
         notes.append("skipped: the tiling scan is defined for 3-state chains")
     else:
-        lat = lattice_basis(chain)
         shifts = []
         for a in range(-2, 3):
             for b in range(-2, 3):

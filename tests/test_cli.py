@@ -2,10 +2,12 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hungerlab import cli, hunger_engine, parse_chain
 from hungerlab.cli import main
 
 CHAINS = Path(__file__).resolve().parent.parent / "chains"
@@ -122,6 +124,10 @@ def test_chip_add_error_codes(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "chip-add", "--chain", WALK5, "--at", "v9")
     assert code == 2
+    code, out, err = run_cli(capsys, "chip-add", "--chain", REFLECT, "--at", "v1")
+    assert code == 3  # no absorbing state
+    assert out == ""
+    assert err.splitlines() == ["error: step cap 10000000 exceeded"]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,19 @@ def test_hitting_rejects_non_absorbing_target(capsys):
         "--N", "10",
     )
     assert code == 2
+    assert err.splitlines() == ["error: target v3 is not absorbing"]
+
+
+def test_hitting_checks_the_target_before_the_run(capsys, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "hitting_profiles", sweep)
+    code, out, err = run_cli(
+        capsys, "hitting", "--chain", SINKS, "--from", "v2", "--target", "v3",
+    )
+    assert code == 2
+    assert out == ""
     assert err.splitlines() == ["error: target v3 is not absorbing"]
 
 
@@ -485,3 +504,82 @@ def test_stationary_with_lcd_above_int64(tmp_path, capsys):
     assert len(rows) == 41
     assert rows[1][:2] == ["1", "1;0;0"]
     assert err.startswith("stationary: ")
+
+
+# ---------------------------------------------------------------------------
+# simulate and chip-add traces pinned by sha256 (CSV on stdout, summary on
+# stderr); the step counts straddle the writer's PROFILE_CHUNK boundary
+
+BIG_X = "4611686018427387905/1099511627776"  # (2**62 + 1) / 2**40
+QUOTED_CHAIN = {
+    "mode": "rational",
+    "states": ["a,b", 'say "hi"', "end"],
+    "P": [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "0", "1"]],
+}
+
+GOLDEN_TRACES = [
+    (("simulate", REFLECT, "--steps", "3000"),
+     "c1a7d8f00ad0ddc9827003ecbe8e8d937f9be57c176b99d1ebba0fb252b2dd76",
+     "52d403d574b5cacb6d865019c4dd3c28fa5893975f9d50f757e28ba325dd864a"),
+    (("simulate", DEMO, "--h0=3/7,-1/3,-2/21", "--steps", "3000"),
+     "b4a2ee16ccff2da845c30d4c699c7f65d974086bbfe7c9595fe4d81ba3ea8568",
+     "f2156cef8a5a645661c51fb1808ffacd0ba717c3e9687394738514ed0416deec"),
+    (("simulate", DEMO, "--mode", "float", "--h0=0.3,-0.1,-0.2",
+      "--steps", "3000"),
+     "5f6d10de0efd34c877d9d2866d464fa5fcf73ab82e185e8c07c7e2d0c683f784",
+     "a6cb6c9357d0b4c8bdcfa2ef41ac9295e8da7e673855022fdc846dc246230693"),
+    (("simulate", REFLECT, "--mode", "float", "--steps", "3000"),
+     "7f95544065297610b389627fc3ef239953b786bd39ddd610ac168e445d9d3ecc",
+     "95d629c354857136f7d6ecd878081588910db21c2e945d8d34321f5575039e99"),
+    (("simulate", SINKS, "--steps", "500"),
+     "6b2267d5a4d5a5dd8863aa0cecedc4492bf6cfa651cb869f35a87f9b97debd97",
+     "c5968496f0461f96ca7f9fc7595186828c201d99d5bc95d43cf00af362adb686"),
+    (("simulate", REFLECT, f"--h0={BIG_X},-{BIG_X},0", "--steps", "1000"),
+     "a4be821713510afdd6d30948a2222634ab55c442d48adbc6247c9ffc561e3f0a",
+     "3f5bc5a6887d240695c3af57efd29eb40bae6845cc84654e451568b24be1456a"),
+    (("simulate", REFLECT, "--steps", "0"),
+     "3e238980e0604a941a697da8642f9358966804694747cad8b47084c87421d060",
+     "a3ad01bcbd68458c455568d5234af9719b45b3dec325b5527590d352fde06bff"),
+    (("simulate", DEMO, "--h0=3/7,-1/3,-2/21", "--steps", "16383"),
+     "014edc51ccc8676d3def92f1cab591e4a0cbf2b7f29cb9c44f5c4ce6554846ef",
+     "6c7ae665f8e50454c178ec1b99bd0a185874a85f28aa450590a3afe8f5e4955b"),
+    (("simulate", DEMO, "--h0=3/7,-1/3,-2/21", "--steps", "16384"),
+     "dc89fecd023cfbb6e941b52fc52ffba016c30743ceebccfb3179e6b6547b4140",
+     "68a8fcf2eea86ae16407287987ea0059bd24e761ae410e955febfc3376e0cffb"),
+    (("simulate", DEMO, "--h0=3/7,-1/3,-2/21", "--steps", "16385"),
+     "8ea84b975c758fd56ccdd045096bc82901641c97cee77c4bcc6465699e5cc51d",
+     "ac10d79a024d0aabf2a4b3a32169ec27ec61a08cff2a104914fc9622c11d50b1"),
+    (("chip-add", WALK5, "--at", "v3"),
+     "ff405d5f9a195988acff330422a57c3f102b1c4db6bdcac01f131a48a52af896",
+     "246e99c8e35cf65c7a377ccf0aadb23e9fe6b2241cc9775c21e50335b2b53d32"),
+    (("chip-add", WALK5, "--at", "v2", "--h0=1/3,-1/2,0,1/6,0"),
+     "7c961b4fae261c66221ed360e494e67ebe891d5b0621fd9bc8564ffa1fac264c",
+     "d78f836c0b4ae77c8a33035c58a3f02ebf89076411d4efd64810734b4e182cf6"),
+    (("chip-add", SINKS, "--mode", "float", "--at", "v3"),
+     "8ad5e726e0fca8328c70c724de850ba933b917fb2a595434716837344669cd6f",
+     "45b36e3fe70104ca921d3c372efc32e961dc3e3812b1273e2e57b5fa79871542"),
+    (("simulate", "QUOTED", "--steps", "40"),
+     "0ce5b8aff8c590de7c8f69445e092f2bc1173eced61fc2cde145a6faa0a1a82b",
+     "c96cb85c8628ec5d83f4f6a77fda76043e80999a714c7957f0b4f4633a5606ba"),
+    (("chip-add", "QUOTED", "--at", "a,b"),
+     "f5ec8e335b74926a66cb60a21561a634c4eb65c8b48ca4ad0c3c62c2af668c0a",
+     "2beb0b02bf91cc0a58b3802def3e9c43d1c1a4d900098471006bd59961b6c223"),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_TRACES)
+def test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
+    sub, chain, *extra = argv
+    if chain == "QUOTED":
+        chain = str(tmp_path / "quoted.json")
+        Path(chain).write_text(json.dumps(QUOTED_CHAIN))
+    code, out, err = run_cli(capsys, sub, "--chain", chain, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+def test_big_trace_start_takes_the_big_int_path():
+    chain = parse_chain(Path(REFLECT).read_text())
+    x = Fraction(BIG_X)
+    assert hunger_engine._scaled(chain, (x, -x, Fraction(0)))[0].dtype == object

@@ -26,7 +26,7 @@ from hungerlab import (
     split_vertex,
     stationary_distribution,
 )
-from hungerlab import _linalg
+from hungerlab import _linalg, estimators
 from oracles import (
     absorption_solve_float,
     first_transient,
@@ -176,6 +176,17 @@ def test_hitting_profile_matches_single_shot(two_sinks5):
     assert prof.exact == F(2, 3)
     assert prof.sup_Nd == max(nd for _, _, nd in prof.entries)
     assert [N for N, _, _ in prof.entries] == list(range(1, 241))
+
+
+def test_hitting_profile_rejects_non_absorbing_target_before_the_run(
+    two_sinks5, monkeypatch
+):
+    def fire(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(estimators, "run", fire)
+    with pytest.raises(ValueError, match="^target v3 is not absorbing$"):
+        hitting_profile(two_sinks5, 1, 2, 10**6)
 
 
 def test_hitting_profile_stays_bounded(two_sinks5):

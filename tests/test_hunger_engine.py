@@ -213,6 +213,20 @@ def test_chip_add_cap(absorbing_walk5):
         chip_add(chain, None, 0, cap=100)
 
 
+def test_chip_add_without_absorbing_state_fails_before_firing(monkeypatch):
+    def fire(*args):
+        raise AssertionError("a kernel ran")
+
+    for kernels in (hunger_engine._kernels, hunger_engine._kernels.reference):
+        monkeypatch.setattr(kernels, "greedy_run", fire)
+    chain = parse_chain(
+        '{"mode": "rational", "P": [["1/2", "1/2"], ["1/2", "1/2"]]}'
+    )
+    with pytest.raises(CapExceeded) as err:
+        chip_add(chain, None, 0)
+    assert err.value.cap == hunger_engine.DEFAULT_CAP
+
+
 def test_chip_add_deterministic(absorbing_walk5):
     a = chip_add(absorbing_walk5, None, 3)
     b = chip_add(absorbing_walk5, None, 3)

@@ -26,7 +26,7 @@ from hungerlab import (
     zero_hunger,
     zero_period,
 )
-from hungerlab import chain_model, hunger_engine
+from hungerlab import chain_model, hunger_engine, recurrence
 from hungerlab.cli import main
 from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
@@ -243,13 +243,30 @@ def test_lattice_basis_demo(basin_demo3):
         assert sum(row) == 0
 
 
-def test_lattice_basis_solves_once(basin_demo3, monkeypatch):
+def count_calls(monkeypatch, module, name):
     calls = []
-    nullspace = chain_model.nullspace
-    monkeypatch.setattr(
-        chain_model, "nullspace", lambda *args: calls.append(args) or nullspace(*args)
-    )
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+def test_lattice_basis_solves_once(basin_demo3, monkeypatch):
+    calls = count_calls(monkeypatch, chain_model, "nullspace")
     assert lattice_basis(basin_demo3).lcd == 18
+    assert len(calls) == 1
+
+
+def test_lattice_member_solves_and_builds_h_once(basin_demo3, monkeypatch):
+    y = lattice_basis(basin_demo3).basis[0]
+    solves = count_calls(monkeypatch, chain_model, "nullspace")
+    builds = count_calls(monkeypatch, recurrence, "hunger_matrix")
+    assert lattice_member(basin_demo3, y)
+    assert (len(solves), len(builds)) == (1, 1)
+
+
+def test_conjecture_reports_solve_once(basin_demo3, monkeypatch):
+    calls = count_calls(monkeypatch, chain_model, "nullspace")
+    conjecture_reports(basin_demo3, samples=5, step=Fraction(1, 2))
     assert len(calls) == 1
 
 
