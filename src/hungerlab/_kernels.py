@@ -17,12 +17,14 @@ HUNGERLAB_BACKEND selects one at import: unset means ``c`` if it builds and
 ``numpy`` otherwise, ``c`` insists (ImportError carrying the compiler's
 error if the build fails), ``numpy`` forces the reference loops.
 
-Kernels take either int64 state (exact arithmetic, hunger scaled by a common
-denominator) or float64 state. The reference bodies also run dtype=object
-arrays of Python ints, exact at any scale: the engine uses them when the
-scaled hunger could overflow int64. np.argmax returns the first maximal
-index, which is exactly the tie-breaking rule (fire the smallest hungriest
-index); the C code finds the same index with a strict '>'.
+Kernels take either int64 state (exact arithmetic on the engine's integer
+keys of the hunger vector) or float64 state. The reference bodies also run
+dtype=object arrays of Python ints, exact at any scale: the engine uses
+them when the keys could overflow int64, which takes hunger of huge
+magnitude or a chain whose own denominators overflow, never the start's
+denominators alone. np.argmax returns the first maximal index, which is
+exactly the tie-breaking rule (fire the smallest hungriest index); the C
+code finds the same index with a strict '>'.
 """
 
 import ctypes

@@ -159,29 +159,28 @@ def rotor_run(
         raise ValueError("start state out of range")
     if N < 0:
         raise ValueError("N must be >= 0")
-    d = _row_thresholds(chain)
-    edges: List[List[int]] = []
-    for i, row in enumerate(chain.P):
-        slots = []
-        for j, p in enumerate(row):
-            slots.extend([j] * int(d[i] * p))
-        edges.append(slots)
+    # zero entries have denominator 1 and no slots, so the nonzero ones
+    # alone give the thresholds and the edges
+    support = [[(j, p) for j, p in enumerate(row) if p.numerator] for row in chain.P]
+    d = tuple(math.lcm(*(p.denominator for _, p in row)) for row in support)
+    edges = [
+        [j for j, p in row for _ in range(di // p.denominator * p.numerator)]
+        for di, row in zip(d, support)
+    ]
     rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
     if len(rotors) != chain.n or any(
         not 0 <= rotors[i] < d[i] for i in range(chain.n)
     ):
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
-    itinerary = np.empty(N + 1, dtype=np.int64)
-    visits = np.zeros(chain.n, dtype=np.int64)
     x = start
-    itinerary[0] = x
-    visits[x] += 1
-    for t in range(1, N + 1):
+    itinerary = [x]
+    for _ in range(N):
         j = edges[x][rotors[x]]
         rotors[x] = (rotors[x] + 1) % d[x]
         x = j
-        itinerary[t] = x
-        visits[x] += 1
+        itinerary.append(x)
+    itinerary = np.array(itinerary, dtype=np.int64)
+    visits = np.bincount(itinerary, minlength=chain.n)
     return RotorTrace(itinerary, visits, tuple(rotors), d)
 
 

@@ -7,7 +7,8 @@ was hit, 4 the operation does not support the chain's mode.
 
 CSV is written in blocks of PROFILE_CHUNK rows, straight from the integer
 (or float64) arrays of the run: the sweeps from their count arrays, the
-simulate and chip-add traces from the scaled hunger of the run itself.
+simulate and chip-add traces from the scaled hunger of the run itself, the
+rotor itinerary from its state indices.
 """
 
 import argparse
@@ -132,19 +133,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _quoted(labels):
+    """Each label as csv writes it in a row (the empty lead field keeps an
+    empty label from being written as "")."""
+    quoted = []
+    for label in labels:
+        buf = io.StringIO()
+        _writer(buf).writerow(["", label])
+        quoted.append(buf.getvalue()[1:-1])
+    return quoted
+
+
 def _write_trace(chain, h, fired, f, removed=False):
     """Write the trace CSV: the hunger vector before the first step and
     after each fire, from the run's own scaled values (h is the run's start,
     fired its firing sequence). removed takes the chip off the last fired
     state in the final row, as chip_add does."""
     _writer(f).writerow(["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)])
-    # quote each label once, as csv would in a row (the empty lead field
-    # keeps an empty label from being written as "")
-    quoted = []
-    for label in chain.labels:
-        buf = io.StringIO()
-        _writer(buf).writerow(["", label])
-        quoted.append(buf.getvalue()[1:-1])
+    quoted = _quoted(chain.labels)
     lo = 0
     for block, S in _hunger_blocks(chain, h, fired, PROFILE_CHUNK):
         hi = lo + len(block)
@@ -419,11 +425,12 @@ def cmd_rotor(args) -> int:
         [int(t) for t in args.rotors.split(",")] if args.rotors else None
     )
     trace = rotor_run(chain, start, rotors, args.N)
+    quoted = _quoted(chain.labels)
     with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["step", "state"])
-        for t, x in enumerate(trace.itinerary):
-            w.writerow([t, chain.labels[int(x)]])
+        f.write("step,state\n")
+        for lo in range(0, len(trace.itinerary), PROFILE_CHUNK):
+            part = trace.itinerary[lo : lo + PROFILE_CHUNK].tolist()
+            f.writelines(f"{t},{quoted[x]}\n" for t, x in enumerate(part, lo))
     _say(
         "visits: "
         + ", ".join(

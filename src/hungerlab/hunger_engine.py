@@ -5,14 +5,18 @@ hungriest state i (smallest index on ties) and adds row H_i = P_i - I_i to
 the vector, so total hunger never changes. The fired index depends on the
 hunger vector alone, never on where the chip happens to sit.
 
-Rational chains run exactly: hunger is scaled once by a common denominator
-S and every operation runs one kernel loop body on the scaled integers. The
-boundedness lemmas keep them far inside the int64 range unless S is huge; a
-check picks int64 state on the live kernels when it fits and Python ints on
-the numpy reference bodies when it does not. Float chains run on float64
-with exact-equality tie-breaking. A step-by-step trace of a run (the hunger
-vector after every fire) is rebuilt on the same scaled values, block by
-block, from the start vector and the firing sequence.
+Rational chains run exactly: hunger is mapped once to integer keys that
+order and equate states as h does (D*h for D the common denominator of P,
+refined by the rank of each fractional part, see _Keys), and every
+operation runs one kernel loop body on them. The boundedness lemmas keep
+the keys far inside the int64 range whatever the start's denominators; a
+check picks int64 state on the live kernels when they fit and Python ints
+on the numpy reference bodies when they do not: only when the magnitude of
+h times the key unit R*D nears 2^62, or the chain's own denominators do.
+Float chains run on float64 with exact-equality tie-breaking. A
+step-by-step trace of a run (the hunger vector after every fire) is rebuilt
+on the same keys, block by block, from the start vector and the firing
+sequence.
 """
 
 import itertools
@@ -122,63 +126,126 @@ def fire_step(chain: MarkovChain, h: Sequence) -> Tuple[HungerVector, int]:
 
 
 # ---------------------------------------------------------------------------
-# scaling for the kernels
+# integer keys for the kernels
 
 
-def _int64_safe(S: int, h: HungerVector, n: int) -> bool:
-    # Boundedness bound: values stay in [a, b], a = min(h)-1,
-    # b = (total+1) - (n-1)a (the +1 covers one in-flight insertion).
-    hmin = min(h)
-    a = hmin - 1
-    b = (sum(h) + 1) - (n - 1) * a
-    m = max(abs(a), abs(b)) + 4
-    return S * m < 2**62
+def _int64_safe(keys: Sequence[int], unit: int, n: int) -> bool:
+    # Boundedness bound on the hunger vector keys / unit, which fires as h
+    # does: values stay in [a, b], a = min - 1, b = (total + 1) - (n-1)a
+    # (the +1 covers one in-flight insertion); in key units here.
+    a = min(keys) - unit
+    b = sum(keys) + unit - (n - 1) * a
+    return max(abs(a), abs(b)) + 4 * unit < 2**62
+
+
+@dataclass(frozen=True)
+class _Keys:
+    """How the kernels' integers stand for a rational hunger vector.
+
+    With D the common denominator of P, firing, removal and insertion only
+    add integers to D*h, so the fractional part f_j of each D*h_j is fixed
+    for a run. key_j = R*floor(D*h_j) + rank(f_j), with R the number of
+    distinct f_j, orders and equates states exactly as h does, and hunger 1
+    is `unit` = R*D keys. c[r] is M*f for the f of rank r, where M = S/D
+    and S is the common denominator of P and h, so
+    S*h_j = M*(key_j // R) + c[key_j % R].
+    """
+
+    unit: int
+    R: int
+    M: int
+    c: Tuple[int, ...]
+
+    @property
+    def S(self) -> int:
+        return self.M * (self.unit // self.R)
+
+    def hunger(self, keys) -> HungerVector:
+        """Keys back as Fractions."""
+        R, M, c, S = self.R, self.M, self.c, self.S
+        return tuple(
+            Fraction(M * q + c[r], S) for q, r in (divmod(int(k), R) for k in keys)
+        )
+
+    def numerators(self, keys: np.ndarray) -> np.ndarray:
+        """S*h for an array of keys: int64 when every value fits, else
+        Python ints."""
+        if self.M == 1:  # S = D: the keys are D*h
+            return keys
+        bound = int(np.abs(keys).max(initial=0)) // self.R + 1
+        if self.M * (bound + 1) >= 2**62:
+            keys = keys.astype(object)
+        c = np.array(self.c, dtype=keys.dtype)
+        return self.M * (keys // self.R) + c[(keys % self.R).astype(np.intp)]
+
+
+class _FloatKeys:
+    """Float chains run on h itself."""
+
+    unit = S = 1.0
+
+    @staticmethod
+    def hunger(values) -> HungerVector:
+        return tuple(float(x) for x in values)
+
+    @staticmethod
+    def numerators(values: np.ndarray) -> np.ndarray:
+        return values
 
 
 def _scaled(chain: MarkovChain, h: HungerVector):
-    """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, S).
+    """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, keys).
 
-    Float chains give float64 arrays, the live kernels and S = 1.0. Rational
-    chains are scaled by S, the common denominator of P and h, to integers:
-    int64 arrays on the live kernels when _int64_safe holds, otherwise
-    dtype=object arrays of Python ints on the numpy reference bodies, which
-    fire identically and never overflow.
+    Float chains give float64 arrays, the live kernels and _FloatKeys.
+    Rational chains give the integer keys of h (see _Keys) and the rows
+    R*D*H: int64 arrays on the live kernels when _int64_safe holds, which it
+    does whatever the start's denominators, otherwise dtype=object arrays of
+    Python ints on the numpy reference bodies, which fire identically and
+    never overflow. Only magnitudes or chain denominators past int64 take
+    that path.
     """
     if chain.mode == FLOAT:
         rows = float_matrix(chain) - np.eye(chain.n)
-        return np.array(h, dtype=np.float64), rows, _kernels, 1.0
-    S = math.lcm(common_denominator(chain), *(x.denominator for x in h))
-    if _int64_safe(S, h, chain.n):
+        return np.array(h, dtype=np.float64), rows, _kernels, _FloatKeys
+    D = common_denominator(chain)
+    S = math.lcm(D, *(x.denominator for x in h))
+    M = S // D
+    floors, fracs = [], []
+    for x in h:
+        q, rem = divmod(D * x.numerator, x.denominator)
+        floors.append(q)
+        fracs.append(M * rem // x.denominator)
+    c = sorted(set(fracs))
+    R = len(c)
+    rank = {f: k for k, f in enumerate(c)}
+    keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
+    unit = R * D
+    if _int64_safe(keys, unit, chain.n):
         dtype, kernels = np.int64, _kernels
     else:
         dtype, kernels = object, _kernels.reference
-    g = np.array([x.numerator * (S // x.denominator) for x in h], dtype=dtype)
+    g = np.array(keys, dtype=dtype)
     rows = np.array(
-        [[x.numerator * (S // x.denominator) for x in row] for row in chain.P],
+        [[x.numerator * (unit // x.denominator) for x in row] for row in chain.P],
         dtype=dtype,
     )
-    rows[np.diag_indices(chain.n)] -= S
-    return g, rows, kernels, S
-
-
-def _unscaled(chain: MarkovChain, values, S) -> HungerVector:
-    """Kernel values back as the chain's scalars (value / S)."""
-    if chain.mode == FLOAT:
-        return tuple(float(x) for x in values)
-    return tuple(Fraction(int(x), S) for x in values)
+    rows[np.diag_indices(chain.n)] -= unit
+    return g, rows, kernels, _Keys(unit, R, M, tuple(c))
 
 
 def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
     """Yield (block, S): the hunger vector h before the first step and after
-    each step of the firing sequence `fired`, scaled by S as in _scaled, in
-    blocks of at most `chunk` rows (row k of block b is step b*chunk + k).
+    each step of the firing sequence `fired`, times S (the common
+    denominator of P and h; 1.0 for float chains), in blocks of at most
+    `chunk` rows (row k of block b is step b*chunk + k).
 
-    Rows are running sums of the fired steps' rows on _scaled's own dtype:
-    int64 (the boundedness bound behind _int64_safe covers every row), Python
-    ints or float64. np.add.accumulate adds in order, so float rows equal
-    the run's own step-by-step additions bit for bit.
+    Rows are running sums of the fired steps' rows on _scaled's keys and
+    dtype: int64 (the boundedness bound behind _int64_safe covers every
+    row), Python ints or float64, mapped to S*h block by block.
+    np.add.accumulate adds in order, so float rows equal the run's own
+    step-by-step additions bit for bit.
     """
-    g, rows, _, S = _scaled(chain, h)
+    g, rows, _, keys = _scaled(chain, h)
     last = g[None, :]
     for lo in range(0, len(fired) + 1, chunk):
         # row lo is the carry (row lo - 1) plus the step fired at lo - 1
@@ -187,7 +254,7 @@ def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
         if lo:
             block = block[1:]
         last = block[-1:]
-        yield block, S
+        yield keys.numerators(block), keys.S
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +273,9 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
     v = np.zeros(chain.n, dtype=np.int64)
     if steps == 0:
         return FiringTrace(fired, v, h, h, 0)
-    g, rows, kernels, S = _scaled(chain, h)
+    g, rows, kernels, keys = _scaled(chain, h)
     kernels.greedy_run(g, rows, steps, fired, v, np.zeros(chain.n, dtype=np.bool_))
-    return FiringTrace(fired, v, h, _unscaled(chain, g, S), steps)
+    return FiringTrace(fired, v, h, keys.hunger(g), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +318,7 @@ def chip_add(
     mask = np.zeros(chain.n, dtype=np.bool_)
     for a in absorbing:
         mask[a] = True
-    g, rows, kernels, S = _scaled(chain, inserted)
+    g, rows, kernels, keys = _scaled(chain, inserted)
     # fire into a buffer that doubles up to cap until an absorbing arrival
     fired = np.empty(0, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
@@ -261,9 +328,9 @@ def chip_add(
             raise CapExceeded(cap)
         fired = np.resize(fired, min(max(2 * k, 1024), cap))
         k += kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
-    pre_removal = _unscaled(chain, g, S)
-    g[fired[k - 1]] -= S
-    result = _unscaled(chain, g, S)
+    pre_removal = keys.hunger(g)
+    g[fired[k - 1]] -= keys.unit
+    result = keys.hunger(g)
     return result, FiringTrace(fired[:k], v, inserted, pre_removal, k)
 
 
@@ -320,12 +387,10 @@ def run_with_reinsertion(
         lo = min(h) if h else 0
         hi = max(h) if h else 0
         return ReinsertionTrace(fired, v, h, h, 0, 0, lo, hi)
-    g, rows, kernels, S = _scaled(chain, h)
-    si, lo, hi = kernels.reinsert_loop(g, rows, mask, S, sched, steps, fired, v)
-    lo, hi = _unscaled(chain, (lo, hi), S)
-    return ReinsertionTrace(
-        fired, v, h, _unscaled(chain, g, S), steps, int(si), lo, hi
-    )
+    g, rows, kernels, keys = _scaled(chain, h)
+    si, lo, hi = kernels.reinsert_loop(g, rows, mask, keys.unit, sched, steps, fired, v)
+    lo, hi = keys.hunger((lo, hi))
+    return ReinsertionTrace(fired, v, h, keys.hunger(g), steps, int(si), lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import CapExceeded, FloatModeUnsupported, HasAbsorbing, YNotOnZ
 from .hunger_engine import (
     DEFAULT_CAP,
     _scaled,
-    _unscaled,
     coerce_hunger,
     run,
     zero_hunger,
@@ -69,9 +68,10 @@ def _check_cycle_chain(chain: MarkovChain) -> None:
 def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo:
     """Run the greedy game until the hunger vector repeats.
 
-    Brent's constant-memory cycle detection runs on the scaled integer
-    state: int64 on the live kernels, or Python ints on the numpy reference
-    bodies when the scale would overflow int64. It leaves the cycle-entry
+    Brent's constant-memory cycle detection runs on the integer keys of the
+    state (see hunger_engine._Keys), which repeat exactly when h does: int64
+    on the live kernels, or Python ints on the numpy reference bodies when
+    the keys could overflow int64. It leaves the cycle-entry
     vector in place, so only the `period` steps of the order are fired
     again.
 
@@ -80,11 +80,11 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     """
     _check_cycle_chain(chain)
     h = coerce_hunger(chain, h0)
-    g, rows, kernels, S = _scaled(chain, h)
+    g, rows, kernels, keys = _scaled(chain, h)
     mu, lam = kernels.brent_cycle(g, rows, cap)
     if mu < 0 or mu + lam > cap:
         raise CapExceeded(cap)
-    rep = _unscaled(chain, g, S)
+    rep = keys.hunger(g)
     fired = np.empty(lam, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
     kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))

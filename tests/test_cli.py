@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hungerlab import cli, hunger_engine, parse_chain
@@ -579,7 +580,43 @@ def test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
 
-def test_big_trace_start_takes_the_big_int_path():
+# rotor itineraries pinned by sha256; N + 1 rows straddle PROFILE_CHUNK
+GOLDEN_ROTORS = [
+    ((REFLECT, "--start", "1", "--N", "3000"),
+     "bd68891d1af4bceb023f98dd4e624b72e68aa9896376b23dd71efd3912042ce3",
+     "dbf5013d9e1645a4ad833cc3ac6dbf584507229a8842c3708920520ff9a67a93"),
+    ((REFLECT, "--start", "2", "--rotors", "1,0,1", "--N", "16383"),
+     "768534dcf4e899cb7d452ff6fdeb656157ae7a1b047384532fa741645780709c",
+     "c587e0a864804c72af015150ae5461e6585771ad8affa7612667f7fb4e99212d"),
+    ((REFLECT, "--start", "1", "--N", "16384"),
+     "73933b566b5cefb3b6410f05d26dc50bd234c0fe25af7640f1148176a941adaf",
+     "73ec6b65172a988e5add3aae2cd1e8ec3bd2aba99cc4dd4098792c41d3bc929f"),
+    ((REFLECT, "--start", "3", "--N", "0"),
+     "ec4d76ad46ba43ef1a0031c4dfb8c306efd385953638c5a951009fec161519d6",
+     "229de0f7567d516f95085ecf1cd61f54c925b3e22a7ef9a53bd52ab37455c587"),
+    (("QUOTED", "--start", "a,b", "--N", "40"),
+     "7acc7c74858e8dd76ab645924aae7cf1d511c119f0c523630623c075f9893373",
+     "c8e87e5e5d9af1cbcc000ceb0e4f67213d479fbcfb3bfb0d47b5e7509b4be5ea"),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_ROTORS)
+def test_rotor_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
+    chain, *extra = argv
+    if chain == "QUOTED":
+        chain = str(tmp_path / "quoted.json")
+        Path(chain).write_text(json.dumps(QUOTED_CHAIN))
+    code, out, err = run_cli(capsys, "rotor", "--chain", chain, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+def test_big_trace_start_runs_on_int64_keys():
+    # S*h passes int64, so the trace rows are written from Python ints, but
+    # the run itself fires on int64 keys
     chain = parse_chain(Path(REFLECT).read_text())
     x = Fraction(BIG_X)
-    assert hunger_engine._scaled(chain, (x, -x, Fraction(0)))[0].dtype == object
+    g, _, _, keys = hunger_engine._scaled(chain, (x, -x, Fraction(0)))
+    assert g.dtype == np.int64
+    assert keys.S * x >= 2**62

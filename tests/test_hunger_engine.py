@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hungerlab import (
     CapExceeded,
     IIsAbsorbing,
     absorbing_states,
     chip_add,
+    common_denominator,
+    find_cycle,
     fire_step,
     goldbug_chain,
     harmonic_chain,
@@ -345,12 +349,17 @@ def test_reinsertion_fraction_path_agrees(absorbing_walk5, monkeypatch):
     assert fast.min_h == slow.min_h
     assert fast.max_h == slow.max_h
     assert fast.insertions == slow.insertions
-    # replay: fire_step for fires, remove-and-reinsert by hand otherwise
-    cur, prev, inserted = zero_hunger(chain), None, 0
+    assert_reinsertion_replays(chain, None, [1, 3], slow)
+
+
+def assert_reinsertion_replays(chain, h0, schedule, t):
+    """Replay a reinsertion trace: fire_step for fires, remove-and-reinsert
+    by hand otherwise."""
+    cur, prev, inserted = hunger_engine.coerce_hunger(chain, h0), None, 0
     seen = list(cur)
-    for f in slow.fired:
+    for f in t.fired:
         if f == -1:
-            s = [1, 3][inserted % 2]
+            s = schedule[inserted % len(schedule)]
             inserted += 1
             cur = tuple(
                 x + p - (j == prev) for j, (x, p) in enumerate(zip(cur, chain.P[s]))
@@ -360,8 +369,151 @@ def test_reinsertion_fraction_path_agrees(absorbing_walk5, monkeypatch):
             assert i == f
         prev = int(f)
         seen.extend(cur)
-    assert cur == slow.final_h
-    assert (min(seen), max(seen), inserted) == (slow.min_h, slow.max_h, slow.insertions)
+    assert cur == t.final_h
+    assert (min(seen), max(seen), inserted) == (t.min_h, t.max_h, t.insertions)
+
+
+def assert_chip_add_replays(chain, h0, i, result, trace):
+    """Replay a chip addition: insert at i, fire_step to the first absorbing
+    arrival, take the chip off there."""
+    h0 = hunger_engine.coerce_hunger(chain, h0)
+    assert trace.initial_h == tuple(x + p for x, p in zip(h0, chain.P[i]))
+    fired, h = fire_steps(chain, trace.initial_h, trace.steps)
+    assert fired == list(trace.fired)
+    assert h == trace.final_h
+    absorbing = absorbing_states(chain)
+    assert fired[-1] in absorbing and not absorbing & set(fired[:-1])
+    assert result == tuple(x - (j == fired[-1]) for j, x in enumerate(h))
+
+
+# ---------------------------------------------------------------------------
+# which arithmetic runs: int64 keys, or Python ints past the int64 bound
+
+
+def test_int64_safe_edges():
+    # zero keys: values stay in [-unit, 3 unit], so 3 unit + 4 unit < 2**62
+    unit = (2**62 - 4) // 7
+    assert hunger_engine._int64_safe([0, 0, 0], unit, 3)
+    assert not hunger_engine._int64_safe([0, 0, 0], unit + 1, 3)
+    # a = -K - 1, b = 1 - 2a = 2K + 3, so 2K + 7 < 2**62
+    K = 2**61 - 4
+    assert hunger_engine._int64_safe([-K, K, 0], 1, 3)
+    assert not hunger_engine._int64_safe([-K - 1, K + 1, 0], 1, 3)
+    # the total counts: one more unit of it passes the bound
+    assert not hunger_engine._int64_safe([-K, K + 1, 0], 1, 3)
+
+
+def test_huge_denominator_start_runs_on_int64_keys(reflecting3):
+    """Denominators 2**40 and 2**41 - 9 put S*h far past int64; the keys
+    only rank three fractional parts."""
+    p, q = 2**40 + 15, 2**41 - 9
+    h = (F(1, p), F(1, q), -F(1, p) - F(1, q))
+    g, rows, kernels, keys = hunger_engine._scaled(reflecting3, h)
+    assert keys.S >= 2**80
+    assert (g.dtype, kernels, keys.R, keys.unit) == (np.int64, hunger_engine._kernels, 3, 6)
+    assert keys.hunger(g) == h
+    t = run(reflecting3, h, 300)
+    assert fire_steps(reflecting3, h, 300) == (list(t.fired), t.final_h)
+
+
+def test_zero_start_keys_are_scaled_hunger(basin_demo3):
+    g, rows, _, keys = hunger_engine._scaled(basin_demo3, zero_hunger(basin_demo3))
+    D = common_denominator(basin_demo3)
+    assert (keys.R, keys.M, keys.unit, keys.S) == (1, 1, D, D)
+    assert g.tolist() == [0] * 3
+    assert rows.tolist() == [[D * x for x in row] for row in hunger_matrix(basin_demo3).H]
+
+
+# magnitudes near 2**70, and a chain with a 2**64 denominator: both past int64
+HUGE = 2**70 + 3
+WIDE = parse_chain(
+    '{"mode": "rational", "P": [["0", "18446744073709551615/18446744073709551616",'
+    ' "1/18446744073709551616"], ["1/2", "0", "1/2"], ["0", "0", "1"]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "chain_name, h0",
+    [
+        ("absorbing_walk5", tuple(HUGE + x for x in (F(0), F(1, 7), F(-1, 3), F(1, 2), F(0)))),
+        ("wide", (F(1, 3), F(-1, 3), F(0))),
+    ],
+)
+def test_past_int64_takes_the_big_int_path(request, chain_name, h0):
+    chain = WIDE if chain_name == "wide" else request.getfixturevalue(chain_name)
+    assert hunger_engine._scaled(chain, h0)[0].dtype == object
+    t = run(chain, h0, 200)
+    assert fire_steps(chain, h0, 200) == (list(t.fired), t.final_h)
+    i = next(s for s in range(chain.n) if s not in absorbing_states(chain))
+    result, trace = chip_add(chain, h0, i)
+    assert_chip_add_replays(chain, h0, i, result, trace)
+    schedule = [s for s in range(chain.n) if s not in absorbing_states(chain)]
+    t = run_with_reinsertion(chain, h0, schedule, 150)
+    assert_reinsertion_replays(chain, h0, schedule, t)
+
+
+@st.composite
+def big_denominator_cases(draw):
+    """A random chain (absorbing or irreducible) and a start whose
+    denominators reach 2**64."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    absorbing = draw(st.booleans())
+    chain = (random_absorbing_chain if absorbing else random_irreducible_chain)(rng, n)
+    h0 = []
+    for _ in range(n):
+        den = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**64)))
+        h0.append(F(draw(st.integers(-3 * den, 3 * den)), den))
+    return chain, tuple(h0)
+
+
+def outcomes(chain, h0):
+    """run, chip_add, run_with_reinsertion and find_cycle on one start."""
+    out = {"run": run(chain, h0, 150)}
+    absorbing = absorbing_states(chain)
+    if absorbing:
+        i = next(s for s in range(chain.n) if s not in absorbing)
+        out["chip_add"] = (i, *chip_add(chain, h0, i))
+        schedule = [s for s in range(chain.n) if s not in absorbing]
+        out["reinsert"] = (schedule, run_with_reinsertion(chain, h0, schedule, 120))
+    else:
+        try:
+            out["cycle"] = find_cycle(chain, h0, cap=4000)
+        except CapExceeded:
+            out["cycle"] = None
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_denominator_cases())
+def test_big_denominator_starts_match_big_ints_and_fire_step(case):
+    chain, h0 = case
+    fast = outcomes(chain, h0)
+    with pytest.MonkeyPatch.context() as m:
+        force_big_ints(m)
+        slow = outcomes(chain, h0)
+    t, u = fast["run"], slow["run"]
+    assert (list(t.fired), t.v.tolist(), t.final_h) == (list(u.fired), u.v.tolist(), u.final_h)
+    assert fire_steps(chain, h0, 150) == (list(t.fired), t.final_h)
+    if "chip_add" in fast:
+        (i, result, trace), (_, result2, trace2) = fast["chip_add"], slow["chip_add"]
+        assert (result, list(trace.fired), trace.final_h) == (
+            result2, list(trace2.fired), trace2.final_h
+        )
+        assert_chip_add_replays(chain, h0, i, result, trace)
+        (schedule, t), (_, u) = fast["reinsert"], slow["reinsert"]
+        assert (list(t.fired), t.final_h, t.min_h, t.max_h, t.insertions) == (
+            list(u.fired), u.final_h, u.min_h, u.max_h, u.insertions
+        )
+        assert_reinsertion_replays(chain, h0, schedule, t)
+    else:
+        info = fast["cycle"]
+        assert info == slow["cycle"]
+        if info is not None:
+            fired, rep = fire_steps(chain, h0, info.entry_steps)
+            assert rep == info.representative
+            fired, back = fire_steps(chain, rep, info.period)
+            assert (back, tuple(fired)) == (rep, info.order)
 
 
 # ---------------------------------------------------------------------------

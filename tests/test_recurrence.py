@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hungerlab import (
@@ -108,9 +109,13 @@ def test_fraction_walk_matches_brent(reflecting3, basin_demo3, monkeypatch):
 
 
 def test_cycle_of_start_that_overflows_int64(basin_demo3, capsys):
+    # S*h passes int64 by far; the keys rank three fractional parts and
+    # stay small, so the orbit runs on the int64 kernels
     p, q = 2**40 + 15, 2**41 - 9
     h = (F(1, p), F(1, q), -F(1, p) - F(1, q))
-    assert hunger_engine._scaled(basin_demo3, h)[0].dtype == object
+    g, _, _, keys = hunger_engine._scaled(basin_demo3, h)
+    assert keys.S >= 2**80
+    assert g.dtype == np.int64
     info = find_cycle(basin_demo3, h)
     assert (info.entry_steps, info.period, info.order_class) == (0, 18, RED)
     assert info.representative == h
