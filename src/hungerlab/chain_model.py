@@ -20,7 +20,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from ._linalg import nullspace
+from ._linalg import _reduce
 from .errors import (
     ChainFormatError,
     FloatModeUnsupported,
@@ -115,12 +115,14 @@ class MarkovChain:
                     raise ChainFormatError(
                         f"row {i + 1}: {x!r} is not an exact rational"
                     )
-            if x < 0:
+            if x.numerator < 0:
                 raise ChainFormatError(f"row {i + 1}: negative entry {x}")
-            if x > 1:
+            if x.numerator > x.denominator:
                 raise ChainFormatError(f"row {i + 1}: entry {x} exceeds 1")
             out.append(x)
-        if sum(out) != 1:
+        # the row sums to 1 exactly when its entries over their lcm d sum to d
+        d = math.lcm(*(x.denominator for x in out))
+        if sum(x.numerator * (d // x.denominator) for x in out) != d:
             raise ChainFormatError(
                 f"row {i + 1} sums to {sum(out)}, expected exactly 1"
             )
@@ -303,19 +305,26 @@ def hunger_matrix(chain: MarkovChain) -> HungerMatrix:
 def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
     """The unique probability vector with pi P = pi.
 
-    Exact in rational mode (Gaussian elimination over Fractions). The solve
-    looks for the left nullspace of H = P - I; a dimension above one means
-    the chain has several recurrent classes.
+    Exact in rational mode (fraction-free Gauss-Jordan elimination on
+    integers, see _linalg). The solve looks for the left nullspace of
+    H = P - I; a dimension above one means the chain has several recurrent
+    classes.
 
     Raises:
         NonUniqueStationary: when the stationary space is not one-dimensional.
     """
+    return _stationary(chain, ())[0]
+
+
+def _stationary(chain: MarkovChain, bs):
+    """(pi, xs): the stationary distribution, and for each b in bs one
+    solution x of H^T x = b (None if there is none), from one elimination."""
     n = chain.n
     H = hunger_matrix(chain).H
     # transpose: left null vectors of H are null vectors of H^T
     A = [[H[j][i] for j in range(n)] for i in range(n)]
     tol = None if chain.mode == RATIONAL else _FLOAT_PIVOT_TOL
-    basis = nullspace(A, tol)
+    basis, xs = _reduce(A, bs, tol)
     if len(basis) != 1:
         raise NonUniqueStationary(
             f"stationary space has dimension {len(basis)}, expected 1"
@@ -329,7 +338,7 @@ def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
         pi = [0.0 if abs(x) < _FLOAT_PIVOT_TOL else x for x in pi]
         s = sum(pi)
         pi = [x / s for x in pi]
-    return tuple(pi)
+    return tuple(pi), xs
 
 
 def lcd_of_stationary(chain: MarkovChain) -> int:

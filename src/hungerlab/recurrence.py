@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import solve
 from .chain_model import (
     RATIONAL,
     MarkovChain,
+    _stationary,
     absorbing_states,
     hunger_matrix,
     lcd_of_stationary,
@@ -283,11 +283,8 @@ def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
         raise YNotOnZ("lattice vectors have zero total")
     if chain.n == 1:
         return True  # y is (0,) and the lattice is the origin
-    pi = stationary_distribution(chain)
-    H = hunger_matrix(chain).H
-    # solve w . H = y, i.e. H^T w = y
-    Ht = [[H[i][j] for i in range(chain.n)] for j in range(chain.n)]
-    (w0,) = solve(Ht, [y])
+    # w . H = y, i.e. H^T w = y, in the elimination that gives pi
+    pi, (w0,) = _stationary(chain, [y])
     if w0 is None:
         return False
     total = sum(w0)  # sum(pi) = 1, so w0 - total * pi sums to zero

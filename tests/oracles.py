@@ -136,3 +136,68 @@ def stationary_solve_float(chain: MarkovChain) -> np.ndarray:
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     return pi
+
+
+def rref_fraction(M, ncols):
+    """Reduce a matrix of Fractions in place to reduced row echelon form by
+    plain Gauss-Jordan elimination, pivoting on the first nonzero entry in
+    the first ncols columns; returns the pivot columns.
+
+    This is the library's former exact elimination, kept as the reference
+    that its fraction-free elimination must match entry for entry."""
+    nrows = len(M)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = next((i for i in range(r, nrows) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        piv = M[r][c]
+        M[r] = [x / piv for x in M[r]]
+        for i in range(nrows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def nullspace_fraction(A):
+    """Nullspace basis of A, one vector per free column, from rref_fraction."""
+    if not A:
+        return []
+    M = [[Fraction(x) for x in row] for row in A]
+    ncols = len(M[0])
+    pivots = rref_fraction(M, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -M[r][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def solve_fraction(A, bs):
+    """For each b in bs, the solution of A x = b with free variables zero,
+    or None when inconsistent, from rref_fraction."""
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    M = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
+         for i, row in enumerate(A)]
+    pivots = rref_fraction(M, ncols)
+    out = []
+    for k in range(ncols, ncols + len(bs)):
+        if any(M[i][k] != 0 for i in range(len(pivots), nrows)):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for r, c in enumerate(pivots):
+            x[c] = M[r][k]
+        out.append(tuple(x))
+    return out

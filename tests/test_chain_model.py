@@ -61,6 +61,32 @@ def test_parse_rejects_bad_documents():
         )
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([F(3, 2), F(-1, 2)], "row 2: entry 3/2 exceeds 1"),
+        ([F(-1, 3), F(4, 3)], "row 2: negative entry -1/3"),
+        ([-1, 2], "row 2: negative entry -1"),
+        ([F(1, 2), F(1, 3)], "row 2 sums to 5/6, expected exactly 1"),
+        ([F(2, 3), F(2, 3)], "row 2 sums to 4/3, expected exactly 1"),
+        ([F(1, 2**64), 1], "row 2 sums to 18446744073709551617/18446744073709551616, "
+                           "expected exactly 1"),
+        ([0.5, F(1, 2)], "row 2: 0.5 is not an exact rational"),
+        (["1/2", F(1, 2)], "row 2: '1/2' is not an exact rational"),
+    ],
+)
+def test_rational_rows_rejected_with_their_message(row, message):
+    with pytest.raises(ChainFormatError) as err:
+        MarkovChain([[F(1), 0], row])
+    assert str(err.value) == message
+
+
+def test_rational_rows_accept_ints_and_keep_fractions():
+    chain = MarkovChain([[1, 0], [F(1, 2**64), F(2**64 - 1, 2**64)]])
+    assert chain.P == ((F(1), F(0)), (F(1, 2**64), F(2**64 - 1, 2**64)))
+    assert all(type(x) is Fraction for row in chain.P for x in row)
+
+
 def test_parse_rejects_unknown_keys_and_non_array_states():
     # the key is "states"; a "labels" key used to be dropped silently
     with pytest.raises(ChainFormatError, match="unknown keys"):

@@ -27,7 +27,7 @@ from hungerlab import (
     zero_hunger,
     zero_period,
 )
-from hungerlab import chain_model, hunger_engine, recurrence
+from hungerlab import _linalg, chain_model, hunger_engine
 from hungerlab.cli import main
 from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
@@ -256,21 +256,21 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_lattice_basis_solves_once(basin_demo3, monkeypatch):
-    calls = count_calls(monkeypatch, chain_model, "nullspace")
+    calls = count_calls(monkeypatch, _linalg, "_rref")
     assert lattice_basis(basin_demo3).lcd == 18
     assert len(calls) == 1
 
 
 def test_lattice_member_solves_and_builds_h_once(basin_demo3, monkeypatch):
     y = lattice_basis(basin_demo3).basis[0]
-    solves = count_calls(monkeypatch, chain_model, "nullspace")
-    builds = count_calls(monkeypatch, recurrence, "hunger_matrix")
+    solves = count_calls(monkeypatch, _linalg, "_rref")
+    builds = count_calls(monkeypatch, chain_model, "hunger_matrix")
     assert lattice_member(basin_demo3, y)
     assert (len(solves), len(builds)) == (1, 1)
 
 
 def test_conjecture_reports_solve_once(basin_demo3, monkeypatch):
-    calls = count_calls(monkeypatch, chain_model, "nullspace")
+    calls = count_calls(monkeypatch, _linalg, "_rref")
     conjecture_reports(basin_demo3, samples=5, step=Fraction(1, 2))
     assert len(calls) == 1
 
