@@ -3,37 +3,180 @@
  * cycle) and reinsert_loop (fire with remove-and-reinsert steps).
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
- * int64_t (exact, hunger scaled by a common denominator) and double
- * (float mode), giving e.g. greedy_run_i64 and greedy_run_f64. The Python
- * side checks dtypes, shapes and contiguity before passing pointers.
+ * int64_t (exact, the engine's integer keys) and double (float mode),
+ * giving e.g. greedy_run_i64 and greedy_run_f64. The Python side checks
+ * dtypes, shapes and contiguity before passing pointers; the kernels check
+ * the CSR structure themselves (rows_ok), in O(n + nnz).
  *
- * Firing must match np.argmax exactly: the first maximal index wins, found
- * with a strict '>'. State comparisons are elementwise '!=' so that -0.0
- * equals 0.0, as in numpy. Built with -fwrapv, so int64 overflow wraps as
- * numpy's does (the engine keeps scaled values far from the limits anyway).
+ * Rows are CSR: row i holds values[indptr[i] .. indptr[i+1]) at the columns
+ * in indices[...], ascending (the engine keeps the diagonal in every row).
+ * Firing state i adds its row to those columns only. The hungriest state is
+ * read off a max tournament tree over blocks of BLOCK consecutive states,
+ * with `leaves` (a power of two) leaves: tree[leaves + b] is the first
+ * maximal state of block b, found by a linear scan with a strict '>', and
+ * tree[k] the winner of tree[2k] and tree[2k+1], so tree[1] names the
+ * hungriest state. Nodes carry their state's hunger, so the tree is read
+ * without touching h. Left children cover lower states and a tie goes to
+ * the left, so the tree names the first maximal index, exactly as np.argmax
+ * does; leaves past the last block hold LOWEST and never win. After a fire
+ * each touched block is rescanned and its path replayed up to the first
+ * node that does not change: a step costs O(deg * (BLOCK + log(n / BLOCK)))
+ * instead of O(n). A chain with n <= BLOCK is one block, whose leaf is the
+ * root: a fire adds the row and rescans that block, as the dense argmax
+ * did. The tree's memory is allocated here, once per call.
+ *
+ * Signed zeros: a dense fire added +0.0 to every column, which turned a
+ * -0.0 hunger into +0.0. Untouched columns are not added to here, so each
+ * kernel rewrites -0.0 as +0.0 once, before its first fire, and firing
+ * never makes a -0.0 again (x + y is -0.0 only when both are). State
+ * comparisons are elementwise '!=' so that -0.0 equals 0.0, as in numpy.
+ * Built with -fwrapv, so int64 overflow wraps as numpy's does (the engine
+ * keeps its keys far from the limits anyway).
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-#define DEFINE_KERNELS(T, SUF)                                                 \
+#define BLOCK 8
+#define BAD_ROWS (-2)  /* indptr or indices do not describe n rows */
+#define NO_MEMORY (-3) /* the tree could not be allocated */
+
+/* There is at least one state, indptr runs from 0 up to nnz without
+ * decreasing, and every index names one of the n states. */
+static int rows_ok(const int64_t *indptr, const int64_t *indices, int64_t n,
+                   int64_t nnz)
+{
+    if (n < 1 || indptr[0] != 0 || indptr[n] != nnz)
+        return 0;
+    for (int64_t i = 0; i < n; i++)
+        if (indptr[i + 1] < indptr[i])
+            return 0;
+    for (int64_t k = 0; k < nnz; k++)
+        if (indices[k] < 0 || indices[k] >= n)
+            return 0;
+    return 1;
+}
+
+/* Leaves of the tree over n states: a power of two >= the blocks. */
+static int64_t leaves(int64_t n)
+{
+    int64_t count = 1;
+    while (count * BLOCK < n)
+        count *= 2;
+    return count;
+}
+
+#define DEFINE_KERNELS(T, SUF, LOWEST)                                         \
                                                                                \
-static int64_t argmax_##SUF(const T *h, int64_t n)                             \
+typedef struct {                                                               \
+    const int64_t *indptr, *indices;                                           \
+    const T *values;                                                           \
+    int64_t n, leaves; /* leaves: a power of two >= the number of blocks */    \
+} rows_##SUF;                                                                  \
+                                                                               \
+typedef struct {                                                               \
+    T h; /* the hunger of state i, copied for the comparisons */               \
+    int64_t i;                                                                 \
+} node_##SUF;                                                                  \
+                                                                               \
+static void unsign_zeros_##SUF(T *h, int64_t n)                                \
 {                                                                              \
-    int64_t best = 0;                                                          \
-    for (int64_t j = 1; j < n; j++)                                            \
-        if (h[j] > h[best])                                                    \
-            best = j;                                                          \
-    return best;                                                               \
+    for (int64_t j = 0; j < n; j++)                                            \
+        if (h[j] == 0)                                                         \
+            h[j] = 0;                                                          \
 }                                                                              \
                                                                                \
-/* Fire the hungriest state and return its index. */                           \
-static int64_t fire_##SUF(T *h, const T *rows, int64_t n)                      \
+/* The first maximal state of block b, or a node that never wins when the      \
+ * block lies past the last state. */                                          \
+static node_##SUF block_max_##SUF(const T *h, const rows_##SUF *r, int64_t b)  \
 {                                                                              \
-    int64_t i = argmax_##SUF(h, n);                                            \
-    const T *row = rows + i * n;                                               \
-    for (int64_t j = 0; j < n; j++)                                            \
-        h[j] += row[j];                                                        \
+    int64_t best = b * BLOCK;                                                  \
+    int64_t end = best + BLOCK < r->n ? best + BLOCK : r->n;                   \
+    if (best >= end)                                                           \
+        return (node_##SUF){LOWEST, -1};                                       \
+    T top = h[best];                                                           \
+    for (int64_t j = best + 1; j < end; j++) {                                 \
+        int up = h[j] > top;                                                   \
+        best = up ? j : best;                                                  \
+        top = up ? h[j] : top;                                                 \
+    }                                                                          \
+    return (node_##SUF){top, best};                                            \
+}                                                                              \
+                                                                               \
+/* Left children cover lower states, so a tie goes to the left one. */         \
+static node_##SUF winner_##SUF(const node_##SUF *tree, int64_t k)              \
+{                                                                              \
+    return tree[2 * k + 1].h > tree[2 * k].h ? tree[2 * k + 1] : tree[2 * k];  \
+}                                                                              \
+                                                                               \
+static void build_##SUF(const T *h, node_##SUF *tree, const rows_##SUF *r)     \
+{                                                                              \
+    for (int64_t b = 0; b < r->leaves; b++)                                    \
+        tree[r->leaves + b] = block_max_##SUF(h, r, b);                        \
+    for (int64_t k = r->leaves - 1; k > 0; k--)                                \
+        tree[k] = winner_##SUF(tree, k);                                       \
+}                                                                              \
+                                                                               \
+/* Rescan block b and replay its path to the root, up to the first node        \
+ * that does not change: the nodes above it depend on nothing else that        \
+ * changed. */                                                                 \
+static void retree_##SUF(const T *h, node_##SUF *tree, const rows_##SUF *r,    \
+                         int64_t b)                                            \
+{                                                                              \
+    int64_t k = r->leaves + b;                                                 \
+    tree[k] = block_max_##SUF(h, r, b);                                        \
+    for (k >>= 1; k > 0; k >>= 1) {                                            \
+        node_##SUF w = winner_##SUF(tree, k);                                  \
+        if (w.i == tree[k].i && w.h == tree[k].h)                              \
+            break;                                                             \
+        tree[k] = w;                                                           \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+static inline void add_row_##SUF(T *h, const rows_##SUF *r, int64_t i)         \
+{                                                                              \
+    for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++)                  \
+        h[r->indices[k]] += r->values[k];                                      \
+}                                                                              \
+                                                                               \
+/* Retree every block that row i touches (each once: columns ascend). */       \
+static void retree_row_##SUF(const T *h, node_##SUF *tree,                     \
+                             const rows_##SUF *r, int64_t i)                   \
+{                                                                              \
+    int64_t last = -1;                                                         \
+    for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++) {                \
+        int64_t b = r->indices[k] / BLOCK;                                     \
+        if (b != last)                                                         \
+            retree_##SUF(h, tree, r, b);                                       \
+        last = b;                                                              \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* Fire the hungriest state and return its index. A single-block chain         \
+ * rescans its one block with a branch per state, as the dense argmax did:     \
+ * greedy orbits are mostly periodic, so the branches are predicted and the    \
+ * next fire's row is read before the compares resolve. The empty asm keeps    \
+ * the compiler from turning the branch into a conditional move. The root's    \
+ * hunger is left stale there, as no node compares against it. Inline: a      \
+ * call per fire costs about as much as a small chain's fire itself. */        \
+static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
+                                  const rows_##SUF *r)                         \
+{                                                                              \
+    int64_t i = tree[1].i;                                                     \
+    add_row_##SUF(h, r, i);                                                    \
+    if (r->leaves > 1) {                                                       \
+        retree_row_##SUF(h, tree, r, i);                                       \
+        return i;                                                              \
+    }                                                                          \
+    int64_t best = 0;                                                          \
+    for (int64_t j = 1; j < r->n; j++)                                         \
+        if (h[j] > h[best]) {                                                  \
+            best = j;                                                          \
+            __asm__("");                                                       \
+        }                                                                      \
+    tree[1].i = best;                                                          \
     return i;                                                                  \
 }                                                                              \
                                                                                \
@@ -47,107 +190,158 @@ static int same_##SUF(const T *a, const T *b, int64_t n)                       \
                                                                                \
 /* Fire up to `steps` times, stopping after the first fire at a state          \
  * whose stop entry is set. Returns the number of fires. */                    \
-int64_t greedy_run_##SUF(T *h, const T *rows, int64_t n, int64_t steps,        \
-                         int64_t *fired, int64_t *v, const uint8_t *stop)      \
+int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
+                         const T *values, int64_t n, int64_t nnz,              \
+                         int64_t steps, int64_t *fired, int64_t *v,            \
+                         const uint8_t *stop)                                  \
 {                                                                              \
-    for (int64_t t = 0; t < steps; t++) {                                      \
-        int64_t i = fire_##SUF(h, rows, n);                                    \
-        fired[t] = i;                                                          \
+    if (!rows_ok(indptr, indices, n, nnz))                                     \
+        return BAD_ROWS;                                                       \
+    if (steps == 0)                                                            \
+        return 0;                                                              \
+    rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
+    node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
+    if (tree == NULL)                                                          \
+        return NO_MEMORY;                                                      \
+    unsign_zeros_##SUF(h, n);                                                  \
+    build_##SUF(h, tree, &r);                                                  \
+    int64_t t = 0;                                                             \
+    while (t < steps) {                                                        \
+        int64_t i = fire_##SUF(h, tree, &r);                                   \
+        fired[t++] = i;                                                        \
         v[i] += 1;                                                             \
         if (stop[i])                                                           \
-            return t + 1;                                                      \
+            break;                                                             \
     }                                                                          \
-    return steps;                                                              \
+    free(tree);                                                                \
+    return t;                                                                  \
 }                                                                              \
                                                                                \
-/* Brent's cycle detection on the firing orbit of h0. scratch holds 2n         \
- * entries (tortoise, then hare). Returns mu, stores lam and copies the        \
- * cycle-entry vector into h0; or returns -1, stores -1 and leaves h0 alone    \
- * if a phase would pass cap iterations. */                                    \
-int64_t brent_cycle_##SUF(T *h0, const T *rows, int64_t n, int64_t cap,        \
-                          T *scratch, int64_t *lam_out)                        \
+/* Brent's cycle detection on the firing orbit of h0. Returns mu, stores       \
+ * lam and copies the cycle-entry vector into h0 (h0 itself when mu is 0);     \
+ * or returns -1, stores -1 and leaves h0 alone if a phase would pass cap      \
+ * iterations. Phase one needs no tree for the tortoise, which never fires     \
+ * there; phase two builds one for each. */                                    \
+int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
+                          const int64_t *indices, const T *values, int64_t n,  \
+                          int64_t nnz, int64_t cap, int64_t *lam_out)          \
 {                                                                              \
-    T *tortoise = scratch, *hare = scratch + n;                                \
+    *lam_out = -1;                                                             \
+    if (!rows_ok(indptr, indices, n, nnz))                                     \
+        return BAD_ROWS;                                                       \
+    rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
+    node_##SUF *tortoise_tree =                                                \
+        malloc(4 * r.leaves * sizeof *tortoise_tree + 2 * n * sizeof(T));      \
+    if (tortoise_tree == NULL)                                                 \
+        return NO_MEMORY;                                                      \
+    node_##SUF *hare_tree = tortoise_tree + 2 * r.leaves;                      \
+    T *tortoise = (T *)(hare_tree + 2 * r.leaves), *hare = tortoise + n;       \
     int64_t power = 1, lam = 1, mu = 0;                                        \
     size_t bytes = (size_t)n * sizeof(T);                                      \
     memcpy(tortoise, h0, bytes);                                               \
     memcpy(hare, h0, bytes);                                                   \
-    fire_##SUF(hare, rows, n);                                                 \
+    unsign_zeros_##SUF(hare, n);                                               \
+    build_##SUF(hare, hare_tree, &r);                                          \
+    fire_##SUF(hare, hare_tree, &r);                                           \
     while (!same_##SUF(tortoise, hare, n)) {                                   \
         if (power == lam) {                                                    \
             memcpy(tortoise, hare, bytes);                                     \
             power *= 2;                                                        \
             lam = 0;                                                           \
         }                                                                      \
-        fire_##SUF(hare, rows, n);                                             \
+        fire_##SUF(hare, hare_tree, &r);                                       \
         lam += 1;                                                              \
         if (lam > cap)                                                         \
             goto capped;                                                       \
     }                                                                          \
     memcpy(tortoise, h0, bytes);                                               \
     memcpy(hare, h0, bytes);                                                   \
+    unsign_zeros_##SUF(tortoise, n);                                           \
+    unsign_zeros_##SUF(hare, n);                                               \
+    build_##SUF(tortoise, tortoise_tree, &r);                                  \
+    build_##SUF(hare, hare_tree, &r);                                          \
     for (int64_t t = 0; t < lam; t++)                                          \
-        fire_##SUF(hare, rows, n);                                             \
+        fire_##SUF(hare, hare_tree, &r);                                       \
     while (!same_##SUF(tortoise, hare, n)) {                                   \
-        fire_##SUF(tortoise, rows, n);                                         \
-        fire_##SUF(hare, rows, n);                                             \
+        fire_##SUF(tortoise, tortoise_tree, &r);                               \
+        fire_##SUF(hare, hare_tree, &r);                                       \
         mu += 1;                                                               \
         if (mu > cap)                                                          \
             goto capped;                                                       \
     }                                                                          \
-    memcpy(h0, tortoise, bytes);                                               \
+    if (mu > 0)                                                                \
+        memcpy(h0, tortoise, bytes);                                           \
     *lam_out = lam;                                                            \
+    free(tortoise_tree);                                                       \
     return mu;                                                                 \
 capped:                                                                        \
-    *lam_out = -1;                                                             \
+    free(tortoise_tree);                                                       \
     return -1;                                                                 \
+}                                                                              \
+                                                                               \
+static void track_##SUF(T x, T *lo, T *hi)                                     \
+{                                                                              \
+    if (x < *lo)                                                               \
+        *lo = x;                                                               \
+    if (x > *hi)                                                               \
+        *hi = x;                                                               \
 }                                                                              \
                                                                                \
 /* Combined fire / remove-and-reinsert walk; see reinsert_loop in              \
  * _kernels.py. extrema receives (min, max) over the initial state and every   \
- * step; returns the number of schedule entries used. */                       \
-int64_t reinsert_loop_##SUF(T *h, const T *rows, int64_t n,                    \
-                            const uint8_t *absorbing, T one,                   \
-                            const int64_t *schedule, int64_t steps,            \
+ * step, tracked over the entries each step touches; returns the number of     \
+ * schedule entries used. */                                                   \
+int64_t reinsert_loop_##SUF(T *h, const int64_t *indptr,                       \
+                            const int64_t *indices, const T *values,           \
+                            int64_t n, int64_t nnz, const uint8_t *absorbing,  \
+                            T one, const int64_t *schedule, int64_t steps,     \
                             int64_t *fired, int64_t *v, T *extrema)            \
 {                                                                              \
+    if (!rows_ok(indptr, indices, n, nnz))                                     \
+        return BAD_ROWS;                                                       \
+    rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
+    node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
+    if (tree == NULL)                                                          \
+        return NO_MEMORY;                                                      \
     int64_t si = 0;                                                            \
     int64_t chip = -2; /* -2 no chip yet, -1 in flight, >= 0 last fired */     \
     T lo = h[0], hi = h[0];                                                    \
-    for (int64_t j = 0; j < n; j++) {                                          \
-        if (h[j] < lo)                                                         \
-            lo = h[j];                                                         \
-        if (h[j] > hi)                                                         \
-            hi = h[j];                                                         \
-    }                                                                          \
+    for (int64_t j = 0; j < n; j++)                                            \
+        track_##SUF(h[j], &lo, &hi);                                           \
+    if (steps > 0)                                                             \
+        unsign_zeros_##SUF(h, n);                                              \
+    build_##SUF(h, tree, &r);                                                  \
     for (int64_t t = 0; t < steps; t++) {                                      \
+        int64_t i;                                                             \
         if (chip == -2 || (chip >= 0 && absorbing[chip])) {                    \
             if (chip >= 0)                                                     \
                 h[chip] -= one;                                                \
-            int64_t s = schedule[si++];                                        \
-            const T *row = rows + s * n;                                       \
-            for (int64_t j = 0; j < n; j++)                                    \
-                h[j] += row[j];                                                \
-            h[s] += one;                                                       \
+            i = schedule[si++];                                                \
+            add_row_##SUF(h, &r, i);                                           \
+            h[i] += one;                                                       \
+            if (chip >= 0) {                                                   \
+                retree_##SUF(h, tree, &r, chip / BLOCK);                       \
+                track_##SUF(h[chip], &lo, &hi);                                \
+            }                                                                  \
+            retree_##SUF(h, tree, &r, i / BLOCK);                              \
+            track_##SUF(h[i], &lo, &hi);                                       \
+            retree_row_##SUF(h, tree, &r, i);                                  \
             fired[t] = -1;                                                     \
             chip = -1;                                                         \
         } else {                                                               \
-            int64_t i = fire_##SUF(h, rows, n);                                \
+            i = fire_##SUF(h, tree, &r);                                       \
             fired[t] = i;                                                      \
             v[i] += 1;                                                         \
             chip = i;                                                          \
         }                                                                      \
-        for (int64_t j = 0; j < n; j++) {                                      \
-            if (h[j] < lo)                                                     \
-                lo = h[j];                                                     \
-            if (h[j] > hi)                                                     \
-                hi = h[j];                                                     \
-        }                                                                      \
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)                    \
+            track_##SUF(h[indices[k]], &lo, &hi);                              \
     }                                                                          \
+    free(tree);                                                                \
     extrema[0] = lo;                                                           \
     extrema[1] = hi;                                                           \
     return si;                                                                 \
 }
 
-DEFINE_KERNELS(int64_t, i64)
-DEFINE_KERNELS(double, f64)
+DEFINE_KERNELS(int64_t, i64, INT64_MIN)
+DEFINE_KERNELS(double, f64, -HUGE_VAL)

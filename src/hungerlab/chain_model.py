@@ -132,7 +132,9 @@ class MarkovChain:
     def _check_float_row(row, i):
         out = []
         for x in row:
-            x = float(x)
+            # -0.0 is stored as 0.0: a fire then adds +0.0 wherever the row
+            # is zero, and the kernels, which skip those columns, match it
+            x = float(x) or 0.0
             if not math.isfinite(x):
                 raise ChainFormatError(f"row {i + 1}: non-finite entry {x}")
             if x < 0:

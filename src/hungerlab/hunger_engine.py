@@ -19,6 +19,7 @@ on the same keys, block by block, from the start vector and the firing
 sequence.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,8 +35,6 @@ from .chain_model import (
     MarkovChain,
     Scalar,
     absorbing_states,
-    common_denominator,
-    float_matrix,
 )
 from .errors import CapExceeded, IIsAbsorbing
 
@@ -196,18 +195,35 @@ class _FloatKeys:
 def _scaled(chain: MarkovChain, h: HungerVector):
     """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, keys).
 
-    Float chains give float64 arrays, the live kernels and _FloatKeys.
-    Rational chains give the integer keys of h (see _Keys) and the rows
-    R*D*H: int64 arrays on the live kernels when _int64_safe holds, which it
-    does whatever the start's denominators, otherwise dtype=object arrays of
+    rows are _kernels.SparseRows of P's nonzero entries and the diagonal.
+    Float chains give float64 arrays (P - I), the live kernels and
+    _FloatKeys. Rational chains give the integer keys of h (see _Keys) and
+    the rows R*D*H, D the lcm of the nonzero entries' denominators: int64
+    arrays on the live kernels when _int64_safe holds, which it does
+    whatever the start's denominators, otherwise dtype=object arrays of
     Python ints on the numpy reference bodies, which fire identically and
     never overflow. Only magnitudes or chain denominators past int64 take
     that path.
     """
+    n = chain.n
+    indptr, indices, entries, diagonal = [0], [], [], []
+    for i, row in enumerate(chain.P):
+        cols = list(itertools.compress(range(n), row))
+        at = bisect.bisect_left(cols, i)
+        if at == len(cols) or cols[at] != i:
+            cols.insert(at, i)
+        diagonal.append(indptr[-1] + at)
+        indices += cols
+        entries += [row[j] for j in cols]
+        indptr.append(len(indices))
+    indptr = np.array(indptr, dtype=np.int64)
+    indices = np.array(indices, dtype=np.int64)
     if chain.mode == FLOAT:
-        rows = float_matrix(chain) - np.eye(chain.n)
+        for k in diagonal:
+            entries[k] -= 1.0
+        rows = _kernels.SparseRows(indptr, indices, np.array(entries, dtype=np.float64))
         return np.array(h, dtype=np.float64), rows, _kernels, _FloatKeys
-    D = common_denominator(chain)
+    D = math.lcm(*(x.denominator for x in entries))
     S = math.lcm(D, *(x.denominator for x in h))
     M = S // D
     floors, fracs = [], []
@@ -220,17 +236,15 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     rank = {f: k for k, f in enumerate(c)}
     keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
     unit = R * D
-    if _int64_safe(keys, unit, chain.n):
+    if _int64_safe(keys, unit, n):
         dtype, kernels = np.int64, _kernels
     else:
         dtype, kernels = object, _kernels.reference
-    g = np.array(keys, dtype=dtype)
-    rows = np.array(
-        [[x.numerator * (unit // x.denominator) for x in row] for row in chain.P],
-        dtype=dtype,
-    )
-    rows[np.diag_indices(chain.n)] -= unit
-    return g, rows, kernels, _Keys(unit, R, M, tuple(c))
+    values = [x.numerator * (unit // x.denominator) for x in entries]
+    for k in diagonal:
+        values[k] -= unit
+    rows = _kernels.SparseRows(indptr, indices, np.array(values, dtype=dtype))
+    return np.array(keys, dtype=dtype), rows, kernels, _Keys(unit, R, M, tuple(c))
 
 
 def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
@@ -241,11 +255,13 @@ def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
 
     Rows are running sums of the fired steps' rows on _scaled's keys and
     dtype: int64 (the boundedness bound behind _int64_safe covers every
-    row), Python ints or float64, mapped to S*h block by block.
+    row), Python ints or float64, mapped to S*h block by block. The sparse
+    rows are expanded to dense ones here, for trace output only.
     np.add.accumulate adds in order, so float rows equal the run's own
     step-by-step additions bit for bit.
     """
     g, rows, _, keys = _scaled(chain, h)
+    rows = rows.dense()
     last = g[None, :]
     for lo in range(0, len(fired) + 1, chunk):
         # row lo is the carry (row lo - 1) plus the step fired at lo - 1

@@ -88,7 +88,7 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     fired = np.empty(lam, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
     kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))
-    order = tuple(int(i) for i in fired)
+    order = tuple(fired.tolist())
     return CycleInfo(mu, lam, rep, order, canonical_order(order, chain.n))
 
 
@@ -155,9 +155,7 @@ def canonical_order(order: Sequence[int], n: Optional[int] = None) -> str:
     k = _least_rotation(order)
     rot = tuple(order[k:]) + tuple(order[:k])
     width = max(rot) + 1 if n is None else n
-    if width <= 9:
-        return "".join(str(i + 1) for i in rot)
-    return "-".join(str(i + 1) for i in rot)
+    return ("" if width <= 9 else "-").join(map(str, [i + 1 for i in rot]))
 
 
 # ---------------------------------------------------------------------------

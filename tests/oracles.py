@@ -2,16 +2,20 @@
 
 The Monte Carlo walkers and the float solves here deliberately avoid the
 library's exact linear algebra, so agreement between the two is evidence
-rather than tautology.
+rather than tautology. The dense firing bodies are the kernels as they were
+before sparse rows and the tournament tree: np.argmax and whole-row adds.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Tuple
 
 import numpy as np
 
+from hungerlab import hunger_engine
 from hungerlab.chain_model import (
+    FLOAT,
     MarkovChain,
     absorbing_states,
     float_matrix,
@@ -201,3 +205,147 @@ def solve_fraction(A, bs):
             x[c] = M[r][k]
         out.append(tuple(x))
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense firing: the kernels and row preparation before sparse rows
+
+
+def dense_greedy_run(h, rows, steps, fired, v, stop):
+    """greedy_run on dense rows: np.argmax, then the whole row added."""
+    for t in range(steps):
+        i = np.argmax(h)
+        h += rows[i]
+        fired[t] = i
+        v[i] += 1
+        if stop[i]:
+            return t + 1
+    return steps
+
+
+def dense_brent_cycle(h0, rows, cap):
+    """brent_cycle on dense rows."""
+    n = h0.shape[0]
+    power = 1
+    lam = 1
+    tortoise = h0.copy()
+    hare = h0.copy()
+    i = np.argmax(hare)
+    hare += rows[i]
+    while True:
+        same = True
+        for j in range(n):
+            if tortoise[j] != hare[j]:
+                same = False
+                break
+        if same:
+            break
+        if power == lam:
+            tortoise[:] = hare
+            power *= 2
+            lam = 0
+        i = np.argmax(hare)
+        hare += rows[i]
+        lam += 1
+        if lam > cap:
+            return -1, -1
+    tortoise[:] = h0
+    hare[:] = h0
+    for _ in range(lam):
+        i = np.argmax(hare)
+        hare += rows[i]
+    mu = 0
+    while True:
+        same = True
+        for j in range(n):
+            if tortoise[j] != hare[j]:
+                same = False
+                break
+        if same:
+            break
+        i = np.argmax(tortoise)
+        tortoise += rows[i]
+        i = np.argmax(hare)
+        hare += rows[i]
+        mu += 1
+        if mu > cap:
+            return -1, -1
+    h0[:] = tortoise
+    return mu, lam
+
+
+def dense_reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
+    """reinsert_loop on dense rows, with extrema over every entry."""
+    n = h.shape[0]
+    si = 0
+    chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
+    lo = h[0]
+    hi = h[0]
+    for j in range(n):
+        if h[j] < lo:
+            lo = h[j]
+        if h[j] > hi:
+            hi = h[j]
+    for t in range(steps):
+        if chip == -2 or (chip >= 0 and absorbing[chip]):
+            if chip >= 0:
+                h[chip] -= one
+            s = schedule[si]
+            si += 1
+            h += rows[s]
+            h[s] += one
+            fired[t] = -1
+            chip = -1
+        else:
+            i = np.argmax(h)
+            h += rows[i]
+            fired[t] = i
+            v[i] += 1
+            chip = i
+        for j in range(n):
+            if h[j] < lo:
+                lo = h[j]
+            if h[j] > hi:
+                hi = h[j]
+    return si, lo, hi
+
+
+DENSE_KERNELS = SimpleNamespace(
+    greedy_run=dense_greedy_run,
+    brent_cycle=dense_brent_cycle,
+    reinsert_loop=dense_reinsert_loop,
+)
+
+
+# bound once: tests swap hunger_engine._scaled for dense_scaled
+_engine_scaled = hunger_engine._scaled
+
+
+def dense_scaled(chain: MarkovChain, h):
+    """hunger_engine._scaled with dense n x n rows and DENSE_KERNELS.
+
+    The keys, their dtype and scale are _scaled's own; the rows are built
+    here from chain.P: unit*(P - I) on the keys, or P - I for float chains.
+    """
+    g, _, _, keys = _engine_scaled(chain, h)
+    if chain.mode == FLOAT:
+        return g, float_matrix(chain) - np.eye(chain.n), DENSE_KERNELS, keys
+    rows = np.array(
+        [[x.numerator * (keys.unit // x.denominator) for x in row] for row in chain.P],
+        dtype=g.dtype,
+    )
+    rows[np.diag_indices(chain.n)] -= keys.unit
+    return g, rows, DENSE_KERNELS, keys
+
+
+def dense_hunger_blocks(chain: MarkovChain, h, fired, chunk: int):
+    """hunger_engine._hunger_blocks on dense_scaled's rows."""
+    g, rows, _, keys = dense_scaled(chain, h)
+    last = g[None, :]
+    for lo in range(0, len(fired) + 1, chunk):
+        steps = rows[fired[max(lo - 1, 0) : lo + chunk - 1]]
+        block = np.add.accumulate(np.concatenate([last, steps]), axis=0)
+        if lo:
+            block = block[1:]
+        last = block[-1:]
+        yield keys.numerators(block), keys.S

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -421,7 +422,13 @@ def test_zero_start_keys_are_scaled_hunger(basin_demo3):
     D = common_denominator(basin_demo3)
     assert (keys.R, keys.M, keys.unit, keys.S) == (1, 1, D, D)
     assert g.tolist() == [0] * 3
-    assert rows.tolist() == [[D * x for x in row] for row in hunger_matrix(basin_demo3).H]
+    H = hunger_matrix(basin_demo3).H
+    assert rows.dense().tolist() == [[D * x for x in row] for row in H]
+    # CSR: each row's nonzero entries and its diagonal, columns ascending
+    kept = [[j for j, x in enumerate(row) if x or i == j] for i, row in enumerate(H)]
+    assert rows.indptr.tolist() == [0, *itertools.accumulate(map(len, kept))]
+    assert rows.indices.tolist() == [j for cols in kept for j in cols]
+    assert rows.values.tolist() == [D * H[i][j] for i, cols in enumerate(kept) for j in cols]
 
 
 # magnitudes near 2**70, and a chain with a 2**64 denominator: both past int64

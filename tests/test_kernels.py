@@ -1,9 +1,11 @@
-"""The compiled kernels against the numpy reference, the reference bodies on
-Python ints against int64, and the build fallback.
+"""The kernels on sparse rows against the dense oracle, the reference bodies
+on Python ints against int64, and the build fallback.
 
-Each property test builds the same random arguments twice, runs the active
-kernel on one copy and `_kernels.reference` on the other, and requires
-bit-identical results: return values and every array the kernel writes.
+Each property test builds random arguments, runs the numpy reference and
+(when loaded) the compiled kernel on SparseRows, and the dense oracle
+(tests/oracles.py: np.argmax and whole-row adds) on the same rows as an
+n x n array, each on its own copy, and requires bit-identical results:
+return values and every array the kernel writes.
 """
 
 import os
@@ -19,21 +21,25 @@ from hypothesis import strategies as st
 
 import hungerlab
 from hungerlab import _kernels
+from hungerlab._kernels import SparseRows
+from oracles import DENSE_KERNELS
 
 compiled = pytest.mark.skipif(
     _kernels.active_backend() != "c", reason="the C kernels are not loaded"
 )
+SPARSE = [_kernels.reference] + ([_kernels] if _kernels.active_backend() == "c" else [])
 
 
 @st.composite
 def cases(draw):
-    """Random rows, start, absorbing mask, schedule and step count.
+    """Random dense rows, start, absorbing mask, schedule and step count.
 
     Rows are S*(P - I) on int64 or P - I on float64 for a random sparse P
     with entries k/S. A power-of-two S makes the float arithmetic exact so
     float orbits can close; small integer starts make argmax ties common.
+    Sizes past 8 states give trees of several blocks and levels.
     """
-    n = draw(st.integers(2, 40))
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([64, 129, 300])))
     dtype = draw(st.sampled_from([np.int64, np.float64]))
     S = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 64]))
     steps = draw(st.integers(0, 300))
@@ -57,16 +63,21 @@ def cases(draw):
     return h, rows, absorbing, one, schedule, steps
 
 
-def both(name, *args):
-    """Run kernel `name` on the active backend and on the reference.
+def run_all(name, h, rows, *rest):
+    """Run kernel `name` on each sparse implementation, given SparseRows and
+    given the dense rows (which it turns into SparseRows), and on the dense
+    oracle, each on its own copy of the array arguments.
 
-    Returns ((result, args), (result, args)), each on its own copy of the
-    array arguments.
+    Returns [(result, args), ...], args without the rows, with the dense
+    oracle's last.
     """
+    sparse = SparseRows.of(rows)
+    runs = [(getattr(k, name), r) for k in SPARSE for r in (sparse, rows)]
+    runs.append((getattr(DENSE_KERNELS, name), rows))
     out = []
-    for fn in (getattr(_kernels, name), getattr(_kernels.reference, name)):
-        mine = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        out.append((fn(*mine), mine))
+    for fn, r in runs:
+        mine = [a.copy() if isinstance(a, np.ndarray) else a for a in (h, *rest)]
+        out.append((fn(mine[0], r, *mine[1:]), mine))
     return out
 
 
@@ -77,7 +88,6 @@ def assert_same_arrays(a, b):
             assert x.tobytes() == y.tobytes()
 
 
-@compiled
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_greedy_run_matches_reference(case):
@@ -87,54 +97,46 @@ def test_greedy_run_matches_reference(case):
     fired = np.zeros(steps, dtype=np.int64)
     v = np.zeros(h.shape[0], dtype=np.int64)
     for stop in (np.zeros_like(absorbing), absorbing):
-        (c_res, c_args), (ref_res, ref_args) = both(
+        *mine, (dense_res, dense_args) = run_all(
             "greedy_run", h, rows, steps, fired, v, stop
         )
-        assert int(c_res) == int(ref_res)
-        assert_same_arrays(c_args, ref_args)
-        k = int(c_res)
-        assert k == steps or (0 < k < steps and stop[c_args[3][k - 1]])
-        assert not stop[c_args[3][: k - 1]].any()
+        for res, args in mine:
+            assert int(res) == int(dense_res)
+            assert_same_arrays(args, dense_args)
+        k = int(dense_res)
+        dense_fired = dense_args[2]
+        assert k == steps or (0 < k < steps and stop[dense_fired[k - 1]])
+        assert not stop[dense_fired[: k - 1]].any()
 
 
-@compiled
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_brent_cycle_matches_reference(case):
-    """Both backends return the same (mu, lam) and leave the same vector in
-    h0: the start advanced mu steps, or the start itself when capped."""
+    """Every implementation returns the same (mu, lam) and leaves the same
+    vector in h0: the start advanced mu steps, or the start itself."""
     h, rows, _, _, _, steps = case
-    cap = 10 * steps
-    (c_res, c_args), (ref_res, ref_args) = both("brent_cycle", h, rows, cap)
-    mu, lam = map(int, c_res)
-    assert (mu, lam) == tuple(map(int, ref_res))
-    assert_same_arrays(c_args, ref_args)
-    entry = h.copy()
-    if mu >= 0:
-        n = h.shape[0]
-        never = np.zeros(n, dtype=np.bool_)
-        _kernels.reference.greedy_run(
-            entry, rows, mu, np.zeros(mu, np.int64), np.zeros(n, np.int64), never
-        )
-    assert c_args[0].tobytes() == entry.tobytes()
+    *mine, (dense_res, dense_args) = run_all("brent_cycle", h, rows, 10 * steps)
+    for res, args in mine:
+        assert tuple(map(int, res)) == tuple(map(int, dense_res))
+        assert_same_arrays(args, dense_args)
 
 
-@compiled
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_reinsert_loop_matches_reference(case):
     h, rows, absorbing, one, schedule, steps = case
     fired = np.zeros(steps, dtype=np.int64)
     v = np.zeros(h.shape[0], dtype=np.int64)
-    (c_res, c_args), (ref_res, ref_args) = both(
+    *mine, (dense_res, dense_args) = run_all(
         "reinsert_loop", h, rows, absorbing, one, schedule, steps, fired, v
     )
-    assert int(c_res[0]) == int(ref_res[0])
-    assert (
-        np.array(c_res[1:], dtype=h.dtype).tobytes()
-        == np.array(ref_res[1:], dtype=h.dtype).tobytes()
-    )
-    assert_same_arrays(c_args, ref_args)
+    for res, args in mine:
+        assert int(res[0]) == int(dense_res[0])
+        assert (
+            np.array(res[1:], dtype=h.dtype).tobytes()
+            == np.array(dense_res[1:], dtype=h.dtype).tobytes()
+        )
+        assert_same_arrays(args, dense_args)
 
 
 BIG = 2**70
@@ -146,9 +148,11 @@ def test_reference_on_python_ints_matches_int64(case):
     """The big-int path: each reference body on object arrays of Python ints,
     scaled by BIG past the int64 range, fires exactly as the live kernel on
     int64, and its hunger values are the int64 ones times BIG."""
-    h, rows, absorbing, one, schedule, steps = case
+    h, dense, absorbing, one, schedule, steps = case
     n = h.shape[0]
-    big_h, big_rows = h.astype(object) * BIG, rows.astype(object) * BIG
+    rows = SparseRows.of(dense)
+    big_h = h.astype(object) * BIG
+    big_rows = SparseRows(rows.indptr, rows.indices, rows.values.astype(object) * BIG)
     ref = _kernels.reference
 
     def scaled(a):
@@ -183,24 +187,76 @@ def test_reference_on_python_ints_matches_int64(case):
     assert big[0].tolist() == scaled(small[0])
 
 
+def test_sparse_rows_reject_other_layouts():
+    indptr, indices = np.array([0, 1, 2]), np.array([0, 1])
+    values = np.array([-1, -1])
+    for bad in (
+        (indptr.astype(np.int32), indices, values),
+        (indptr, indices.astype(np.int32), values),
+        (indptr, np.array([0, 9, 1])[::2], values),
+        (indptr, indices, np.array([-1, -1, 0])),
+        (np.zeros((1, 3), np.int64), indices, values),
+    ):
+        with pytest.raises(ValueError):
+            SparseRows(*bad)
+    for bad in (np.zeros((2, 3), np.int64), np.zeros(2, np.int64)):
+        with pytest.raises(ValueError):
+            SparseRows.of(bad)
+    rows = SparseRows(indptr, indices, values)
+    assert rows.dense().tolist() == [[-1, 0], [0, -1]]
+    assert SparseRows.of(rows) is rows
+
+
+@compiled
+def test_read_only_rows_fire_as_writable_ones():
+    rows = SparseRows.of(np.array([[-2, 1, 1], [1, -1, 0], [1, 1, -2]]))
+    arrays = [a.copy() for a in (rows.indptr, rows.indices, rows.values)]
+    for a in arrays:
+        a.flags.writeable = False
+    runs = []
+    for r in (rows, SparseRows(*arrays)):
+        h, fired = np.array([0, 1, -1]), np.zeros(50, np.int64)
+        _kernels.greedy_run(h, r, 50, fired, np.zeros(3, np.int64), np.zeros(3, np.bool_))
+        runs.append((h.tolist(), fired.tolist()))
+    assert runs[0] == runs[1]
+
+
 @compiled
 def test_compiled_kernels_reject_mismatched_arrays():
     h = np.zeros(3, dtype=np.int64)
-    rows = np.zeros((3, 3), dtype=np.int64)
+    dense = np.zeros((3, 3), dtype=np.int64)
+    rows = SparseRows.of(dense)
     v = np.zeros(3, dtype=np.int64)
     stop = np.zeros(3, dtype=np.bool_)
     fired = np.zeros(1, np.int64)
     for bad in (
-        (h, rows.astype(np.float64), 1, fired, v, stop),
+        (h, SparseRows.of(dense.astype(np.float64)), 1, fired, v, stop),
         (h, rows, 5, np.zeros(4, np.int64), v, stop),
-        (h.astype(np.int32), rows.astype(np.int32), 1, fired, v, stop),
+        (h.astype(np.int32), SparseRows.of(dense.astype(np.int32)), 1, fired, v, stop),
         (h, rows, 1, fired, v, stop.astype(np.uint8)),
         (h, rows, 1, fired, v, np.zeros(4, np.bool_)),
+        (h, SparseRows.of(np.zeros((2, 2), np.int64)), 1, fired, v, stop),
     ):
         with pytest.raises(ValueError):
             _kernels.greedy_run(*bad)
+    # well-formed arrays that do not describe three rows: the C code checks
+    for indptr, indices in (
+        ([0, 1, 2, 3], [0, 3, 2]),  # a column past the last state
+        ([0, 2, 1, 3], [0, 1, 2]),  # a row ending before it starts
+        ([0, 1, 2, 2], [0, 1, 2]),  # an entry past the last row
+    ):
+        bad = SparseRows(np.array(indptr), np.array(indices), np.zeros(3, np.int64))
+        with pytest.raises(ValueError):
+            _kernels.greedy_run(h, bad, 1, fired, v, stop)
+        with pytest.raises(ValueError):
+            _kernels.brent_cycle(h, bad, 10)
+        with pytest.raises(ValueError):
+            _kernels.reinsert_loop(
+                h, bad, np.zeros(3, np.bool_), np.int64(1), np.array([0, 1]), 1,
+                np.zeros(1, np.int64), v,
+            )
     with pytest.raises(ValueError):
-        _kernels.brent_cycle(h, np.zeros((3, 6), np.int64)[:, ::2], 10)
+        _kernels.brent_cycle(h, SparseRows.of(np.zeros((4, 4), np.int64)), 10)
     with pytest.raises(ValueError):
         _kernels.reinsert_loop(
             h, rows, np.zeros(3, np.bool_), np.int64(1), np.array([0, 3]), 1,
