@@ -27,20 +27,18 @@ denominators alone.
 The rows of H come as SparseRows (CSR; a dense n x n array of rows is
 turned into SparseRows first), and a fire adds its row to the columns it
 touches only. The compiled kernels read the hungriest state off a max
-tournament tree over blocks of BLOCK consecutive states: each block's first
+tournament tree over blocks of 8 consecutive states: each block's first
 maximal state (a linear scan with a strict '>') is a leaf, and a tie
 between nodes goes to the lower index, so the tree names the first maximal
 index, which is exactly np.argmax's choice and the tie-breaking rule (fire
 the smallest hungriest index). A fire rescans the blocks its row touches
 and replays their paths to the root, up to the first node that does not
-change: a step costs O(deg * (BLOCK + log(n / BLOCK))) instead of a dense
-row's O(n). The reference bodies keep the same block winners and pick among
-them with one np.argmax a fire, a two-level form of that tree.
-The compiled greedy_run on perfbench's mixture chains (3 nonzeros a row)
-went from 115M to 256M steps/s at n = 3, from 1.2M to 17M at n = 300 and
-from 0.35M to 6.8M at n = 1000. A dense fire added +0.0 to every column,
-turning -0.0 hunger into +0.0; each kernel makes that rewrite once, before
-its first fire, so float runs stay bit-identical to it.
+change: a step costs O(deg * (8 + log(n / 8))) instead of a dense row's
+O(n). The tree lives only in _kernels.c: a reference fire is
+i = np.argmax(h), then h[cols] += vals over row i's entries. A dense fire
+added +0.0 to every column, turning -0.0 hunger into +0.0; each kernel
+makes that rewrite once, before its first fire (h += 0 in the reference),
+so float runs stay bit-identical to it.
 """
 
 import ctypes
@@ -61,8 +59,6 @@ if _choice not in ("", "c", "numpy"):
 
 # ---------------------------------------------------------------------------
 # sparse rows and the numpy reference bodies
-
-BLOCK = 8  # states per block, as in _kernels.c
 
 _INT64 = np.dtype(np.int64)
 _BOOL = np.dtype(np.bool_)
@@ -141,66 +137,13 @@ class SparseRows:
         out[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.values
         return out
 
-
-class _Tree:
-    """The reference bodies' firing state: h as a Python list, fired in
-    place, and for each block b of BLOCK states its first hungriest state
-    win[b] (a linear scan with a strict '>') and that state's hunger top[b].
-    A fire takes the winner of the first block whose top is maximal, with
-    one np.argmax over `top`: the two-level form of _kernels.c's tournament
-    tree, naming the same state (np.argmax's first maximal index), at
-    O(n / BLOCK) vectorised work a fire.
-
-    A tree is built right before its vector's first fire, so it rewrites
-    -0.0 as +0.0 first, as a dense fire's +0.0 in every column did.
-    """
-
-    __slots__ = ("h", "pairs", "blocks", "win", "top")
-
-    @staticmethod
-    def table(rows):
-        """Per row: its (column, value) pairs and the blocks they touch."""
-        rows = SparseRows.of(rows)
-        indptr = rows.indptr.tolist()
-        indices = rows.indices.tolist()
-        values = rows.values.tolist()
-        spans = list(zip(indptr, indptr[1:]))
-        pairs = [list(zip(indices[a:b], values[a:b])) for a, b in spans]
-        blocks = [sorted({j // BLOCK for j in indices[a:b]}) for a, b in spans]
-        return pairs, blocks
-
-    def __init__(self, h: list, dtype, table):
-        self.h = [x or abs(x) for x in h]  # abs: -0.0 -> 0.0, int 0 stays int
-        self.pairs, self.blocks = table
-        count = -(-len(h) // BLOCK)
-        self.win = [0] * count
-        self.top = np.empty(count, dtype=dtype)
-        for b in range(count):
-            self.rescan(b)
-
-    def rescan(self, b: int) -> None:
-        """Find block b's first hungriest state again."""
-        h = self.h
-        best = b * BLOCK
-        for j in range(best + 1, min(best + BLOCK, len(h))):
-            if h[j] > h[best]:
-                best = j
-        self.win[b] = best
-        self.top[b] = h[best]
-
-    def add(self, i: int) -> None:
-        """Add row i to h and rescan the blocks it touches."""
-        h = self.h
-        for j, x in self.pairs[i]:
-            h[j] += x
-        for b in self.blocks[i]:
-            self.rescan(b)
-
-    def fire(self) -> int:
-        """Fire the hungriest state and return its index."""
-        i = self.win[np.argmax(self.top)]
-        self.add(i)
-        return i
+    def table(self) -> list:
+        """Per row: views of its columns and values, for the reference
+        bodies (a method, so tracers do not count it as a kernel call)."""
+        indptr = self.indptr.tolist()
+        return [
+            (self.indices[a:b], self.values[a:b]) for a, b in zip(indptr, indptr[1:])
+        ]
 
 
 def greedy_run(h, rows, steps, fired, v, stop):
@@ -213,15 +156,17 @@ def greedy_run(h, rows, steps, fired, v, stop):
     """
     if steps == 0:
         return 0
-    tree = _Tree(h.tolist(), h.dtype, _Tree.table(rows))
+    table = SparseRows.of(rows).table()
     stop = stop.tolist()
+    h += 0  # -0.0 -> +0.0, as a dense fire did
     seq = []
     for _ in range(steps):
-        i = tree.fire()
+        i = np.argmax(h)
+        cols, vals = table[i]
+        h[cols] += vals
         seq.append(i)
         if stop[i]:
             break
-    h[:] = tree.h
     fired[: len(seq)] = seq
     v += np.bincount(seq, minlength=v.shape[0])
     return len(seq)
@@ -233,39 +178,43 @@ def brent_cycle(h0, rows, cap):
     Returns (entry_steps, period) and overwrites h0 with the cycle-entry
     vector, h0 advanced entry_steps steps (h0 itself when that is 0).
     Returns (-1, -1) and leaves h0 unchanged if either phase would pass
-    `cap` iterations. Keeps two or three copies of the state, O(n + nnz)
-    memory in all; exact equality comparisons, so this is only meaningful
-    for integer-scaled state.
+    `cap` iterations. Keeps three copies of the state, O(n + nnz) memory in
+    all; exact equality comparisons, so this is only meaningful for
+    integer-scaled state.
     """
-    table = _Tree.table(rows)
-    start = h0.tolist()
+    table = SparseRows.of(rows).table()
+
+    def fire(h):
+        cols, vals = table[np.argmax(h)]
+        h[cols] += vals
+
     power = 1
     lam = 1
-    tortoise = start
-    hare = _Tree(start, h0.dtype, table)
-    hare.fire()
-    while tortoise != hare.h:
+    tortoise = h0.copy()
+    hare = h0 + 0  # -0.0 -> +0.0, as a dense fire did
+    fire(hare)
+    while (tortoise != hare).any():
         if power == lam:
-            tortoise = list(hare.h)
+            tortoise[:] = hare
             power *= 2
             lam = 0
-        hare.fire()
+        fire(hare)
         lam += 1
         if lam > cap:
             return -1, -1
-    tortoise = _Tree(start, h0.dtype, table)
-    hare = _Tree(start, h0.dtype, table)
+    tortoise = h0 + 0
+    hare = h0 + 0
     for _ in range(lam):
-        hare.fire()
+        fire(hare)
     mu = 0
-    while tortoise.h != hare.h:
-        tortoise.fire()
-        hare.fire()
+    while (tortoise != hare).any():
+        fire(tortoise)
+        fire(hare)
         mu += 1
         if mu > cap:
             return -1, -1
     if mu:
-        h0[:] = tortoise.h
+        h0[:] = tortoise
     return mu, lam
 
 
@@ -282,7 +231,7 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
     cover the initial state and every step: after the initial scan, only
     the entries a step touches can pass them.
     """
-    start = h.tolist()
+    start = h.tolist()  # a scan, not h.min(): keep the first of -0.0 and 0.0
     lo = hi = start[0]
     for x in start:
         if x < lo:
@@ -291,36 +240,38 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
             hi = x
     if steps == 0:
         return 0, lo, hi
-    tree = _Tree(start, h.dtype, _Tree.table(rows))
-    hl = tree.h
+    table = SparseRows.of(rows).table()
     absorbing = absorbing.tolist()
+    h += 0  # -0.0 -> +0.0, as a dense fire did
     si = 0
     chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
     for t in range(steps):
         if chip == -2 or (chip >= 0 and absorbing[chip]):
-            if chip >= 0:
-                hl[chip] -= one
-            i = int(schedule[si])
+            i = schedule[si]
             si += 1
-            tree.add(i)
-            hl[i] += one
             touched = [i] if chip < 0 else [i, chip]
-            for j in touched:
-                tree.rescan(j // BLOCK)
+            if chip >= 0:
+                h[chip] -= one
+            cols, vals = table[i]
+            h[cols] += vals
+            h[i] += one
             fired[t] = -1
             chip = -1
+            # read after both: the removal and the row can move one entry
+            seen = h[cols].tolist() + h[touched].tolist()
         else:
-            i = tree.fire()
+            i = np.argmax(h)
+            cols, vals = table[i]
+            h[cols] += vals
             fired[t] = i
             v[i] += 1
             chip = i
-            touched = []
-        for j in touched + [j for j, _ in tree.pairs[i]]:
-            if hl[j] < lo:
-                lo = hl[j]
-            if hl[j] > hi:
-                hi = hl[j]
-    h[:] = hl
+            seen = h[cols].tolist()
+        for x in seen:
+            if x < lo:
+                lo = x
+            if x > hi:
+                hi = x
     return si, lo, hi
 
 
@@ -420,39 +371,67 @@ def active_backend() -> str:
 
 
 # The compiled kernels keep the reference signatures. Each checks dtypes,
-# shapes and contiguity before handing raw pointers to C, inline: a helper
-# function here would itself be counted as a kernel call by tracers that
-# wrap this module's functions. SparseRows checked its own layout when it
-# was made (SparseRows.of makes them from dense rows), and the C code checks
-# the rows' structure, returning BAD_ROWS or NO_MEMORY (below -1) when it
-# cannot run.
+# shapes and contiguity with _Arguments.rows before handing raw pointers to
+# C. SparseRows checked its own layout when it was made (SparseRows.of makes
+# them from dense rows), and the C code checks the rows' structure,
+# returning BAD_ROWS or NO_MEMORY (below -1) when it cannot run.
 
-_MISFIT = "arrays do not match the kernel's dtypes, shapes or layout"
 _BAD_ROWS, _NO_MEMORY = -2, -3
 _FAILURE = {
     _BAD_ROWS: partial(ValueError, "rows are not the CSR rows of n states"),
     _NO_MEMORY: partial(MemoryError, "no memory for the tournament tree"),
 }
 
+
+class _Arguments:
+    """The compiled kernels' argument check. A class holding a static
+    method, like _Pointer, so that tracers wrapping this module's functions
+    do not count it as a kernel call.
+    """
+
+    @staticmethod
+    def rows(kernel, h, rows, steps=0, mask=None, fired=None, v=None, schedule=None):
+        """rows as SparseRows, once they and the other arrays fit the
+        compiled `kernel`: brent_cycle passes h and the rows only,
+        greedy_run adds steps, its stop mask, fired and v, and reinsert_loop
+        its absorbing mask and schedule, whose entries must be states.
+
+        Raises:
+            ValueError: an array has the wrong dtype, shape or layout.
+        """
+        rows = SparseRows.of(rows)
+        n = h.shape[0]
+        if not (
+            h.ndim == 1 and h.dtype in _compiled and h.flags.c_contiguous
+            and rows.values.dtype == h.dtype and rows.indptr.shape == (n + 1,)
+            and (
+                mask is None
+                or mask.dtype == _BOOL and mask.shape == (n,)
+                and fired.dtype == v.dtype == _INT64 and v.shape == (n,)
+                and fired.shape[0] >= steps >= 0 and mask.flags.c_contiguous
+                and fired.flags.c_contiguous and v.flags.c_contiguous
+            )
+            and (
+                schedule is None
+                or schedule.dtype == _INT64 and schedule.flags.c_contiguous
+                and schedule.shape[0] >= steps
+                and (steps == 0 or 0 <= schedule.min() <= schedule.max() < n)
+            )
+        ):
+            raise ValueError(
+                f"{kernel}: arrays do not match the kernel's dtypes, shapes or layout"
+            )
+        return rows
+
+
 if _compiled is not None:
 
     def greedy_run(h, rows, steps, fired, v, stop):
         """Compiled reference.greedy_run."""
-        rows = SparseRows.of(rows)
-        n = h.shape[0]
-        if not (
-            h.ndim == 1 and h.dtype in _compiled
-            and rows.values.dtype == h.dtype and rows.indptr.shape == (n + 1,)
-            and fired.dtype == v.dtype == _INT64 and v.shape == (n,)
-            and stop.dtype == _BOOL and stop.shape == (n,)
-            and fired.shape[0] >= steps >= 0 and h.flags.c_contiguous
-            and fired.flags.c_contiguous and v.flags.c_contiguous
-            and stop.flags.c_contiguous
-        ):
-            raise ValueError("greedy_run: " + _MISFIT)
+        rows = _Arguments.rows("greedy_run", h, rows, steps, stop, fired, v)
         k = _compiled[h.dtype].greedy_run(
-            _Pointer.of(h), *rows.address, n, rows.indices.shape[0], steps,
-            _Pointer.of(fired), _Pointer.of(v), _Pointer.of(stop),
+            _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
+            steps, _Pointer.of(fired), _Pointer.of(v), _Pointer.of(stop),
         )
         if k < 0:
             raise _FAILURE[k]()
@@ -460,18 +439,11 @@ if _compiled is not None:
 
     def brent_cycle(h0, rows, cap):
         """Compiled reference.brent_cycle."""
-        rows = SparseRows.of(rows)
-        n = h0.shape[0]
-        if not (
-            h0.ndim == 1 and h0.dtype in _compiled
-            and rows.values.dtype == h0.dtype and rows.indptr.shape == (n + 1,)
-            and h0.flags.c_contiguous
-        ):
-            raise ValueError("brent_cycle: " + _MISFIT)
+        rows = _Arguments.rows("brent_cycle", h0, rows)
         lam = ctypes.c_int64()
         mu = _compiled[h0.dtype].brent_cycle(
-            _Pointer.of(h0), *rows.address, n, rows.indices.shape[0], cap,
-            ctypes.byref(lam),
+            _Pointer.of(h0), *rows.address, h0.shape[0], rows.indices.shape[0],
+            cap, ctypes.byref(lam),
         )
         if mu < -1:
             raise _FAILURE[mu]()
@@ -479,25 +451,13 @@ if _compiled is not None:
 
     def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
         """Compiled reference.reinsert_loop."""
-        rows = SparseRows.of(rows)
-        n = h.shape[0]
-        if not (
-            h.ndim == 1 and h.dtype in _compiled
-            and rows.values.dtype == h.dtype and rows.indptr.shape == (n + 1,)
-            and absorbing.dtype == _BOOL and absorbing.shape == (n,)
-            and schedule.dtype == fired.dtype == v.dtype == _INT64
-            and v.shape == (n,) and fired.shape[0] >= steps >= 0
-            and schedule.shape[0] >= steps
-            and (steps == 0 or 0 <= schedule.min() <= schedule.max() < n)
-            and h.flags.c_contiguous and absorbing.flags.c_contiguous
-            and schedule.flags.c_contiguous and fired.flags.c_contiguous
-            and v.flags.c_contiguous
-        ):
-            raise ValueError("reinsert_loop: " + _MISFIT)
+        rows = _Arguments.rows(
+            "reinsert_loop", h, rows, steps, absorbing, fired, v, schedule
+        )
         kernels = _compiled[h.dtype]
         extrema = kernels.extrema()
         si = kernels.reinsert_loop(
-            _Pointer.of(h), *rows.address, n, rows.indices.shape[0],
+            _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
             _Pointer.of(absorbing), one, _Pointer.of(schedule), steps,
             _Pointer.of(fired), _Pointer.of(v), extrema,
         )

@@ -92,12 +92,21 @@ def _state_index(chain: MarkovChain, token: str) -> int:
     return k - 1
 
 
+def _rational(text) -> Fraction:
+    """Fraction(text), with a zero denominator a ValueError like any other
+    malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_hunger(chain: MarkovChain, text):
     if text is None:
         return None
     tokens = [t.strip() for t in text.split(",")]
     if chain.mode == RATIONAL:
-        return tuple(Fraction(t) for t in tokens)
+        return tuple(_rational(t) for t in tokens)
     return tuple(float(t) for t in tokens)
 
 
@@ -316,8 +325,8 @@ def cmd_cycle(args) -> int:
 
 def cmd_basin(args) -> int:
     chain = _load_chain(args)
-    lo, hi = (Fraction(b) for b in args.bounds)
-    scan = basin_scan(chain, (lo, hi), Fraction(args.step), args.cap)
+    bounds = tuple(_rational(b) for b in args.bounds)
+    scan = basin_scan(chain, bounds, _rational(args.step), args.cap)
     with _out(args) as f:
         w = _writer(f)
         w.writerow(["h1", "h2", "recurrent", "period", "order_class", "entry_steps"])
@@ -372,9 +381,9 @@ def cmd_cover(args) -> int:
 
 def cmd_conjectures(args) -> int:
     chain = _load_chain(args)
-    lo, hi = (Fraction(b) for b in args.bounds)
+    bounds = tuple(_rational(b) for b in args.bounds)
     reports = conjecture_reports(
-        chain, args.samples, (lo, hi), Fraction(args.step), args.seed, args.cap
+        chain, args.samples, bounds, _rational(args.step), args.seed, args.cap
     )
     with _out(args) as f:
         w = _writer(f)
@@ -441,7 +450,7 @@ def cmd_rotor(args) -> int:
 
 
 def cmd_compare2(args) -> int:
-    comp = compare_two_state(Fraction(args.q), args.N)
+    comp = compare_two_state(_rational(args.q), args.N)
     with _out(args) as f:
         w = _writer(f)
         w.writerow(["N", "hunger_dev", "rotor_dev"])

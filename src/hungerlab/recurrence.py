@@ -181,6 +181,24 @@ class BasinScan:
     classes: List[str]
 
 
+def _grid(bounds: Tuple[Fraction, Fraction], step: Fraction) -> List[Fraction]:
+    """lo, lo + step, ... up to hi: the coordinates of a scan's grid.
+
+    Raises:
+        ValueError: step <= 0 or lo > hi.
+    """
+    lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
+    step = Fraction(step)
+    if step <= 0 or hi < lo:
+        raise ValueError("need step > 0 and bounds (lo, hi) with lo <= hi")
+    values = []
+    x = lo
+    while x <= hi:
+        values.append(x)
+        x += step
+    return values
+
+
 def basin_scan(
     chain: MarkovChain,
     bounds: Tuple[Fraction, Fraction],
@@ -196,15 +214,7 @@ def basin_scan(
     """
     if chain.n != 3:
         raise ValueError("basin scans are drawn over 3-state chains")
-    lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
-    step = Fraction(step)
-    if step <= 0 or hi < lo:
-        raise ValueError("need step > 0 and bounds (lo, hi) with lo <= hi")
-    values = []
-    x = lo
-    while x <= hi:
-        values.append(x)
-        x += step
+    values = _grid(bounds, step)
     class_ids = {}
     classes: List[str] = []
     cells = []
@@ -373,9 +383,11 @@ def conjecture_reports(
     element u = a(H_1-H_2) + b(H_2-H_3), a, b in -2..2; scanned over the
     same grid a basin scan would use, 3-state chains only. Violations are
     counted and quoted, never raised; these are conjectures, not
-    invariants.
+    invariants. A step <= 0 or bounds with lo > hi raise ValueError, for
+    every chain.
     """
     _check_cycle_chain(chain)
+    values = _grid(bounds, step)
     rng = random.Random(seed)
     # one stationary solve serves both the zero period and the lattice
     lat = lattice_basis(chain) if chain.n == 3 else None
@@ -421,11 +433,6 @@ def conjecture_reports(
                 recurrent_cache[h] = is_recurrent(chain, h, cap)
             return recurrent_cache[h]
 
-        values = []
-        x1 = lo
-        while x1 <= hi:
-            values.append(x1)
-            x1 += Fraction(step)
         for h1 in values:
             for h2 in values:
                 x = (h1, h2, -h1 - h2)

@@ -295,6 +295,29 @@ def test_conjectures_subcommand(capsys):
     assert "period-uniformity: 10 checked, 0 violations, 0 skipped" in err
 
 
+ZERO_DENOMINATOR = "error: zero denominator in '1/0'"
+BAD_GRID = "error: need step > 0 and bounds (lo, hi) with lo <= hi"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("simulate", "--chain", REFLECT, "--h0", "1/0,0,0"), ZERO_DENOMINATOR),
+    (("stationary", "--chain", REFLECT, "--h0", "0,1/0,0"), ZERO_DENOMINATOR),
+    (("cycle", "--chain", DEMO, "--h0=1/0,0,0"), ZERO_DENOMINATOR),
+    (("basin", "--chain", DEMO, "--step", "1/0"), ZERO_DENOMINATOR),
+    (("basin", "--chain", DEMO, "--bounds", "-1", "1/0"), ZERO_DENOMINATOR),
+    (("conjectures", "--chain", DEMO, "--step", "1/0"), ZERO_DENOMINATOR),
+    (("compare2", "--q", "1/0"), ZERO_DENOMINATOR),
+    # a step that does not advance would never end the tiling grid
+    (("conjectures", "--chain", DEMO, "--samples", "2", "--step", "0"), BAD_GRID),
+    (("conjectures", "--chain", DEMO, "--samples", "2", "--step=-1/20"), BAD_GRID),
+])
+def test_malformed_numbers_are_usage_errors(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [error]
+
+
 # ---------------------------------------------------------------------------
 # baseline subcommands
 

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,43 @@ def test_reference_on_python_ints_matches_int64(case):
     assert big[1].tolist() == small[1].tolist()
     assert big[2].tolist() == small[2].tolist()
     assert big[0].tolist() == scaled(small[0])
+
+
+def test_reference_bodies_stay_sparse_on_a_ring():
+    """Each reference body fires a few steps on a ring of 10^5 states (step
+    left or right with probability 1/2, scaled by 2): its dense rows would
+    take 80 GB, the sparse ones and the per-row table a few MB."""
+    n = 10**5
+    state = np.arange(n)
+    cols = np.sort(np.stack([state - 1, state, state + 1], axis=1) % n, axis=1)
+    values = np.where(cols == state[:, None], -2, 1)
+    rows = SparseRows(np.arange(0, 3 * n + 1, 3), cols.ravel(), values.ravel())
+    start = np.zeros(n, np.int64)
+    start[0] = 2
+    ref = _kernels.reference
+    tracemalloc.start()
+    try:
+        h, fired, v = start.copy(), np.zeros(6, np.int64), np.zeros(n, np.int64)
+        assert ref.greedy_run(h, rows, 6, fired, v, np.zeros(n, np.bool_)) == 6
+        assert fired.tolist() == [0, 1, 0, n - 1, 2, 1]
+        assert h.sum() == 2 and v.sum() == 6
+
+        h0 = start.copy()
+        assert ref.brent_cycle(h0, rows, 5) == (-1, -1)
+        assert h0.tolist() == start.tolist()
+
+        h, fired, v = start.copy(), np.zeros(4, np.int64), np.zeros(n, np.int64)
+        si, lo, hi = ref.reinsert_loop(
+            h, rows, np.zeros(n, np.bool_), np.int64(2), np.ones(4, np.int64), 4,
+            fired, v,
+        )
+        assert (si, lo, hi) == (1, -1, 3)
+        assert fired.tolist() == [-1, 0, 0, 1]
+        assert h.sum() == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
 
 
 def test_sparse_rows_reject_other_layouts():
