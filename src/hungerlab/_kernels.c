@@ -1,6 +1,7 @@
 /* Compiled bodies of the three firing kernels in _kernels.py: greedy_run
  * (fire, optionally until a stop state), brent_cycle (find an orbit's
- * cycle) and reinsert_loop (fire with remove-and-reinsert steps).
+ * cycle) and reinsert_loop (fire with remove-and-reinsert steps); and of
+ * its CSV row writer, csv_rows, at the end of this file.
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
  * int64_t (exact, the engine's integer keys) and double (float mode),
@@ -345,3 +346,147 @@ int64_t reinsert_loop_##SUF(T *h, const int64_t *indptr,                       \
 
 DEFINE_KERNELS(int64_t, i64, INT64_MIN)
 DEFINE_KERNELS(double, f64, -HUGE_VAL)
+
+/* The CSV row writer behind csv_rows in _kernels.py. A row is its fields
+ * joined by ',' and ended by '\n'; a field is one of
+ *   TEXT:   the same text in every row;
+ *   LABELS: label num[r] from a table of k labels, stored back to back in
+ *           text with label j at text[ends[j] .. ends[j + 1]); -1 writes
+ *           nothing;
+ *   RATIOS: k cells num[r * rs + c * cs] / den[r] (or / scalar when den is
+ *           NULL), joined by sep, each reduced by their gcd and written as
+ *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction.
+ * Numerators are formatted from their uint64 magnitudes, so INT64_MIN comes
+ * out as Python's str gives it. A cell takes at most CELL_MAX bytes. */
+
+enum { TEXT, LABELS, RATIOS };
+#define BAD_DEN (-4)   /* a denominator <= 0 */
+#define BAD_LABEL (-5) /* a label index outside -1 .. k - 1 */
+#define NO_ROOM (-6)   /* the buffer cannot hold one more row */
+#define CELL_MAX 40    /* "-", 19 digits, "/", 19 digits */
+
+typedef struct {
+    int64_t kind, k;
+    const int64_t *num, *den;
+    int64_t rs, cs; /* RATIOS: num's strides, in elements, between rows and cells */
+    int64_t scalar;
+    const char *text;
+    const int64_t *ends;
+    int64_t sep;
+} field;
+
+static uint64_t gcd_u64(uint64_t a, uint64_t b) /* b > 0 */
+{
+    if (a == 0)
+        return b;
+    int shift = __builtin_ctzll(a | b);
+    a >>= __builtin_ctzll(a);
+    do {
+        b >>= __builtin_ctzll(b);
+        if (a > b) {
+            uint64_t t = a;
+            a = b;
+            b = t;
+        }
+        b -= a;
+    } while (b != 0);
+    return a << shift;
+}
+
+static char *put_u64(char *p, uint64_t x)
+{
+    char digits[20], *q = digits + sizeof digits;
+    do {
+        *--q = (char)('0' + x % 10);
+        x /= 10;
+    } while (x != 0);
+    size_t len = (size_t)(digits + sizeof digits - q);
+    memcpy(p, q, len);
+    return p + len;
+}
+
+/* a / d, d > 0, reduced. */
+static char *put_ratio(char *p, int64_t a, int64_t d)
+{
+    uint64_t m = a < 0 ? 0 - (uint64_t)a : (uint64_t)a, b = (uint64_t)d;
+    if (b != 1) {
+        uint64_t g = gcd_u64(m, b);
+        m /= g;
+        b /= g;
+    }
+    if (a < 0)
+        *p++ = '-';
+    p = put_u64(p, m);
+    if (b != 1) {
+        *p++ = '/';
+        p = put_u64(p, b);
+    }
+    return p;
+}
+
+/* The most bytes one row can take. */
+static int64_t row_bound(const field *fields, int64_t nfields)
+{
+    int64_t bound = nfields; /* the commas and the newline */
+    for (const field *f = fields; f < fields + nfields; f++) {
+        if (f->kind == TEXT)
+            bound += f->k;
+        else if (f->kind == RATIOS)
+            bound += f->k * (CELL_MAX + 1);
+        else {
+            int64_t longest = 0;
+            for (int64_t j = 0; j < f->k; j++)
+                if (f->ends[j + 1] - f->ends[j] > longest)
+                    longest = f->ends[j + 1] - f->ends[j];
+            bound += longest;
+        }
+    }
+    return bound;
+}
+
+/* Write rows *row, *row + 1, ... into out[0 .. size) while the next row
+ * surely fits, stopping before row `rows`; advance *row past them and
+ * return the bytes written, or BAD_DEN, BAD_LABEL or NO_ROOM (not even one
+ * row fits). With out NULL, return the most bytes a row can take. */
+int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
+                 int64_t rows, char *out, int64_t size)
+{
+    int64_t bound = row_bound(fields, nfields);
+    if (out == NULL)
+        return bound;
+    if (*row < rows && size < bound)
+        return NO_ROOM;
+    char *p = out;
+    for (; *row < rows && size - (p - out) >= bound; *row += 1) {
+        int64_t r = *row;
+        for (const field *f = fields; f < fields + nfields; f++) {
+            if (f != fields)
+                *p++ = ',';
+            if (f->kind == TEXT) {
+                memcpy(p, f->text, (size_t)f->k);
+                p += f->k;
+            } else if (f->kind == LABELS) {
+                int64_t i = f->num[r];
+                if (i < -1 || i >= f->k)
+                    return BAD_LABEL;
+                if (i >= 0) {
+                    int64_t len = f->ends[i + 1] - f->ends[i];
+                    memcpy(p, f->text + f->ends[i], (size_t)len);
+                    p += len;
+                }
+            } else {
+                int64_t d = f->den == NULL ? f->scalar : f->den[r];
+                if (d <= 0)
+                    return BAD_DEN;
+                const int64_t *a = f->num + r * f->rs;
+                for (int64_t c = 0; c < f->k; c++) {
+                    if (c > 0)
+                        *p++ = (char)f->sep;
+                    p = put_ratio(p, a[c * f->cs], d);
+                }
+            }
+        }
+        *p++ = '\n';
+    }
+    return p - out;
+}

@@ -1,9 +1,10 @@
-"""Hot loops for the greedy firing process.
+"""Hot loops for the greedy firing process and its CSV output.
 
-There are three kernels: greedy_run fires the hungriest state, for a
-number of steps or until a stop state fires; brent_cycle finds where and
+There are three firing kernels: greedy_run fires the hungriest state, for
+a number of steps or until a stop state fires; brent_cycle finds where and
 how an orbit cycles; reinsert_loop fires with remove-and-reinsert steps.
-Each has two implementations:
+One row writer, csv_rows, turns a block of CSV rows (traces, sweep
+profiles, rotor itineraries) into text. Each has two implementations:
 
 - ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
   first time this module is imported and loaded through ctypes. The shared
@@ -39,6 +40,15 @@ i = np.argmax(h), then h[cols] += vals over row i's entries. A dense fire
 added +0.0 to every column, turning -0.0 hunger into +0.0; each kernel
 makes that rewrite once, before its first fire (h += 0 in the reference),
 so float runs stay bit-identical to it.
+
+csv_rows takes a row's fields as str (a constant), Labels (a label a row)
+and Ratios (k cells num/den a row, reduced by their gcd). Its C body runs
+when every Ratios field is int64, numerators and denominators; float cells
+(repr) and Python ints take the reference body on either backend. The C
+body formats the uint64 magnitudes of the numerators, so INT64_MIN prints
+as Python's str does, refuses a denominator <= 0 with ValueError, and
+writes a call's rows through one buffer sized from them, a piece at a
+time, never past its end.
 """
 
 import ctypes
@@ -48,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,10 +285,78 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
     return si, lo, hi
 
 
+class Labels(NamedTuple):
+    """A CSV field of one label a row: table[index[r]], the labels already
+    quoted as csv writes them; index -1 writes an empty field."""
+
+    table: Sequence[str]
+    index: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return len(self.index)
+
+
+class Ratios(NamedTuple):
+    """A CSV field of k cells a row, num[r, c] / den joined by sep: num is
+    (rows, k), or (rows,) for k = 1; den is one positive integer for every
+    row, an array of one a row, or None for float cells, written by repr.
+    An integer column is a Ratios over den 1."""
+
+    num: np.ndarray
+    den: object
+    sep: str = ","
+
+    @property
+    def rows(self) -> int:
+        return len(self.num)
+
+
+def csv_rows(f, fields):
+    """Write CSV rows to the text file f: in each row its fields, joined by
+    "," and ended by "\n".
+
+    A field is a str (the same text in every row), Labels or Ratios, and the
+    rows are as many as the first Labels or Ratios has. A Ratios cell num/den
+    is reduced by its gcd and written as "a", or "a/b" for b > 1, as the
+    reduced Fraction prints.
+
+    Raises:
+        ValueError: a denominator is <= 0.
+    """
+    rows = next(field.rows for field in fields if not isinstance(field, str))
+    columns = []
+    for field in fields:
+        if isinstance(field, str):
+            columns.append([field] * rows)
+        elif isinstance(field, Labels):
+            padded = ["", *field.table]
+            columns.append([padded[i] for i in (field.index + 1).tolist()])
+        else:
+            num, den, sep = field
+            if den is not None and np.any(np.asarray(den) <= 0):
+                raise ValueError("csv_rows: a denominator is <= 0")
+            cells = []
+            for col in (num if num.ndim == 2 else num[:, None]).T:
+                if den is None:
+                    cells.append(map(repr, col.tolist()))
+                elif np.ndim(den) == 0 and den == 1:
+                    cells.append(map(str, col.tolist()))
+                else:
+                    g = np.gcd(col, den)
+                    cells.append([
+                        str(a) if b == 1 else f"{a}/{b}"
+                        for a, b in zip((col // g).tolist(), (den // g).tolist())
+                    ])
+            columns.append(map(sep.join, zip(*cells)) if len(cells) > 1 else cells[0])
+    f.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
 reference = SimpleNamespace(
     greedy_run=greedy_run,
     brent_cycle=brent_cycle,
     reinsert_loop=reinsert_loop,
+    csv_rows=csv_rows,
 )
 
 
@@ -327,6 +405,26 @@ def _build() -> Path:
     return lib
 
 
+class _Field(ctypes.Structure):
+    """A field of csv_rows in _kernels.c."""
+
+    _TEXT, _LABELS, _RATIOS = range(3)
+    _fields_ = [
+        ("kind", ctypes.c_int64), ("k", ctypes.c_int64),
+        ("num", ctypes.c_void_p), ("den", ctypes.c_void_p),
+        ("rs", ctypes.c_int64), ("cs", ctypes.c_int64),
+        ("scalar", ctypes.c_int64), ("text", ctypes.c_char_p),
+        ("ends", ctypes.c_void_p), ("sep", ctypes.c_int64),
+    ]
+
+
+# Bytes the compiled csv_rows formats per write: well under glibc's default
+# mmap threshold (128 KiB), so the buffer and its text come from the heap
+# and are reused. Freeing a larger, mapped block raises that threshold, and
+# the heap then keeps more memory resident than the text ever needed.
+_PIECE = 1 << 16
+
+
 def _load(path: Path) -> dict:
     """Bind the library's functions: dtype -> namespace of kernels."""
     try:
@@ -351,6 +449,9 @@ def _load(path: Path) -> dict:
             fn.restype = restype
             setattr(kernels, name, fn)
         table[np.dtype(dtype)] = kernels
+    lib.csv_rows.argtypes = [ctypes.POINTER(_Field), I, ctypes.POINTER(I), I, P, I]
+    lib.csv_rows.restype = I
+    table[_INT64].csv_rows = lib.csv_rows
     return table
 
 
@@ -376,10 +477,13 @@ def active_backend() -> str:
 # them from dense rows), and the C code checks the rows' structure,
 # returning BAD_ROWS or NO_MEMORY (below -1) when it cannot run.
 
-_BAD_ROWS, _NO_MEMORY = -2, -3
+_BAD_ROWS, _NO_MEMORY, _BAD_DEN, _BAD_LABEL, _NO_ROOM = -2, -3, -4, -5, -6
 _FAILURE = {
     _BAD_ROWS: partial(ValueError, "rows are not the CSR rows of n states"),
     _NO_MEMORY: partial(MemoryError, "no memory for the tournament tree"),
+    _BAD_DEN: partial(ValueError, "csv_rows: a denominator is <= 0"),
+    _BAD_LABEL: partial(ValueError, "csv_rows: a label index is out of range"),
+    _NO_ROOM: partial(RuntimeError, "csv_rows: the row buffer is too small"),
 }
 
 
@@ -423,6 +527,54 @@ class _Arguments:
             )
         return rows
 
+    @staticmethod
+    def fields(fields):
+        """(the _Field array, the number of rows, the arrays it points into)
+        for the compiled csv_rows, or None when a Ratios field is not int64.
+
+        Raises:
+            ValueError: an array's length is not the number of rows.
+        """
+        rows = next(field.rows for field in fields if not isinstance(field, str))
+        spec = (_Field * len(fields))()
+        arrays = []
+
+        def pointer(a, rows_of_a):
+            if len(a) != rows_of_a:
+                raise ValueError("csv_rows: the fields' lengths differ")
+            arrays.append(a)
+            return _Pointer.of(a)
+
+        for field, c in zip(fields, spec):
+            if isinstance(field, str):
+                text = field.encode()
+                c.kind, c.k, c.text = _Field._TEXT, len(text), text
+            elif isinstance(field, Labels):
+                table = [label.encode() for label in field.table]
+                c.kind, c.k, c.text = _Field._LABELS, len(table), b"".join(table)
+                ends = np.cumsum([0, *map(len, table)], dtype=_INT64)
+                index = np.ascontiguousarray(field.index, dtype=_INT64)
+                c.ends, c.num = pointer(ends, len(table) + 1), pointer(index, rows)
+            else:
+                num, den, sep = field
+                if num.dtype != _INT64:
+                    return None
+                if isinstance(den, np.ndarray):
+                    if den.dtype != _INT64 or den.ndim != 1:
+                        return None
+                    c.den = pointer(np.ascontiguousarray(den), rows)
+                elif isinstance(den, (int, np.integer)) and -(2**63) <= den < 2**63:
+                    c.scalar = den
+                else:
+                    return None
+                num = num if num.ndim == 2 else num[:, None]
+                if any(stride % num.itemsize for stride in num.strides):
+                    num = np.ascontiguousarray(num)
+                c.kind, c.k, c.sep = _Field._RATIOS, num.shape[1], ord(sep)
+                c.rs, c.cs = (stride // num.itemsize for stride in num.strides)
+                c.num = pointer(num, rows)
+        return spec, rows, arrays
+
 
 if _compiled is not None:
 
@@ -464,3 +616,23 @@ if _compiled is not None:
         if si < 0:
             raise _FAILURE[si]()
         return si, extrema[0], extrema[1]
+
+    def csv_rows(f, fields):
+        """Compiled reference.csv_rows when every Ratios field holds int64
+        numerators and int64 denominators; the reference otherwise (float
+        cells, Python ints). The rows go out in pieces of at most _PIECE
+        bytes (or one row), written into one buffer per call."""
+        prepared = _Arguments.fields(fields)
+        if prepared is None:
+            return reference.csv_rows(f, fields)
+        spec, rows, _arrays = prepared  # _arrays keeps spec's pointers valid
+        write = _compiled[_INT64].csv_rows
+        row = ctypes.c_int64(0)
+        bound = write(spec, len(spec), ctypes.byref(row), rows, None, 0)
+        out = np.empty(min(rows * bound, max(bound, _PIECE)), np.uint8)
+        address = _Pointer.of(out)
+        while row.value < rows:
+            n = write(spec, len(spec), ctypes.byref(row), rows, address, out.shape[0])
+            if n < 0:
+                raise _FAILURE[n]()
+            f.write(str(out[:n], "utf-8"))

@@ -3,23 +3,32 @@
 Every subcommand reads a chain definition file, writes plot-ready CSV to
 --output (or standard output) and a short human summary to standard
 error. Exit codes: 0 success, 2 validation or usage error, 3 a step cap
-was hit, 4 the operation does not support the chain's mode.
+was hit, 4 the operation does not support the chain's mode, 141 (128 +
+SIGPIPE) the reader of standard output closed it early, as `| head` does.
 
 CSV is written in blocks of PROFILE_CHUNK rows, straight from the integer
 (or float64) arrays of the run: the sweeps from their count arrays, the
 simulate and chip-add traces from the scaled hunger of the run itself, the
-rotor itinerary from its state indices.
+rotor itinerary from its state indices. One row writer, _kernels.csv_rows,
+writes a block's rows: each row is a list of fields, an integer column
+(the step or N), a label from the quoted label table, a constant text (the
+exact value) or a group of cells num/den, each reduced by its gcd and
+written as "a" or "a/b". Blocks of int64 integers go to its C body on the
+c backend; float cells (written by repr), Python-int blocks and the numpy
+backend take its Python reference body, which writes the same bytes.
 """
 
 import argparse
 import csv
 import io
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
 
+from ._kernels import Labels, Ratios, csv_rows
 from .baselines import compare_two_state, engel_run, rotor_run
 from .chain_model import (
     FLOAT,
@@ -163,16 +172,14 @@ def _write_trace(chain, h, fired, f, removed=False):
     lo = 0
     for block, S in _hunger_blocks(chain, h, fired, PROFILE_CHUNK):
         hi = lo + len(block)
-        names = [quoted[i] for i in fired[max(lo - 1, 0) : hi - 1].tolist()]
-        if not lo:
-            names.insert(0, "")  # step 0 fires nothing
+        # step 0 fires nothing: label index -1 is the empty field
+        names = fired[lo - 1 : hi - 1] if lo else np.append(-1, fired[: hi - 1])
         if removed and hi == len(fired) + 1:
             block[-1, fired[-1]] -= S
         den = None if chain.mode == FLOAT else S
-        cells = map(",".join, zip(*(_texts(col, den) for col in block.T)))
-        f.writelines(
-            f"{t},{name},{c}\n" for t, name, c in zip(range(lo, hi), names, cells)
-        )
+        csv_rows(f, [
+            Ratios(np.arange(lo, hi), 1), Labels(quoted, names), Ratios(block, den),
+        ])
         lo = hi
 
 
@@ -206,20 +213,6 @@ def cmd_chip_add(args) -> int:
     return 0
 
 
-def _texts(num, den):
-    """CSV cells of one profile column: reduced "a" or "a/b", or the repr of
-    a float when den is None; vector items join their components by ";"."""
-    if num.ndim == 2:
-        return list(map(";".join, zip(*(_texts(c, den) for c in num.T))))
-    if den is None:
-        return list(map(repr, num.tolist()))
-    g = np.gcd(num, den)
-    return [
-        str(a) if b == 1 else f"{a}/{b}"
-        for a, b in zip((num // g).tolist(), (den // g).tolist())
-    ]
-
-
 def _write_profile(args, profile):
     exact = _cell(profile.exact)
     with _out(args) as f:
@@ -227,13 +220,10 @@ def _write_profile(args, profile):
         for lo in range(0, len(profile.Ns), PROFILE_CHUNK):
             part = slice(lo, lo + PROFILE_CHUNK)
             est, dev, nd = (
-                _texts(num[part], None if den is None else den[part])
+                Ratios(num[part], None if den is None else den[part], ";")
                 for num, den in (profile.est, profile.dev, profile.nd)
             )
-            f.writelines(
-                f"{N},{e},{exact},{d},{x}\n"
-                for N, e, d, x in zip(profile.Ns[part].tolist(), est, dev, nd)
-            )
+            csv_rows(f, [Ratios(profile.Ns[part], 1), est, exact, dev, nd])
 
 
 def _last(profile, at="") -> str:
@@ -438,8 +428,9 @@ def cmd_rotor(args) -> int:
     with _out(args) as f:
         f.write("step,state\n")
         for lo in range(0, len(trace.itinerary), PROFILE_CHUNK):
-            part = trace.itinerary[lo : lo + PROFILE_CHUNK].tolist()
-            f.writelines(f"{t},{quoted[x]}\n" for t, x in enumerate(part, lo))
+            part = trace.itinerary[lo : lo + PROFILE_CHUNK]
+            steps = np.arange(lo, lo + len(part))
+            csv_rows(f, [Ratios(steps, 1), Labels(quoted, part)])
     _say(
         "visits: "
         + ", ".join(
@@ -578,7 +569,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (`| head`): that ends the output, not
+        # an error. Later flushes, the one at exit too, go to os.devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # standard output is not a file descriptor
+        finally:
+            os.close(devnull)
+        return 141
     except (HungerLabError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         if isinstance(exc, CapExceeded):

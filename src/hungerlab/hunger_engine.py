@@ -255,17 +255,22 @@ def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
 
     Rows are running sums of the fired steps' rows on _scaled's keys and
     dtype: int64 (the boundedness bound behind _int64_safe covers every
-    row), Python ints or float64, mapped to S*h block by block. The sparse
-    rows are expanded to dense ones here, for trace output only.
-    np.add.accumulate adds in order, so float rows equal the run's own
-    step-by-step additions bit for bit.
+    row), Python ints or float64, mapped to S*h block by block. Each block's
+    fired rows are laid out from the CSR arrays into a zero (chunk, n)
+    block, so no n x n array is made. np.add.accumulate adds in order, so
+    float rows equal the run's own step-by-step additions bit for bit.
     """
     g, rows, _, keys = _scaled(chain, h)
-    rows = rows.dense()
+    sizes = np.diff(rows.indptr)
     last = g[None, :]
     for lo in range(0, len(fired) + 1, chunk):
         # row lo is the carry (row lo - 1) plus the step fired at lo - 1
-        steps = rows[fired[max(lo - 1, 0) : lo + chunk - 1]]
+        sel = fired[max(lo - 1, 0) : lo + chunk - 1]
+        starts, counts = rows.indptr[sel], sizes[sel]
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(at))  # the fired rows' entries, row after row
+        steps = np.zeros((len(sel), len(g)), dtype=rows.values.dtype)
+        steps[np.repeat(np.arange(len(sel)), counts), rows.indices[at]] = rows.values[at]
         block = np.add.accumulate(np.concatenate([last, steps]), axis=0)
         if lo:
             block = block[1:]

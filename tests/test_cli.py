@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -633,6 +636,36 @@ def test_rotor_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha", [
+    GOLDEN_TRACES[i] for i in (2, 5, 9, 10)  # float, big-int, 16385 steps, chip-add
+])
+def test_traces_build_no_dense_rows(tmp_path, capsys, monkeypatch, argv, out_sha, err_sha):
+    def dense(self):
+        raise AssertionError("a trace built the n x n rows")
+
+    monkeypatch.setattr(hunger_engine._kernels.SparseRows, "dense", dense)
+    test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--chain", REFLECT, "--steps", "100000"),
+    ("stationary", "--chain", REFLECT, "--N", "100000"),
+])
+def test_closed_pipe_exits_141_quietly(argv):
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hungerlab.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"step,fired," if argv[0] == "simulate" else b"N,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_big_trace_start_runs_on_int64_keys():

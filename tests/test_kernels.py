@@ -8,11 +8,13 @@ n x n array, each on its own copy, and requires bit-identical results:
 return values and every array the kernel writes.
 """
 
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 import hungerlab
 from hungerlab import _kernels
 from hungerlab._kernels import SparseRows
+from hungerlab.chain_model import fmt_scalar
+from hungerlab.cli import PROFILE_CHUNK, _quoted
 from oracles import DENSE_KERNELS
 
 compiled = pytest.mark.skipif(
@@ -300,6 +304,100 @@ def test_compiled_kernels_reject_mismatched_arrays():
             h, rows, np.zeros(3, np.bool_), np.int64(1), np.array([0, 3]), 1,
             np.zeros(1, np.int64), v,
         )
+
+
+# ---------------------------------------------------------------------------
+# the CSV row writer: C body against the reference, byte for byte
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+EDGES = [0, 1, -1, INT64_MAX, INT64_MIN]
+LABELS = _quoted(["v1", "a,b", 'say "hi"', "état", "", "x y", "中"])
+
+
+def written(body, fields):
+    """What body.csv_rows writes for fields."""
+    f = io.StringIO()
+    body.csv_rows(f, fields)
+    return f.getvalue()
+
+
+def edged(rng, a, share=0.2):
+    """a with a share of its entries replaced by EDGES."""
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice(np.array(EDGES, dtype=np.int64), size=int(hit.sum()))
+    return a
+
+
+@st.composite
+def row_blocks(draw, rows=None):
+    """Random csv_rows fields: an integer column, labels (index -1
+    included), a constant text, a group of k cells over one denominator and
+    a single cell over a denominator a row, in a random order."""
+    if rows is None:
+        rows = draw(st.integers(1, 30))
+    k = draw(st.sampled_from([1, 2, 3, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([3, 10**6, INT64_MAX]))
+    num = edged(rng, rng.integers(-top, top, size=(rows, k), dtype=np.int64, endpoint=True))
+    den = draw(st.sampled_from([1, 2, 6, 7, 2**40, INT64_MAX, np.int64(12)]))
+    col = edged(rng, rng.integers(-top, top, size=rows, dtype=np.int64, endpoint=True))
+    dens = rng.integers(1, draw(st.sampled_from([2, 60, INT64_MAX])), size=rows,
+                        dtype=np.int64, endpoint=True)
+    dens[rng.random(rows) < 0.2] = INT64_MAX
+    table = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        num = np.asfortranarray(num)  # strided rows, as a profile's counts.T
+    fields = [
+        _kernels.Ratios(np.arange(rows) + draw(st.integers(0, 2**40)), 1),
+        _kernels.Labels(table, rng.integers(-1, len(table), size=rows)),
+        draw(st.sampled_from(["3/8;1/4;3/8", "0", "é"])),
+        _kernels.Ratios(num if draw(st.booleans()) else num[:, :1].ravel(), den,
+                        draw(st.sampled_from(";,"))),
+        _kernels.Ratios(col, dens, ";"),
+    ]
+    return draw(st.permutations(fields))
+
+
+@compiled
+@settings(max_examples=300, deadline=None)
+@given(row_blocks())
+def test_csv_rows_match_the_reference(fields):
+    assert written(_kernels, fields) == written(_kernels.reference, fields)
+
+
+@compiled
+@settings(max_examples=3, deadline=None)
+@given(row_blocks(rows=PROFILE_CHUNK + 1))
+def test_csv_rows_match_the_reference_past_a_chunk(fields):
+    assert written(_kernels, fields) == written(_kernels.reference, fields)
+
+
+def test_csv_rows_write_edge_cells_as_fractions_print():
+    dens = [1, 2, 3, 6, 2**62, INT64_MAX]
+    num = np.array([EDGES] * len(dens), dtype=np.int64)
+    fields = [_kernels.Ratios(num, np.array(dens), ";")]
+    expected = "".join(
+        ";".join(fmt_scalar(Fraction(a, d)) for a in EDGES) + "\n" for d in dens
+    )
+    for body in (_kernels, _kernels.reference):
+        assert written(body, fields) == expected
+
+
+@compiled
+def test_csv_rows_wider_than_a_piece():
+    # one row's bound passes _PIECE: each write holds a single row
+    num = np.arange(-3000, 3000, dtype=np.int64).reshape(3, 2000)
+    fields = [_kernels.Ratios(num, np.array([1, 7, INT64_MAX]), ",")]
+    assert 2000 * 41 > _kernels._PIECE
+    assert written(_kernels, fields) == written(_kernels.reference, fields)
+
+
+@pytest.mark.parametrize("den", [0, -1, INT64_MIN, np.array([3, 0]), np.array([2, -3])])
+def test_csv_rows_refuse_denominators_below_one(den):
+    fields = [_kernels.Ratios(np.array([1, 2]), den)]
+    for body in (_kernels, _kernels.reference):
+        with pytest.raises(ValueError, match="denominator"):
+            written(body, fields)
 
 
 # ---------------------------------------------------------------------------
