@@ -103,13 +103,15 @@ class SparseRows:
     all 1-D and contiguous. `address` holds the arrays' data pointers for
     the compiled kernels, read once here rather than on every call (None
     where no compiled kernel takes the dtype); the kernels check indptr and
-    indices themselves.
+    indices themselves. The reference bodies' per-row table is built on
+    first use and kept, since the kernels never change the rows.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     address: Optional[Tuple[int, int, int]] = field(init=False, repr=False)
+    _table: Optional[list] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         indptr, indices, values = self.indptr, self.indices, self.values
@@ -150,6 +152,11 @@ class SparseRows:
     def table(self) -> list:
         """Per row: views of its columns and values, for the reference
         bodies (a method, so tracers do not count it as a kernel call)."""
+        if self._table is None:
+            object.__setattr__(self, "_table", self._build_table())
+        return self._table
+
+    def _build_table(self) -> list:
         indptr = self.indptr.tolist()
         return [
             (self.indices[a:b], self.values[a:b]) for a, b in zip(indptr, indptr[1:])

@@ -17,10 +17,9 @@ from .errors import CapExceeded, FloatModeUnsupported, Stabilized
 from .hunger_engine import DEFAULT_CAP, run
 
 
-def _row_thresholds(chain: MarkovChain) -> Tuple[int, ...]:
-    return tuple(
-        math.lcm(*(p.denominator for p in row)) for row in chain.P
-    )
+def _row_thresholds(rows) -> Tuple[int, ...]:
+    """Each row's lcm of denominators, for rows of (column, entry) pairs."""
+    return tuple(math.lcm(*(p.denominator for _, p in row)) for row in rows)
 
 
 @dataclass
@@ -48,13 +47,13 @@ class ChipConfig:
             raise ValueError(f"expected {chain.n} chip counts")
         if any(x < 0 for x in c):
             raise ValueError("chip counts must be nonnegative")
-        d = _row_thresholds(chain) if d is None else tuple(int(x) for x in d)
+        d = _row_thresholds(chain.rows()) if d is None else tuple(int(x) for x in d)
         if len(d) != chain.n:
             raise ValueError(f"expected {chain.n} thresholds")
-        for i, row in enumerate(chain.P):
+        for i, row in enumerate(chain.rows()):
             if d[i] < 1:
                 raise ValueError("thresholds must be positive")
-            for p in row:
+            for _, p in row:
                 if (d[i] * p).denominator != 1:
                     raise ValueError(
                         f"threshold d_{i + 1}={d[i]} does not clear row {i + 1}"
@@ -97,13 +96,13 @@ def engel_run(
     """
     cfg = ChipConfig.build(chain, c0, d)
     absorbing = absorbing_states(chain)
-    moves = [
-        tuple(
-            int(cfg.d[i] * chain.P[i][j]) - (cfg.d[i] if i == j else 0)
-            for j in range(chain.n)
-        )
-        for i in range(chain.n)
-    ]
+    # the chips a fire at i moves: d_i P_ij to each j, less the d_i it sends
+    moves = []
+    for i, row in enumerate(chain.rows()):
+        move = {i: -cfg.d[i]}
+        for j, p in row:
+            move[j] = move.get(j, 0) + int(cfg.d[i] * p)
+        moves.append(list(move.items()))
     c = list(cfg.c)
     counts = [0] * chain.n
     seen = {tuple(c): (0, tuple(counts))}
@@ -115,8 +114,8 @@ def engel_run(
                 break
         if fired < 0:
             raise Stabilized(step - 1)
-        for j in range(chain.n):
-            c[j] += moves[fired][j]
+        for j, chips in moves[fired]:
+            c[j] += chips
         counts[fired] += 1
         key = tuple(c)
         if key in seen:
@@ -159,18 +158,14 @@ def rotor_run(
         raise ValueError("start state out of range")
     if N < 0:
         raise ValueError("N must be >= 0")
-    # zero entries have denominator 1 and no slots, so the nonzero ones
-    # alone give the thresholds and the edges
-    support = [[(j, p) for j, p in enumerate(row) if p.numerator] for row in chain.P]
-    d = tuple(math.lcm(*(p.denominator for _, p in row)) for row in support)
+    rows = list(chain.rows())
+    d = _row_thresholds(rows)
     edges = [
         [j for j, p in row for _ in range(di // p.denominator * p.numerator)]
-        for di, row in zip(d, support)
+        for di, row in zip(d, rows)
     ]
     rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
-    if len(rotors) != chain.n or any(
-        not 0 <= rotors[i] < d[i] for i in range(chain.n)
-    ):
+    if len(rotors) != chain.n or any(not 0 <= r < di for r, di in zip(rotors, d)):
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
     x = start
     itinerary = [x]

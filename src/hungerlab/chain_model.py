@@ -2,6 +2,11 @@
 stationary solve, and the rerouting / vertex-splitting transforms that the
 estimators are built on.
 
+A chain holds each row's nonzero entries once (compressed sparse rows),
+and every function here reads only those, in O(n + nnz). A dense n x n
+matrix is built only where one is asked for: the exact solves, float_matrix,
+the chain document and the chain's `P` view.
+
 A chain lives in one of two arithmetic modes. Rational mode stores every
 probability as a fractions.Fraction and all derived quantities stay exact.
 Float mode stores float64 and is good enough for simulation and estimation,
@@ -14,8 +19,10 @@ translates labels and 1-based positions.
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple, Union
 
 import numpy as np
@@ -34,6 +41,7 @@ Scalar = Union[Fraction, float]
 RATIONAL = "rational"
 FLOAT = "float"
 
+_ONE = {RATIONAL: Fraction(1), FLOAT: 1.0}
 _ROW_SUM_TOL = 1e-12
 _FLOAT_PIVOT_TOL = 1e-9
 
@@ -74,23 +82,46 @@ class MarkovChain:
     Attributes:
         n: number of states.
         labels: state names, a tuple of n unique strings.
-        P: transition matrix as a tuple of row tuples.
         mode: "rational" or "float".
+        indptr, indices, entries: P, held once in compressed sparse row
+            form: row i's nonzero entries (Fractions or floats) are
+            entries[indptr[i]:indptr[i + 1]], at the ascending columns
+            indices[indptr[i]:indptr[i + 1]]. All three are tuples.
+        D: lcm of the entries' denominators in rational mode, else None.
+        P: the dense matrix as a tuple of n row tuples: a view built the
+            first time it is read, then kept.
     """
 
     def __init__(self, P, labels=None, mode=RATIONAL):
+        """P holds n rows, each a sequence of n entries or a mapping
+        {column: entry} of 0-based columns that may leave zeros out. Only
+        the nonzero entries are checked and kept."""
         if mode not in (RATIONAL, FLOAT):
             raise ChainFormatError(f"unknown mode {mode!r}")
-        rows = [tuple(row) for row in P]
+        rows = [row if isinstance(row, (dict, Mapping)) else tuple(row) for row in P]
         n = len(rows)
         if n < 1:
             raise ChainFormatError("a chain needs at least one state")
-        if any(len(row) != n for row in rows):
+        if any(type(row) is tuple and len(row) != n for row in rows):
             raise ChainFormatError("P must be square")
-        if mode == RATIONAL:
-            rows = [self._check_rational_row(row, i) for i, row in enumerate(rows)]
-        else:
-            rows = [self._check_float_row(row, i) for i, row in enumerate(rows)]
+        check = _rational_row if mode == RATIONAL else _float_row
+        zeros = (int, Fraction) if mode == RATIONAL else (int, float, Fraction)
+        indptr, indices, entries = [0], [], []
+        for i, row in enumerate(rows):
+            if type(row) is tuple:
+                cols = range(n)
+            elif all(isinstance(j, int) and 0 <= j < n for j in row):
+                cols = sorted(row)
+            else:
+                raise ChainFormatError(
+                    f"row {i + 1}: columns must be state indices 0..{n - 1}"
+                )
+            # skip exact zeros; other falsy entries are checked (and rejected)
+            cols = [j for j in cols if row[j] or not isinstance(row[j], zeros)]
+            cols, vals = check(row, cols, i)
+            indices += cols
+            entries += vals
+            indptr.append(len(indices))
         if labels is None:
             labels = tuple(f"v{i + 1}" for i in range(n))
         else:
@@ -101,67 +132,126 @@ class MarkovChain:
                 raise ChainFormatError("state labels must be unique")
         self.n = n
         self.labels = labels
-        self.P = tuple(rows)
         self.mode = mode
+        self.indptr, self.indices = tuple(indptr), tuple(indices)
+        self.entries = tuple(entries)
+        self.D = None if mode == FLOAT else math.lcm(*(x.denominator for x in entries))
 
-    @staticmethod
-    def _check_rational_row(row, i):
-        out = []
-        for x in row:
-            if not isinstance(x, Fraction):
-                if isinstance(x, int):
-                    x = Fraction(x)
-                else:
-                    raise ChainFormatError(
-                        f"row {i + 1}: {x!r} is not an exact rational"
-                    )
-            if x.numerator < 0:
-                raise ChainFormatError(f"row {i + 1}: negative entry {x}")
-            if x.numerator > x.denominator:
-                raise ChainFormatError(f"row {i + 1}: entry {x} exceeds 1")
-            out.append(x)
-        # the row sums to 1 exactly when its entries over their lcm d sum to d
-        d = math.lcm(*(x.denominator for x in out))
-        if sum(x.numerator * (d // x.denominator) for x in out) != d:
-            raise ChainFormatError(
-                f"row {i + 1} sums to {sum(out)}, expected exactly 1"
-            )
-        return tuple(out)
+    def row(self, i):
+        """Row i's nonzero entries as (column, entry) pairs, columns
+        ascending, as LazyChain.row gives them."""
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.indices[a:b], self.entries[a:b]))
 
-    @staticmethod
-    def _check_float_row(row, i):
-        out = []
-        for x in row:
-            # -0.0 is stored as 0.0: a fire then adds +0.0 wherever the row
-            # is zero, and the kernels, which skip those columns, match it
-            x = float(x) or 0.0
-            if not math.isfinite(x):
-                raise ChainFormatError(f"row {i + 1}: non-finite entry {x}")
-            if x < 0:
-                raise ChainFormatError(f"row {i + 1}: negative entry {x}")
-            if x > 1 + _ROW_SUM_TOL:
-                raise ChainFormatError(f"row {i + 1}: entry {x} exceeds 1")
-            out.append(x)
-        s = sum(out)
-        if abs(s - 1.0) > _ROW_SUM_TOL:
-            raise ChainFormatError(f"row {i + 1} sums to {s}, expected 1")
-        if s != 1.0:
-            out = [x / s for x in out]  # renormalize away the last few ulps
-        return tuple(out)
+    def rows(self):
+        """An iterator over row(i) for every state i, in order."""
+        pairs = list(zip(self.indices, self.entries))
+        ptr = self.indptr
+        return (pairs[a:b] for a, b in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def P(self):
+        """The dense view: n row tuples of n entries, built on first read."""
+        return tuple(map(tuple, _dense(self, _ONE[self.mode] - _ONE[self.mode])))
+
+    @cached_property
+    def _kernel_rows(self):
+        """(indptr, indices, values, diagonal) for the firing engine and
+        absorbing_states, built once: the rows as int64 CSR arrays with a
+        (possibly 0) entry (i, i) at diagonal[i] in every row, and values
+        float64, or D * P_ij in rational mode: int64 below 2**62, else
+        Python ints."""
+        n = self.n
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        cols = np.array(self.indices, dtype=np.int64)
+        missing = np.setdiff1d(np.arange(n), cols[cols == rows])
+        if self.mode == FLOAT:
+            values, dtype = list(self.entries), np.float64
+        else:
+            values = [x.numerator * (self.D // x.denominator) for x in self.entries]
+            dtype = np.int64 if self.D < 2**62 else object
+        rows, cols = np.concatenate([rows, missing]), np.concatenate([cols, missing])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        values = np.array(values + [0] * len(missing), dtype=dtype)[order]
+        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int64)
+        return indptr, cols, values, np.flatnonzero(cols == rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, MarkovChain)
             and self.mode == other.mode
             and self.labels == other.labels
-            and self.P == other.P
+            and self.indptr == other.indptr
+            and self.indices == other.indices
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.mode, self.labels, self.P))
+        return hash((self.mode, self.labels, self.indptr, self.indices, self.entries))
 
     def __repr__(self):
         return f"MarkovChain(n={self.n}, mode={self.mode!r})"
+
+
+def _rational_row(row, cols, i):
+    """(columns, Fractions) of row's (nonzero) entries at cols."""
+    out = []
+    d, total = 1, 0  # the lcm of the denominators so far, and the sum times d
+    for j in cols:
+        x = row[j]
+        if not isinstance(x, Fraction):
+            if not isinstance(x, int):
+                raise ChainFormatError(f"row {i + 1}: {x!r} is not an exact rational")
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator
+        if num < 0:
+            raise ChainFormatError(f"row {i + 1}: negative entry {x}")
+        if num > den:
+            raise ChainFormatError(f"row {i + 1}: entry {x} exceeds 1")
+        out.append(x)
+        lcm = math.lcm(d, den)
+        d, total = lcm, total * (lcm // d) + num * (lcm // den)
+    if total != d:
+        raise ChainFormatError(f"row {i + 1} sums to {sum(out)}, expected exactly 1")
+    return cols, out
+
+
+def _float_row(row, cols, i):
+    """(columns, floats) of row's entries at cols, less any that are 0.0 as
+    floats."""
+    out = []
+    for j in cols:
+        x = float(row[j])
+        if not math.isfinite(x):
+            raise ChainFormatError(f"row {i + 1}: non-finite entry {x}")
+        if x < 0:
+            raise ChainFormatError(f"row {i + 1}: negative entry {x}")
+        if x > 1 + _ROW_SUM_TOL:
+            raise ChainFormatError(f"row {i + 1}: entry {x} exceeds 1")
+        out.append(x)
+    s = sum(out, 0.0)
+    if abs(s - 1.0) > _ROW_SUM_TOL:
+        raise ChainFormatError(f"row {i + 1} sums to {s}, expected 1")
+    if s != 1.0:
+        out = [x / s for x in out]  # renormalize away the last few ulps
+    return [j for j, x in zip(cols, out) if x], [x for x in out if x]
+
+
+def _dense(chain: MarkovChain, zero, cell=None):
+    """P as n lists of n cells: zero, and P_ij (or cell(P_ij)) at the
+    nonzero entries."""
+    out = [[zero] * chain.n for _ in range(chain.n)]
+    for i, row in enumerate(chain.rows()):
+        for j, x in row:
+            out[i][j] = x if cell is None else cell(x)
+    return out
+
+
+def _check_state(chain: MarkovChain, i) -> None:
+    """Raises ValueError unless i is a state index of chain, 0..n-1."""
+    if not 0 <= i < chain.n:
+        raise ValueError(f"state index {i} out of range 0..{chain.n - 1}")
 
 
 @dataclass(frozen=True)
@@ -244,9 +334,9 @@ def parse_chain(text: str) -> MarkovChain:
 def chain_to_document(chain: MarkovChain) -> str:
     """Serialize back to the document format (round-trips parse_chain)."""
     if chain.mode == RATIONAL:
-        P = [[fmt_scalar(x) for x in row] for row in chain.P]
+        P = _dense(chain, "0", fmt_scalar)
     else:
-        P = [list(row) for row in chain.P]
+        P = _dense(chain, 0.0)
     return json.dumps(
         {"mode": chain.mode, "states": list(chain.labels), "P": P}, indent=2
     )
@@ -254,14 +344,9 @@ def chain_to_document(chain: MarkovChain) -> str:
 
 def absorbing_states(chain: MarkovChain) -> frozenset:
     """Indices i with P_ii = 1 (exact equality in both modes)."""
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    return frozenset(i for i in range(chain.n) if chain.P[i][i] == one)
-
-
-def _adjacency(chain: MarkovChain):
-    return [
-        [j for j in range(chain.n) if chain.P[i][j] > 0] for i in range(chain.n)
-    ]
+    _, _, values, diagonal = chain._kernel_rows
+    one = 1.0 if chain.mode == FLOAT else chain.D  # the values are D * P_ij
+    return frozenset(np.flatnonzero(values[diagonal] == one).tolist())
 
 
 def _reachable_from(adj, start):
@@ -283,7 +368,8 @@ def is_irreducible(chain: MarkovChain) -> bool:
     the graph is one strongly connected component exactly when state 0
     reaches everything and everything reaches state 0.
     """
-    adj = _adjacency(chain)
+    ptr = chain.indptr
+    adj = [chain.indices[a:b] for a, b in zip(ptr, ptr[1:])]
     if len(_reachable_from(adj, 0)) != chain.n:
         return False
     radj = [[] for _ in range(chain.n)]
@@ -294,14 +380,13 @@ def is_irreducible(chain: MarkovChain) -> bool:
 
 
 def hunger_matrix(chain: MarkovChain) -> HungerMatrix:
-    """H = P - I. Firing at i adds row H_i to the hunger vector."""
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    zero = one - one
-    rows = tuple(
-        tuple(chain.P[i][j] - (one if i == j else zero) for j in range(chain.n))
-        for i in range(chain.n)
-    )
-    return HungerMatrix(rows)
+    """H = P - I, dense, as the exact solves take it. Firing at i adds row
+    H_i to the hunger vector."""
+    one = _ONE[chain.mode]
+    H = _dense(chain, one - one)
+    for i in range(chain.n):
+        H[i][i] -= one
+    return HungerMatrix(tuple(map(tuple, H)))
 
 
 def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
@@ -321,10 +406,8 @@ def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
 def _stationary(chain: MarkovChain, bs):
     """(pi, xs): the stationary distribution, and for each b in bs one
     solution x of H^T x = b (None if there is none), from one elimination."""
-    n = chain.n
-    H = hunger_matrix(chain).H
     # transpose: left null vectors of H are null vectors of H^T
-    A = [[H[j][i] for j in range(n)] for i in range(n)]
+    A = list(zip(*hunger_matrix(chain).H))
     tol = None if chain.mode == RATIONAL else _FLOAT_PIVOT_TOL
     basis, xs = _reduce(A, bs, tol)
     if len(basis) != 1:
@@ -360,25 +443,27 @@ def common_denominator(chain: MarkovChain) -> int:
     """lcm of all transition probability denominators (rational mode)."""
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("common denominator needs rational mode")
-    return math.lcm(*(x.denominator for row in chain.P for x in row))
+    return chain.D
 
 
 def float_matrix(chain: MarkovChain) -> np.ndarray:
     """P as a float64 array (lossy in rational mode; for simulation only)."""
-    return np.array([[float(x) for x in row] for row in chain.P], dtype=np.float64)
-
-
-def _unit_row(n: int, i: int, mode: str):
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    return tuple(one if j == i else zero for j in range(n))
+    out = np.zeros((chain.n, chain.n))
+    rows = np.repeat(np.arange(chain.n), np.diff(chain.indptr))
+    out[rows, np.array(chain.indices)] = [float(x) for x in chain.entries]
+    return out
 
 
 def make_absorbing(chain: MarkovChain, u: int) -> MarkovChain:
-    """Replace row u by the unit self-loop; everything else unchanged."""
+    """Replace row u by the unit self-loop; everything else unchanged.
+
+    Raises:
+        ValueError: u is not a state index.
+    """
+    _check_state(chain, u)
     rows = [
-        _unit_row(chain.n, u, chain.mode) if i == u else chain.P[i]
-        for i in range(chain.n)
+        {u: _ONE[chain.mode]} if i == u else dict(row)
+        for i, row in enumerate(chain.rows())
     ]
     return MarkovChain(rows, labels=chain.labels, mode=chain.mode)
 
@@ -394,32 +479,34 @@ def reroute(chain: MarkovChain, v: int) -> ReroutedChain:
     Raises:
         NoAbsorbingStates: the chain has no absorbing state.
         VIsAbsorbing: v itself is absorbing.
-        ValueError: the rerouted chain came out reducible, which means some
-            state reachable from v never reaches an absorbing state.
+        ValueError: v is not a state index, or the rerouted chain came out
+            reducible, which means some state reachable from v never
+            reaches an absorbing state.
     """
+    _check_state(chain, v)
     absorbing = absorbing_states(chain)
     if not absorbing:
         raise NoAbsorbingStates("reroute needs at least one absorbing state")
     if v in absorbing:
         raise VIsAbsorbing(f"cannot reroute into absorbing state {chain.labels[v]}")
+    one = _ONE[chain.mode]
     rows = [
-        _unit_row(chain.n, v, chain.mode) if i in absorbing else chain.P[i]
-        for i in range(chain.n)
+        {v: one} if i in absorbing else dict(row) for i, row in enumerate(chain.rows())
     ]
-    adj = [[j for j in range(chain.n) if rows[i][j] > 0] for i in range(chain.n)]
-    reachable = _reachable_from(adj, v)
-    kept = tuple(sorted(reachable))
-    new_rows = [[rows[i][j] for j in kept] for i in kept]
-    new_labels = [chain.labels[i] for i in kept]
-    rerouted = MarkovChain(new_rows, labels=new_labels, mode=chain.mode)
+    kept = tuple(sorted(_reachable_from(rows, v)))  # a row's keys are its targets
+    new = {i: k for k, i in enumerate(kept)}
+    rerouted = MarkovChain(
+        [{new[j]: x for j, x in rows[i].items()} for i in kept],
+        labels=[chain.labels[i] for i in kept],
+        mode=chain.mode,
+    )
     if not is_irreducible(rerouted):
         raise ValueError(
             "rerouted chain is reducible; some retained state cannot reach "
             "an absorbing state"
         )
-    origin = kept.index(v)
-    images = frozenset(kept.index(u) for u in absorbing if u in reachable)
-    return ReroutedChain(rerouted, origin, kept, images)
+    images = frozenset(new[u] for u in absorbing if u in new)
+    return ReroutedChain(rerouted, new[v], kept, images)
 
 
 def split_vertex(chain: MarkovChain, v: int):
@@ -432,18 +519,15 @@ def split_vertex(chain: MarkovChain, v: int):
 
     Used for escape probabilities and return times, where v1 plays the role
     of "came back to v".
+
+    Raises:
+        ValueError: v is not a state index.
     """
+    _check_state(chain, v)
     n = chain.n
-    zero = Fraction(0) if chain.mode == RATIONAL else 0.0
-    rows = []
-    for i in range(n):
-        row = list(chain.P[i]) + [zero]
-        row[n] = row[v]  # edge into v lands on the arrival copy
-        row[v] = zero
-        rows.append(row)
-    rows.append([zero] * (n + 1))
-    one = Fraction(1) if chain.mode == RATIONAL else 1.0
-    rows[n][n] = one
+    # an edge into v lands on the arrival copy
+    rows = [{n if j == v else j: x for j, x in row} for row in chain.rows()]
+    rows.append({n: _ONE[chain.mode]})
     new_label = chain.labels[v] + "_in"
     labels = list(chain.labels)
     while new_label in labels:

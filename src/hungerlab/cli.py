@@ -83,7 +83,7 @@ def _load_chain(args) -> MarkovChain:
     if mode is None or mode == chain.mode:
         return chain
     if mode == FLOAT:
-        P = [[float(p) for p in row] for row in chain.P]
+        P = [{j: float(p) for j, p in row} for row in chain.rows()]
         return MarkovChain(P, chain.labels, FLOAT)
     raise ChainFormatError("cannot reinterpret a float chain as rational")
 
@@ -166,11 +166,14 @@ def _write_trace(chain, h, fired, f, removed=False):
     """Write the trace CSV: the hunger vector before the first step and
     after each fire, from the run's own scaled values (h is the run's start,
     fired its firing sequence). removed takes the chip off the last fired
-    state in the final row, as chip_add does."""
+    state in the final row, as chip_add does. A block holds PROFILE_CHUNK
+    rows of up to 64 states, fewer rows of more, so its (rows, n) arrays
+    stay at most PROFILE_CHUNK * 64 cells however large the chain."""
     _writer(f).writerow(["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)])
     quoted = _quoted(chain.labels)
+    chunk = min(PROFILE_CHUNK, max(1, PROFILE_CHUNK * 64 // chain.n))
     lo = 0
-    for block, S in _hunger_blocks(chain, h, fired, PROFILE_CHUNK):
+    for block, S in _hunger_blocks(chain, h, fired, chunk):
         hi = lo + len(block)
         # step 0 fires nothing: label index -1 is the empty field
         names = fired[lo - 1 : hi - 1] if lo else np.append(-1, fired[: hi - 1])

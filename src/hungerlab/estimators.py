@@ -24,6 +24,8 @@ from .chain_model import (
     MarkovChain,
     ReroutedChain,
     Scalar,
+    _check_state,
+    _dense,
     absorbing_states,
     is_irreducible,
     make_absorbing,
@@ -196,7 +198,11 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
     Solves the first-step equations z_x = sum_y P_xy z_y with boundary 1
     at u and 0 at the other absorbing states, all targets in one
     elimination; exact in rational mode.
+
+    Raises:
+        ValueError: v is not a state index.
     """
+    _check_state(chain, v)
     U = sorted(absorbing_states(chain))
     live = [x for x in range(chain.n) if x not in set(U)]
     idx = {x: k for k, x in enumerate(live)}
@@ -204,9 +210,10 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
     zero = one - one
     if v not in idx:  # v absorbs at u, or elsewhere and never reaches u
         return {u: one if v == u else zero for u in U}
-    A = [[(x == y) - chain.P[x][y] for y in live] for x in live]
+    P = _dense(chain, zero)  # the dense system Bareiss eliminates
+    A = [[(x == y) - P[x][y] for y in live] for x in live]
     tol = None if chain.mode == RATIONAL else _FLOAT_TOL
-    zs = solve(A, [[chain.P[x][u] for x in live] for u in U], tol)
+    zs = solve(A, [[P[x][u] for x in live] for u in U], tol)
     if None in zs:
         raise ValueError("hitting system is singular")
     return {u: z[idx[v]] for u, z in zip(U, zs)}
@@ -276,6 +283,7 @@ def _absorption_oracle(rer: ReroutedChain) -> Scalar:
 
 def _escape_chain(chain: MarkovChain, v: int, u: int):
     """(chain with v split and u absorbing, departure copy v0)."""
+    _check_state(chain, u)
     if u == v:
         raise UEqualsV("escape probability needs u != v")
     if not is_irreducible(chain):

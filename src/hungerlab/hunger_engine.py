@@ -19,7 +19,6 @@ on the same keys, block by block, from the start vector and the firing
 sequence.
 """
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .chain_model import (
     RATIONAL,
     MarkovChain,
     Scalar,
+    _check_state,
     absorbing_states,
 )
 from .errors import CapExceeded, IIsAbsorbing
@@ -195,35 +195,23 @@ class _FloatKeys:
 def _scaled(chain: MarkovChain, h: HungerVector):
     """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, keys).
 
-    rows are _kernels.SparseRows of P's nonzero entries and the diagonal.
-    Float chains give float64 arrays (P - I), the live kernels and
-    _FloatKeys. Rational chains give the integer keys of h (see _Keys) and
-    the rows R*D*H, D the lcm of the nonzero entries' denominators: int64
+    rows are _kernels.SparseRows of P's nonzero entries and the diagonal,
+    laid out once per chain; only their values are made here. Float chains
+    give float64 arrays (P - I), the live kernels and _FloatKeys. Rational
+    chains give the integer keys of h (see _Keys) and the rows R*D*H: int64
     arrays on the live kernels when _int64_safe holds, which it does
     whatever the start's denominators, otherwise dtype=object arrays of
     Python ints on the numpy reference bodies, which fire identically and
     never overflow. Only magnitudes or chain denominators past int64 take
     that path.
     """
-    n = chain.n
-    indptr, indices, entries, diagonal = [0], [], [], []
-    for i, row in enumerate(chain.P):
-        cols = list(itertools.compress(range(n), row))
-        at = bisect.bisect_left(cols, i)
-        if at == len(cols) or cols[at] != i:
-            cols.insert(at, i)
-        diagonal.append(indptr[-1] + at)
-        indices += cols
-        entries += [row[j] for j in cols]
-        indptr.append(len(indices))
-    indptr = np.array(indptr, dtype=np.int64)
-    indices = np.array(indices, dtype=np.int64)
+    indptr, indices, values, diagonal = chain._kernel_rows
     if chain.mode == FLOAT:
-        for k in diagonal:
-            entries[k] -= 1.0
-        rows = _kernels.SparseRows(indptr, indices, np.array(entries, dtype=np.float64))
+        values = values.copy()
+        values[diagonal] -= 1.0
+        rows = _kernels.SparseRows(indptr, indices, values)
         return np.array(h, dtype=np.float64), rows, _kernels, _FloatKeys
-    D = math.lcm(*(x.denominator for x in entries))
+    D = chain.D
     S = math.lcm(D, *(x.denominator for x in h))
     M = S // D
     floors, fracs = [], []
@@ -236,14 +224,13 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     rank = {f: k for k, f in enumerate(c)}
     keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
     unit = R * D
-    if _int64_safe(keys, unit, n):
+    if _int64_safe(keys, unit, chain.n):
         dtype, kernels = np.int64, _kernels
     else:
         dtype, kernels = object, _kernels.reference
-    values = [x.numerator * (unit // x.denominator) for x in entries]
-    for k in diagonal:
-        values[k] -= unit
-    rows = _kernels.SparseRows(indptr, indices, np.array(values, dtype=dtype))
+    values = values.astype(dtype) * R  # D*P_ij, so unit*P_ij
+    values[diagonal] -= unit
+    rows = _kernels.SparseRows(indptr, indices, values)
     return np.array(keys, dtype=dtype), rows, kernels, _Keys(unit, R, M, tuple(c))
 
 
@@ -322,19 +309,22 @@ def chip_add(
     final_h = initial_h + vH identity.
 
     Raises:
+        ValueError: i is not a state index.
         IIsAbsorbing: insertion at an absorbing state.
         CapExceeded: no absorbing arrival within `cap` fires; raised before
             any fire when the chain has no absorbing state.
     """
     h = coerce_hunger(chain, h)
+    _check_state(chain, i)
     absorbing = absorbing_states(chain)
     if i in absorbing:
         raise IIsAbsorbing(f"cannot insert at absorbing state {chain.labels[i]}")
     if not absorbing:
         raise CapExceeded(cap)  # no fire can ever absorb the chip
-    inserted = list(h)
-    for j in range(chain.n):
-        inserted[j] += chain.P[i][j]
+    # + 0.0 turns -0.0 into +0.0, as adding the dense row P_i did
+    inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)
+    for j, p in chain.row(i):
+        inserted[j] += p
     inserted = tuple(inserted)
     mask = np.zeros(chain.n, dtype=np.bool_)
     for a in absorbing:

@@ -264,10 +264,7 @@ def lattice_basis(chain: MarkovChain) -> HungerLattice:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("the displacement lattice needs exact entries")
     H = hunger_matrix(chain).H
-    basis = tuple(
-        tuple(H[i][j] - H[i + 1][j] for j in range(chain.n))
-        for i in range(chain.n - 1)
-    )
+    basis = tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(H, H[1:]))
     pi = stationary_distribution(chain)
     lcd = math.lcm(*(p.denominator for p in pi))
     p_vec = tuple(int(p * lcd) for p in pi)

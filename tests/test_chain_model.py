@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,15 @@ from hungerlab import (
     VIsAbsorbing,
     absorbing_states,
     chain_to_document,
+    chip_add,
     hunger_matrix,
     is_irreducible,
     lcd_of_stationary,
     make_absorbing,
     parse_chain,
     reroute,
+    rotor_run,
+    run,
     split_vertex,
     stationary_distribution,
 )
@@ -73,6 +77,14 @@ def test_parse_rejects_bad_documents():
                            "expected exactly 1"),
         ([0.5, F(1, 2)], "row 2: 0.5 is not an exact rational"),
         (["1/2", F(1, 2)], "row 2: '1/2' is not an exact rational"),
+        # rows given as {column: entry}
+        ({0: F(1, 2), 2: F(1, 2)}, "row 2: columns must be state indices 0..1"),
+        ({-1: F(1)}, "row 2: columns must be state indices 0..1"),
+        ({"1": F(1)}, "row 2: columns must be state indices 0..1"),
+        ({0: F(1, 2)}, "row 2 sums to 1/2, expected exactly 1"),
+        ({}, "row 2 sums to 0, expected exactly 1"),
+        ({1: F(3, 2), 0: F(-1, 2)}, "row 2: negative entry -1/2"),
+        ({0: 0.5, 1: F(1, 2)}, "row 2: 0.5 is not an exact rational"),
     ],
 )
 def test_rational_rows_rejected_with_their_message(row, message):
@@ -277,3 +289,71 @@ def test_chain_equality_and_hash(reflecting3):
     twin = MarkovChain([list(row) for row in reflecting3.P])
     assert twin == reflecting3
     assert hash(twin) == hash(reflecting3)
+
+
+def test_chain_holds_its_nonzero_entries_once(two_sinks5):
+    assert two_sinks5.indptr == (0, 1, 3, 5, 6, 8)
+    assert two_sinks5.indices == (0, 0, 2, 1, 3, 3, 3, 4)
+    half = F(1, 2)
+    assert two_sinks5.entries == (F(1), half, half, half, half, F(1), half, half)
+    assert two_sinks5.D == 2
+    assert two_sinks5.row(4) == [(3, half), (4, half)]
+    assert list(two_sinks5.rows())[1] == [(0, half), (2, half)]
+
+
+def test_dense_view_is_built_on_first_read_and_kept():
+    chain = MarkovChain([[F(1, 2), F(1, 2)], [0, 1]])
+    assert "P" not in vars(chain)
+    P = chain.P
+    assert chain.P is P
+    assert P == ((F(1, 2), F(1, 2)), (F(0), F(1)))
+    assert all(type(x) is Fraction for row in P for x in row)
+    floats = MarkovChain([[0.5, 0.5], [0.0, 1.0]], mode=FLOAT)
+    assert floats.P == ((0.5, 0.5), (0.0, 1.0))
+
+
+def test_mapping_rows_build_the_same_chain(two_sinks5, basin_demo3):
+    for chain in (two_sinks5, basin_demo3):
+        twin = MarkovChain([dict(row) for row in chain.rows()], labels=chain.labels)
+        assert twin == chain and hash(twin) == hash(chain)
+        assert twin.P == chain.P
+    # keys in any order, zeros listed or not, mixed with dense rows
+    assert MarkovChain([{1: F(1, 2), 0: F(1, 2)}, {0: 0, 1: 1}]) == MarkovChain(
+        [[F(1, 2), F(1, 2)], [0, 1]]
+    )
+    assert MarkovChain([{1: 0.75, 0: 0.25}, [0.0, 1.0]], mode=FLOAT) == MarkovChain(
+        [[0.25, 0.75], [0.0, 1.0]], mode=FLOAT
+    )
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+@pytest.mark.parametrize(
+    "call",
+    [lambda chain, i: chip_add(chain, None, i), make_absorbing, reroute, split_vertex],
+    ids=["chip_add", "make_absorbing", "reroute", "split_vertex"],
+)
+def test_state_indices_outside_the_chain_are_rejected(absorbing_walk5, call, index):
+    with pytest.raises(ValueError, match=f"state index {index} out of range 0..4"):
+        call(absorbing_walk5, index)
+
+
+def test_a_ring_of_100000_states_from_mapping_rows():
+    # nothing here may touch all n^2 entries: the dense P alone would be
+    # 10^10 of them
+    n = 10**5
+    half = F(1, 2)
+    tracemalloc.start()
+    try:
+        chain = MarkovChain([{(i - 1) % n: half, (i + 1) % n: half} for i in range(n)])
+        assert not absorbing_states(chain)
+        assert is_irreducible(chain)
+        trace = run(chain, None, n)
+        rotor = rotor_run(chain, 0, None, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert "P" not in vars(chain)
+    assert (len(chain.entries), chain.D) == (2 * n, 2)
+    assert trace.v.sum() == n and sum(trace.final_h) == 0
+    assert rotor.visits.sum() == n + 1 and rotor.d == (2,) * n

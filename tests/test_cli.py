@@ -638,6 +638,91 @@ def test_rotor_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
 
+# validate, the orbit commands and the baselines pinned by sha256 (stdout,
+# then the --output file and its .classes sidecar where there is one; stderr)
+GOLDEN_COMMANDS = [
+    (("validate", "--chain", REFLECT),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "f0e426bd17653dd0f0ff6be8be424aa3e840edd14e5f99a828a105dba6e0b32e"),
+    (("validate", "--chain", DEMO),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "f0e426bd17653dd0f0ff6be8be424aa3e840edd14e5f99a828a105dba6e0b32e"),
+    (("validate", "--chain", WALK5),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "a188ed3e04f078cbad5c0eb6593504b6ec146e08951b6f8189b4fa0f7a9e57ca"),
+    (("validate", "--chain", SINKS),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "ce50901ef84d4b0b87a73c7aa1437bc3301a8f7ef57699a47a18041f28a603ad"),
+    (("validate", "--chain", DEMO, "--mode", "float"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "0f10071da1c9cee8184b6356fd8b54bdd0088a2078e396a0b2c86d4e0fdf0088"),
+    (("cycle", "--chain", DEMO),
+     "5e8b5822bf10830da38066aa8685a622431d3a8b3cce267560a858a6c4ba97a4",
+     "ca22c3788b4605d2abae706976ed34c87f052afea0cee5799be1a34a867603f3"),
+    (("cycle", "--chain", DEMO, "--h0=3/7,-1/3,-2/21"),
+     "9f77045c739fb6f5287a96c78104cb26601a8ca17470165a289cf2edd8b9644b",
+     "cbbd1443960d280bbaeaa807b2670ce960fad400f78c774be9c75c655be09edb"),
+    (("cycle", "--chain", REFLECT, "--h0=1,-1,0"),
+     "973a99ff6b844cc3bdcb88dbd2462b098a8c1c505833bf71a27d81d275fe5b3e",
+     "d4c0a248d54785c02c098ed3867c32221703f61510ded3aee590354d7d8e0afc"),
+    (("cycle", "--chain", DEMO, "--h0=1/1099511627791,1/2199023255543,"
+      "-3298534883334/2417851639252348093595513"),
+     "5e8b5822bf10830da38066aa8685a622431d3a8b3cce267560a858a6c4ba97a4",
+     "a53052164a37357d9f881761afb948b19517bcbb462811b1c1a43c4509e801a8"),
+    (("basin", "--chain", DEMO, "--output", "basin.csv"),
+     "0c310d398052bdb7747dfc3735d8f8ddeefae45a523f69792f20fc3efe5992f3",
+     "2239a504c9dba8e2a078b6e2a44eace2cc58b5e4278da3f01fe61032ceb614f1"),
+    (("basin", "--chain", REFLECT, "--step", "1/4"),
+     "79d98f8a380723f54e5ec1c3fbd8c84518c9683a117f129a9ae38e75b0e2a067",
+     "cb476ca5ac0c0b4c20f4124c00a1f15da2dfa2a7183519748b568af1d40e1483"),
+    (("cover", "--chain", REFLECT, "--h0=1,-1,0"),
+     "1a1b76b3289e528e4ebb1b5376d91a09aca401df3deacc36901a94810a0e4c36",
+     "de144e1f143b4357ce6d72030f52ec8008a173dbe03180c44466f46ed7b8d11b"),
+    (("cover", "--chain", DEMO, "--h0=1/3,1/5,-8/15"),
+     "f462c98665d38cdb11a0b2ec872a40434fb793ea6aaa149b9c659b4e50ea1be7",
+     "6ed22c384630cdce6ac8398e5d3c5edd156ec35ce44b78ce3ee6a8fbad3a5678"),
+    (("conjectures", "--chain", REFLECT, "--samples", "20"),
+     "cc17076104dc7c12627cd8a66c92e711a41f987da245d4ce709f8837dc88d0fa",
+     "0bf59682b2b208fedc018effff9318da317ac04db761e8e9630c7d558ea61636"),
+    (("conjectures", "--chain", DEMO, "--samples", "20"),
+     "98552a54f30bb50907df9e2c276230b777cb6b62a563d1fdbe7e12aff3cf1992",
+     "61d091c6adee2923e40a70e6c1b9a5e3349f70105bd3dd95f9b6031c3abd9ca6"),
+    (("engel", "--chain", REFLECT, "--chips", "1,2,1"),
+     "0aa20f9ccecc0a2c2c083e325e1e4f094605fadc8fb1798f730d7a823a37fa83",
+     "c57d9ccb0d59a45df4b80a1876d8bf604de1d577310307e0581f9bdffcdd784a"),
+    (("engel", "--chain", DEMO, "--chips", "5,3,7"),
+     "fee87a9bc7b632fcc83c39196c95e26647f4d40a7df45c89c60e9cde2f1b046d",
+     "b383134b53f327b27807601226dd93988a29e7f59047d5acaf99ae633b8f3f0b"),
+    (("engel", "--chain", REFLECT, "--chips", "4,4,4", "--thresholds", "2,4,2"),
+     "16b3233cfc2066ca2603fd96580f4a5da0b05d5badb1c8ebe111fa1176d44243",
+     "49ba9f4b3a8a0f650e05599d5dd6752c15049e6191aa362b3987bf743147da9e"),
+    (("engel", "--chain", WALK5, "--chips", "0,5,5,5,0"),
+     "b1842c6daef65dafeacf31db1dc97c5250829e2dc75cb580c5680f0fc0db7987",
+     "be2e0f9dc74fe40bd00ffb30ccc5c8b1e9c3084b6b47218c8de01c90c3553c7e"),
+    (("engel", "--chain", SINKS, "--chips", "1,2,2,0,2"),
+     "b1842c6daef65dafeacf31db1dc97c5250829e2dc75cb580c5680f0fc0db7987",
+     "ee58ffc3498e4385c713070393599ea9c880457165648a522048da63e2666efa"),
+    (("compare2",),
+     "eae07ebea125029aaca088d9a312f3f15c7b0bc750e82d6072100583c33f1c85",
+     "7ace6f9702f252620b002651f683043d46d1d413038c1757ca643b076327d6da"),
+    (("compare2", "--q", "1/3", "--N", "500"),
+     "66eb3953037d28f0613e15fd48c6caee755f0f5e23414fda12f70d1ebc57fe75",
+     "4c8edf1bd69870cea17951989b8854e8ad6c9b3b4425a302ffbe5416fe9d466d"),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_COMMANDS)
+def test_command_output_unchanged(tmp_path, capsys, monkeypatch, argv, out_sha, err_sha):
+    monkeypatch.chdir(tmp_path)  # a relative --output keeps stderr fixed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if "--output" in argv:
+        path = tmp_path / argv[argv.index("--output") + 1]
+        out += path.read_text() + Path(f"{path}.classes").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
 @pytest.mark.parametrize("argv, out_sha, err_sha", [
     GOLDEN_TRACES[i] for i in (2, 5, 9, 10)  # float, big-int, 16385 steps, chip-add
 ])
@@ -647,6 +732,34 @@ def test_traces_build_no_dense_rows(tmp_path, capsys, monkeypatch, argv, out_sha
 
     monkeypatch.setattr(hunger_engine._kernels.SparseRows, "dense", dense)
     test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha)
+
+
+def test_trace_blocks_hold_fewer_rows_on_large_chains(tmp_path, capsys, monkeypatch):
+    # a 100-state ring: blocks of PROFILE_CHUNK * 64 // 100 rows, and the
+    # bytes one block of PROFILE_CHUNK rows gives
+    n = 100
+    P = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        P[i][(i + 1) % n], P[i][(i - 1) % n] = "1/3", "2/3"
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"mode": "rational", "P": P}))
+    argv = ("simulate", "--chain", str(path), "--steps", "12000")
+    blocks = cli._hunger_blocks
+    chunks = []
+
+    def recorded(chain, h, fired, chunk):
+        chunks.append(chunk)
+        return blocks(chain, h, fired, chunk)
+
+    monkeypatch.setattr(cli, "_hunger_blocks", recorded)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("\n") == 12002
+    assert chunks == [cli.PROFILE_CHUNK * 64 // n] and chunks[0] < 12001
+    monkeypatch.setattr(
+        cli, "_hunger_blocks",
+        lambda chain, h, fired, chunk: blocks(chain, h, fired, cli.PROFILE_CHUNK),
+    )
+    assert run_cli(capsys, *argv)[1] == out
 
 
 @pytest.mark.parametrize("argv", [

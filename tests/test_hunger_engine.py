@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hungerlab import (
     CapExceeded,
     IIsAbsorbing,
+    MarkovChain,
     absorbing_states,
     chip_add,
     common_denominator,
@@ -589,3 +590,24 @@ def test_harmonic_partial_sums():
         assert t.final[top] == sum(F(1, k) for k in range(1, n + 1))
     t = lazy_run(h, {}, h.index_of(5, 0), 4)
     assert t.final[h.index_of(5, 5)] == F(137, 60)
+
+
+def test_reference_rows_table_is_built_once(absorbing_walk5, monkeypatch):
+    builds = []
+    build = hunger_engine._kernels.SparseRows._build_table
+    monkeypatch.setattr(
+        hunger_engine._kernels.SparseRows, "_build_table",
+        lambda rows: builds.append(rows) or build(rows),
+    )
+    # D = 2**61 puts the keys past int64: Brent, then greedy_run for the
+    # cycle's order, both on the reference bodies and one set of rows
+    e = F(1, 2**61)
+    circulant = MarkovChain([[0, 1 - e, e], [e, 0, 1 - e], [1 - e, e, 0]])
+    assert hunger_engine._scaled(circulant, zero_hunger(circulant))[0].dtype == object
+    assert find_cycle(circulant).period == 3
+    assert len(builds) == 1
+    # chip_add fires into a buffer of 1024, 2048, 4096 then 8192 entries
+    H = 2**70
+    _, trace = chip_add(absorbing_walk5, (H - 1000, H, H, H, H - 1000), 2)
+    assert trace.steps > 4096
+    assert len(builds) == 2
