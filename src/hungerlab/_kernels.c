@@ -289,14 +289,15 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
 }                                                                              \
                                                                                \
 /* Combined fire / remove-and-reinsert walk; see reinsert_loop in              \
- * _kernels.py. extrema receives (min, max) over the initial state and every   \
- * step, tracked over the entries each step touches; returns the number of     \
- * schedule entries used. */                                                   \
+ * _kernels.py. Insertion si goes to schedule[si % m], m >= 1. extrema         \
+ * receives (min, max) over the initial state and every step, tracked over     \
+ * the entries each step touches; returns the number of insertions. */         \
 int64_t reinsert_loop_##SUF(T *h, const int64_t *indptr,                       \
                             const int64_t *indices, const T *values,           \
                             int64_t n, int64_t nnz, const uint8_t *absorbing,  \
-                            T one, const int64_t *schedule, int64_t steps,     \
-                            int64_t *fired, int64_t *v, T *extrema)            \
+                            T one, const int64_t *schedule, int64_t m,         \
+                            int64_t steps, int64_t *fired, int64_t *v,         \
+                            T *extrema)                                        \
 {                                                                              \
     if (!rows_ok(indptr, indices, n, nnz))                                     \
         return BAD_ROWS;                                                       \
@@ -317,7 +318,7 @@ int64_t reinsert_loop_##SUF(T *h, const int64_t *indptr,                       \
         if (chip == -2 || (chip >= 0 && absorbing[chip])) {                    \
             if (chip >= 0)                                                     \
                 h[chip] -= one;                                                \
-            i = schedule[si++];                                                \
+            i = schedule[si++ % m];                                            \
             add_row_##SUF(h, &r, i);                                           \
             h[i] += one;                                                       \
             if (chip >= 0) {                                                   \

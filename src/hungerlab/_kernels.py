@@ -2,7 +2,8 @@
 
 There are three firing kernels: greedy_run fires the hungriest state, for
 a number of steps or until a stop state fires; brent_cycle finds where and
-how an orbit cycles; reinsert_loop fires with remove-and-reinsert steps.
+how an orbit cycles; reinsert_loop fires with remove-and-reinsert steps,
+cycling through the schedule of insertion states it is given.
 One row writer, csv_rows, turns a block of CSV rows (traces, sweep
 profiles, rotor itineraries) into text. Each has two implementations:
 
@@ -18,12 +19,13 @@ HUNGERLAB_BACKEND selects one at import: unset means ``c`` if it builds and
 ``numpy`` otherwise, ``c`` insists (ImportError carrying the compiler's
 error if the build fails), ``numpy`` forces the reference loops.
 
-Kernels take either int64 state (exact arithmetic on the engine's integer
-keys of the hunger vector) or float64 state. The reference bodies also run
-dtype=object arrays of Python ints, exact at any scale: the engine uses
-them when the keys could overflow int64, which takes hunger of huge
-magnitude or a chain whose own denominators overflow, never the start's
-denominators alone.
+Kernels take int64 state (exact arithmetic on the engine's integer keys
+of the hunger vector), float64 state, or dtype=object arrays of Python
+ints, exact at any scale, which the compiled kernels hand to their
+reference body (as csv_rows does non-int64 fields): callers always call
+_kernels.<name>. The engine uses Python ints only when the keys could
+overflow int64: hunger of huge magnitude or a chain whose own
+denominators overflow, never the start's denominators alone.
 
 The rows of H come as SparseRows (CSR; a dense n x n array of rows is
 turned into SparseRows first), and a fire adds its row to the columns it
@@ -240,9 +242,9 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
 
     A step either fires the hungriest state, or, when the previous fire
     landed on an absorbing state k, removes the chip there (h[k] -= one) and
-    reinserts it at the next schedule entry (h += P_s, done as row s plus
-    `one` at s) in a single operation. The very first step is the initial
-    insertion. fired[t] is the fired index or -1 for insertion steps.
+    reinserts it at the next schedule entry, cycling (h += P_s, done as row
+    s plus `one` at s) in a single operation. The very first step is the
+    initial insertion. fired[t] is the fired index or -1 for insertion steps.
 
     Returns (insertions_used, min_hunger, max_hunger) where the extrema
     cover the initial state and every step: after the initial scan, only
@@ -264,7 +266,7 @@ def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
     chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
     for t in range(steps):
         if chip == -2 or (chip >= 0 and absorbing[chip]):
-            i = schedule[si]
+            i = schedule[si % len(schedule)]
             si += 1
             touched = [i] if chip < 0 else [i, chip]
             if chip >= 0:
@@ -446,7 +448,7 @@ def _load(path: Path) -> dict:
             "greedy_run": ([P, P, P, P, I, I, I, P, P, P], I),
             "brent_cycle": ([P, P, P, P, I, I, I, ctypes.POINTER(I)], I),
             "reinsert_loop": (
-                [P, P, P, P, I, I, P, T, P, I, P, P, ctypes.POINTER(T)], I
+                [P, P, P, P, I, I, P, T, P, I, I, P, P, ctypes.POINTER(T)], I
             ),
         }
         kernels = SimpleNamespace(extrema=T * 2)
@@ -478,9 +480,10 @@ def active_backend() -> str:
     return BACKEND
 
 
-# The compiled kernels keep the reference signatures. Each checks dtypes,
-# shapes and contiguity with _Arguments.rows before handing raw pointers to
-# C. SparseRows checked its own layout when it was made (SparseRows.of makes
+# The compiled kernels keep the reference signatures. Each hands object
+# state to its reference body, and otherwise checks dtypes, shapes and
+# contiguity with _Arguments.rows before handing raw pointers to C.
+# SparseRows checked its own layout when it was made (SparseRows.of makes
 # them from dense rows), and the C code checks the rows' structure,
 # returning BAD_ROWS or NO_MEMORY (below -1) when it cannot run.
 
@@ -505,7 +508,7 @@ class _Arguments:
         """rows as SparseRows, once they and the other arrays fit the
         compiled `kernel`: brent_cycle passes h and the rows only,
         greedy_run adds steps, its stop mask, fired and v, and reinsert_loop
-        its absorbing mask and schedule, whose entries must be states.
+        its absorbing mask and schedule, whose m >= 1 entries must be states.
 
         Raises:
             ValueError: an array has the wrong dtype, shape or layout.
@@ -525,8 +528,8 @@ class _Arguments:
             and (
                 schedule is None
                 or schedule.dtype == _INT64 and schedule.flags.c_contiguous
-                and schedule.shape[0] >= steps
-                and (steps == 0 or 0 <= schedule.min() <= schedule.max() < n)
+                and schedule.ndim == 1 and (steps == 0 or schedule.shape[0] >= 1
+                and 0 <= schedule.min() <= schedule.max() < n)
             )
         ):
             raise ValueError(
@@ -587,6 +590,8 @@ if _compiled is not None:
 
     def greedy_run(h, rows, steps, fired, v, stop):
         """Compiled reference.greedy_run."""
+        if h.dtype == object:
+            return reference.greedy_run(h, rows, steps, fired, v, stop)
         rows = _Arguments.rows("greedy_run", h, rows, steps, stop, fired, v)
         k = _compiled[h.dtype].greedy_run(
             _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
@@ -598,6 +603,8 @@ if _compiled is not None:
 
     def brent_cycle(h0, rows, cap):
         """Compiled reference.brent_cycle."""
+        if h0.dtype == object:
+            return reference.brent_cycle(h0, rows, cap)
         rows = _Arguments.rows("brent_cycle", h0, rows)
         lam = ctypes.c_int64()
         mu = _compiled[h0.dtype].brent_cycle(
@@ -610,6 +617,10 @@ if _compiled is not None:
 
     def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
         """Compiled reference.reinsert_loop."""
+        if h.dtype == object:
+            return reference.reinsert_loop(
+                h, rows, absorbing, one, schedule, steps, fired, v
+            )
         rows = _Arguments.rows(
             "reinsert_loop", h, rows, steps, absorbing, fired, v, schedule
         )
@@ -617,8 +628,8 @@ if _compiled is not None:
         extrema = kernels.extrema()
         si = kernels.reinsert_loop(
             _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
-            _Pointer.of(absorbing), one, _Pointer.of(schedule), steps,
-            _Pointer.of(fired), _Pointer.of(v), extrema,
+            _Pointer.of(absorbing), one, _Pointer.of(schedule),
+            schedule.shape[0], steps, _Pointer.of(fired), _Pointer.of(v), extrema,
         )
         if si < 0:
             raise _FAILURE[si]()

@@ -124,14 +124,6 @@ def _reduce(A, bs, tol):
     return basis, out
 
 
-def nullspace(A, tol=None):
-    """Basis of {x : A x = 0} for a square or rectangular A.
-
-    Returns a list of solution vectors (tuples), one per free column.
-    """
-    return _reduce(A, (), tol)[0]
-
-
 def solve(A, bs, tol=None):
     """For each right-hand side b in bs, one solution x of A x = b, or None
     if that system is inconsistent.

@@ -344,9 +344,14 @@ def chain_to_document(chain: MarkovChain) -> str:
 
 def absorbing_states(chain: MarkovChain) -> frozenset:
     """Indices i with P_ii = 1 (exact equality in both modes)."""
+    return frozenset(np.flatnonzero(_absorbing_mask(chain)).tolist())
+
+
+def _absorbing_mask(chain: MarkovChain) -> np.ndarray:
+    """Bool array of P_ii = 1, made on each call and not kept on the chain."""
     _, _, values, diagonal = chain._kernel_rows
     one = 1.0 if chain.mode == FLOAT else chain.D  # the values are D * P_ij
-    return frozenset(np.flatnonzero(values[diagonal] == one).tolist())
+    return values[diagonal] == one
 
 
 def _reachable_from(adj, start):

@@ -20,6 +20,7 @@ backend take its Python reference body, which writes the same bytes.
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -472,6 +473,7 @@ def _add_common(p, chain=True):
     p.add_argument("--output", help="CSV output path (default: standard output)")
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hungerlab",

@@ -10,16 +10,15 @@ order and equate states as h does (D*h for D the common denominator of P,
 refined by the rank of each fractional part, see _Keys), and every
 operation runs one kernel loop body on them. The boundedness lemmas keep
 the keys far inside the int64 range whatever the start's denominators; a
-check picks int64 state on the live kernels when they fit and Python ints
-on the numpy reference bodies when they do not: only when the magnitude of
-h times the key unit R*D nears 2^62, or the chain's own denominators do.
+check picks int64 state when they fit and Python ints (which _kernels runs
+on its reference bodies) when they do not: only when the magnitude of h
+times the key unit R*D nears 2^62, or the chain's own denominators do.
 Float chains run on float64 with exact-equality tie-breaking. A
 step-by-step trace of a run (the hunger vector after every fire) is rebuilt
 on the same keys, block by block, from the start vector and the firing
 sequence.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,8 +32,8 @@ from .chain_model import (
     RATIONAL,
     MarkovChain,
     Scalar,
+    _absorbing_mask,
     _check_state,
-    absorbing_states,
 )
 from .errors import CapExceeded, IIsAbsorbing
 
@@ -193,24 +192,23 @@ class _FloatKeys:
 
 
 def _scaled(chain: MarkovChain, h: HungerVector):
-    """Prepare h and H = P - I for the kernels: returns (g, rows, kernels, keys).
+    """Prepare h and H = P - I for the kernels: returns (g, rows, keys).
 
     rows are _kernels.SparseRows of P's nonzero entries and the diagonal,
     laid out once per chain; only their values are made here. Float chains
-    give float64 arrays (P - I), the live kernels and _FloatKeys. Rational
-    chains give the integer keys of h (see _Keys) and the rows R*D*H: int64
-    arrays on the live kernels when _int64_safe holds, which it does
-    whatever the start's denominators, otherwise dtype=object arrays of
-    Python ints on the numpy reference bodies, which fire identically and
-    never overflow. Only magnitudes or chain denominators past int64 take
-    that path.
+    give float64 arrays (P - I) and _FloatKeys. Rational chains give the
+    integer keys of h (see _Keys) and the rows R*D*H: int64 arrays when
+    _int64_safe holds, which it does whatever the start's denominators,
+    otherwise dtype=object arrays of Python ints, which _kernels fires on
+    its reference bodies, identically and without overflow. Only
+    magnitudes or chain denominators past int64 take that path.
     """
     indptr, indices, values, diagonal = chain._kernel_rows
     if chain.mode == FLOAT:
         values = values.copy()
         values[diagonal] -= 1.0
         rows = _kernels.SparseRows(indptr, indices, values)
-        return np.array(h, dtype=np.float64), rows, _kernels, _FloatKeys
+        return np.array(h, dtype=np.float64), rows, _FloatKeys
     D = chain.D
     S = math.lcm(D, *(x.denominator for x in h))
     M = S // D
@@ -224,14 +222,11 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     rank = {f: k for k, f in enumerate(c)}
     keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
     unit = R * D
-    if _int64_safe(keys, unit, chain.n):
-        dtype, kernels = np.int64, _kernels
-    else:
-        dtype, kernels = object, _kernels.reference
+    dtype = np.int64 if _int64_safe(keys, unit, chain.n) else object
     values = values.astype(dtype) * R  # D*P_ij, so unit*P_ij
     values[diagonal] -= unit
     rows = _kernels.SparseRows(indptr, indices, values)
-    return np.array(keys, dtype=dtype), rows, kernels, _Keys(unit, R, M, tuple(c))
+    return np.array(keys, dtype=dtype), rows, _Keys(unit, R, M, tuple(c))
 
 
 def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
@@ -247,7 +242,7 @@ def _hunger_blocks(chain: MarkovChain, h: HungerVector, fired, chunk: int):
     block, so no n x n array is made. np.add.accumulate adds in order, so
     float rows equal the run's own step-by-step additions bit for bit.
     """
-    g, rows, _, keys = _scaled(chain, h)
+    g, rows, keys = _scaled(chain, h)
     sizes = np.diff(rows.indptr)
     last = g[None, :]
     for lo in range(0, len(fired) + 1, chunk):
@@ -279,10 +274,8 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
     h = coerce_hunger(chain, h0)
     fired = np.empty(steps, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    if steps == 0:
-        return FiringTrace(fired, v, h, h, 0)
-    g, rows, kernels, keys = _scaled(chain, h)
-    kernels.greedy_run(g, rows, steps, fired, v, np.zeros(chain.n, dtype=np.bool_))
+    g, rows, keys = _scaled(chain, h)
+    _kernels.greedy_run(g, rows, steps, fired, v, np.zeros(chain.n, dtype=np.bool_))
     return FiringTrace(fired, v, h, keys.hunger(g), steps)
 
 
@@ -316,20 +309,17 @@ def chip_add(
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
-    absorbing = absorbing_states(chain)
-    if i in absorbing:
+    mask = _absorbing_mask(chain)
+    if mask[i]:
         raise IIsAbsorbing(f"cannot insert at absorbing state {chain.labels[i]}")
-    if not absorbing:
+    if not mask.any():
         raise CapExceeded(cap)  # no fire can ever absorb the chip
     # + 0.0 turns -0.0 into +0.0, as adding the dense row P_i did
     inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)
     for j, p in chain.row(i):
         inserted[j] += p
     inserted = tuple(inserted)
-    mask = np.zeros(chain.n, dtype=np.bool_)
-    for a in absorbing:
-        mask[a] = True
-    g, rows, kernels, keys = _scaled(chain, inserted)
+    g, rows, keys = _scaled(chain, inserted)
     # fire into a buffer that doubles up to cap until an absorbing arrival
     fired = np.empty(0, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
@@ -338,7 +328,7 @@ def chip_add(
         if k >= cap:
             raise CapExceeded(cap)
         fired = np.resize(fired, min(max(2 * k, 1024), cap))
-        k += kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
+        k += _kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
     pre_removal = keys.hunger(g)
     g[fired[k - 1]] -= keys.unit
     result = keys.hunger(g)
@@ -361,7 +351,9 @@ def run_with_reinsertion(
     Each step is one of: the initial insertion (at schedule[0]), a plain
     fire, or, when the previous fire landed on an absorbing state k, a
     combined removal (h -= e_k) and reinsertion at the next schedule state
-    (h += P_s) counted as a single step. The schedule is cycled as needed.
+    (h += P_s) counted as a single step. The schedule's entries go to the
+    kernel as given, and it cycles them: insertion k is at
+    schedule[k % len(schedule)].
 
     Returns a trace carrying running min/max hunger over the whole run
     (initial vector included), for the boundedness lemma checks.
@@ -371,35 +363,23 @@ def run_with_reinsertion(
     if steps > cap:
         raise CapExceeded(cap)
     h = coerce_hunger(chain, h0)
-    absorbing = absorbing_states(chain)
-    sched_list = [int(s) for s in schedule]
-    if steps > 0 and not sched_list:
+    mask = _absorbing_mask(chain)
+    sched = [int(s) for s in schedule]
+    if steps > 0 and not sched:
         raise ValueError("schedule must not be empty")
-    for s in sched_list:
+    for s in sched:
         if s < 0 or s >= chain.n:
             raise ValueError(f"schedule state {s} out of range")
-        if s in absorbing:
+        if mask[s]:
             raise ValueError(
                 f"schedule must reinsert at non-absorbing states, got "
                 f"{chain.labels[s]}"
             )
-    sched = np.array(
-        list(itertools.islice(itertools.cycle(sched_list), steps + 1))
-        if sched_list
-        else [0],
-        dtype=np.int64,
-    )
-    mask = np.zeros(chain.n, dtype=np.bool_)
-    for a in absorbing:
-        mask[a] = True
     fired = np.empty(steps, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    if steps == 0:
-        lo = min(h) if h else 0
-        hi = max(h) if h else 0
-        return ReinsertionTrace(fired, v, h, h, 0, 0, lo, hi)
-    g, rows, kernels, keys = _scaled(chain, h)
-    si, lo, hi = kernels.reinsert_loop(g, rows, mask, keys.unit, sched, steps, fired, v)
+    g, rows, keys = _scaled(chain, h)
+    sched = np.array(sched, dtype=np.int64)
+    si, lo, hi = _kernels.reinsert_loop(g, rows, mask, keys.unit, sched, steps, fired, v)
     lo, hi = keys.hunger((lo, hi))
     return ReinsertionTrace(fired, v, h, keys.hunger(g), steps, int(si), lo, hi)
 
@@ -525,12 +505,16 @@ def lazy_run(
     correctly. An absorbing arrival removes the chip and stops early.
 
     Raises:
+        ValueError: insert_at or a tracked key is not a state index 0, 1, 2, ...
         IIsAbsorbing: insertion at an absorbing index.
     """
-    if chain.is_absorbing(insert_at):
-        raise IIsAbsorbing(f"cannot insert at absorbing state {chain.label(insert_at)}")
     tracked = h0.tracked if isinstance(h0, SparseHunger) else dict(h0 or {})
     h: Dict[int, Fraction] = {int(k): Fraction(val) for k, val in tracked.items()}
+    low = min([insert_at, *h])
+    if low < 0:
+        raise ValueError(f"state index {low} out of range 0, 1, 2, ...")
+    if chain.is_absorbing(insert_at):
+        raise IIsAbsorbing(f"cannot insert at absorbing state {chain.label(insert_at)}")
 
     def add_row(s):
         for j, p in chain.row(s):

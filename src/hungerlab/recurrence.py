@@ -15,11 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .chain_model import (
     RATIONAL,
     MarkovChain,
+    _absorbing_mask,
     _stationary,
-    absorbing_states,
     hunger_matrix,
     lcd_of_stationary,
     stationary_distribution,
@@ -61,7 +62,7 @@ class CycleInfo:
 def _check_cycle_chain(chain: MarkovChain) -> None:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("cycle detection needs exact arithmetic")
-    if absorbing_states(chain):
+    if _absorbing_mask(chain).any():
         raise HasAbsorbing("orbits of a chain with absorbing states never cycle")
 
 
@@ -69,25 +70,24 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     """Run the greedy game until the hunger vector repeats.
 
     Brent's constant-memory cycle detection runs on the integer keys of the
-    state (see hunger_engine._Keys), which repeat exactly when h does: int64
-    on the live kernels, or Python ints on the numpy reference bodies when
-    the keys could overflow int64. It leaves the cycle-entry
-    vector in place, so only the `period` steps of the order are fired
-    again.
+    state (see hunger_engine._Keys), which repeat exactly when h does: int64,
+    or Python ints when the keys could overflow int64 (_kernels.brent_cycle
+    runs those on its reference body). It leaves the cycle-entry vector in
+    place, so only the `period` steps of the order are fired again.
 
     Raises:
         CapExceeded: the orbit did not close within cap steps.
     """
     _check_cycle_chain(chain)
     h = coerce_hunger(chain, h0)
-    g, rows, kernels, keys = _scaled(chain, h)
-    mu, lam = kernels.brent_cycle(g, rows, cap)
+    g, rows, keys = _scaled(chain, h)
+    mu, lam = _kernels.brent_cycle(g, rows, cap)
     if mu < 0 or mu + lam > cap:
         raise CapExceeded(cap)
     rep = keys.hunger(g)
     fired = np.empty(lam, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))
+    _kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))
     order = tuple(fired.tolist())
     return CycleInfo(mu, lam, rep, order, canonical_order(order, chain.n))
 

@@ -275,7 +275,8 @@ def dense_brent_cycle(h0, rows, cap):
 
 
 def dense_reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
-    """reinsert_loop on dense rows, with extrema over every entry."""
+    """reinsert_loop on dense rows, with extrema over every entry; the
+    schedule is cycled."""
     n = h.shape[0]
     si = 0
     chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
@@ -290,7 +291,7 @@ def dense_reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
         if chip == -2 or (chip >= 0 and absorbing[chip]):
             if chip >= 0:
                 h[chip] -= one
-            s = schedule[si]
+            s = schedule[si % len(schedule)]
             si += 1
             h += rows[s]
             h[s] += one
@@ -322,25 +323,25 @@ _engine_scaled = hunger_engine._scaled
 
 
 def dense_scaled(chain: MarkovChain, h):
-    """hunger_engine._scaled with dense n x n rows and DENSE_KERNELS.
+    """hunger_engine._scaled with dense n x n rows, for DENSE_KERNELS.
 
     The keys, their dtype and scale are _scaled's own; the rows are built
     here from chain.P: unit*(P - I) on the keys, or P - I for float chains.
     """
-    g, _, _, keys = _engine_scaled(chain, h)
+    g, _, keys = _engine_scaled(chain, h)
     if chain.mode == FLOAT:
-        return g, float_matrix(chain) - np.eye(chain.n), DENSE_KERNELS, keys
+        return g, float_matrix(chain) - np.eye(chain.n), keys
     rows = np.array(
         [[x.numerator * (keys.unit // x.denominator) for x in row] for row in chain.P],
         dtype=g.dtype,
     )
     rows[np.diag_indices(chain.n)] -= keys.unit
-    return g, rows, DENSE_KERNELS, keys
+    return g, rows, keys
 
 
 def dense_hunger_blocks(chain: MarkovChain, h, fired, chunk: int):
     """hunger_engine._hunger_blocks on dense_scaled's rows."""
-    g, rows, _, keys = dense_scaled(chain, h)
+    g, rows, keys = dense_scaled(chain, h)
     last = g[None, :]
     for lo in range(0, len(fired) + 1, chunk):
         steps = rows[fired[max(lo - 1, 0) : lo + chunk - 1]]

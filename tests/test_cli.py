@@ -734,6 +734,14 @@ def test_traces_build_no_dense_rows(tmp_path, capsys, monkeypatch, argv, out_sha
     test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha)
 
 
+def test_main_builds_its_parser_once():
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["validate", "--chain", REFLECT]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_trace_blocks_hold_fewer_rows_on_large_chains(tmp_path, capsys, monkeypatch):
     # a 100-state ring: blocks of PROFILE_CHUNK * 64 // 100 rows, and the
     # bytes one block of PROFILE_CHUNK rows gives
@@ -786,6 +794,6 @@ def test_big_trace_start_runs_on_int64_keys():
     # the run itself fires on int64 keys
     chain = parse_chain(Path(REFLECT).read_text())
     x = Fraction(BIG_X)
-    g, _, _, keys = hunger_engine._scaled(chain, (x, -x, Fraction(0)))
+    g, _, keys = hunger_engine._scaled(chain, (x, -x, Fraction(0)))
     assert g.dtype == np.int64
     assert keys.S * x >= 2**62

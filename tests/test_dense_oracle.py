@@ -2,8 +2,9 @@
 
 Each example runs run, chip_add, run_with_reinsertion, find_cycle and
 _hunger_blocks as they are, and again with hunger_engine._scaled swapped for
-oracles.dense_scaled, which hands the same calls dense n x n rows and the
-dense kernels (np.argmax and whole-row adds). Results must agree bit for
+oracles.dense_scaled, which hands the same calls dense n x n rows, and the
+three firing kernels on _kernels swapped for oracles.DENSE_KERNELS
+(np.argmax and whole-row adds). Results must agree bit for
 bit: firing sequences, counts, hunger vectors (Fractions, or floats down to
 the sign of zero), extrema, cycles and every trace row. Chains are random
 and sparse, up to 1000 states, in both modes; starts include ties, -0.0
@@ -20,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hungerlab import hunger_engine, recurrence
+from hungerlab import _kernels, hunger_engine, recurrence
 from hungerlab.chain_model import FLOAT, RATIONAL, MarkovChain, absorbing_states
 from hungerlab.errors import CapExceeded
 from hungerlab.hunger_engine import chip_add, run, run_with_reinsertion
 from hungerlab.recurrence import find_cycle
-from oracles import dense_hunger_blocks, dense_scaled
+from oracles import DENSE_KERNELS, dense_hunger_blocks, dense_scaled
 
 CAP = 3000
 
@@ -127,6 +128,8 @@ def test_sparse_firing_matches_dense_oracle(example):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hunger_engine, "_scaled", dense_scaled)
         mp.setattr(recurrence, "_scaled", dense_scaled)
+        for name in ("greedy_run", "brent_cycle", "reinsert_loop"):
+            mp.setattr(_kernels, name, getattr(DENSE_KERNELS, name))
         dense = {name: outcome(call) for name, call in calls(*example).items()}
     assert sparse == dense
 

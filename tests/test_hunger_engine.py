@@ -410,16 +410,16 @@ def test_huge_denominator_start_runs_on_int64_keys(reflecting3):
     only rank three fractional parts."""
     p, q = 2**40 + 15, 2**41 - 9
     h = (F(1, p), F(1, q), -F(1, p) - F(1, q))
-    g, rows, kernels, keys = hunger_engine._scaled(reflecting3, h)
+    g, rows, keys = hunger_engine._scaled(reflecting3, h)
     assert keys.S >= 2**80
-    assert (g.dtype, kernels, keys.R, keys.unit) == (np.int64, hunger_engine._kernels, 3, 6)
+    assert (g.dtype, keys.R, keys.unit) == (np.int64, 3, 6)
     assert keys.hunger(g) == h
     t = run(reflecting3, h, 300)
     assert fire_steps(reflecting3, h, 300) == (list(t.fired), t.final_h)
 
 
 def test_zero_start_keys_are_scaled_hunger(basin_demo3):
-    g, rows, _, keys = hunger_engine._scaled(basin_demo3, zero_hunger(basin_demo3))
+    g, rows, keys = hunger_engine._scaled(basin_demo3, zero_hunger(basin_demo3))
     D = common_denominator(basin_demo3)
     assert (keys.R, keys.M, keys.unit, keys.S) == (1, 1, D, D)
     assert g.tolist() == [0] * 3
@@ -562,6 +562,16 @@ def test_lazy_run_rejects_absorbing_insertion():
     g = goldbug_chain()
     with pytest.raises(IIsAbsorbing):
         lazy_run(g, {}, 1, 4)
+
+
+@pytest.mark.parametrize("chain", [goldbug_chain(), harmonic_chain()])
+def test_lazy_run_rejects_negative_state_indices(chain):
+    # countable chains enumerate states 0, 1, 2, ...: a negative index, to
+    # insert at or as a tracked key, fails before any fire
+    for h0, at in (({-3: 1}, 2), ({}, -1), ({-1: F(1, 2)}, 3)):
+        k = at if at < 0 else min(h0)
+        with pytest.raises(ValueError, match=rf"state index {k} out of range 0, 1, 2"):
+            lazy_run(chain, h0, at, 3)
 
 
 def test_lazy_run_accepts_sparse_hunger():

@@ -42,7 +42,8 @@ def cases(draw):
     Rows are S*(P - I) on int64 or P - I on float64 for a random sparse P
     with entries k/S. A power-of-two S makes the float arithmetic exact so
     float orbits can close; small integer starts make argmax ties common.
-    Sizes past 8 states give trees of several blocks and levels.
+    Sizes past 8 states give trees of several blocks and levels. The
+    schedule holds 1-5 entries, so reinsert_loop cycles it.
     """
     n = draw(st.one_of(st.integers(1, 40), st.sampled_from([64, 129, 300])))
     dtype = draw(st.sampled_from([np.int64, np.float64]))
@@ -64,7 +65,7 @@ def cases(draw):
         h[rng.random(n) < 0.2] = -0.0
         one = 1.0
     absorbing = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
-    schedule = rng.integers(0, n, size=steps + 1)
+    schedule = rng.integers(0, n, size=draw(st.integers(1, 5)))
     return h, rows, absorbing, one, schedule, steps
 
 
@@ -152,44 +153,46 @@ BIG = 2**70
 def test_reference_on_python_ints_matches_int64(case):
     """The big-int path: each reference body on object arrays of Python ints,
     scaled by BIG past the int64 range, fires exactly as the live kernel on
-    int64, and its hunger values are the int64 ones times BIG."""
+    int64, and its hunger values are the int64 ones times BIG. _kernels.<name>
+    on the same object arrays picks the reference body itself, so it gives
+    the same results and writes the same arrays."""
     h, dense, absorbing, one, schedule, steps = case
     n = h.shape[0]
     rows = SparseRows.of(dense)
     big_h = h.astype(object) * BIG
     big_rows = SparseRows(rows.indptr, rows.indices, rows.values.astype(object) * BIG)
-    ref = _kernels.reference
 
     def scaled(a):
         return (np.asarray(a).astype(object) * BIG).tolist()
 
-    for stop in (np.zeros_like(absorbing), absorbing):
+    for body in (_kernels.reference, _kernels):
+        for stop in (np.zeros_like(absorbing), absorbing):
+            small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+            big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
+            k = _kernels.greedy_run(small[0], rows, steps, small[1], small[2], stop)
+            assert body.greedy_run(big[0], big_rows, steps, big[1], big[2], stop) == k
+            assert big[1].tolist() == small[1].tolist()
+            assert big[2].tolist() == small[2].tolist()
+            assert big[0].tolist() == scaled(small[0])
+
+        small_h, big_h2 = h.copy(), big_h.copy()
+        mu_lam = tuple(map(int, _kernels.brent_cycle(small_h, rows, 10 * steps)))
+        assert body.brent_cycle(big_h2, big_rows, 10 * steps) == mu_lam
+        assert big_h2.tolist() == scaled(small_h)
+
         small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
         big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-        k = _kernels.greedy_run(small[0], rows, steps, small[1], small[2], stop)
-        assert ref.greedy_run(big[0], big_rows, steps, big[1], big[2], stop) == k
+        si, lo, hi = _kernels.reinsert_loop(
+            small[0], rows, absorbing, one, schedule, steps, small[1], small[2]
+        )
+        big_si, big_lo, big_hi = body.reinsert_loop(
+            big[0], big_rows, absorbing, int(one) * BIG, schedule, steps, big[1], big[2]
+        )
+        assert big_si == si
+        assert [big_lo, big_hi] == scaled([lo, hi])
         assert big[1].tolist() == small[1].tolist()
         assert big[2].tolist() == small[2].tolist()
         assert big[0].tolist() == scaled(small[0])
-
-    small_h, big_h2 = h.copy(), big_h.copy()
-    mu_lam = tuple(map(int, _kernels.brent_cycle(small_h, rows, 10 * steps)))
-    assert ref.brent_cycle(big_h2, big_rows, 10 * steps) == mu_lam
-    assert big_h2.tolist() == scaled(small_h)
-
-    small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-    big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-    si, lo, hi = _kernels.reinsert_loop(
-        small[0], rows, absorbing, one, schedule, steps, small[1], small[2]
-    )
-    big_si, big_lo, big_hi = ref.reinsert_loop(
-        big[0], big_rows, absorbing, int(one) * BIG, schedule, steps, big[1], big[2]
-    )
-    assert big_si == si
-    assert [big_lo, big_hi] == scaled([lo, hi])
-    assert big[1].tolist() == small[1].tolist()
-    assert big[2].tolist() == small[2].tolist()
-    assert big[0].tolist() == scaled(small[0])
 
 
 def test_reference_bodies_stay_sparse_on_a_ring():

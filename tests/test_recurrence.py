@@ -113,7 +113,7 @@ def test_cycle_of_start_that_overflows_int64(basin_demo3, capsys):
     # stay small, so the orbit runs on the int64 kernels
     p, q = 2**40 + 15, 2**41 - 9
     h = (F(1, p), F(1, q), -F(1, p) - F(1, q))
-    g, _, _, keys = hunger_engine._scaled(basin_demo3, h)
+    g, _, keys = hunger_engine._scaled(basin_demo3, h)
     assert keys.S >= 2**80
     assert g.dtype == np.int64
     info = find_cycle(basin_demo3, h)
