@@ -8,12 +8,13 @@ state i carries a threshold d_i that clears its row's denominators.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chain_model import RATIONAL, MarkovChain, absorbing_states
 from .errors import CapExceeded, FloatModeUnsupported, Stabilized
+from .estimators import DiscrepancyProfile, _Lazy, _largest, _scalar, _value
 from .hunger_engine import DEFAULT_CAP, run
 
 
@@ -183,16 +184,18 @@ def rotor_run(
 class TwoStateComparison:
     """Greedy game vs rotor walk on the symmetric two-state chain.
 
-    rows holds (N, hunger deviation, rotor deviation) where deviation is
-    the distance of state 1's visit frequency from 1/2 after N steps;
-    the maxima are taken over N >= 2 (both methods are trivially off by
-    1/2 at N = 1).
+    hunger and rotor are each walk's DiscrepancyProfile of state 1's visit
+    frequency against 1/2 at every N in 1..N. rows[k] is (N, hunger
+    deviation, rotor deviation) at N = k + 1, built on access; the maxima
+    are taken over N >= 2 (both are trivially off by 1/2 at N = 1).
     """
 
     q: Fraction
-    rows: List[Tuple[int, Fraction, Fraction]]
+    rows: Sequence[Tuple[int, Fraction, Fraction]]
     hunger_max: Fraction
     rotor_max: Fraction
+    hunger: DiscrepancyProfile
+    rotor: DiscrepancyProfile
 
 
 def compare_two_state(q, N: int) -> TwoStateComparison:
@@ -209,24 +212,12 @@ def compare_two_state(q, N: int) -> TwoStateComparison:
     if N < 2:
         raise ValueError("need N >= 2 for a meaningful comparison")
     chain = MarkovChain([[1 - q, q], [q, 1 - q]])
-    trace = run(chain, None, N)
-    hunger_counts = np.cumsum(trace.fired == 0)
     # 0 < q < 1 forces d >= 2 per state, so slot 1 always exists
-    rotor = rotor_run(chain, 0, (0, 1), N)
-    rotor_counts = np.cumsum(rotor.itinerary[1:] == 0)
-    half = Fraction(1, 2)
-    rows = []
-    hmax = rmax = Fraction(0)
-    for n in range(1, N + 1):
-        hdev = abs(Fraction(int(hunger_counts[n - 1]), n) - half)
-        rdev = abs(Fraction(int(rotor_counts[n - 1]), n) - half)
-        rows.append((n, hdev, rdev))
-        if n >= 2:
-            hmax = max(hmax, hdev)
-            rmax = max(rmax, rdev)
-    return TwoStateComparison(q, rows, hmax, rmax)
-
-
-def rotor_d(q: Fraction) -> int:
-    """Rotor out-degree of each state in the two-state chain."""
-    return math.lcm(q.denominator, (1 - q).denominator)
+    walks = (run(chain, None, N).fired, rotor_run(chain, 0, (0, 1), N).itinerary[1:])
+    Ns = np.arange(1, N + 1, dtype=np.int64)
+    hunger, rotor = (
+        _scalar(Ns, np.cumsum(walk == 0), Ns, Fraction(1, 2), True) for walk in walks
+    )
+    rows = _Lazy(N, lambda k: (k + 1, *(_value(*p.dev, k) for p in (hunger, rotor))))
+    hmax, rmax = (_largest(num[1:], den[1:]) for num, den in (hunger.dev, rotor.dev))
+    return TwoStateComparison(q, rows, hmax, rmax, hunger, rotor)

@@ -18,6 +18,7 @@ translates labels and 1-based positions.
 
 import json
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ FLOAT = "float"
 
 _ONE = {RATIONAL: Fraction(1), FLOAT: 1.0}
 _ROW_SUM_TOL = 1e-12
-_FLOAT_PIVOT_TOL = 1e-9
+_FLOAT_PIVOT_TOL = 1e-9  # float elimination: the pivot floor of every solve
 
 _RATIONAL_TOKEN = re.compile(r"^(\d+)(?:/(\d+))?$")
 
@@ -157,9 +158,9 @@ class MarkovChain:
     @cached_property
     def _kernel_rows(self):
         """(indptr, indices, values, diagonal) for the firing engine and
-        absorbing_states, built once: the rows as int64 CSR arrays with a
-        (possibly 0) entry (i, i) at diagonal[i] in every row, and values
-        float64, or D * P_ij in rational mode: int64 below 2**62, else
+        absorbing_states, built once: the rows of H = P - I as int64 CSR
+        arrays with an entry (i, i) at diagonal[i] in every row, and values
+        float64, or D * H_ij in rational mode: int64 below 2**62, else
         Python ints."""
         n = self.n
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
@@ -175,7 +176,9 @@ class MarkovChain:
         rows, cols = rows[order], cols[order]
         values = np.array(values + [0] * len(missing), dtype=dtype)[order]
         indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int64)
-        return indptr, cols, values, np.flatnonzero(cols == rows)
+        diagonal = np.flatnonzero(cols == rows)
+        values[diagonal] -= 1.0 if self.mode == FLOAT else self.D
+        return indptr, cols, values, diagonal
 
     def __eq__(self, other):
         return (
@@ -248,9 +251,17 @@ def _dense(chain: MarkovChain, zero, cell=None):
     return out
 
 
+def _as_index(i) -> int:
+    """i as an int (numpy integers too); ValueError if i is not an integer."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"state index {i!r} is not an integer") from None
+
+
 def _check_state(chain: MarkovChain, i) -> None:
-    """Raises ValueError unless i is a state index of chain, 0..n-1."""
-    if not 0 <= i < chain.n:
+    """Raises ValueError unless i is an integer state index of chain, 0..n-1."""
+    if not 0 <= _as_index(i) < chain.n:
         raise ValueError(f"state index {i} out of range 0..{chain.n - 1}")
 
 
@@ -348,10 +359,9 @@ def absorbing_states(chain: MarkovChain) -> frozenset:
 
 
 def _absorbing_mask(chain: MarkovChain) -> np.ndarray:
-    """Bool array of P_ii = 1, made on each call and not kept on the chain."""
+    """Bool array of P_ii = 1 (H_ii = 0), made per call, not kept on the chain."""
     _, _, values, diagonal = chain._kernel_rows
-    one = 1.0 if chain.mode == FLOAT else chain.D  # the values are D * P_ij
-    return values[diagonal] == one
+    return values[diagonal] == 0
 
 
 def _reachable_from(adj, start):

@@ -447,10 +447,9 @@ def cmd_rotor(args) -> int:
 def cmd_compare2(args) -> int:
     comp = compare_two_state(_rational(args.q), args.N)
     with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["N", "hunger_dev", "rotor_dev"])
-        for N, hdev, rdev in comp.rows:
-            w.writerow([N, _fmt(hdev), _fmt(rdev)])
+        f.write("N,hunger_dev,rotor_dev\n")
+        hunger, rotor = comp.hunger, comp.rotor
+        csv_rows(f, [Ratios(hunger.Ns, 1), Ratios(*hunger.dev), Ratios(*rotor.dev)])
     _say(
         f"max deviation over N in [2, {args.N}]: "
         f"hunger {_fmt(comp.hunger_max)}, rotor {_fmt(comp.rotor_max)}"

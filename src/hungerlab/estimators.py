@@ -24,6 +24,7 @@ from .chain_model import (
     MarkovChain,
     ReroutedChain,
     Scalar,
+    _FLOAT_PIVOT_TOL,
     _check_state,
     _dense,
     absorbing_states,
@@ -35,8 +36,6 @@ from .chain_model import (
 )
 from .errors import UEqualsV, ZeroSteps
 from .hunger_engine import FiringTrace, run
-
-_FLOAT_TOL = 1e-9
 
 
 def _value(num, den, k):
@@ -212,7 +211,7 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
         return {u: one if v == u else zero for u in U}
     P = _dense(chain, zero)  # the dense system Bareiss eliminates
     A = [[(x == y) - P[x][y] for y in live] for x in live]
-    tol = None if chain.mode == RATIONAL else _FLOAT_TOL
+    tol = None if chain.mode == RATIONAL else _FLOAT_PIVOT_TOL
     zs = solve(A, [[P[x][u] for x in live] for u in U], tol)
     if None in zs:
         raise ValueError("hitting system is singular")

@@ -33,6 +33,7 @@ from .chain_model import (
     MarkovChain,
     Scalar,
     _absorbing_mask,
+    _as_index,
     _check_state,
 )
 from .errors import CapExceeded, IIsAbsorbing
@@ -194,19 +195,18 @@ class _FloatKeys:
 def _scaled(chain: MarkovChain, h: HungerVector):
     """Prepare h and H = P - I for the kernels: returns (g, rows, keys).
 
-    rows are _kernels.SparseRows of P's nonzero entries and the diagonal,
-    laid out once per chain; only their values are made here. Float chains
-    give float64 arrays (P - I) and _FloatKeys. Rational chains give the
-    integer keys of h (see _Keys) and the rows R*D*H: int64 arrays when
-    _int64_safe holds, which it does whatever the start's denominators,
-    otherwise dtype=object arrays of Python ints, which _kernels fires on
-    its reference bodies, identically and without overflow. Only
-    magnitudes or chain denominators past int64 take that path.
+    rows are _kernels.SparseRows of H at P's nonzero entries and the
+    diagonal, laid out once per chain (MarkovChain._kernel_rows). Float
+    chains give those float64 rows as they are, and _FloatKeys. Rational
+    chains give the integer keys of h (see _Keys) and the rows R*D*H, made
+    here from the chain's D*H: int64 arrays when _int64_safe holds, which
+    it does whatever the start's denominators, otherwise dtype=object
+    arrays of Python ints, which _kernels fires on its reference bodies,
+    identically and without overflow. Only magnitudes or chain
+    denominators past int64 take that path.
     """
-    indptr, indices, values, diagonal = chain._kernel_rows
+    indptr, indices, values, _ = chain._kernel_rows
     if chain.mode == FLOAT:
-        values = values.copy()
-        values[diagonal] -= 1.0
         rows = _kernels.SparseRows(indptr, indices, values)
         return np.array(h, dtype=np.float64), rows, _FloatKeys
     D = chain.D
@@ -223,8 +223,7 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
     unit = R * D
     dtype = np.int64 if _int64_safe(keys, unit, chain.n) else object
-    values = values.astype(dtype) * R  # D*P_ij, so unit*P_ij
-    values[diagonal] -= unit
+    values = values.astype(dtype, copy=False) * R  # D*H_ij, so unit*H_ij
     rows = _kernels.SparseRows(indptr, indices, values)
     return np.array(keys, dtype=dtype), rows, _Keys(unit, R, M, tuple(c))
 
@@ -302,7 +301,7 @@ def chip_add(
     final_h = initial_h + vH identity.
 
     Raises:
-        ValueError: i is not a state index.
+        ValueError: i is not a state index (an integer in 0..n-1).
         IIsAbsorbing: insertion at an absorbing state.
         CapExceeded: no absorbing arrival within `cap` fires; raised before
             any fire when the chain has no absorbing state.
@@ -364,7 +363,7 @@ def run_with_reinsertion(
         raise CapExceeded(cap)
     h = coerce_hunger(chain, h0)
     mask = _absorbing_mask(chain)
-    sched = [int(s) for s in schedule]
+    sched = [_as_index(s) for s in schedule]
     if steps > 0 and not sched:
         raise ValueError("schedule must not be empty")
     for s in sched:
@@ -509,7 +508,8 @@ def lazy_run(
         IIsAbsorbing: insertion at an absorbing index.
     """
     tracked = h0.tracked if isinstance(h0, SparseHunger) else dict(h0 or {})
-    h: Dict[int, Fraction] = {int(k): Fraction(val) for k, val in tracked.items()}
+    h: Dict[int, Fraction] = {_as_index(k): Fraction(x) for k, x in tracked.items()}
+    insert_at = _as_index(insert_at)
     low = min([insert_at, *h])
     if low < 0:
         raise ValueError(f"state index {low} out of range 0, 1, 2, ...")

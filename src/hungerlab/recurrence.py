@@ -123,23 +123,17 @@ def _zero_period(chain: MarkovChain, cap: int, lcd: Optional[int] = None) -> int
 
 
 def _least_rotation(s: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    ss = tuple(s) + tuple(s)
-    f = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        c = ss[j]
-        i = f[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if c != ss[k + i + 1]:
-            if c < ss[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
+    """Index of the lexicographically least rotation: the start of the last
+    Lyndon factor that begins in the first copy of s + s (Duval)."""
+    ss, n = tuple(s) * 2, len(s)
+    i = k = 0
+    while i < n:
+        k, j, m = i, i + 1, i
+        while j < 2 * n and ss[m] <= ss[j]:
+            m = i if ss[m] < ss[j] else m + 1
+            j += 1
+        while i <= m:
+            i += j - m
     return k
 
 

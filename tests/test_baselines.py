@@ -17,7 +17,6 @@ from hungerlab import (
     run,
     stationary_distribution,
 )
-from hungerlab.baselines import rotor_d
 from oracles import random_irreducible_chain
 
 F = Fraction
@@ -146,8 +145,8 @@ def test_rotor_visit_counts_match_itinerary(reflecting3):
 def test_rotor_blocks_for_reciprocal_q():
     for k in (3, 4, 7):
         chain = two_state(F(1, k))
-        assert rotor_d(F(1, k)) == k
         t = rotor_run(chain, 0, (0, 1), 2 * k)
+        assert t.d == (k, k)
         arrivals = list(t.itinerary[1:])
         assert arrivals.count(0) == k
         assert arrivals.count(1) == k

@@ -270,6 +270,21 @@ def test_basin_stdout_lists_classes(capsys):
     assert "class 1: 112112112311211213" in err
 
 
+def test_basin_writes_capped_cells(capsys):
+    # cap 20 stops most orbits of the 1/2 grid: their cells keep h1 and h2
+    # and leave the other fields empty
+    code, out, err = run_cli(
+        capsys, "basin", "--chain", DEMO, "--step", "1/2", "--cap", "20"
+    )
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 1 + 49
+    assert rows[1] == ["-3/2", "-3/2", "", "", "", ""]
+    assert rows[9] == ["-1", "-1", "0", "18", "1", "2"]
+    assert sum(row[2:] == [""] * 4 for row in rows[1:]) == 34
+    assert "49 cells: 2 recurrent, 4 order classes, 34 capped" in err
+
+
 def test_cover_subcommand(capsys):
     code, out, err = run_cli(
         capsys, "cover", "--chain", REFLECT, "--h0=1,-1,0"
@@ -356,6 +371,15 @@ def test_rotor_subcommand(capsys):
     assert rows[0] == ["step", "state"]
     assert [r[1] for r in rows[1:]] == ["v1", "v2", "v3", "v3", "v2", "v1", "v1"]
     assert "visits: v1:3, v2:2, v3:2" in err
+
+
+def test_conjectures_cap_below_zero_period(capsys):
+    code, out, err = run_cli(
+        capsys, "conjectures", "--chain", DEMO, "--samples", "20", "--cap", "10"
+    )
+    assert code == 3
+    assert out == ""
+    assert "error: step cap 10 exceeded" in err
 
 
 def test_compare2_subcommand(capsys):

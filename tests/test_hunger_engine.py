@@ -574,6 +574,35 @@ def test_lazy_run_rejects_negative_state_indices(chain):
             lazy_run(chain, h0, at, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda walk: chip_add(walk, None, 2.0),
+        lambda walk: chip_add(walk, None, 1.5),
+        lambda walk: run_with_reinsertion(walk, None, [1.7], 5),
+        lambda walk: lazy_run(goldbug_chain(), {2.5: 1}, 2, 3),
+        lambda walk: lazy_run(goldbug_chain(), {}, 2.0, 3),
+    ],
+    ids=["chip_add-2.0", "chip_add-1.5", "schedule-1.7", "lazy-key", "lazy-insert"],
+)
+def test_state_indices_must_be_integers(absorbing_walk5, call):
+    # a float is not a state index, a whole one included: each call fails
+    # before any fire instead of indexing numpy or truncating the float
+    with pytest.raises(ValueError, match=r"state index \d\.\d is not an integer"):
+        call(absorbing_walk5)
+
+
+def test_numpy_integer_state_indices(absorbing_walk5):
+    i = np.int64(2)
+    result, _ = chip_add(absorbing_walk5, None, i)
+    assert result == chip_add(absorbing_walk5, None, 2)[0]
+    a = run_with_reinsertion(absorbing_walk5, None, np.array([1, 3]), 9)
+    b = run_with_reinsertion(absorbing_walk5, None, [1, 3], 9)
+    assert list(a.fired) == list(b.fired)
+    g = goldbug_chain()
+    assert lazy_run(g, {i: F(1, 2)}, i, 3).rows == lazy_run(g, {2: F(1, 2)}, 2, 3).rows
+
+
 def test_lazy_run_accepts_sparse_hunger():
     g = goldbug_chain()
     t = lazy_run(g, SparseHunger({0: F(-1, 2), 1: F(-1, 2), 2: F(-1, 2)}), 2, 1)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hungerlab import (
     CapExceeded,
@@ -27,7 +29,7 @@ from hungerlab import (
     zero_hunger,
     zero_period,
 )
-from hungerlab import _linalg, chain_model, hunger_engine
+from hungerlab import _linalg, chain_model, hunger_engine, recurrence
 from hungerlab.cli import main
 from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
@@ -174,6 +176,21 @@ def test_canonical_order_wide_chains():
     assert canonical_order((0, 1, 2)) == "123"
     with pytest.raises(ValueError):
         canonical_order(())
+
+
+# words of 1-40 symbols over 1-4 letters; repeating one makes periodic
+# inputs, where several rotations tie for least
+WORDS = st.integers(1, 4).flatmap(
+    lambda a: st.lists(st.integers(0, a - 1), min_size=1, max_size=40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS, st.integers(1, 8))
+def test_least_rotation_is_the_least(word, repeats):
+    s = tuple(word * repeats)[:40]
+    k = recurrence._least_rotation(s)
+    assert s[k:] + s[:k] == min(s[i:] + s[:i] for i in range(len(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +364,17 @@ def test_conjecture_reports_demo(basin_demo3):
     assert tiling.name == "recurrent-tiling"
     assert tiling.checked > 0
     assert tiling.consistent
+
+
+def test_conjecture_reports_skip_capped_orbits(basin_demo3):
+    # cap 20 passes the zero period (18) but not every orbit's entry and
+    # period: those starts and grid points are skipped, not counted
+    period, tiling = conjecture_reports(basin_demo3, samples=20, cap=20)
+    assert (period.checked, period.violations, period.skipped) == (10, 0, 10)
+    assert (tiling.checked, tiling.violations, tiling.skipped) == (525, 0, 2386)
+    # below the zero period the scan has no base period to compare against
+    with pytest.raises(CapExceeded):
+        conjecture_reports(basin_demo3, samples=20, cap=10)
 
 
 def test_conjecture_reports_non_planar():
