@@ -1,7 +1,7 @@
-/* Compiled bodies of the three firing kernels in _kernels.py: greedy_run
- * (fire, optionally until a stop state), brent_cycle (find an orbit's
- * cycle) and reinsert_loop (fire with remove-and-reinsert steps); and of
- * its CSV row writer, csv_rows, at the end of this file.
+/* Compiled bodies of the two firing kernels in _kernels.py: greedy_run
+ * (fire, optionally until a stop state, or the remove-and-reinsert walk
+ * given a schedule) and brent_cycle (find an orbit's cycle); and of its
+ * CSV row writer, csv_rows, at the end of this file.
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
  * int64_t (exact, the engine's integer keys) and double (float mode),
@@ -24,7 +24,9 @@
  * node that does not change: a step costs O(deg * (BLOCK + log(n / BLOCK)))
  * instead of O(n). A chain with n <= BLOCK is one block, whose leaf is the
  * root: a fire adds the row and rescans that block, as the dense argmax
- * did. The tree's memory is allocated here, once per call.
+ * did. The tree's memory is allocated here, once per call. greedy_run's
+ * walk is inlined twice, with its extrema tracked (O(1) a step) and
+ * without, so a run without them tests nothing for them.
  *
  * Signed zeros: a dense fire added +0.0 to every column, which turned a
  * -0.0 hunger into +0.0. Untouched columns are not added to here, so each
@@ -189,32 +191,93 @@ static int same_##SUF(const T *a, const T *b, int64_t n)                       \
     return 1;                                                                  \
 }                                                                              \
                                                                                \
-/* Fire up to `steps` times, stopping after the first fire at a state          \
- * whose stop entry is set. Returns the number of fires. */                    \
+static void track_##SUF(T x, T *lo, T *hi)                                     \
+{                                                                              \
+    if (x < *lo)                                                               \
+        *lo = x;                                                               \
+    if (x > *hi)                                                               \
+        *hi = x;                                                               \
+}                                                                              \
+                                                                               \
+/* The walk of greedy_run in _kernels.py, on a built tree. An insertion        \
+ * (m >= 1) first takes the chip off k, the state fired last (k = i on the     \
+ * first step, which takes nothing off). With track set, lo and hi take the    \
+ * entries a step can move past them, for the rows of H = P - I (the           \
+ * diagonal is their only negative entry): a fire lowers only the fired        \
+ * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
+ * largest entry (its index is kept on the one-block path, where the root's    \
+ * hunger is stale). track is a literal at each call, so the untracked walk    \
+ * never tests it. */                                                          \
+static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
+    T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
+    int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
+    const int64_t *schedule, int64_t m, T *lo, T *hi, const int track)         \
+{                                                                              \
+    int64_t t = 0, si = 0;                                                     \
+    while (t < steps) {                                                        \
+        if (m > 0) {                                                           \
+            int64_t i = schedule[si++ % m], k = t > 0 ? fired[t - 1] : i;      \
+            if (t > 0)                                                         \
+                h[k] -= one;                                                   \
+            add_row_##SUF(h, r, i);                                            \
+            h[i] += one;                                                       \
+            retree_##SUF(h, tree, r, k / BLOCK);                               \
+            retree_##SUF(h, tree, r, i / BLOCK);                               \
+            retree_row_##SUF(h, tree, r, i);                                   \
+            fired[t++] = -1;                                                   \
+            if (track) {                                                       \
+                track_##SUF(h[k], lo, hi);                                     \
+                track_##SUF(h[i], lo, hi);                                     \
+                track_##SUF(h[tree[1].i], lo, hi);                             \
+            }                                                                  \
+        }                                                                      \
+        while (t < steps) {                                                    \
+            int64_t i = fire_##SUF(h, tree, r);                                \
+            fired[t++] = i;                                                    \
+            v[i] += 1;                                                         \
+            if (track) {                                                       \
+                track_##SUF(h[i], lo, hi);                                     \
+                track_##SUF(h[tree[1].i], lo, hi);                             \
+            }                                                                  \
+            if (stop[i])                                                       \
+                break;                                                         \
+        }                                                                      \
+        if (m == 0)                                                            \
+            break;                                                             \
+    }                                                                          \
+    return t;                                                                  \
+}                                                                              \
+                                                                               \
+/* See greedy_run in _kernels.py. extrema, when not NULL, receives the min     \
+ * and max over the start and every step. Returns the steps taken. */          \
 int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
                          const T *values, int64_t n, int64_t nnz,              \
                          int64_t steps, int64_t *fired, int64_t *v,            \
-                         const uint8_t *stop)                                  \
+                         const uint8_t *stop, T one, const int64_t *schedule,  \
+                         int64_t m, T *extrema)                                \
 {                                                                              \
     if (!rows_ok(indptr, indices, n, nnz))                                     \
         return BAD_ROWS;                                                       \
-    if (steps == 0)                                                            \
-        return 0;                                                              \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
     if (tree == NULL)                                                          \
         return NO_MEMORY;                                                      \
-    unsign_zeros_##SUF(h, n);                                                  \
+    T lo = h[0], hi = h[0];                                                    \
+    for (int64_t j = 0; extrema != NULL && j < n; j++)                         \
+        track_##SUF(h[j], &lo, &hi);                                           \
+    if (steps > 0)                                                             \
+        unsign_zeros_##SUF(h, n);                                              \
     build_##SUF(h, tree, &r);                                                  \
-    int64_t t = 0;                                                             \
-    while (t < steps) {                                                        \
-        int64_t i = fire_##SUF(h, tree, &r);                                   \
-        fired[t++] = i;                                                        \
-        v[i] += 1;                                                             \
-        if (stop[i])                                                           \
-            break;                                                             \
-    }                                                                          \
+    int64_t t = extrema != NULL                                                \
+        ? walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
+                     &lo, &hi, 1)                                              \
+        : walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
+                     &lo, &hi, 0);                                             \
     free(tree);                                                                \
+    if (extrema != NULL) {                                                     \
+        extrema[0] = lo;                                                       \
+        extrema[1] = hi;                                                       \
+    }                                                                          \
     return t;                                                                  \
 }                                                                              \
                                                                                \
@@ -278,71 +341,6 @@ int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
 capped:                                                                        \
     free(tortoise_tree);                                                       \
     return -1;                                                                 \
-}                                                                              \
-                                                                               \
-static void track_##SUF(T x, T *lo, T *hi)                                     \
-{                                                                              \
-    if (x < *lo)                                                               \
-        *lo = x;                                                               \
-    if (x > *hi)                                                               \
-        *hi = x;                                                               \
-}                                                                              \
-                                                                               \
-/* Combined fire / remove-and-reinsert walk; see reinsert_loop in              \
- * _kernels.py. Insertion si goes to schedule[si % m], m >= 1. extrema         \
- * receives (min, max) over the initial state and every step, tracked over     \
- * the entries each step touches; returns the number of insertions. */         \
-int64_t reinsert_loop_##SUF(T *h, const int64_t *indptr,                       \
-                            const int64_t *indices, const T *values,           \
-                            int64_t n, int64_t nnz, const uint8_t *absorbing,  \
-                            T one, const int64_t *schedule, int64_t m,         \
-                            int64_t steps, int64_t *fired, int64_t *v,         \
-                            T *extrema)                                        \
-{                                                                              \
-    if (!rows_ok(indptr, indices, n, nnz))                                     \
-        return BAD_ROWS;                                                       \
-    rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
-    node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
-    if (tree == NULL)                                                          \
-        return NO_MEMORY;                                                      \
-    int64_t si = 0;                                                            \
-    int64_t chip = -2; /* -2 no chip yet, -1 in flight, >= 0 last fired */     \
-    T lo = h[0], hi = h[0];                                                    \
-    for (int64_t j = 0; j < n; j++)                                            \
-        track_##SUF(h[j], &lo, &hi);                                           \
-    if (steps > 0)                                                             \
-        unsign_zeros_##SUF(h, n);                                              \
-    build_##SUF(h, tree, &r);                                                  \
-    for (int64_t t = 0; t < steps; t++) {                                      \
-        int64_t i;                                                             \
-        if (chip == -2 || (chip >= 0 && absorbing[chip])) {                    \
-            if (chip >= 0)                                                     \
-                h[chip] -= one;                                                \
-            i = schedule[si++ % m];                                            \
-            add_row_##SUF(h, &r, i);                                           \
-            h[i] += one;                                                       \
-            if (chip >= 0) {                                                   \
-                retree_##SUF(h, tree, &r, chip / BLOCK);                       \
-                track_##SUF(h[chip], &lo, &hi);                                \
-            }                                                                  \
-            retree_##SUF(h, tree, &r, i / BLOCK);                              \
-            track_##SUF(h[i], &lo, &hi);                                       \
-            retree_row_##SUF(h, tree, &r, i);                                  \
-            fired[t] = -1;                                                     \
-            chip = -1;                                                         \
-        } else {                                                               \
-            i = fire_##SUF(h, tree, &r);                                       \
-            fired[t] = i;                                                      \
-            v[i] += 1;                                                         \
-            chip = i;                                                          \
-        }                                                                      \
-        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)                    \
-            track_##SUF(h[indices[k]], &lo, &hi);                              \
-    }                                                                          \
-    free(tree);                                                                \
-    extrema[0] = lo;                                                           \
-    extrema[1] = hi;                                                           \
-    return si;                                                                 \
 }
 
 DEFINE_KERNELS(int64_t, i64, INT64_MIN)

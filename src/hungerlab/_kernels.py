@@ -1,11 +1,12 @@
 """Hot loops for the greedy firing process and its CSV output.
 
-There are three firing kernels: greedy_run fires the hungriest state, for
-a number of steps or until a stop state fires; brent_cycle finds where and
-how an orbit cycles; reinsert_loop fires with remove-and-reinsert steps,
-cycling through the schedule of insertion states it is given.
-One row writer, csv_rows, turns a block of CSV rows (traces, sweep
-profiles, rotor itineraries) into text. Each has two implementations:
+There are two firing kernels. greedy_run fires the hungriest state, for a
+number of steps or until a stop state fires; given a schedule of
+insertion states it runs the paper's remove-and-reinsert walk instead,
+and given an extrema array it keeps the least and largest hunger seen.
+brent_cycle finds where and how an orbit cycles. One row writer,
+csv_rows, turns a block of CSV rows (traces, sweep profiles, rotor
+itineraries) into text. Each has two implementations:
 
 - ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
   first time this module is imported and loaded through ctypes. The shared
@@ -41,7 +42,12 @@ O(n). The tree lives only in _kernels.c: a reference fire is
 i = np.argmax(h), then h[cols] += vals over row i's entries. A dense fire
 added +0.0 to every column, turning -0.0 hunger into +0.0; each kernel
 makes that rewrite once, before its first fire (h += 0 in the reference),
-so float runs stay bit-identical to it.
+so float runs stay bit-identical to it. The reference takes greedy_run's
+extrema over every entry a step touches; the compiled walk reads only the
+entries that can pass them, O(1) a step: the fired entry (on an insertion
+the removed and the inserted one) and the tree's hungriest. It is
+compiled once with that tracking and once without, so runs without
+extrema pay nothing for it.
 
 csv_rows takes a row's fields as str (a constant), Labels (a label a row)
 and Ratios (k cells num/den a row, reduced by their gcd). Its C body runs
@@ -165,29 +171,68 @@ class SparseRows:
         ]
 
 
-def greedy_run(h, rows, steps, fired, v, stop):
-    """Fire the hungriest state up to `steps` times.
+def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
+    """Fire the hungriest state up to `steps` times; given a schedule, run
+    the lemma's walk, which takes an absorbed chip out and reinserts it.
 
     h is mutated in place; rows are the (scaled) hunger matrix H as
     SparseRows (or a dense n x n array). fired and v collect the firing
-    sequence and per-state counts. The run ends early after the first fire
-    at a state whose bool `stop` entry is set. Returns the number of fires.
+    sequence and per-state counts. With an empty schedule the run ends
+    after the first fire at a state whose bool `stop` entry is set. With a
+    schedule of m >= 1 states the first step inserts the chip at
+    schedule[0] (h += row s, plus `one` at s), and the step after each fire
+    at a stop state k removes it (h[k] -= one) and inserts it at the next
+    schedule state: insertion si goes to schedule[si % m]. An insertion
+    step writes -1 in fired. Returns the number of steps taken.
+
+    extrema, a length-2 array of h's dtype, if given receives the min and
+    max hunger over the start and every step. Here they are taken over the
+    entries each step touches; the compiled kernels read only those a step
+    can move past them, which holds for the rows of H = P - I (the diagonal
+    is their only negative entry).
     """
-    if steps == 0:
-        return 0
-    table = SparseRows.of(rows).table()
-    stop = stop.tolist()
-    h += 0  # -0.0 -> +0.0, as a dense fire did
+    track = extrema is not None
+    if track:
+        start = h.tolist()  # min and max keep the first of -0.0 and 0.0
+        lo, hi = min(start), max(start)
     seq = []
-    for _ in range(steps):
-        i = np.argmax(h)
-        cols, vals = table[i]
-        h[cols] += vals
-        seq.append(i)
-        if stop[i]:
+    if steps > 0:
+        table = SparseRows.of(rows).table()
+        stop = stop.tolist()
+        h += 0  # -0.0 -> +0.0, as a dense fire did
+    si, m = 0, len(schedule)
+    while len(seq) < steps:
+        if m:
+            i = schedule[si % m]
+            si += 1
+            touched = [i]
+            if seq:
+                touched.append(seq[-1])
+                h[seq[-1]] -= one
+            cols, vals = table[i]
+            h[cols] += vals
+            h[i] += one
+            seq.append(-1)
+            if track:  # read after both: the removal and the row can move one entry
+                seen = h[cols].tolist() + h[touched].tolist()
+                lo, hi = min(lo, *seen), max(hi, *seen)
+        while len(seq) < steps:
+            i = np.argmax(h)
+            cols, vals = table[i]
+            h[cols] += vals
+            seq.append(i)
+            if track:
+                seen = h[cols].tolist()
+                lo, hi = min(lo, *seen), max(hi, *seen)
+            if stop[i]:
+                break
+        if not m:
             break
+    if track:
+        extrema[0], extrema[1] = lo, hi
     fired[: len(seq)] = seq
-    v += np.bincount(seq, minlength=v.shape[0])
+    seq = np.array(seq, dtype=np.int64)
+    v += np.bincount(seq[seq >= 0], minlength=v.shape[0])
     return len(seq)
 
 
@@ -235,63 +280,6 @@ def brent_cycle(h0, rows, cap):
     if mu:
         h0[:] = tortoise
     return mu, lam
-
-
-def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
-    """Combined fire / remove-and-reinsert walk for `steps` steps.
-
-    A step either fires the hungriest state, or, when the previous fire
-    landed on an absorbing state k, removes the chip there (h[k] -= one) and
-    reinserts it at the next schedule entry, cycling (h += P_s, done as row
-    s plus `one` at s) in a single operation. The very first step is the
-    initial insertion. fired[t] is the fired index or -1 for insertion steps.
-
-    Returns (insertions_used, min_hunger, max_hunger) where the extrema
-    cover the initial state and every step: after the initial scan, only
-    the entries a step touches can pass them.
-    """
-    start = h.tolist()  # a scan, not h.min(): keep the first of -0.0 and 0.0
-    lo = hi = start[0]
-    for x in start:
-        if x < lo:
-            lo = x
-        if x > hi:
-            hi = x
-    if steps == 0:
-        return 0, lo, hi
-    table = SparseRows.of(rows).table()
-    absorbing = absorbing.tolist()
-    h += 0  # -0.0 -> +0.0, as a dense fire did
-    si = 0
-    chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
-    for t in range(steps):
-        if chip == -2 or (chip >= 0 and absorbing[chip]):
-            i = schedule[si % len(schedule)]
-            si += 1
-            touched = [i] if chip < 0 else [i, chip]
-            if chip >= 0:
-                h[chip] -= one
-            cols, vals = table[i]
-            h[cols] += vals
-            h[i] += one
-            fired[t] = -1
-            chip = -1
-            # read after both: the removal and the row can move one entry
-            seen = h[cols].tolist() + h[touched].tolist()
-        else:
-            i = np.argmax(h)
-            cols, vals = table[i]
-            h[cols] += vals
-            fired[t] = i
-            v[i] += 1
-            chip = i
-            seen = h[cols].tolist()
-        for x in seen:
-            if x < lo:
-                lo = x
-            if x > hi:
-                hi = x
-    return si, lo, hi
 
 
 class Labels(NamedTuple):
@@ -364,7 +352,6 @@ def csv_rows(f, fields):
 reference = SimpleNamespace(
     greedy_run=greedy_run,
     brent_cycle=brent_cycle,
-    reinsert_loop=reinsert_loop,
     csv_rows=csv_rows,
 )
 
@@ -445,13 +432,10 @@ def _load(path: Path) -> dict:
     for dtype, suffix, T in ((np.int64, "i64", I), (np.float64, "f64", D)):
         # h, then the rows (indptr, indices, values, n, nnz), then the rest
         signatures = {
-            "greedy_run": ([P, P, P, P, I, I, I, P, P, P], I),
+            "greedy_run": ([P, P, P, P, I, I, I, P, P, P, T, P, I, P], I),
             "brent_cycle": ([P, P, P, P, I, I, I, ctypes.POINTER(I)], I),
-            "reinsert_loop": (
-                [P, P, P, P, I, I, P, T, P, I, I, P, P, ctypes.POINTER(T)], I
-            ),
         }
-        kernels = SimpleNamespace(extrema=T * 2)
+        kernels = SimpleNamespace()
         for name, (argtypes, restype) in signatures.items():
             fn = getattr(lib, f"{name}_{suffix}")
             fn.argtypes = argtypes
@@ -504,11 +488,12 @@ class _Arguments:
     """
 
     @staticmethod
-    def rows(kernel, h, rows, steps=0, mask=None, fired=None, v=None, schedule=None):
+    def rows(kernel, h, rows, steps=0, stop=None, fired=None, v=None,
+             schedule=(), extrema=None):
         """rows as SparseRows, once they and the other arrays fit the
         compiled `kernel`: brent_cycle passes h and the rows only,
-        greedy_run adds steps, its stop mask, fired and v, and reinsert_loop
-        its absorbing mask and schedule, whose m >= 1 entries must be states.
+        greedy_run adds steps, its stop mask, fired, v, its schedule, whose
+        m >= 1 entries must be states, and extrema, (2,) of h's dtype.
 
         Raises:
             ValueError: an array has the wrong dtype, shape or layout.
@@ -519,17 +504,22 @@ class _Arguments:
             h.ndim == 1 and h.dtype in _compiled and h.flags.c_contiguous
             and rows.values.dtype == h.dtype and rows.indptr.shape == (n + 1,)
             and (
-                mask is None
-                or mask.dtype == _BOOL and mask.shape == (n,)
+                stop is None
+                or stop.dtype == _BOOL and stop.shape == (n,)
                 and fired.dtype == v.dtype == _INT64 and v.shape == (n,)
-                and fired.shape[0] >= steps >= 0 and mask.flags.c_contiguous
+                and fired.shape[0] >= steps >= 0 and stop.flags.c_contiguous
                 and fired.flags.c_contiguous and v.flags.c_contiguous
             )
             and (
-                schedule is None
-                or schedule.dtype == _INT64 and schedule.flags.c_contiguous
-                and schedule.ndim == 1 and (steps == 0 or schedule.shape[0] >= 1
-                and 0 <= schedule.min() <= schedule.max() < n)
+                len(schedule) == 0
+                or isinstance(schedule, np.ndarray) and schedule.dtype == _INT64
+                and schedule.ndim == 1 and schedule.flags.c_contiguous
+                and 0 <= schedule.min() <= schedule.max() < n
+            )
+            and (
+                extrema is None
+                or isinstance(extrema, np.ndarray) and extrema.dtype == h.dtype
+                and extrema.shape == (2,) and extrema.flags.c_contiguous
             )
         ):
             raise ValueError(
@@ -588,14 +578,21 @@ class _Arguments:
 
 if _compiled is not None:
 
-    def greedy_run(h, rows, steps, fired, v, stop):
+    def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
         """Compiled reference.greedy_run."""
         if h.dtype == object:
-            return reference.greedy_run(h, rows, steps, fired, v, stop)
-        rows = _Arguments.rows("greedy_run", h, rows, steps, stop, fired, v)
+            return reference.greedy_run(
+                h, rows, steps, fired, v, stop, one, schedule, extrema
+            )
+        rows = _Arguments.rows(
+            "greedy_run", h, rows, steps, stop, fired, v, schedule, extrema
+        )
+        m = len(schedule)
         k = _compiled[h.dtype].greedy_run(
             _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
-            steps, _Pointer.of(fired), _Pointer.of(v), _Pointer.of(stop),
+            steps, _Pointer.of(fired), _Pointer.of(v), _Pointer.of(stop), one,
+            _Pointer.of(schedule) if m else None, m,
+            None if extrema is None else _Pointer.of(extrema),
         )
         if k < 0:
             raise _FAILURE[k]()
@@ -614,26 +611,6 @@ if _compiled is not None:
         if mu < -1:
             raise _FAILURE[mu]()
         return mu, lam.value
-
-    def reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
-        """Compiled reference.reinsert_loop."""
-        if h.dtype == object:
-            return reference.reinsert_loop(
-                h, rows, absorbing, one, schedule, steps, fired, v
-            )
-        rows = _Arguments.rows(
-            "reinsert_loop", h, rows, steps, absorbing, fired, v, schedule
-        )
-        kernels = _compiled[h.dtype]
-        extrema = kernels.extrema()
-        si = kernels.reinsert_loop(
-            _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
-            _Pointer.of(absorbing), one, _Pointer.of(schedule),
-            schedule.shape[0], steps, _Pointer.of(fired), _Pointer.of(v), extrema,
-        )
-        if si < 0:
-            raise _FAILURE[si]()
-        return si, extrema[0], extrema[1]
 
     def csv_rows(f, fields):
         """Compiled reference.csv_rows when every Ratios field holds int64

@@ -12,7 +12,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain_model import RATIONAL, MarkovChain, absorbing_states
+from .chain_model import (
+    RATIONAL,
+    MarkovChain,
+    _as_index,
+    _check_state,
+    absorbing_states,
+)
 from .errors import CapExceeded, FloatModeUnsupported, Stabilized
 from .estimators import DiscrepancyProfile, _Lazy, _largest, _scalar, _value
 from .hunger_engine import DEFAULT_CAP, run
@@ -43,12 +49,14 @@ class ChipConfig:
     ) -> "ChipConfig":
         if chain.mode != RATIONAL:
             raise FloatModeUnsupported("chip configurations need exact rows")
-        c = tuple(int(x) for x in c)
+        c = tuple(_as_index(x, "chip count") for x in c)
         if len(c) != chain.n:
             raise ValueError(f"expected {chain.n} chip counts")
         if any(x < 0 for x in c):
             raise ValueError("chip counts must be nonnegative")
-        d = _row_thresholds(chain.rows()) if d is None else tuple(int(x) for x in d)
+        if d is None:
+            d = _row_thresholds(chain.rows())
+        d = tuple(_as_index(x, "threshold") for x in d)
         if len(d) != chain.n:
             raise ValueError(f"expected {chain.n} thresholds")
         for i, row in enumerate(chain.rows()):
@@ -155,8 +163,7 @@ def rotor_run(
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("rotor walks need exact rows")
-    if not 0 <= start < chain.n:
-        raise ValueError("start state out of range")
+    _check_state(chain, start)
     if N < 0:
         raise ValueError("N must be >= 0")
     rows = list(chain.rows())
@@ -166,6 +173,7 @@ def rotor_run(
         for di, row in zip(d, rows)
     ]
     rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
+    rotors = [_as_index(r, "rotor position") for r in rotors]
     if len(rotors) != chain.n or any(not 0 <= r < di for r, di in zip(rotors, d)):
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
     x = start

@@ -251,12 +251,12 @@ def _dense(chain: MarkovChain, zero, cell=None):
     return out
 
 
-def _as_index(i) -> int:
+def _as_index(i, what: str = "state index") -> int:
     """i as an int (numpy integers too); ValueError if i is not an integer."""
     try:
         return operator.index(i)
     except TypeError:
-        raise ValueError(f"state index {i!r} is not an integer") from None
+        raise ValueError(f"{what} {i!r} is not an integer") from None
 
 
 def _check_state(chain: MarkovChain, i) -> None:

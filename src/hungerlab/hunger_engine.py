@@ -378,9 +378,11 @@ def run_with_reinsertion(
     v = np.zeros(chain.n, dtype=np.int64)
     g, rows, keys = _scaled(chain, h)
     sched = np.array(sched, dtype=np.int64)
-    si, lo, hi = _kernels.reinsert_loop(g, rows, mask, keys.unit, sched, steps, fired, v)
-    lo, hi = keys.hunger((lo, hi))
-    return ReinsertionTrace(fired, v, h, keys.hunger(g), steps, int(si), lo, hi)
+    extrema = np.empty(2, dtype=g.dtype)
+    _kernels.greedy_run(g, rows, steps, fired, v, mask, keys.unit, sched, extrema)
+    lo, hi = keys.hunger(extrema)
+    insertions = int(np.count_nonzero(fired == -1))
+    return ReinsertionTrace(fired, v, h, keys.hunger(g), steps, insertions, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -528,22 +530,17 @@ def lazy_run(
         k = 0
         while k in h:
             k += 1
-        best = k  # representative untracked state, hunger exactly 0
-        best_val = Fraction(0)
-        for idx in sorted(h):
-            if h[idx] > best_val or (h[idx] == best_val and idx < best):
-                best = idx
-                best_val = h[idx]
-        i = best
+        # k stands for every untracked state (hunger exactly 0)
+        i = min([k, *h], key=lambda j: (-h.get(j, 0), j))
         add_row(i)
         h[i] = h.get(i, Fraction(0)) - 1
         fired.append(i)
-        if chain.is_absorbing(i):
+        absorbed = chain.is_absorbing(i)
+        if absorbed:
             h[i] -= 1
-            absorbed = True
-            rows.append((i, dict(h)))
-            break
         rows.append((i, dict(h)))
+        if absorbed:
+            break
     v: Dict[int, int] = {}
     for i in fired:
         v[i] = v.get(i, 0) + 1

@@ -211,16 +211,51 @@ def solve_fraction(A, bs):
 # dense firing: the kernels and row preparation before sparse rows
 
 
-def dense_greedy_run(h, rows, steps, fired, v, stop):
-    """greedy_run on dense rows: np.argmax, then the whole row added."""
-    for t in range(steps):
-        i = np.argmax(h)
-        h += rows[i]
-        fired[t] = i
-        v[i] += 1
-        if stop[i]:
-            return t + 1
-    return steps
+def dense_greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
+    """greedy_run on dense rows: np.argmax, then the whole row added, with
+    insertion steps when a schedule is given and extrema over every entry
+    after every step."""
+    n = h.shape[0]
+    lo = h[0]
+    hi = h[0]
+
+    def scan():
+        nonlocal lo, hi
+        for j in range(n):
+            if h[j] < lo:
+                lo = h[j]
+            if h[j] > hi:
+                hi = h[j]
+
+    scan()
+    t = 0
+    si = 0
+    while t < steps:
+        if len(schedule):
+            if t > 0:
+                h[fired[t - 1]] -= one
+            s = schedule[si % len(schedule)]
+            si += 1
+            h += rows[s]
+            h[s] += one
+            fired[t] = -1
+            t += 1
+            scan()
+        while t < steps:
+            i = np.argmax(h)
+            h += rows[i]
+            fired[t] = i
+            v[i] += 1
+            t += 1
+            scan()
+            if stop[i]:
+                break
+        if not len(schedule):
+            break
+    if extrema is not None:
+        extrema[0] = lo
+        extrema[1] = hi
+    return t
 
 
 def dense_brent_cycle(h0, rows, cap):
@@ -274,47 +309,9 @@ def dense_brent_cycle(h0, rows, cap):
     return mu, lam
 
 
-def dense_reinsert_loop(h, rows, absorbing, one, schedule, steps, fired, v):
-    """reinsert_loop on dense rows, with extrema over every entry; the
-    schedule is cycled."""
-    n = h.shape[0]
-    si = 0
-    chip = -2  # -2 no chip yet, -1 in flight after insertion, >= 0 last fired
-    lo = h[0]
-    hi = h[0]
-    for j in range(n):
-        if h[j] < lo:
-            lo = h[j]
-        if h[j] > hi:
-            hi = h[j]
-    for t in range(steps):
-        if chip == -2 or (chip >= 0 and absorbing[chip]):
-            if chip >= 0:
-                h[chip] -= one
-            s = schedule[si % len(schedule)]
-            si += 1
-            h += rows[s]
-            h[s] += one
-            fired[t] = -1
-            chip = -1
-        else:
-            i = np.argmax(h)
-            h += rows[i]
-            fired[t] = i
-            v[i] += 1
-            chip = i
-        for j in range(n):
-            if h[j] < lo:
-                lo = h[j]
-            if h[j] > hi:
-                hi = h[j]
-    return si, lo, hi
-
-
 DENSE_KERNELS = SimpleNamespace(
     greedy_run=dense_greedy_run,
     brent_cycle=dense_brent_cycle,
-    reinsert_loop=dense_reinsert_loop,
 )
 
 

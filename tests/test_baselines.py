@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hungerlab import (
@@ -133,6 +134,33 @@ def test_rotor_zero_steps_and_validation(reflecting3):
     fchain = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.5, 0.5]]}')
     with pytest.raises(FloatModeUnsupported):
         rotor_run(fchain, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: rotor_run(chain, 1.0, None, 5),
+        lambda chain: rotor_run(chain, 0, (0.0, 0, 0), 5),
+        lambda chain: ChipConfig.build(chain, [1.5, 2.9, 0]),
+        lambda chain: ChipConfig.build(chain, [0, 0, 0], [2.5, 2, 2]),
+        lambda chain: engel_run(chain, [1.5, 2.9, 0]),
+    ],
+    ids=["rotor-start", "rotor-positions", "chips", "thresholds", "engel-chips"],
+)
+def test_baselines_refuse_non_integer_inputs(reflecting3, call):
+    """A float start, rotor slot, chip count or threshold is refused, not
+    truncated to another configuration or used as a list index."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(reflecting3)
+
+
+def test_baselines_take_numpy_integers(reflecting3):
+    i64 = np.int64
+    t = rotor_run(reflecting3, i64(1), (i64(0), 0, 0), 5)
+    assert t.itinerary.tolist() == [1, 0, 0, 1, 2, 1]
+    cfg = ChipConfig.build(reflecting3, np.array([1, 2, 1]), np.array([2, 2, 2]))
+    assert cfg == ChipConfig((1, 2, 1), (2, 2, 2))
+    assert type(cfg.c[0]) is int and type(cfg.d[0]) is int
 
 
 def test_rotor_visit_counts_match_itinerary(reflecting3):

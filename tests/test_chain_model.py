@@ -130,6 +130,12 @@ def test_parse_rejects_negative_and_oversized():
         MarkovChain([[F(3, 2), F(-1, 2)], [F(0), F(1)]])
     with pytest.raises(ChainFormatError):
         parse_chain('{"mode": "rational", "P": [["-1/2", "3/2"], ["0", "1"]]}')
+    with pytest.raises(ChainFormatError, match="zero denominator"):
+        parse_chain('{"mode": "rational", "P": [["1/0", "0"], ["0", "1"]]}')
+    with pytest.raises(ChainFormatError, match="negative entry"):
+        parse_chain('{"mode": "float", "P": [[-0.5, 1.5], [0.5, 0.5]]}')
+    with pytest.raises(ChainFormatError, match="exceeds 1"):
+        parse_chain('{"mode": "float", "P": [[1.5, 0.5], [0.5, 0.5]]}')
 
 
 def test_float_row_sum_tolerance():
@@ -153,8 +159,10 @@ def test_float_rows_reject_non_finite():
 
 
 def test_document_round_trip(two_sinks5, basin_demo3):
-    for chain in (two_sinks5, basin_demo3):
+    floats = MarkovChain([[0.25, 0.75, 0.0], [0.1, 0.2, 0.7], [0, 0, 1]], mode=FLOAT)
+    for chain in (two_sinks5, basin_demo3, floats):
         assert parse_chain(chain_to_document(chain)) == chain
+    assert json.loads(chain_to_document(floats))["P"][2] == [0.0, 0.0, 1.0]
 
 
 def test_absorbing_states(two_sinks5, reflecting3):

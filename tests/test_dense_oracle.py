@@ -128,7 +128,7 @@ def test_sparse_firing_matches_dense_oracle(example):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hunger_engine, "_scaled", dense_scaled)
         mp.setattr(recurrence, "_scaled", dense_scaled)
-        for name in ("greedy_run", "brent_cycle", "reinsert_loop"):
+        for name in ("greedy_run", "brent_cycle"):
             mp.setattr(_kernels, name, getattr(DENSE_KERNELS, name))
         dense = {name: outcome(call) for name, call in calls(*example).items()}
     assert sparse == dense

@@ -325,6 +325,33 @@ def test_reinsertion_two_sided_bound(absorbing_walk5):
     assert t.max_h <= 1 - (n - 1) * -1
 
 
+def test_reinsertion_lemma_on_ten_thousand_states():
+    """The lemma's bounds, exactly, on a generated 10^4-state chain: each
+    state steps to the next with 2/3 and to a random state with 1/3, 20
+    states absorb, the start has denominators up to 6 and the chip is
+    reinserted through 7 states for 2 * 10^5 steps."""
+    n = 10**4
+    rng = np.random.default_rng(7)
+    absorbing = set(rng.choice(n, size=20, replace=False).tolist())
+    rows = []
+    for i, r in enumerate(rng.integers(0, n, size=n).tolist()):
+        if i in absorbing:
+            rows.append({i: F(1)})
+        else:
+            row = {(i + 1) % n: F(2, 3)}
+            row[r] = row.get(r, 0) + F(1, 3)
+            rows.append(row)
+    nums, dens = rng.integers(-6, 7, size=n), rng.integers(1, 7, size=n)
+    h0 = [F(int(a), int(b)) for a, b in zip(nums, dens)]
+    free = sorted(set(range(n)) - absorbing)
+    schedule = rng.choice(free, size=7, replace=False).tolist()
+    t = run_with_reinsertion(MarkovChain(rows), h0, schedule, 2 * 10**5)
+    a = min(h0) - 1
+    assert t.min_h >= a
+    assert t.max_h <= sum(h0) + 1 - (n - 1) * a
+    assert t.insertions == np.count_nonzero(t.fired == -1) > 1
+
+
 def test_reinsertion_sentinels_and_counts(absorbing_walk5):
     t = run_with_reinsertion(absorbing_walk5, None, [2], 40)
     fired = [int(x) for x in t.fired]
@@ -618,6 +645,8 @@ def test_harmonic_enumeration_round_trip():
         assert h.index_of(i, j) == m
     assert h.label(0) == "v(0,0)"
     assert h.label(h.index_of(5, 4)) == "v(5,4)"
+    for i in range(6):  # v(0,0) absorbs and every v(i,i) drops to it
+        assert h.row(h.index_of(i, i)) == [(0, F(1))]
 
 
 def test_harmonic_partial_sums():

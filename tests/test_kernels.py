@@ -43,7 +43,7 @@ def cases(draw):
     with entries k/S. A power-of-two S makes the float arithmetic exact so
     float orbits can close; small integer starts make argmax ties common.
     Sizes past 8 states give trees of several blocks and levels. The
-    schedule holds 1-5 entries, so reinsert_loop cycles it.
+    schedule holds 1-5 entries, so greedy_run's reinsertion walk cycles it.
     """
     n = draw(st.one_of(st.integers(1, 40), st.sampled_from([64, 129, 300])))
     dtype = draw(st.sampled_from([np.int64, np.float64]))
@@ -129,20 +129,25 @@ def test_brent_cycle_matches_reference(case):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
-def test_reinsert_loop_matches_reference(case):
+def test_greedy_run_with_extrema_matches_reference(case):
+    """The remove-and-reinsert walk (the absorbing mask as stop states),
+    and with an empty schedule chip addition, both tracking extrema: the
+    compiled kernels' reads of the entries a step can move past the
+    extrema against the dense oracle's scan of every entry."""
     h, rows, absorbing, one, schedule, steps = case
     fired = np.zeros(steps, dtype=np.int64)
     v = np.zeros(h.shape[0], dtype=np.int64)
-    *mine, (dense_res, dense_args) = run_all(
-        "reinsert_loop", h, rows, absorbing, one, schedule, steps, fired, v
-    )
-    for res, args in mine:
-        assert int(res[0]) == int(dense_res[0])
-        assert (
-            np.array(res[1:], dtype=h.dtype).tobytes()
-            == np.array(dense_res[1:], dtype=h.dtype).tobytes()
+    extrema = np.zeros(2, dtype=h.dtype)
+    for sched in (schedule, schedule[:0]):
+        *mine, (dense_res, dense_args) = run_all(
+            "greedy_run", h, rows, steps, fired, v, absorbing, one, sched, extrema
         )
-        assert_same_arrays(args, dense_args)
+        for res, args in mine:
+            assert int(res) == int(dense_res)
+            assert_same_arrays(args, dense_args)
+        if len(sched):
+            assert int(dense_res) == steps
+            assert (dense_args[2][:1] == -1).all()
 
 
 BIG = 2**70
@@ -182,14 +187,15 @@ def test_reference_on_python_ints_matches_int64(case):
 
         small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
         big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
-        si, lo, hi = _kernels.reinsert_loop(
-            small[0], rows, absorbing, one, schedule, steps, small[1], small[2]
+        extrema, big_extrema = np.zeros(2, np.int64), np.zeros(2, object)
+        k = _kernels.greedy_run(
+            small[0], rows, steps, small[1], small[2], absorbing, one, schedule, extrema
         )
-        big_si, big_lo, big_hi = body.reinsert_loop(
-            big[0], big_rows, absorbing, int(one) * BIG, schedule, steps, big[1], big[2]
-        )
-        assert big_si == si
-        assert [big_lo, big_hi] == scaled([lo, hi])
+        assert body.greedy_run(
+            big[0], big_rows, steps, big[1], big[2], absorbing, int(one) * BIG,
+            schedule, big_extrema,
+        ) == k
+        assert big_extrema.tolist() == scaled(extrema)
         assert big[1].tolist() == small[1].tolist()
         assert big[2].tolist() == small[2].tolist()
         assert big[0].tolist() == scaled(small[0])
@@ -219,11 +225,12 @@ def test_reference_bodies_stay_sparse_on_a_ring():
         assert h0.tolist() == start.tolist()
 
         h, fired, v = start.copy(), np.zeros(4, np.int64), np.zeros(n, np.int64)
-        si, lo, hi = ref.reinsert_loop(
-            h, rows, np.zeros(n, np.bool_), np.int64(2), np.ones(4, np.int64), 4,
-            fired, v,
-        )
-        assert (si, lo, hi) == (1, -1, 3)
+        extrema = np.zeros(2, np.int64)
+        assert ref.greedy_run(
+            h, rows, 4, fired, v, np.zeros(n, np.bool_), np.int64(2),
+            np.ones(4, np.int64), extrema,
+        ) == 4
+        assert extrema.tolist() == [-1, 3]
         assert fired.tolist() == [-1, 0, 0, 1]
         assert h.sum() == 4
         peak = tracemalloc.get_traced_memory()[1]
@@ -296,17 +303,21 @@ def test_compiled_kernels_reject_mismatched_arrays():
         with pytest.raises(ValueError):
             _kernels.brent_cycle(h, bad, 10)
         with pytest.raises(ValueError):
-            _kernels.reinsert_loop(
-                h, bad, np.zeros(3, np.bool_), np.int64(1), np.array([0, 1]), 1,
-                np.zeros(1, np.int64), v,
+            _kernels.greedy_run(
+                h, bad, 1, fired, v, stop, np.int64(1), np.array([0, 1]),
+                np.zeros(2, np.int64),
             )
     with pytest.raises(ValueError):
         _kernels.brent_cycle(h, SparseRows.of(np.zeros((4, 4), np.int64)), 10)
-    with pytest.raises(ValueError):
-        _kernels.reinsert_loop(
-            h, rows, np.zeros(3, np.bool_), np.int64(1), np.array([0, 3]), 1,
-            np.zeros(1, np.int64), v,
-        )
+    for schedule, extrema in (
+        (np.array([0, 3]), np.zeros(2, np.int64)),  # a state past the last
+        (np.array([0, 1]), np.zeros(2, np.float64)),  # extrema not h's dtype
+        (np.array([0, 1]), np.zeros(3, np.int64)),
+    ):
+        with pytest.raises(ValueError):
+            _kernels.greedy_run(
+                h, rows, 1, fired, v, stop, np.int64(1), schedule, extrema
+            )
 
 
 # ---------------------------------------------------------------------------

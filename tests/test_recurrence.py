@@ -302,6 +302,23 @@ def test_lattice_member_basics(reflecting3):
     assert not lattice_member(reflecting3, half)
 
 
+def test_lattice_member_rejects_a_vector_off_the_lattice(basin_demo3):
+    """basin_demo3 rejects (-4/5, -4/5, 8/5), and on all 81 zero-sum vectors
+    of fifths in [-4/5, 4/5]^2 agrees with a brute force over the integer
+    vectors w with sum(w) = 0 and |w_i| <= 12."""
+    assert not lattice_member(basin_demo3, (F(-4, 5), F(-4, 5), F(8, 5)))
+    H = hunger_matrix(basin_demo3).H
+    reached = set()
+    for w1 in range(-12, 13):
+        for w2 in range(max(-12, -12 - w1), min(12, 12 - w1) + 1):
+            w = (w1, w2, -w1 - w2)
+            reached.add(tuple(sum(a * b for a, b in zip(w, col)) for col in zip(*H)))
+    fifths = [F(k, 5) for k in range(-4, 5)]
+    ys = [(a, b, -a - b) for a in fifths for b in fifths]
+    assert [lattice_member(basin_demo3, y) for y in ys] == [y in reached for y in ys]
+    assert 1 < sum(y in reached for y in ys) < len(ys)
+
+
 def test_lattice_member_validation(reflecting3):
     with pytest.raises(YNotOnZ):
         lattice_member(reflecting3, (F(1), F(0), F(0)))
