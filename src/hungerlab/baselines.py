@@ -5,7 +5,6 @@ Both need integer chip moves, so they run on rational chains only; each
 state i carries a threshold d_i that clears its row's denominators.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -17,16 +16,13 @@ from .chain_model import (
     MarkovChain,
     _as_index,
     _check_state,
+    _chip_moves,
+    _row_thresholds,
     absorbing_states,
 )
 from .errors import CapExceeded, FloatModeUnsupported, Stabilized
 from .estimators import DiscrepancyProfile, _Lazy, _largest, _scalar, _value
 from .hunger_engine import DEFAULT_CAP, run
-
-
-def _row_thresholds(rows) -> Tuple[int, ...]:
-    """Each row's lcm of denominators, for rows of (column, entry) pairs."""
-    return tuple(math.lcm(*(p.denominator for _, p in row)) for row in rows)
 
 
 @dataclass
@@ -54,8 +50,8 @@ class ChipConfig:
             raise ValueError(f"expected {chain.n} chip counts")
         if any(x < 0 for x in c):
             raise ValueError("chip counts must be nonnegative")
-        if d is None:
-            d = _row_thresholds(chain.rows())
+        if d is None:  # each row's lcd, kept on the chain, clears its row
+            return cls(c, chain._chip_firing[0])
         d = tuple(_as_index(x, "threshold") for x in d)
         if len(d) != chain.n:
             raise ValueError(f"expected {chain.n} thresholds")
@@ -102,16 +98,16 @@ def engel_run(
     shipping d_i * P_ij chips to each j. Absorbing states never fire;
     they only collect. Raises Stabilized(steps) when no state can fire,
     CapExceeded when the configuration keeps changing past cap firings.
+    c0 is checked on every call. The default thresholds, their integer
+    moves and the absorbing states are built once per chain
+    (MarkovChain._chip_firing); a given d is checked and its moves built
+    per call.
     """
     cfg = ChipConfig.build(chain, c0, d)
-    absorbing = absorbing_states(chain)
-    # the chips a fire at i moves: d_i P_ij to each j, less the d_i it sends
-    moves = []
-    for i, row in enumerate(chain.rows()):
-        move = {i: -cfg.d[i]}
-        for j, p in row:
-            move[j] = move.get(j, 0) + int(cfg.d[i] * p)
-        moves.append(list(move.items()))
+    if d is None:
+        _, moves, absorbing = chain._chip_firing
+    else:
+        moves, absorbing = _chip_moves(chain, cfg.d), absorbing_states(chain)
     c = list(cfg.c)
     counts = [0] * chain.n
     seen = {tuple(c): (0, tuple(counts))}

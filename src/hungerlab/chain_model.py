@@ -180,6 +180,14 @@ class MarkovChain:
         values[diagonal] -= 1.0 if self.mode == FLOAT else self.D
         return indptr, cols, values, diagonal
 
+    @cached_property
+    def _chip_firing(self):
+        """(d, moves, absorbing) for the Engel machine's default thresholds,
+        built once in rational mode: d_i the lcm of row i's denominators,
+        _chip_moves(self, d) and absorbing_states(self)."""
+        d = _row_thresholds(self.rows())
+        return d, _chip_moves(self, d), absorbing_states(self)
+
     def __eq__(self, other):
         return (
             isinstance(other, MarkovChain)
@@ -351,6 +359,21 @@ def chain_to_document(chain: MarkovChain) -> str:
     return json.dumps(
         {"mode": chain.mode, "states": list(chain.labels), "P": P}, indent=2
     )
+
+
+def _row_thresholds(rows) -> Tuple[int, ...]:
+    """Each row's lcm of denominators, for rows of (column, entry) pairs."""
+    return tuple(math.lcm(*(p.denominator for _, p in row)) for row in rows)
+
+
+def _chip_moves(chain: MarkovChain, d):
+    """The chips a fire at each state i moves under thresholds d: pairs
+    (j, d_i * H_ij) over row i's entries and diagonal, from the rows D * H
+    (exact when d_i clears row i)."""
+    indptr, indices, values, _ = chain._kernel_rows
+    pairs, ptr = list(zip(indices.tolist(), values.tolist())), indptr.tolist()
+    rows = zip(d, ptr, ptr[1:])
+    return [[(j, di * x // chain.D) for j, x in pairs[a:b]] for di, a, b in rows]
 
 
 def absorbing_states(chain: MarkovChain) -> frozenset:

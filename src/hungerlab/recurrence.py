@@ -28,6 +28,7 @@ from .chain_model import (
 from .errors import CapExceeded, FloatModeUnsupported, HasAbsorbing, YNotOnZ
 from .hunger_engine import (
     DEFAULT_CAP,
+    _int64_safe,
     _scaled,
     coerce_hunger,
     run,
@@ -81,15 +82,20 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     _check_cycle_chain(chain)
     h = coerce_hunger(chain, h0)
     g, rows, keys = _scaled(chain, h)
+    mu, lam, order = _orbit(g, rows, cap)
+    return CycleInfo(mu, lam, keys.hunger(g), order, canonical_order(order, chain.n))
+
+
+def _orbit(g, rows, cap: int) -> Tuple[int, int, Tuple[int, ...]]:
+    """(entry_steps, period, order) of the orbit of the keys g under rows,
+    leaving g at cycle entry; CapExceeded past cap steps."""
     mu, lam = _kernels.brent_cycle(g, rows, cap)
     if mu < 0 or mu + lam > cap:
         raise CapExceeded(cap)
-    rep = keys.hunger(g)
-    fired = np.empty(lam, dtype=np.int64)
-    v = np.zeros(chain.n, dtype=np.int64)
-    _kernels.greedy_run(g, rows, lam, fired, v, np.zeros(chain.n, dtype=np.bool_))
-    order = tuple(fired.tolist())
-    return CycleInfo(mu, lam, rep, order, canonical_order(order, chain.n))
+    n, fired = g.shape[0], np.empty(lam, dtype=np.int64)
+    # the period's steps bring g back to the cycle-entry vector
+    _kernels.greedy_run(g, rows, lam, fired, np.zeros(n, np.int64), np.zeros(n, bool))
+    return mu, lam, tuple(fired.tolist())
 
 
 def is_recurrent(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> bool:
@@ -193,6 +199,32 @@ def _grid(bounds: Tuple[Fraction, Fraction], step: Fraction) -> List[Fraction]:
     return values
 
 
+def _grid_orbits(chain: MarkovChain, values: List[Fraction], cap: int):
+    """Prepare a grid scan once: returns (cells, S, orbit). cells yields
+    (h1, h2, keys) per start (h1, h2, -h1-h2), h1 in the outer loop.
+
+    Grid cells, and cells less a lattice vector (denominators dividing D),
+    lie on (1/S)Z^n, S = lcm(D, grid denominators). Their keys are the ints
+    S*h, _Keys with R = M = S/D and c = (0, ..., M-1), fired by one set of
+    rows S*H = M*(D*H). orbit(keys) is _orbit's result, or find_cycle's
+    (on its own keys) when the keys fail _int64_safe."""
+    S = math.lcm(chain.D, *(x.denominator for x in values))
+    num = [x.numerator * (S // x.denominator) for x in values]
+    grid = list(zip(values, num))
+    cells = ((h1, h2, (a, b, -a - b)) for h1, a in grid for h2, b in grid)
+    indptr, indices, dh, _ = chain._kernel_rows
+    if S < 2**62:  # else no keys pass _int64_safe
+        rows = _kernels.SparseRows(indptr, indices, dh * (S // chain.D))
+
+    def orbit(keys):
+        if _int64_safe(keys, S, chain.n):
+            return _orbit(np.array(keys, dtype=np.int64), rows, cap)
+        info = find_cycle(chain, [Fraction(k, S) for k in keys], cap)
+        return info.entry_steps, info.period, info.order
+
+    return cells, S, orbit
+
+
 def basin_scan(
     chain: MarkovChain,
     bounds: Tuple[Fraction, Fraction],
@@ -204,36 +236,29 @@ def basin_scan(
     Walks h1 and h2 over the closed interval bounds with the given step
     (all exact fractions), finds each orbit's cycle and buckets it by
     canonical firing order. Class ids are 1-based in first-seen order,
-    scanning h1 in the outer loop.
+    scanning h1 in the outer loop. The cells' keys and rows are prepared
+    once for the grid (_grid_orbits) and each distinct order is named
+    once; every cell's result equals find_cycle's.
     """
     if chain.n != 3:
         raise ValueError("basin scans are drawn over 3-state chains")
     values = _grid(bounds, step)
-    class_ids = {}
-    classes: List[str] = []
-    cells = []
-    for h1 in values:
-        for h2 in values:
-            h = (h1, h2, -h1 - h2)
-            try:
-                info = find_cycle(chain, h, cap)
-            except CapExceeded:
-                cells.append(BasinCell(h1, h2, None, None, None, None))
-                continue
-            if info.order_class not in class_ids:
-                classes.append(info.order_class)
-                class_ids[info.order_class] = len(classes)
-            cells.append(
-                BasinCell(
-                    h1,
-                    h2,
-                    info.entry_steps == 0,
-                    info.period,
-                    class_ids[info.order_class],
-                    info.entry_steps,
-                )
-            )
-    return BasinScan(cells, classes)
+    _check_cycle_chain(chain)
+    cells, _, orbit = _grid_orbits(chain, values, cap)
+    class_ids = {}  # canonical order -> class id, in first-seen order
+    id_of = {}  # firing order -> class id, so each order is named once
+    out = []
+    for h1, h2, keys in cells:
+        try:
+            mu, lam, order = orbit(keys)
+        except CapExceeded:
+            out.append(BasinCell(h1, h2, None, None, None, None))
+            continue
+        if order not in id_of:
+            name = canonical_order(order, 3)
+            id_of[order] = class_ids.setdefault(name, len(class_ids) + 1)
+        out.append(BasinCell(h1, h2, mu == 0, lam, id_of[order], mu))
+    return BasinScan(out, list(class_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +308,8 @@ def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
     if chain.n == 1:
         return True  # y is (0,) and the lattice is the origin
     # w . H = y, i.e. H^T w = y, in the elimination that gives pi
+    # (w0 exists: H has rank n - 1, or _stationary raises, so y is solvable)
     pi, (w0,) = _stationary(chain, [y])
-    if w0 is None:
-        return False
     total = sum(w0)  # sum(pi) = 1, so w0 - total * pi sums to zero
     return all((w - total * p).denominator == 1 for w, p in zip(w0, pi))
 
@@ -372,10 +396,11 @@ def conjecture_reports(
     zero-sum rational starts within bounds. Tiling: no recurrent grid
     point should stay recurrent after a shift by a nonzero lattice
     element u = a(H_1-H_2) + b(H_2-H_3), a, b in -2..2; scanned over the
-    same grid a basin scan would use, 3-state chains only. Violations are
-    counted and quoted, never raised; these are conjectures, not
-    invariants. A step <= 0 or bounds with lo > hi raise ValueError, for
-    every chain.
+    same grid a basin scan would use, 3-state chains only, with the grid's
+    keys and rows prepared once (_grid_orbits) and each start's recurrence
+    found once. Violations are counted and quoted, never raised; these are
+    conjectures, not invariants. A step <= 0 or bounds with lo > hi raise
+    ValueError, for every chain.
     """
     _check_cycle_chain(chain)
     values = _grid(bounds, step)
@@ -408,39 +433,33 @@ def conjecture_reports(
     if chain.n != 3:
         notes.append("skipped: the tiling scan is defined for 3-state chains")
     else:
-        shifts = []
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                if (a, b) == (0, 0):
-                    continue
-                u = tuple(
-                    a * lat.basis[0][j] + b * lat.basis[1][j] for j in range(3)
-                )
-                shifts.append(((a, b), u))
+        cells, S, orbit = _grid_orbits(chain, values, cap)
+        shifts = [  # (a, b) and the keys S*u of u
+            ((a, b), tuple(int(S * (a * p + b * q)) for p, q in zip(*lat.basis)))
+            for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)
+        ]
         recurrent_cache = {}
 
-        def recurrent(h):
-            if h not in recurrent_cache:
-                recurrent_cache[h] = is_recurrent(chain, h, cap)
-            return recurrent_cache[h]
+        def recurrent(keys):
+            if keys not in recurrent_cache:
+                recurrent_cache[keys] = orbit(keys)[0] == 0
+            return recurrent_cache[keys]
 
-        for h1 in values:
-            for h2 in values:
-                x = (h1, h2, -h1 - h2)
-                try:
-                    if not recurrent(x):
-                        continue
-                    for combo, u in shifts:
-                        y = tuple(p - q for p, q in zip(x, u))
-                        checked += 1
-                        if recurrent(y):
-                            violations += 1
-                            if len(notes) < 5:
-                                notes.append(
-                                    f"recurrent overlap at shift {combo} from x={x}"
-                                )
-                except CapExceeded:
-                    skipped += 1
+        for h1, h2, x in cells:
+            try:
+                if not recurrent(x):
+                    continue
+                for combo, u in shifts:
+                    checked += 1
+                    if recurrent(tuple(p - q for p, q in zip(x, u))):
+                        violations += 1
+                        if len(notes) < 5:
+                            x0 = (h1, h2, -h1 - h2)
+                            notes.append(
+                                f"recurrent overlap at shift {combo} from x={x0}"
+                            )
+            except CapExceeded:
+                skipped += 1
     tiling_report = ConjectureReport(
         "recurrent-tiling", checked, violations, skipped, notes
     )

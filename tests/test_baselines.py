@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hungerlab import (
     CapExceeded,
     ChipConfig,
+    EngelRecord,
     FloatModeUnsupported,
     MarkovChain,
     Stabilized,
@@ -18,6 +20,7 @@ from hungerlab import (
     run,
     stationary_distribution,
 )
+from conftest import load_chain
 from oracles import random_irreducible_chain
 
 F = Fraction
@@ -105,6 +108,85 @@ def test_engel_cycle_certifies_stationary_vector(reflecting3):
         pi = stationary_distribution(chain)
         assert tuple(F(x, total) for x in w) == pi
         assert sum(rec.final) == sum(cfg.d)
+
+
+def engel_per_call(chain, c0, d=None, cap=10**7):
+    """The Engel walk with its moves built from P's Fractions on every
+    call: a record, or the exception's type and steps."""
+    rows = [chain.row(i) for i in range(chain.n)]
+    if d is None:
+        d = [math.lcm(*(p.denominator for _, p in row)) for row in rows]
+    moves = []
+    for i, row in enumerate(rows):
+        move = {i: -d[i]}
+        for j, p in row:
+            move[j] = move.get(j, 0) + int(d[i] * p)
+        moves.append(move)
+    absorbing = {i for i, row in enumerate(rows) if row == [(i, 1)]}
+    c, counts = list(c0), [0] * chain.n
+    seen = {tuple(c): (0, tuple(counts))}
+    for step in range(1, cap + 1):
+        fire = [i for i in range(chain.n) if i not in absorbing and c[i] >= d[i]]
+        if not fire:
+            return Stabilized, step - 1
+        for j, chips in moves[fire[0]].items():
+            c[j] += chips
+        counts[fire[0]] += 1
+        if tuple(c) in seen:
+            entry, then = seen[tuple(c)]
+            cycle = tuple(a - b for a, b in zip(counts, then))
+            return EngelRecord(entry, step - entry, cycle, tuple(counts), tuple(c), True)
+        seen[tuple(c)] = (step, tuple(counts))
+    return CapExceeded, cap
+
+
+def engel_outcome(chain, c0, d=None, cap=10**7):
+    try:
+        return engel_run(chain, c0, d, cap)
+    except (Stabilized, CapExceeded) as e:
+        return type(e), e.steps if isinstance(e, Stabilized) else cap
+
+
+SHIPPED = ("reflecting3", "basin_demo3", "absorbing_walk5", "two_sinks5")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_engel_default_moves_match_a_per_call_build(name):
+    chain = load_chain(f"{name}.json")  # a fresh chain: nothing cached yet
+    lcds = [math.lcm(*(p.denominator for _, p in chain.row(i))) for i in range(chain.n)]
+    rng = random.Random(name)
+    for k in range(60):
+        c0 = [rng.randint(0, 3 * di) for di in lcds]
+        cap = rng.choice((5, 50, 10**7))
+        assert engel_outcome(chain, c0, None, cap) == engel_per_call(chain, c0, None, cap)
+        # explicit thresholds, twice the row lcds: checked, moves built per call
+        d = [2 * x for x in lcds]
+        assert engel_outcome(chain, c0, d, cap) == engel_per_call(chain, c0, d, cap)
+    assert chain._chip_firing[0] == tuple(lcds)
+
+
+def test_engel_explicit_thresholds_leave_the_default_alone(reflecting3):
+    chain = load_chain("reflecting3.json")
+    first = engel_run(chain, (4, 4, 4), (2, 4, 2))
+    assert first == engel_per_call(chain, (4, 4, 4), (2, 4, 2))
+    assert engel_run(chain, (4, 4, 4)) == engel_per_call(chain, (4, 4, 4))
+    assert engel_run(chain, (4, 4, 4), (2, 4, 2)) == first
+    with pytest.raises(ValueError, match="does not clear"):
+        engel_run(chain, (4, 4, 4), (3, 2, 2))
+    assert engel_run(reflecting3, (4, 4, 4)) == engel_run(chain, (4, 4, 4))
+
+
+def test_engel_checks_c0_on_every_call(reflecting3):
+    engel_run(reflecting3, (1, 2, 1))  # the default moves are now kept
+    with pytest.raises(ValueError, match="expected 3 chip counts"):
+        engel_run(reflecting3, (1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        engel_run(reflecting3, (1, -2, 1))
+    with pytest.raises(ValueError, match="is not an integer"):
+        engel_run(reflecting3, (1, 2.5, 1))
+    fchain = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.5, 0.5]]}')
+    with pytest.raises(FloatModeUnsupported):
+        engel_run(fchain, (1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -401,3 +401,150 @@ def test_conjecture_reports_non_planar():
     assert period.checked + period.skipped == 6
     assert tiling.checked == 0
     assert any("3-state" in note for note in tiling.notes)
+
+
+# ---------------------------------------------------------------------------
+# grid scans against a per-cell find_cycle loop
+
+# doubly stochastic (uniform pi, zero period 3) with D = 3 * 2**62: no grid
+# key passes _int64_safe, so every cell goes through find_cycle
+E = F(1, 2**62)
+HUGE_D = recurrence.MarkovChain([
+    [F(1, 3), F(1, 3) + E, F(1, 3) - E],
+    [F(1, 3) + E, F(1, 3) - 2 * E, F(1, 3) + E],
+    [F(1, 3) - E, F(1, 3) + E, F(1, 3)],
+])
+
+
+def per_cell_basin(chain, values, cap):
+    """basin_scan's cells and classes, one find_cycle call a cell."""
+    ids, cells = {}, []
+    for h1 in values:
+        for h2 in values:
+            try:
+                info = find_cycle(chain, (h1, h2, -h1 - h2), cap)
+            except CapExceeded:
+                cells.append((h1, h2, None, None, None, None))
+                continue
+            k = ids.setdefault(info.order_class, len(ids) + 1)
+            cells.append((h1, h2, info.entry_steps == 0, info.period, k, info.entry_steps))
+    return cells, list(ids)
+
+
+def per_cell_tiling(chain, values, cap):
+    """The tiling tally, one is_recurrent call a distinct start."""
+    basis = lattice_basis(chain).basis
+    seen, checked, violations, skipped, notes = {}, 0, 0, 0, []
+
+    def recurrent(h):
+        if h not in seen:
+            seen[h] = is_recurrent(chain, h, cap)
+        return seen[h]
+
+    for h1 in values:
+        for h2 in values:
+            x = (h1, h2, -h1 - h2)
+            try:
+                if not recurrent(x):
+                    continue
+                for a in range(-2, 3):
+                    for b in range(-2, 3):
+                        if (a, b) == (0, 0):
+                            continue
+                        checked += 1
+                        y = tuple(p - a * s - b * t for p, s, t in zip(x, *basis))
+                        if recurrent(y):
+                            violations += 1
+                            if len(notes) < 5:
+                                notes.append(
+                                    f"recurrent overlap at shift {(a, b)} from x={x}"
+                                )
+            except CapExceeded:
+                skipped += 1
+    return checked, violations, skipped, notes
+
+
+def per_sample_periods(chain, samples, bounds, seed, cap, base):
+    """The period-uniformity tally, one find_cycle call a sample."""
+    rng = random.Random(seed)
+    checked = violations = skipped = 0
+    for _ in range(samples):
+        h = recurrence._random_hunger(rng, 3, *bounds)
+        try:
+            info = find_cycle(chain, h, cap)
+        except CapExceeded:
+            skipped += 1
+            continue
+        checked += 1
+        violations += info.period != base
+    return checked, violations, skipped
+
+
+def assert_scans_match_per_cell_loops(chain, bounds, step, cap, samples=0, seed=0):
+    values = recurrence._grid(bounds, step)
+    scan = basin_scan(chain, bounds, step, cap)
+    cells = [
+        (c.h1, c.h2, c.recurrent, c.period, c.class_id, c.entry_steps)
+        for c in scan.cells
+    ]
+    assert (cells, scan.classes) == per_cell_basin(chain, values, cap)
+    period, tiling = conjecture_reports(chain, samples, bounds, step, seed, cap)
+    base = lcd_of_stationary(chain)
+    assert (period.checked, period.violations, period.skipped) == per_sample_periods(
+        chain, samples, bounds, seed, cap, base
+    )
+    assert (tiling.checked, tiling.violations, tiling.skipped, tiling.notes) == (
+        per_cell_tiling(chain, values, cap)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32), st.booleans(), st.integers(-8, 4), st.integers(1, 4),
+    st.integers(0, 6), st.integers(1, 6), st.integers(1, 3), st.integers(0, 40),
+    st.integers(0, 8),
+)
+def test_grid_scans_match_a_per_cell_find_cycle_loop(
+    seed, huge, lo_num, lo_den, span, den, step_num, extra, samples
+):
+    chain = HUGE_D if huge else random_irreducible_chain(random.Random(seed), 3)
+    lo, step = F(lo_num, lo_den), F(step_num, den)
+    hi = lo + F(span, den)
+    cap = lcd_of_stationary(chain) + extra  # small, but past the zero period
+    # random samples need an integer in the bounds; 0 is one
+    samples = samples if lo <= 0 <= hi else 0
+    assert_scans_match_per_cell_loops(chain, (lo, hi), step, cap, samples, seed)
+
+
+def test_grid_scans_prepare_once(basin_demo3, monkeypatch):
+    made, cycles = [], []
+    post_init = recurrence._kernels.SparseRows.__post_init__
+    monkeypatch.setattr(
+        recurrence._kernels.SparseRows, "__post_init__",
+        lambda self: made.append(1) or post_init(self),
+    )
+    find = recurrence.find_cycle
+    monkeypatch.setattr(
+        recurrence, "find_cycle", lambda *a: cycles.append(1) or find(*a)
+    )
+    names = []
+    canonical = recurrence.canonical_order
+    monkeypatch.setattr(
+        recurrence, "canonical_order", lambda *a: names.append(1) or canonical(*a)
+    )
+    scan = basin_scan(basin_demo3, (F(-3, 2), F(3, 2)), F(1, 4))
+    # one set of rows for the grid, no find_cycle call, one name an order
+    orders = {c.class_id for c in scan.cells}
+    assert (len(made), len(cycles), len(scan.cells)) == (1, 0, 169)
+    assert len(orders) == len(scan.classes) <= len(names) < 169
+    # a grid where every key fails _int64_safe: each cell through find_cycle
+    basin_scan(HUGE_D, (F(-1), F(1)), F(1), 30)
+    assert len(cycles) == 9
+
+
+def test_grid_scans_mix_int64_and_fallback_cells(basin_demo3):
+    # the corner cells' keys are past int64, the others are small; with a
+    # small cap the far orbits are capped on either path
+    big = F(2**61)
+    for chain in (basin_demo3, HUGE_D):
+        assert_scans_match_per_cell_loops(chain, (-big, big), big, 40, samples=3)
