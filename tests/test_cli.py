@@ -699,13 +699,6 @@ GOLDEN_COMMANDS = [
     (("basin", "--chain", REFLECT, "--step", "1/4"),
      "79d98f8a380723f54e5ec1c3fbd8c84518c9683a117f129a9ae38e75b0e2a067",
      "cb476ca5ac0c0b4c20f4124c00a1f15da2dfa2a7183519748b568af1d40e1483"),
-    # the 1/20 grid of the benchmark's basin run, and the default scans
-    (("basin", "--chain", DEMO, "--bounds", "-1.5", "1.5", "--step", "1/20"),
-     "09a6cfabe71f920ad476460e6c2e23661737360e0f939c3574c078cf0c98aec8",
-     "b57b4a2014233594ae6d748275ca604960c583b418b6325d45a69424fdd3e397"),
-    (("conjectures", "--chain", DEMO),
-     "11d9bc489afb8b99bac2da926d8fdf029c61695af19c089ca807ce6edc6dd588",
-     "98c407cc0d4d34e8992237c39590c408f7e5defc94a3aea9eab5272ef7942379"),
     (("cover", "--chain", REFLECT, "--h0=1,-1,0"),
      "1a1b76b3289e528e4ebb1b5376d91a09aca401df3deacc36901a94810a0e4c36",
      "de144e1f143b4357ce6d72030f52ec8008a173dbe03180c44466f46ed7b8d11b"),
@@ -739,6 +732,13 @@ GOLDEN_COMMANDS = [
     (("compare2", "--q", "1/3", "--N", "500"),
      "66eb3953037d28f0613e15fd48c6caee755f0f5e23414fda12f70d1ebc57fe75",
      "4c8edf1bd69870cea17951989b8854e8ad6c9b3b4425a302ffbe5416fe9d466d"),
+    # the 1/20 grid of the benchmark's basin run, and the default scans
+    (("basin", "--chain", DEMO, "--bounds", "-1.5", "1.5", "--step", "1/20"),
+     "09a6cfabe71f920ad476460e6c2e23661737360e0f939c3574c078cf0c98aec8",
+     "b57b4a2014233594ae6d748275ca604960c583b418b6325d45a69424fdd3e397"),
+    (("conjectures", "--chain", DEMO),
+     "11d9bc489afb8b99bac2da926d8fdf029c61695af19c089ca807ce6edc6dd588",
+     "98c407cc0d4d34e8992237c39590c408f7e5defc94a3aea9eab5272ef7942379"),
 ]
 
 
