@@ -123,14 +123,3 @@ def _reduce(A, bs, tol):
         out.append(tuple(x))
     return basis, out
 
-
-def solve(A, bs, tol=None):
-    """For each right-hand side b in bs, one solution x of A x = b, or None
-    if that system is inconsistent.
-
-    Free variables, if any, are set to zero, so the caller gets a particular
-    solution of an underdetermined system. One elimination serves every b;
-    pivots are chosen in A's columns only, so each solution is bit for bit
-    the one a system with b alone would give.
-    """
-    return _reduce(A, bs, tol)[1]

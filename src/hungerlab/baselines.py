@@ -5,6 +5,7 @@ Both need integer chip moves, so they run on rational chains only; each
 state i carries a threshold d_i that clears its row's denominators.
 """
 
+import itertools as it
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -17,11 +18,10 @@ from .chain_model import (
     _as_index,
     _check_state,
     _chip_moves,
-    _row_thresholds,
     absorbing_states,
 )
 from .errors import CapExceeded, FloatModeUnsupported, Stabilized
-from .estimators import DiscrepancyProfile, _Lazy, _largest, _scalar, _value
+from .estimators import DiscrepancyProfile, _largest, _scalar
 from .hunger_engine import DEFAULT_CAP, run
 
 
@@ -145,6 +145,14 @@ class RotorTrace:
     d: Tuple[int, ...]
 
 
+def _slots(runs, r):
+    """A rotor's targets from slot r on, forever: its (target, count) runs
+    laid out from slot r, then up to it, and cycled (which keeps only the
+    slots passed)."""
+    tail, head = (it.chain.from_iterable(it.starmap(it.repeat, runs)) for _ in (0, 1))
+    return it.cycle(it.chain(it.islice(tail, r, None), it.islice(head, r)))
+
+
 def rotor_run(
     chain: MarkovChain,
     start: int,
@@ -155,33 +163,34 @@ def rotor_run(
 
     State i owns d_i outgoing edge slots: d_i * P_ij consecutive slots
     point at j, targets in ascending order. Each departure uses the
-    current rotor slot and advances it cyclically.
+    current rotor slot and advances it cyclically. The slots are runs read
+    off the Engel machine's cached moves, so the walk holds O(nnz + N).
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("rotor walks need exact rows")
     _check_state(chain, start)
     if N < 0:
         raise ValueError("N must be >= 0")
-    rows = list(chain.rows())
-    d = _row_thresholds(rows)
-    edges = [
-        [j for j, p in row for _ in range(di // p.denominator * p.numerator)]
-        for di, row in zip(d, rows)
-    ]
+    d, moves, _ = chain._chip_firing
     rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
     rotors = [_as_index(r, "rotor position") for r in rotors]
     if len(rotors) != chain.n or any(not 0 <= r < di for r, di in zip(rotors, d)):
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
+    # a fire at i moves d_i * H_ij = d_i * P_ij - d_i [j == i] chips to j
+    slots = [
+        _slots([(j, c + di * (j == i)) for j, c in row], r)
+        for i, (di, row, r) in enumerate(zip(d, moves, rotors))
+    ]
     x = start
     itinerary = [x]
     for _ in range(N):
-        j = edges[x][rotors[x]]
-        rotors[x] = (rotors[x] + 1) % d[x]
-        x = j
+        x = next(slots[x])
         itinerary.append(x)
     itinerary = np.array(itinerary, dtype=np.int64)
     visits = np.bincount(itinerary, minlength=chain.n)
-    return RotorTrace(itinerary, visits, tuple(rotors), d)
+    departures = np.bincount(itinerary[:-1], minlength=chain.n).tolist()
+    rotors = tuple((r + k) % di for r, k, di in zip(rotors, departures, d))
+    return RotorTrace(itinerary, visits, rotors, d)
 
 
 @dataclass
@@ -189,13 +198,11 @@ class TwoStateComparison:
     """Greedy game vs rotor walk on the symmetric two-state chain.
 
     hunger and rotor are each walk's DiscrepancyProfile of state 1's visit
-    frequency against 1/2 at every N in 1..N. rows[k] is (N, hunger
-    deviation, rotor deviation) at N = k + 1, built on access; the maxima
-    are taken over N >= 2 (both are trivially off by 1/2 at N = 1).
+    frequency against 1/2 at every N in 1..N; the maxima are taken over
+    N >= 2 (both are trivially off by 1/2 at N = 1).
     """
 
     q: Fraction
-    rows: Sequence[Tuple[int, Fraction, Fraction]]
     hunger_max: Fraction
     rotor_max: Fraction
     hunger: DiscrepancyProfile
@@ -222,6 +229,5 @@ def compare_two_state(q, N: int) -> TwoStateComparison:
     hunger, rotor = (
         _scalar(Ns, np.cumsum(walk == 0), Ns, Fraction(1, 2), True) for walk in walks
     )
-    rows = _Lazy(N, lambda k: (k + 1, *(_value(*p.dev, k) for p in (hunger, rotor))))
     hmax, rmax = (_largest(num[1:], den[1:]) for num, den in (hunger.dev, rotor.dev))
-    return TwoStateComparison(q, rows, hmax, rmax, hunger, rotor)
+    return TwoStateComparison(q, hmax, rmax, hunger, rotor)

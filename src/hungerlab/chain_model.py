@@ -182,10 +182,10 @@ class MarkovChain:
 
     @cached_property
     def _chip_firing(self):
-        """(d, moves, absorbing) for the Engel machine's default thresholds,
-        built once in rational mode: d_i the lcm of row i's denominators,
-        _chip_moves(self, d) and absorbing_states(self)."""
-        d = _row_thresholds(self.rows())
+        """(d, moves, absorbing) for the Engel machine's default thresholds
+        and the rotor walk, built once in rational mode: d_i the lcm of row
+        i's denominators, _chip_moves(self, d) and absorbing_states(self)."""
+        d = tuple(math.lcm(*(p.denominator for _, p in row)) for row in self.rows())
         return d, _chip_moves(self, d), absorbing_states(self)
 
     def __eq__(self, other):
@@ -359,11 +359,6 @@ def chain_to_document(chain: MarkovChain) -> str:
     return json.dumps(
         {"mode": chain.mode, "states": list(chain.labels), "P": P}, indent=2
     )
-
-
-def _row_thresholds(rows) -> Tuple[int, ...]:
-    """Each row's lcm of denominators, for rows of (column, entry) pairs."""
-    return tuple(math.lcm(*(p.denominator for _, p in row)) for row in rows)
 
 
 def _chip_moves(chain: MarkovChain, d):

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._linalg import solve
+from ._linalg import _reduce
 from .chain_model import (
     RATIONAL,
     MarkovChain,
@@ -132,17 +132,6 @@ def normalized_firing_vector(trace: FiringTrace) -> Tuple[Fraction, ...]:
     return tuple(Fraction(int(c), trace.steps) for c in trace.v)
 
 
-def _counts(trace: FiringTrace, sweep: bool):
-    """(Ns, counts), counts[i, k] = firings of state i in the first Ns[k]
-    steps: every prefix of the run for a sweep, else the whole run only."""
-    if not sweep:
-        return np.array([trace.steps], dtype=np.int64), trace.v[:, None]
-    counts = np.empty((len(trace.v), trace.steps), dtype=np.int64)
-    for i in range(len(trace.v)):
-        np.cumsum(trace.fired == i, out=counts[i])
-    return np.arange(1, trace.steps + 1, dtype=np.int64), counts
-
-
 def _scalar(Ns, num, den, exact, rational) -> DiscrepancyProfile:
     """Body of the scalar estimators: num / den (0 where den is 0) against
     the exact value p / q, as |num q - p den| / (den q) in rational mode."""
@@ -173,7 +162,11 @@ def discrepancy_profile(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     pi = stationary_distribution(chain)
-    Ns, counts = _counts(run(chain, h0, N_max), sweep=True)
+    fired = run(chain, h0, N_max).fired
+    Ns = np.arange(1, N_max + 1, dtype=np.int64)
+    counts = np.empty((chain.n, N_max), dtype=np.int64)
+    for i in range(chain.n):
+        np.cumsum(fired == i, out=counts[i])
     if chain.mode != RATIONAL:
         est = counts / Ns
         dist = np.abs(est - np.array(pi, dtype=np.float64)[:, None]).sum(axis=0)
@@ -212,26 +205,32 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
     P = _dense(chain, zero)  # the dense system Bareiss eliminates
     A = [[(x == y) - P[x][y] for y in live] for x in live]
     tol = None if chain.mode == RATIONAL else _FLOAT_PIVOT_TOL
-    zs = solve(A, [[P[x][u] for x in live] for u in U], tol)
+    zs = _reduce(A, [[P[x][u] for x in live] for u in U], tol)[1]
     if None in zs:
         raise ValueError("hitting system is singular")
     return {u: z[idx[v]] for u, z in zip(U, zs)}
 
 
-def _rerouted_counts(chain: MarkovChain, v: int, N: int, sweep: bool):
+def _rerouted_tally(chain: MarkovChain, v: int, N: int, sweep: bool):
     """Run N steps from zero on chain with its absorbing states rerouted
-    into v: (the ReroutedChain, Ns, counts) as in _counts."""
+    into v: (the ReroutedChain, Ns, count), count(states)[k] the fires of
+    those states in the first Ns[k] steps, every prefix for a sweep, else
+    the whole run only. A sweep counts only the states asked for."""
     rer = reroute(chain, v)
-    return (rer, *_counts(run(rer.chain, None, N), sweep))
+    t = run(rer.chain, None, N)
+    Ns = np.arange(1 if sweep else t.steps, t.steps + 1, dtype=np.int64)
+    if sweep:
+        return rer, Ns, lambda states: np.cumsum(np.isin(t.fired, states))
+    return rer, Ns, lambda states: t.v[states].sum(keepdims=True)
 
 
 def _hitting(chain: MarkovChain, v: int, N: int, sweep: bool):
     """a_N for every absorbing target, from one run and one hitting_oracle call."""
-    rer, Ns, counts = _rerouted_counts(chain, v, N, sweep)
-    rows = {orig: counts[new] for new, orig in enumerate(rer.kept)}
-    zero = np.zeros_like(Ns)
+    rer, Ns, count = _rerouted_tally(chain, v, N, sweep)
     exact = hitting_oracle(chain, v)
-    denom = sum((rows[u] for u in exact if u in rows), zero)
+    rows = {u: count([rer.kept.index(u)]) for u in exact if u in rer.kept}
+    zero = np.zeros_like(Ns)
+    denom = sum(rows.values(), zero)
     return {
         u: _scalar(Ns, rows.get(u, zero), denom, x, chain.mode == RATIONAL)
         for u, x in exact.items()
@@ -242,10 +241,10 @@ def _absorption(
     chain: MarkovChain, v: int, N: int, sweep: bool, exact: Optional[Scalar]
 ) -> DiscrepancyProfile:
     """b_N from one run; the exact value defaults to _absorption_oracle."""
-    rer, Ns, counts = _rerouted_counts(chain, v, N, sweep)
+    rer, Ns, count = _rerouted_tally(chain, v, N, sweep)
     if exact is None:
         exact = _absorption_oracle(rer)
-    denom = counts[sorted(rer.absorbing_images)].sum(axis=0)
+    denom = count(sorted(rer.absorbing_images))
     return _scalar(Ns, Ns - denom, denom, exact, chain.mode == RATIONAL)
 
 

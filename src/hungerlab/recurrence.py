@@ -368,13 +368,13 @@ class ConjectureReport:
 
 
 def _random_hunger(
-    rng: random.Random, n: int, lo: Fraction, hi: Fraction
+    rng: random.Random, n: int, lo: Fraction, hi: Fraction, dens: List[int]
 ) -> Tuple[Fraction, ...]:
     """Random zero-sum rational vector with n-1 free coordinates in
-    [lo, hi] and small denominators."""
+    [lo, hi], each over a denominator drawn from dens."""
     coords = []
     for _ in range(n - 1):
-        den = rng.randint(1, 20)
+        den = rng.choice(dens)
         coords.append(
             Fraction(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den)
         )
@@ -400,20 +400,25 @@ def conjecture_reports(
     keys and rows prepared once (_grid_orbits) and each start's recurrence
     found once. Violations are counted and quoted, never raised; these are
     conjectures, not invariants. A step <= 0 or bounds with lo > hi raise
-    ValueError, for every chain.
+    ValueError, for every chain, as do samples > 0 and bounds that hold no
+    multiple of 1/den for any den in 1..20.
     """
     _check_cycle_chain(chain)
     values = _grid(bounds, step)
+    lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
+    # with all 20 present, choice(dens) draws as randint(1, 20) did
+    dens = [d for d in range(1, 21) if math.ceil(lo * d) <= math.floor(hi * d)]
+    if samples > 0 and not dens:
+        raise ValueError(f"bounds [{lo}, {hi}] hold no k/den with den <= 20")
     rng = random.Random(seed)
     # one stationary solve serves both the zero period and the lattice
     lat = lattice_basis(chain) if chain.n == 3 else None
     base = _zero_period(chain, cap, lat and lat.lcd)
-    lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
 
     checked = violations = skipped = 0
     notes: List[str] = []
     for _ in range(samples):
-        h = _random_hunger(rng, chain.n, lo, hi)
+        h = _random_hunger(rng, chain.n, lo, hi, dens)
         try:
             info = find_cycle(chain, h, cap)
         except CapExceeded:

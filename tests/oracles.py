@@ -4,8 +4,11 @@ The Monte Carlo walkers and the float solves here deliberately avoid the
 library's exact linear algebra, so agreement between the two is evidence
 rather than tautology. The dense firing bodies are the kernels as they were
 before sparse rows and the tournament tree: np.argmax and whole-row adds.
+The slot-table rotor walk is the rotor walk as it was before it read the
+Engel machine's cached moves: one list entry per rotor slot.
 """
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -205,6 +208,31 @@ def solve_fraction(A, bs):
             x[c] = M[r][k]
         out.append(tuple(x))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rotor walk on a table of every slot
+
+
+def slot_table_rotor_run(chain: MarkovChain, start: int, rotor_init, N: int):
+    """(itinerary, visits, rotors, d) of rotor_run, walked on a list of
+    sum(d_i) slots: d_i the lcm of row i's denominators, d_i * P_ij
+    consecutive slots pointing at j, targets ascending."""
+    rows = list(chain.rows())
+    d = tuple(math.lcm(*(p.denominator for _, p in row)) for row in rows)
+    edges = [
+        [j for j, p in row for _ in range(int(di * p))] for di, row in zip(d, rows)
+    ]
+    rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
+    x = start
+    itinerary = [x]
+    for _ in range(N):
+        j = edges[x][rotors[x]]
+        rotors[x] = (rotors[x] + 1) % d[x]
+        x = j
+        itinerary.append(x)
+    visits = np.bincount(itinerary, minlength=chain.n)
+    return np.array(itinerary, dtype=np.int64), visits, tuple(rotors), d
 
 
 # ---------------------------------------------------------------------------

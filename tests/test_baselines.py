@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hungerlab import (
     CapExceeded,
@@ -21,7 +24,11 @@ from hungerlab import (
     stationary_distribution,
 )
 from conftest import load_chain
-from oracles import random_irreducible_chain
+from oracles import (
+    random_absorbing_chain,
+    random_irreducible_chain,
+    slot_table_rotor_run,
+)
 
 F = Fraction
 
@@ -263,6 +270,57 @@ def test_rotor_blocks_for_reciprocal_q():
         assert t.rotors == (0, 1)  # a full block returns the rotor state
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from(("irreducible", "absorbing")),
+    st.integers(2, 6), st.integers(0, 500), st.booleans(), st.booleans(),
+)
+def test_rotor_walk_matches_the_slot_table(seed, kind, n, N, tiny, turned):
+    """rotor_run reads each rotor's slots as runs of the cached chip moves;
+    the walk on a list of every slot is the reference. A tiny row gives
+    one state 10^6 slots."""
+    rng = random.Random(seed)
+    make = random_irreducible_chain if kind == "irreducible" else random_absorbing_chain
+    chain = make(rng, n)
+    if tiny:
+        rows = [dict(row) for row in chain.rows()]
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        rows[i] = {j: F(1, 10**6)}
+        rows[i][k] = rows[i].get(k, 0) + 1 - F(1, 10**6)
+        chain = MarkovChain(rows)
+    d = chain._chip_firing[0]
+    rotors = tuple(rng.randrange(di) for di in d) if turned else None
+    start = rng.randrange(n)
+    itinerary, visits, final, ref_d = slot_table_rotor_run(chain, start, rotors, N)
+    t = rotor_run(chain, start, rotors, N)
+    assert t.itinerary.dtype == np.int64
+    assert t.itinerary.tolist() == itinerary.tolist()
+    assert t.visits.tolist() == visits.tolist()
+    assert (t.rotors, t.d) == (final, ref_d)
+
+
+def test_rotor_walk_holds_a_row_not_its_slots():
+    """A 10-step walk from a state with 10^6 slots (one entry 1/10^6) keeps
+    the row's two runs, not a 10^6-entry slot list, from slot 0 and from
+    the last slot."""
+    rotor_run(two_state(F(1, 3)), 0, None, 10)  # first-call setup, not traced
+    eps = F(1, 10**6)
+    chain = MarkovChain([[eps, 1 - eps, 0], [F(1, 2), 0, F(1, 2)], [0, 1, 0]])
+    turned = (10**6 - 1, 1, 0)
+    tracemalloc.start()
+    try:
+        walks = [rotor_run(chain, 0, rotors, 10) for rotors in (None, turned)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert walks[0].itinerary.tolist() == [0, 0, 1, 0, 1, 2, 1, 0, 1, 2, 1]
+    assert walks[0].rotors == (4, 0, 0) and walks[0].d == (10**6, 2, 1)
+    for t, rotors in zip(walks, (None, turned)):
+        itinerary, _, final, _ = slot_table_rotor_run(chain, 0, rotors, 10)
+        assert (t.itinerary.tolist(), t.rotors) == (itinerary.tolist(), final)
+
+
 # ---------------------------------------------------------------------------
 # the two-state comparison
 
@@ -276,12 +334,12 @@ def test_hunger_alternates_for_any_q():
 def test_compare_two_state_q_tenth():
     cmp = compare_two_state(F(1, 10), 1000)
     assert cmp.q == F(1, 10)
-    assert cmp.rows[0] == (1, F(1, 2), F(1, 2))
+    assert cmp.hunger.entries[0][:2] == cmp.rotor.entries[0][:2] == (1, F(1, 2))
     # alternation: off by 1/(2n) at odd n, exact at even n
     assert cmp.hunger_max == F(1, 6)
     assert cmp.rotor_max == F(1, 2)
     assert cmp.hunger_max < cmp.rotor_max
-    for n, hdev, _ in cmp.rows[1:]:
+    for n, hdev, _ in cmp.hunger.entries[1:]:
         assert hdev == (F(0) if n % 2 == 0 else F(1, 2 * n))
 
 

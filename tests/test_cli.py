@@ -313,6 +313,27 @@ def test_conjectures_subcommand(capsys):
     assert "period-uniformity: 10 checked, 0 violations, 0 skipped" in err
 
 
+def test_conjectures_bounds_that_fit_some_denominators(capsys):
+    # [1/2, 1/2] holds a multiple of 1/den for even den only
+    code, out, err = run_cli(
+        capsys, "conjectures", "--chain", DEMO, "--samples", "3",
+        "--bounds", "0.5", "0.5",
+    )
+    assert code == 0
+    assert "period-uniformity: 3 checked, 0 violations, 0 skipped" in err
+
+
+def test_conjectures_bounds_that_fit_no_denominator(capsys):
+    code, out, err = run_cli(
+        capsys, "conjectures", "--chain", DEMO, "--samples", "1",
+        "--bounds", "0.51", "0.52",
+    )
+    assert code == 2
+    assert out == ""
+    error = "error: bounds [51/100, 13/25] hold no k/den with den <= 20"
+    assert err.splitlines() == [error]
+
+
 ZERO_DENOMINATOR = "error: zero denominator in '1/0'"
 BAD_GRID = "error: need step > 0 and bounds (lo, hi) with lo <= hi"
 

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hungerlab import (
+    MarkovChain,
     NonUniqueStationary,
     UEqualsV,
     ZeroSteps,
@@ -390,3 +392,23 @@ def test_scalar_profiles_with_products_above_int64():
             assert (entry, estimate) == ((N, dev, N * dev), est)
             sup = max(sup, N * dev)
         assert prof.sup_Nd == sup
+
+
+def test_scalar_sweeps_count_only_the_states_they_read():
+    """An absorption sweep on a 500-state lazy ring (state 0 absorbing)
+    tallies the absorbing image's visits, not an n x N count matrix (80 MB
+    here)."""
+    n, N = 500, 2 * 10**4
+    half = F(1, 2)
+    chain = MarkovChain(
+        [{0: F(1)}] + [{i: half, (i + 1) % n: half} for i in range(1, n)]
+    )
+    absorption_profile(chain, 1, 10, exact=F(2 * (n - 1)))  # setup, not traced
+    tracemalloc.start()
+    try:
+        prof = absorption_profile(chain, 1, N, exact=F(2 * (n - 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert len(prof.entries) == N and prof.exact == 2 * (n - 1)

@@ -35,7 +35,7 @@ from oracles import (
 CHAINS = Path(__file__).resolve().parent.parent / "chains"
 
 # ---------------------------------------------------------------------------
-# nullspace and solve against the reference elimination
+# nullspace and solutions against the reference elimination
 
 
 @st.composite
@@ -83,19 +83,18 @@ def systems(draw):
 def test_nullspace_and_solve_match_the_reference_elimination(system):
     A, bs = system
     assert _linalg._reduce(A, bs, None) == (nullspace_fraction(A), solve_fraction(A, bs))
-    assert _linalg.solve(A, bs) == solve_fraction(A, bs)
 
 
 def test_one_by_one_and_inconsistent_systems():
     assert _linalg._reduce([[Fraction(0)]], (), None)[0] == [(Fraction(1),)]
     assert _linalg._reduce([[Fraction(-3, 7)]], (), None)[0] == []
-    assert _linalg.solve([[Fraction(-3, 7)]], [[Fraction(1, 2)]]) == [(Fraction(-7, 6),)]
+    assert _linalg._reduce([[Fraction(-3, 7)]], [[Fraction(1, 2)]], None)[1] == [(Fraction(-7, 6),)]
     # x + y = 1 and 2x + 2y = 3 have no common solution; 2x + 2y = 2 does
     A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     b_bad = [Fraction(1), Fraction(3)]
     b_ok = [Fraction(1), Fraction(2)]
-    assert _linalg.solve(A, [b_bad, b_ok]) == [None, (Fraction(1), Fraction(0))]
-    assert _linalg.solve([[Fraction(0)]], [[Fraction(1)]]) == [None]
+    assert _linalg._reduce(A, [b_bad, b_ok], None)[1] == [None, (Fraction(1), Fraction(0))]
+    assert _linalg._reduce([[Fraction(0)]], [[Fraction(1)]], None)[1] == [None]
 
 
 # ---------------------------------------------------------------------------

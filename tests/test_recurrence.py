@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -465,11 +466,18 @@ def per_cell_tiling(chain, values, cap):
 
 
 def per_sample_periods(chain, samples, bounds, seed, cap, base):
-    """The period-uniformity tally, one find_cycle call a sample."""
+    """The period-uniformity tally, one find_cycle call a sample, each
+    start drawn with randint(1, 20) denominators (for bounds that hold an
+    integer, every denominator fits)."""
     rng = random.Random(seed)
+    lo, hi = bounds
     checked = violations = skipped = 0
     for _ in range(samples):
-        h = recurrence._random_hunger(rng, 3, *bounds)
+        coords = []
+        for _ in range(2):
+            den = rng.randint(1, 20)
+            coords.append(F(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den))
+        h = (*coords, -sum(coords))
         try:
             info = find_cycle(chain, h, cap)
         except CapExceeded:
