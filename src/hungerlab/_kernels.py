@@ -244,7 +244,8 @@ def brent_cycle(h0, rows, cap):
     Returns (-1, -1) and leaves h0 unchanged if either phase would pass
     `cap` iterations. Keeps three copies of the state, O(n + nnz) memory in
     all; exact equality comparisons, so this is only meaningful for
-    integer-scaled state.
+    integer-scaled state, and for the fixed point an absorbing fire makes
+    on float state (its row of H is exactly zero).
     """
     table = SparseRows.of(rows).table()
 

@@ -145,12 +145,19 @@ class RotorTrace:
     d: Tuple[int, ...]
 
 
-def _slots(runs, r):
-    """A rotor's targets from slot r on, forever: its (target, count) runs
-    laid out from slot r, then up to it, and cycled (which keeps only the
-    slots passed)."""
-    tail, head = (it.chain.from_iterable(it.starmap(it.repeat, runs)) for _ in (0, 1))
-    return it.cycle(it.chain(it.islice(tail, r, None), it.islice(head, r)))
+def _slots(runs, r, N):
+    """A rotor's targets from slot r on, for a walk of N steps: its
+    (target, count) runs rotated to start at slot r, and cycled (which keeps
+    only the slots passed). Each run is cut to N + 1 slots: the walk leaves
+    the state at most N times, so it never reaches the end of a cut run, and
+    a rotor with a cut run never wraps."""
+    k = 0
+    while r >= runs[k][1]:
+        r -= runs[k][1]
+        k += 1
+    j, c = runs[k]
+    runs = [(j, c - r), *runs[k + 1 :], *runs[:k], (j, r)]
+    return it.cycle(it.chain.from_iterable(it.repeat(j, min(c, N + 1)) for j, c in runs))
 
 
 def rotor_run(
@@ -164,7 +171,8 @@ def rotor_run(
     State i owns d_i outgoing edge slots: d_i * P_ij consecutive slots
     point at j, targets in ascending order. Each departure uses the
     current rotor slot and advances it cyclically. The slots are runs read
-    off the Engel machine's cached moves, so the walk holds O(nnz + N).
+    off the Engel machine's cached moves, rotated to the rotor and cut at
+    N + 1 slots, so the walk holds O(nnz + N) whatever the d_i.
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("rotor walks need exact rows")
@@ -178,7 +186,7 @@ def rotor_run(
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
     # a fire at i moves d_i * H_ij = d_i * P_ij - d_i [j == i] chips to j
     slots = [
-        _slots([(j, c + di * (j == i)) for j, c in row], r)
+        _slots([(j, c + di * (j == i)) for j, c in row], r, N)
         for i, (di, row, r) in enumerate(zip(d, moves, rotors))
     ]
     x = start

@@ -300,11 +300,18 @@ def chip_add(
     trace.final_h the pre-removal one, so the trace keeps the exact
     final_h = initial_h + vH identity.
 
+    An absorbing state's row of H is zero, so its fire leaves the vector
+    unchanged: the chip is absorbed exactly when the orbit ends in such a
+    fixed point, on fire mu + lam. Brent's cycle finder
+    (_kernels.brent_cycle) gives mu and lam, and then exactly that many
+    fires are made.
+
     Raises:
         ValueError: i is not a state index (an integer in 0..n-1).
         IIsAbsorbing: insertion at an absorbing state.
-        CapExceeded: no absorbing arrival within `cap` fires; raised before
-            any fire when the chain has no absorbing state.
+        CapExceeded: no absorbing arrival within `cap` fires, known as soon
+            as the orbit closes without one; raised before any fire when
+            the chain has no absorbing state.
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
@@ -319,19 +326,19 @@ def chip_add(
         inserted[j] += p
     inserted = tuple(inserted)
     g, rows, keys = _scaled(chain, inserted)
-    # fire into a buffer that doubles up to cap until an absorbing arrival
-    fired = np.empty(0, dtype=np.int64)
+    # the first absorbing fire, if any, is fire mu + lam (and lam is 1)
+    mu, lam = _kernels.brent_cycle(g.copy(), rows, cap)
+    if mu < 0 or mu + lam > cap:
+        raise CapExceeded(cap)
+    fired = np.empty(mu + lam, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    k = 0
-    while k == 0 or not mask[fired[k - 1]]:
-        if k >= cap:
-            raise CapExceeded(cap)
-        fired = np.resize(fired, min(max(2 * k, 1024), cap))
-        k += _kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
+    _kernels.greedy_run(g, rows, len(fired), fired, v, mask)
+    if not mask[fired[-1]]:
+        raise CapExceeded(cap)  # the orbit cycles without absorbing the chip
     pre_removal = keys.hunger(g)
-    g[fired[k - 1]] -= keys.unit
+    g[fired[-1]] -= keys.unit
     result = keys.hunger(g)
-    return result, FiringTrace(fired[:k], v, inserted, pre_removal, k)
+    return result, FiringTrace(fired, v, inserted, pre_removal, len(fired))
 
 
 # ---------------------------------------------------------------------------

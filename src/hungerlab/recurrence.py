@@ -64,7 +64,7 @@ def _check_cycle_chain(chain: MarkovChain) -> None:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("cycle detection needs exact arithmetic")
     if _absorbing_mask(chain).any():
-        raise HasAbsorbing("orbits of a chain with absorbing states never cycle")
+        raise HasAbsorbing("cycle analysis needs a chain without absorbing states")
 
 
 def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo:
@@ -206,21 +206,22 @@ def _grid_orbits(chain: MarkovChain, values: List[Fraction], cap: int):
     Grid cells, and cells less a lattice vector (denominators dividing D),
     lie on (1/S)Z^n, S = lcm(D, grid denominators). Their keys are the ints
     S*h, _Keys with R = M = S/D and c = (0, ..., M-1), fired by one set of
-    rows S*H = M*(D*H). orbit(keys) is _orbit's result, or find_cycle's
-    (on its own keys) when the keys fail _int64_safe."""
+    rows S*H = M*(D*H). orbit(keys) is _orbit's result: on int64 keys and
+    rows when the keys pass _int64_safe, else on Python ints; each dtype's
+    rows are built on first use."""
     S = math.lcm(chain.D, *(x.denominator for x in values))
     num = [x.numerator * (S // x.denominator) for x in values]
     grid = list(zip(values, num))
     cells = ((h1, h2, (a, b, -a - b)) for h1, a in grid for h2, b in grid)
     indptr, indices, dh, _ = chain._kernel_rows
-    if S < 2**62:  # else no keys pass _int64_safe
-        rows = _kernels.SparseRows(indptr, indices, dh * (S // chain.D))
+    rows = {}  # dtype -> S*H
 
     def orbit(keys):
-        if _int64_safe(keys, S, chain.n):
-            return _orbit(np.array(keys, dtype=np.int64), rows, cap)
-        info = find_cycle(chain, [Fraction(k, S) for k in keys], cap)
-        return info.entry_steps, info.period, info.order
+        dtype = np.int64 if _int64_safe(keys, S, chain.n) else object
+        if dtype not in rows:
+            sh = dh.astype(dtype) * (S // chain.D)
+            rows[dtype] = _kernels.SparseRows(indptr, indices, sh)
+        return _orbit(np.array(keys, dtype=dtype), rows[dtype], cap)
 
     return cells, S, orbit
 

@@ -5,7 +5,9 @@ library's exact linear algebra, so agreement between the two is evidence
 rather than tautology. The dense firing bodies are the kernels as they were
 before sparse rows and the tournament tree: np.argmax and whole-row adds.
 The slot-table rotor walk is the rotor walk as it was before it read the
-Engel machine's cached moves: one list entry per rotor slot.
+Engel machine's cached moves: one list entry per rotor slot. The doubling
+chip addition is chip_add as it was before Brent's cycle finder sized its
+run: it fires into a buffer that doubles toward the cap.
 """
 
 import math
@@ -16,10 +18,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from hungerlab import hunger_engine
+from hungerlab import _kernels, hunger_engine
 from hungerlab.chain_model import (
     FLOAT,
     MarkovChain,
+    _absorbing_mask,
     absorbing_states,
     float_matrix,
     is_irreducible,
@@ -233,6 +236,37 @@ def slot_table_rotor_run(chain: MarkovChain, start: int, rotor_init, N: int):
         itinerary.append(x)
     visits = np.bincount(itinerary, minlength=chain.n)
     return np.array(itinerary, dtype=np.int64), visits, tuple(rotors), d
+
+
+# ---------------------------------------------------------------------------
+# chip addition that fires until absorption or the cap
+
+
+def doubling_chip_add(chain: MarkovChain, h, i: int, cap: int):
+    """(result, trace) of chip_add, fired into a buffer that doubles (from
+    1024 entries) up to cap until an absorbing arrival; CapExceeded when
+    none comes within cap fires."""
+    h = hunger_engine.coerce_hunger(chain, h)
+    mask = _absorbing_mask(chain)
+    if not mask.any():
+        raise hunger_engine.CapExceeded(cap)
+    inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)
+    for j, p in chain.row(i):
+        inserted[j] += p
+    inserted = tuple(inserted)
+    g, rows, keys = hunger_engine._scaled(chain, inserted)
+    fired = np.empty(0, dtype=np.int64)
+    v = np.zeros(chain.n, dtype=np.int64)
+    k = 0
+    while k == 0 or not mask[fired[k - 1]]:
+        if k >= cap:
+            raise hunger_engine.CapExceeded(cap)
+        fired = np.resize(fired, min(max(2 * k, 1024), cap))
+        k += _kernels.greedy_run(g, rows, fired.shape[0] - k, fired[k:], v, mask)
+    pre_removal = keys.hunger(g)
+    g[fired[k - 1]] -= keys.unit
+    result = keys.hunger(g)
+    return result, hunger_engine.FiringTrace(fired[:k], v, inserted, pre_removal, k)
 
 
 # ---------------------------------------------------------------------------

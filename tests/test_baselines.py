@@ -273,12 +273,14 @@ def test_rotor_blocks_for_reciprocal_q():
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     st.integers(0, 2**32), st.sampled_from(("irreducible", "absorbing")),
-    st.integers(2, 6), st.integers(0, 500), st.booleans(), st.booleans(),
+    st.integers(2, 6), st.integers(0, 500), st.booleans(),
+    st.sampled_from(("none", "any", "near d")),
 )
 def test_rotor_walk_matches_the_slot_table(seed, kind, n, N, tiny, turned):
-    """rotor_run reads each rotor's slots as runs of the cached chip moves;
-    the walk on a list of every slot is the reference. A tiny row gives
-    one state 10^6 slots."""
+    """rotor_run reads each rotor's slots as runs of the cached chip moves,
+    rotated to the rotor; the walk on a list of every slot is the
+    reference. A tiny row gives one state 10^6 slots. Rotors start at slot
+    0, anywhere, or in the last three slots before d_i."""
     rng = random.Random(seed)
     make = random_irreducible_chain if kind == "irreducible" else random_absorbing_chain
     chain = make(rng, n)
@@ -289,7 +291,11 @@ def test_rotor_walk_matches_the_slot_table(seed, kind, n, N, tiny, turned):
         rows[i][k] = rows[i].get(k, 0) + 1 - F(1, 10**6)
         chain = MarkovChain(rows)
     d = chain._chip_firing[0]
-    rotors = tuple(rng.randrange(di) for di in d) if turned else None
+    rotors = {
+        "none": None,
+        "any": tuple(rng.randrange(di) for di in d),
+        "near d": tuple(di - 1 - rng.randrange(min(di, 3)) for di in d),
+    }[turned]
     start = rng.randrange(n)
     itinerary, visits, final, ref_d = slot_table_rotor_run(chain, start, rotors, N)
     t = rotor_run(chain, start, rotors, N)
@@ -319,6 +325,19 @@ def test_rotor_walk_holds_a_row_not_its_slots():
     for t, rotors in zip(walks, (None, turned)):
         itinerary, _, final, _ = slot_table_rotor_run(chain, 0, rotors, 10)
         assert (t.itinerary.tolist(), t.rotors) == (itinerary.tolist(), final)
+
+
+def test_rotor_walk_with_slot_counts_past_int64():
+    """d_1 = 2^70: the runs are rotated to the rotor and cut at N + 1 slots
+    before they are repeated."""
+    e = F(1, 2**70)
+    chain = MarkovChain([[e, 1 - e], [F(1, 2), F(1, 2)]])
+    t = rotor_run(chain, 0, None, 10)
+    assert t.itinerary.tolist() == [0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1]
+    assert (t.rotors, t.d) == ((5, 1), (2**70, 2))
+    t = rotor_run(chain, 0, (2**70 - 1, 1), 10)
+    assert t.itinerary.tolist() == [0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0]
+    assert t.rotors == (3, 1)
 
 
 # ---------------------------------------------------------------------------

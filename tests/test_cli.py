@@ -414,6 +414,14 @@ def test_compare2_subcommand(capsys):
     assert "hunger 1/6, rotor 1/2" in err
 
 
+def test_compare2_with_slot_counts_past_int64(capsys):
+    # d = 2^70: each rotor's runs are cut to N + 1 slots
+    q = f"1/{2**70}"
+    code, out, err = run_cli(capsys, "compare2", "--q", q, "--N", "10")
+    assert code == 0
+    assert len(rows_of(out)) == 11
+
+
 def test_compare2_rejects_bad_q(capsys):
     code, _, err = run_cli(capsys, "compare2", "--q", "2", "--N", "10")
     assert code == 2
@@ -443,6 +451,20 @@ def test_mode_override_rejects_float_to_rational(tmp_path, capsys):
         capsys, "simulate", "--chain", str(path), "--mode", "rational"
     )
     assert code == 2
+
+
+def test_mode_override_rejects_a_row_that_rounds_to_absorbing(tmp_path, capsys):
+    # [1 - 10^-20, 10^-20] as floats is [1.0, 1e-20]
+    rows = [[f"{10**20 - 1}/{10**20}", f"1/{10**20}"], ["1/2", "1/2"]]
+    doc = {"mode": "rational", "P": rows}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", "--chain", str(path))[0] == 0
+    code, out, err = run_cli(
+        capsys, "simulate", "--chain", str(path), "--mode", "float", "--steps", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "row 1: an entry of 1 beside other positive ones" in err
 
 
 def test_non_finite_input_exit_code(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hungerlab import (
+    FLOAT,
+    RATIONAL,
     CapExceeded,
     IIsAbsorbing,
     MarkovChain,
@@ -28,7 +32,7 @@ from hungerlab import (
 )
 from hungerlab import hunger_engine
 from hungerlab.hunger_engine import SparseHunger
-from oracles import random_absorbing_chain, random_irreducible_chain
+from oracles import doubling_chip_add, random_absorbing_chain, random_irreducible_chain
 
 F = Fraction
 
@@ -260,8 +264,9 @@ def test_chip_add_fraction_fallback_agrees(absorbing_walk5, monkeypatch):
 
 
 def test_chip_add_fires_each_step_once_past_buffer_doublings():
-    """2501 fires to absorption, two doublings past the 1024-entry fired
-    buffer; the cap counts fires, and absorption on fire `cap` succeeds."""
+    """2501 fires to absorption, two doublings past the reference loop's
+    1024-entry buffer (oracles.doubling_chip_add); the cap counts fires,
+    and absorption on fire `cap` succeeds."""
     chain = parse_chain(
         '{"mode": "rational", "P": [["4999/5000", "1/5000"], ["0", "1"]]}'
     )
@@ -275,6 +280,90 @@ def test_chip_add_fires_each_step_once_past_buffer_doublings():
     for cap in (2500, 0, -1):
         with pytest.raises(CapExceeded):
             chip_add(chain, None, 0, cap=cap)
+
+
+def reducible_chain(rng, n, closed, mode):
+    """A chain with 1..n-1 sinks, other rows of denominator <= 6 with
+    P_ii < 1; with `closed`, two or more of them form a class that only
+    moves within itself, so a chip inserted there is never absorbed."""
+    order = rng.sample(range(n), n)
+    k = rng.randint(1, n - 1)
+    sinks, rest = order[:k], order[k:]
+    inner = rest[: rng.randint(2, len(rest))] if closed and len(rest) >= 2 else []
+    P = []
+    for i in range(n):
+        if i in sinks:
+            P.append({i: 1})
+            continue
+        targets = inner if i in inner else range(n)
+        den = rng.randint(1, 6)
+        counts = dict.fromkeys(targets, 0)
+        for _ in range(den):
+            counts[rng.choice(targets)] += 1
+        if counts[i] == den:  # not a sink: move one chip elsewhere
+            counts[i] -= 1
+            counts[rng.choice([j for j in targets if j != i])] += 1
+        P.append({j: F(c, den) for j, c in counts.items() if c})
+    if mode == FLOAT:
+        P = [{j: float(p) for j, p in row.items()} for row in P]
+    return MarkovChain(P, mode=mode)
+
+
+def chip_add_outcome(add, chain, h, i, cap):
+    try:
+        result, t = add(chain, h, i, cap)
+    except CapExceeded as err:
+        return "cap", err.cap
+    return result, t.fired.tolist(), t.v.tolist(), t.steps, t.initial_h, t.final_h
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.integers(2, 6), st.booleans(),
+    st.sampled_from(("rational", "float", "big")), st.data(),
+)
+def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, data):
+    """chip_add fires the mu + lam steps Brent's cycle finder counts; the
+    loop that fires until absorption or the cap is the reference. Caps run
+    from 0 to just past the absorption step; chips in a closed class
+    without sinks meet the cap on both sides. `big` starts near 2^62 take
+    the Python-int path."""
+    rng = random.Random(seed)
+    chain = reducible_chain(rng, n, closed, FLOAT if kind == "float" else RATIONAL)
+    i = rng.choice([s for s in range(n) if s not in absorbing_states(chain)])
+    h = [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+    if kind == "float":
+        h = [float(x) for x in h]
+    elif kind == "big":
+        h = [x + 2**62 for x in h]
+    reach = chip_add_outcome(doubling_chip_add, chain, h, i, 400)
+    cap = data.draw(st.integers(0, 400 if reach[0] == "cap" else reach[3] + 2))
+    expected = chip_add_outcome(doubling_chip_add, chain, h, i, cap)
+    assert chip_add_outcome(chip_add, chain, h, i, cap) == expected
+
+
+def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
+    """Inserted at v1 of [[1/2,1/2,0],[1/2,1/2,0],[0,0,1]], the chip never
+    leaves {v1, v2}: the orbit cycles at once, and chip_add says so without
+    firing toward the 10^7 cap."""
+    h = F(1, 2)
+    chain = MarkovChain([[h, h, 0], [h, h, 0], [0, 0, 1]])
+    with pytest.raises(CapExceeded):
+        chip_add(chain, None, 0)  # first-call setup, not timed
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        chip_add(chain, None, 0)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            chip_add(chain, None, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.cap == hunger_engine.DEFAULT_CAP
+    assert elapsed < 0.05
+    assert peak < 5 * 2**20
 
 
 def test_chip_add_random_chains_terminate():
