@@ -230,9 +230,9 @@ def _rational_row(row, cols, i):
 
 def _float_row(row, cols, i):
     """(columns, floats) of row's entries at cols, less any that are 0.0 as
-    floats. An entry of exactly 1.0 must stand alone in its row: beside
-    entries too small to move the sum, it would make a state absorbing
-    whose fire still moves hunger."""
+    floats. A diagonal entry of exactly 1.0 must stand alone in its row:
+    beside entries too small to move the sum, it would make a state
+    absorbing whose fire still moves hunger."""
     out = []
     for j in cols:
         x = float(row[j])
@@ -248,8 +248,10 @@ def _float_row(row, cols, i):
         raise ChainFormatError(f"row {i + 1} sums to {s}, expected 1")
     if s != 1.0:
         out = [x / s for x in out]  # renormalize away the last few ulps
-    if 1.0 in out and sum(x > 0 for x in out) > 1:
-        raise ChainFormatError(f"row {i + 1}: an entry of 1 beside other positive ones")
+    if (i, 1.0) in zip(cols, out) and sum(x > 0 for x in out) > 1:
+        raise ChainFormatError(
+            f"row {i + 1}: a diagonal entry of 1 beside other positive ones"
+        )
     return [j for j, x in zip(cols, out) if x], [x for x in out if x]
 
 

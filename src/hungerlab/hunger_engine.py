@@ -39,6 +39,9 @@ from .chain_model import (
 from .errors import CapExceeded, IIsAbsorbing
 
 DEFAULT_CAP = 10**7
+# chip_add fires this many steps toward absorption (a 512 kB buffer)
+# before it asks where the orbit cycles
+_FIRST_FIRES = 2**16
 
 HungerVector = Tuple[Scalar, ...]
 
@@ -300,18 +303,20 @@ def chip_add(
     trace.final_h the pre-removal one, so the trace keeps the exact
     final_h = initial_h + vH identity.
 
-    An absorbing state's row of H is zero, so its fire leaves the vector
-    unchanged: the chip is absorbed exactly when the orbit ends in such a
-    fixed point, on fire mu + lam. Brent's cycle finder
-    (_kernels.brent_cycle) gives mu and lam, and then exactly that many
-    fires are made.
+    The first _FIRST_FIRES fires stop at absorption. Past them the orbit
+    decides: an absorbing state's row of H is zero, so its fire leaves the
+    vector unchanged, and the chip is absorbed exactly when the orbit ends
+    in such a fixed point. Brent's cycle finder (_kernels.brent_cycle)
+    gives the transient mu and the period lam from there: with lam == 1
+    the chip is absorbed on fire mu + 1, and otherwise never.
 
     Raises:
         ValueError: i is not a state index (an integer in 0..n-1).
         IIsAbsorbing: insertion at an absorbing state.
-        CapExceeded: no absorbing arrival within `cap` fires, known as soon
-            as the orbit closes without one; raised before any fire when
-            the chain has no absorbing state.
+        CapExceeded: no absorbing arrival within `cap` fires. Past the
+            first _FIRST_FIRES fires it is known as soon as the orbit
+            closes without one; raised before any fire when the chain has
+            no absorbing state.
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
@@ -326,19 +331,22 @@ def chip_add(
         inserted[j] += p
     inserted = tuple(inserted)
     g, rows, keys = _scaled(chain, inserted)
-    # the first absorbing fire, if any, is fire mu + lam (and lam is 1)
-    mu, lam = _kernels.brent_cycle(g.copy(), rows, cap)
-    if mu < 0 or mu + lam > cap:
-        raise CapExceeded(cap)
-    fired = np.empty(mu + lam, dtype=np.int64)
+    fired = np.empty(max(0, min(cap, _FIRST_FIRES)), dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
-    _kernels.greedy_run(g, rows, len(fired), fired, v, mask)
-    if not mask[fired[-1]]:
-        raise CapExceeded(cap)  # the orbit cycles without absorbing the chip
+    k = _kernels.greedy_run(g, rows, len(fired), fired, v, mask)
+    if k == 0 or not mask[fired[k - 1]]:
+        # absorbed on fire k + mu + 1 if the orbit ends in a fixed point
+        mu, lam = _kernels.brent_cycle(g.copy(), rows, cap - k)
+        if mu < 0 or lam != 1 or k + mu + 1 > cap:
+            raise CapExceeded(cap)
+        fired = np.concatenate((fired, np.empty(mu + 1, dtype=np.int64)))
+        k += _kernels.greedy_run(g, rows, mu + 1, fired[k:], v, mask)
+        if not mask[fired[k - 1]]:
+            raise CapExceeded(cap)  # a float fixed point at a state that moves
     pre_removal = keys.hunger(g)
-    g[fired[-1]] -= keys.unit
+    g[fired[k - 1]] -= keys.unit
     result = keys.hunger(g)
-    return result, FiringTrace(fired, v, inserted, pre_removal, len(fired))
+    return result, FiringTrace(fired[:k], v, inserted, pre_removal, k)
 
 
 # ---------------------------------------------------------------------------

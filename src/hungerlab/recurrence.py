@@ -206,22 +206,20 @@ def _grid_orbits(chain: MarkovChain, values: List[Fraction], cap: int):
     Grid cells, and cells less a lattice vector (denominators dividing D),
     lie on (1/S)Z^n, S = lcm(D, grid denominators). Their keys are the ints
     S*h, _Keys with R = M = S/D and c = (0, ..., M-1), fired by one set of
-    rows S*H = M*(D*H). orbit(keys) is _orbit's result: on int64 keys and
-    rows when the keys pass _int64_safe, else on Python ints; each dtype's
-    rows are built on first use."""
+    rows S*H = M*(D*H). orbit(keys) is _orbit's result, on _scaled's own
+    keys and rows (find_cycle's) when the keys fail _int64_safe."""
     S = math.lcm(chain.D, *(x.denominator for x in values))
     num = [x.numerator * (S // x.denominator) for x in values]
     grid = list(zip(values, num))
     cells = ((h1, h2, (a, b, -a - b)) for h1, a in grid for h2, b in grid)
     indptr, indices, dh, _ = chain._kernel_rows
-    rows = {}  # dtype -> S*H
+    if S < 2**62:  # else no keys pass _int64_safe
+        rows = _kernels.SparseRows(indptr, indices, dh * (S // chain.D))
 
     def orbit(keys):
-        dtype = np.int64 if _int64_safe(keys, S, chain.n) else object
-        if dtype not in rows:
-            sh = dh.astype(dtype) * (S // chain.D)
-            rows[dtype] = _kernels.SparseRows(indptr, indices, sh)
-        return _orbit(np.array(keys, dtype=dtype), rows[dtype], cap)
+        if _int64_safe(keys, S, chain.n):
+            return _orbit(np.array(keys, dtype=np.int64), rows, cap)
+        return _orbit(*_scaled(chain, [Fraction(k, S) for k in keys])[:2], cap)
 
     return cells, S, orbit
 

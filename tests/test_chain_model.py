@@ -138,14 +138,18 @@ def test_parse_rejects_negative_and_oversized():
         parse_chain('{"mode": "float", "P": [[1.5, 0.5], [0.5, 0.5]]}')
 
 
-def test_float_row_entry_of_one_stands_alone():
-    """1.0 beside 1e-17 sums to 1.0, but firing that state would still move
-    hunger while the state counts as absorbing."""
+def test_float_row_diagonal_one_stands_alone():
+    """P_00 = 1.0 beside 1e-17 sums to 1.0, but firing that state would
+    still move hunger while the state counts as absorbing."""
     for P in ([[1.0, 1e-17], [0.5, 0.5]], [[0.5, 0.5], {0: 1e-300, 1: 1.0}]):
-        with pytest.raises(ChainFormatError, match="entry of 1 beside"):
+        with pytest.raises(ChainFormatError, match="diagonal entry of 1 beside"):
             MarkovChain(P, mode=FLOAT)
-    with pytest.raises(ChainFormatError, match="row 1: an entry of 1 beside"):
+    with pytest.raises(ChainFormatError, match="row 1: a diagonal entry of 1 beside"):
         parse_chain('{"mode": "float", "P": [[1.0, 1e-17], [0.5, 0.5]]}')
+    # off the diagonal a 1.0 is no absorbing state: its row of H is
+    # [-1.0, 1.0] in floats
+    c = MarkovChain([[1e-17, 1.0], [0.5, 0.5]], mode=FLOAT)
+    assert list(c.row(0)) == [(0, 1e-17), (1, 1.0)] and not absorbing_states(c)
     # the rational row is exact; only its float copy rounds to 1.0
     e = F(1, 10**20)
     assert MarkovChain([[1 - e, e], [F(1, 2), F(1, 2)]]).n == 2

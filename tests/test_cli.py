@@ -464,7 +464,15 @@ def test_mode_override_rejects_a_row_that_rounds_to_absorbing(tmp_path, capsys):
         capsys, "simulate", "--chain", str(path), "--mode", "float", "--steps", "3"
     )
     assert (code, out) == (2, "")
-    assert "row 1: an entry of 1 beside other positive ones" in err
+    assert "row 1: a diagonal entry of 1 beside other positive ones" in err
+    # off the diagonal, [10^-20, 1 - 10^-20] rounds to [1e-20, 1.0] and the
+    # state still moves: it runs
+    doc["P"][0].reverse()
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "simulate", "--chain", str(path), "--mode", "float", "--steps", "3"
+    )
+    assert (code, err) == (0, "fired 3 steps; v = (v1:1, v2:2)\nfinal hunger: 0.0,0.0\n")
 
 
 def test_non_finite_input_exit_code(tmp_path, capsys):

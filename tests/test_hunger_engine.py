@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -263,23 +264,26 @@ def test_chip_add_fraction_fallback_agrees(absorbing_walk5, monkeypatch):
         chip_add(chain, h0, 2, cap=1)
 
 
-def test_chip_add_fires_each_step_once_past_buffer_doublings():
+def test_chip_add_fires_each_step_once_past_buffer_doublings(monkeypatch):
     """2501 fires to absorption, two doublings past the reference loop's
-    1024-entry buffer (oracles.doubling_chip_add); the cap counts fires,
-    and absorption on fire `cap` succeeds."""
+    1024-entry buffer (oracles.doubling_chip_add), and past a first run
+    of 1000 or 1 fires into the part Brent's finder sizes; the cap counts
+    fires, and absorption on fire `cap` succeeds."""
     chain = parse_chain(
         '{"mode": "rational", "P": [["4999/5000", "1/5000"], ["0", "1"]]}'
     )
-    result, trace = chip_add(chain, None, 0, cap=2501)
-    assert trace.steps == len(trace.fired) == 2501
-    assert trace.v.tolist() == [2500, 1]
-    fired, h = fire_steps(chain, trace.initial_h, 2501)
-    assert fired == list(trace.fired)
-    assert h == trace.final_h
-    assert result == (F(2499, 5000), F(-2499, 5000))
-    for cap in (2500, 0, -1):
-        with pytest.raises(CapExceeded):
-            chip_add(chain, None, 0, cap=cap)
+    fired, h = fire_steps(chain, chip_add(chain, None, 0)[1].initial_h, 2501)
+    for first in (hunger_engine._FIRST_FIRES, 1000, 1):
+        monkeypatch.setattr(hunger_engine, "_FIRST_FIRES", first)
+        result, trace = chip_add(chain, None, 0, cap=2501)
+        assert trace.steps == len(trace.fired) == 2501
+        assert trace.v.tolist() == [2500, 1]
+        assert fired == list(trace.fired)
+        assert h == trace.final_h
+        assert result == (F(2499, 5000), F(-2499, 5000))
+        for cap in (2500, 0, -1):
+            with pytest.raises(CapExceeded):
+                chip_add(chain, None, 0, cap=cap)
 
 
 def reducible_chain(rng, n, closed, mode):
@@ -320,14 +324,15 @@ def chip_add_outcome(add, chain, h, i, cap):
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     st.integers(0, 2**32), st.integers(2, 6), st.booleans(),
-    st.sampled_from(("rational", "float", "big")), st.data(),
+    st.sampled_from(("rational", "float", "big")),
+    st.sampled_from((1, 2, 7, hunger_engine._FIRST_FIRES)), st.data(),
 )
-def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, data):
-    """chip_add fires the mu + lam steps Brent's cycle finder counts; the
-    loop that fires until absorption or the cap is the reference. Caps run
-    from 0 to just past the absorption step; chips in a closed class
-    without sinks meet the cap on both sides. `big` starts near 2^62 take
-    the Python-int path."""
+def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, first, data):
+    """chip_add fires `first` steps toward absorption, then the mu + 1
+    steps Brent's cycle finder counts; the loop that fires until
+    absorption or the cap is the reference. Caps run from 0 to just past
+    the absorption step; chips in a closed class without sinks meet the
+    cap on both sides. `big` starts near 2^62 take the Python-int path."""
     rng = random.Random(seed)
     chain = reducible_chain(rng, n, closed, FLOAT if kind == "float" else RATIONAL)
     i = rng.choice([s for s in range(n) if s not in absorbing_states(chain)])
@@ -339,13 +344,15 @@ def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, data):
     reach = chip_add_outcome(doubling_chip_add, chain, h, i, 400)
     cap = data.draw(st.integers(0, 400 if reach[0] == "cap" else reach[3] + 2))
     expected = chip_add_outcome(doubling_chip_add, chain, h, i, cap)
-    assert chip_add_outcome(chip_add, chain, h, i, cap) == expected
+    with mock.patch.object(hunger_engine, "_FIRST_FIRES", first):
+        assert chip_add_outcome(chip_add, chain, h, i, cap) == expected
 
 
 def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
     """Inserted at v1 of [[1/2,1/2,0],[1/2,1/2,0],[0,0,1]], the chip never
-    leaves {v1, v2}: the orbit cycles at once, and chip_add says so without
-    firing toward the 10^7 cap."""
+    leaves {v1, v2}: past its first run the orbit has cycled, and chip_add
+    says so without firing toward the 10^7 cap. The time bound is for the
+    compiled kernels; the numpy backend fires the first run in Python."""
     h = F(1, 2)
     chain = MarkovChain([[h, h, 0], [h, h, 0], [0, 0, 1]])
     with pytest.raises(CapExceeded):
@@ -362,8 +369,29 @@ def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
     finally:
         tracemalloc.stop()
     assert err.value.cap == hunger_engine.DEFAULT_CAP
-    assert elapsed < 0.05
+    assert elapsed < 0.05 or hunger_engine._kernels.active_backend() != "c"
     assert peak < 5 * 2**20
+
+
+def test_chip_add_stops_at_a_cycle_past_a_transient(monkeypatch):
+    """From (1000, -1000, 0) the chip at v1 of the chain above fires about
+    2000 steps before its orbit closes with period 2. Past a first run of
+    10 fires, CapExceeded comes from Brent's finder: no more fires."""
+    h = F(1, 2)
+    chain = MarkovChain([[h, h, 0], [h, h, 0], [0, 0, 1]])
+    start = (F(1000), F(-1000), F(0))
+    g, rows, _ = hunger_engine._scaled(chain, (F(2001, 2), F(-1999, 2), F(0)))
+    assert hunger_engine._kernels.brent_cycle(g, rows, 10**4) == (2000, 2)
+    requested = []
+    run = hunger_engine._kernels.greedy_run
+    monkeypatch.setattr(
+        hunger_engine._kernels, "greedy_run",
+        lambda *a: requested.append(a[2]) or run(*a),
+    )
+    monkeypatch.setattr(hunger_engine, "_FIRST_FIRES", 10)
+    with pytest.raises(CapExceeded):
+        chip_add(chain, start, 0)
+    assert requested == [10]
 
 
 def test_chip_add_random_chains_terminate():

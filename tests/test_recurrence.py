@@ -545,10 +545,10 @@ def test_grid_scans_prepare_once(basin_demo3, monkeypatch):
     orders = {c.class_id for c in scan.cells}
     assert (len(made), len(cycles), len(scan.cells)) == (1, 0, 169)
     assert len(orders) == len(scan.classes) <= len(names) < 169
-    # a grid where every key fails _int64_safe: one set of Python-int rows,
-    # and still no find_cycle call
+    # a grid where every key fails _int64_safe: each of the 9 cells is
+    # re-keyed by _scaled, with its own rows, and still no find_cycle call
     basin_scan(HUGE_D, (F(-1), F(1)), F(1), 30)
-    assert (len(made), len(cycles)) == (2, 0)
+    assert (len(made), len(cycles)) == (10, 0)
 
 
 def test_grid_scans_mix_int64_and_fallback_cells(basin_demo3):
