@@ -1,7 +1,8 @@
 /* Compiled bodies of the two firing kernels in _kernels.py: greedy_run
  * (fire, optionally until a stop state, or the remove-and-reinsert walk
- * given a schedule) and brent_cycle (find an orbit's cycle); and of its
- * CSV row writer, csv_rows, at the end of this file.
+ * given a schedule) and brent_cycle (find an orbit's cycle); of the
+ * rotor-router walk, rotor_walk, after them; and of the CSV row writer,
+ * csv_rows, at the end of this file.
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
  * int64_t (exact, the engine's integer keys) and double (float mode),
@@ -345,6 +346,37 @@ capped:                                                                        \
 
 DEFINE_KERNELS(int64_t, i64, INT64_MIN)
 DEFINE_KERNELS(double, f64, -HUGE_VAL)
+
+/* The rotor-router walk behind rotor_walk in _kernels.py, int64 only. The
+ * rotor of state x cycles the runs run_ptr[x] .. run_ptr[x + 1] (CSR, as
+ * rows_ok checks them): counts[k] slots pointing at targets[k]. It points
+ * into run at[x] with left[x] slots of it left. Walks N steps from path[0]
+ * into path[1 .. N], leaving at and left at the final rotors; returns N, or
+ * BAD_ROWS when the arrays do not describe n states' rotors. */
+int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
+                   const int64_t *targets, const int64_t *counts, int64_t n,
+                   int64_t runs, int64_t *at, int64_t *left)
+{
+    if (!rows_ok(run_ptr, targets, n, runs) || path[0] < 0 || path[0] >= n)
+        return BAD_ROWS;
+    for (int64_t k = 0; k < runs; k++)
+        if (counts[k] < 1)
+            return BAD_ROWS;
+    for (int64_t i = 0; i < n; i++)
+        if (at[i] < run_ptr[i] || at[i] >= run_ptr[i + 1] || left[i] < 1 ||
+            left[i] > counts[at[i]])
+            return BAD_ROWS;
+    for (int64_t t = 0, x = path[0]; t < N; t++) {
+        int64_t k = at[x];
+        path[t + 1] = targets[k];
+        if (--left[x] == 0) {
+            at[x] = k + 1 < run_ptr[x + 1] ? k + 1 : run_ptr[x];
+            left[x] = counts[at[x]];
+        }
+        x = path[t + 1];
+    }
+    return N;
+}
 
 /* The CSV row writer behind csv_rows in _kernels.py. A row is its fields
  * joined by ',' and ended by '\n'; a field is one of

@@ -1,12 +1,14 @@
-"""Hot loops for the greedy firing process and its CSV output.
+"""Hot loops for the greedy firing process, the rotor walk it is raced
+against, and their CSV output.
 
 There are two firing kernels. greedy_run fires the hungriest state, for a
 number of steps or until a stop state fires; given a schedule of
 insertion states it runs the paper's remove-and-reinsert walk instead,
 and given an extrema array it keeps the least and largest hunger seen.
-brent_cycle finds where and how an orbit cycles. One row writer,
-csv_rows, turns a block of CSV rows (traces, sweep profiles, rotor
-itineraries) into text. Each has two implementations:
+brent_cycle finds where and how an orbit cycles. A third kernel,
+rotor_walk, walks the rotor-router over each state's runs of slots. One
+row writer, csv_rows, turns a block of CSV rows (traces, sweep profiles,
+rotor itineraries) into text. Each has two implementations:
 
 - ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
   first time this module is imported and loaded through ctypes. The shared
@@ -57,6 +59,12 @@ body formats the uint64 magnitudes of the numerators, so INT64_MIN prints
 as Python's str does, refuses a denominator <= 0 with ValueError, and
 writes a call's rows through one buffer sized from them, a piece at a
 time, never past its end.
+
+rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
+steps leaves a state at most N times, so its caller cuts every count at
+N + 1 and no count past 2^63 reaches it. Its C body checks the runs as
+the firing kernels check their rows, and raises ValueError when they do
+not describe n states' rotors.
 """
 
 import ctypes
@@ -283,6 +291,35 @@ def brent_cycle(h0, rows, cap):
     return mu, lam
 
 
+def rotor_walk(itinerary, run_ptr, targets, counts, at, left):
+    """Walk the rotor-router len(itinerary) - 1 steps from itinerary[0],
+    writing the states it arrives at into itinerary[1:].
+
+    The rotor of state x cycles its runs, CSR like the rows of H: run k in
+    run_ptr[x] .. run_ptr[x + 1] is counts[k] >= 1 consecutive slots
+    pointing at targets[k]. It points into run at[x], with left[x] of the
+    run's slots left, the one it points at included. A departure from x
+    goes to targets[at[x]] and uses up one slot; at the end of the last run
+    the rotor wraps to the first. at and left are mutated in place to the
+    final rotors. Every array is int64. Returns the steps walked.
+    """
+    ptr, targets, counts = run_ptr.tolist(), targets.tolist(), counts.tolist()
+    at_x, left_x = at.tolist(), left.tolist()
+    x = int(itinerary[0])
+    path = []
+    for _ in range(itinerary.shape[0] - 1):
+        k = at_x[x]
+        left_x[x] -= 1
+        if left_x[x] == 0:
+            at_x[x] = k + 1 if k + 1 < ptr[x + 1] else ptr[x]
+            left_x[x] = counts[at_x[x]]
+        x = targets[k]
+        path.append(x)
+    itinerary[1:] = path
+    at[:], left[:] = at_x, left_x
+    return len(path)
+
+
 class Labels(NamedTuple):
     """A CSV field of one label a row: table[index[r]], the labels already
     quoted as csv writes them; index -1 writes an empty field."""
@@ -353,6 +390,7 @@ def csv_rows(f, fields):
 reference = SimpleNamespace(
     greedy_run=greedy_run,
     brent_cycle=brent_cycle,
+    rotor_walk=rotor_walk,
     csv_rows=csv_rows,
 )
 
@@ -443,6 +481,9 @@ def _load(path: Path) -> dict:
             fn.restype = restype
             setattr(kernels, name, fn)
         table[np.dtype(dtype)] = kernels
+    lib.rotor_walk.argtypes = [P, I, P, P, P, I, I, P, P]
+    lib.rotor_walk.restype = I
+    table[_INT64].rotor_walk = lib.rotor_walk
     lib.csv_rows.argtypes = [ctypes.POINTER(_Field), I, ctypes.POINTER(I), I, P, I]
     lib.csv_rows.restype = I
     table[_INT64].csv_rows = lib.csv_rows
@@ -529,6 +570,27 @@ class _Arguments:
         return rows
 
     @staticmethod
+    def runs(itinerary, run_ptr, targets, counts, at, left) -> None:
+        """Check that rotor_walk's arrays fit the compiled kernel: all int64,
+        1-D and contiguous, at least the start in itinerary, n + 1 entries
+        in run_ptr, a count per target, and at and left writable, one entry
+        a state.
+
+        Raises:
+            ValueError: an array has the wrong dtype, shape or layout.
+        """
+        arrays = (itinerary, run_ptr, targets, counts, at, left)
+        if not (
+            all(a.dtype == _INT64 and a.ndim == 1 and a.flags.c_contiguous for a in arrays)
+            and itinerary.shape[0] >= 1 and targets.shape == counts.shape
+            and at.shape == left.shape == (run_ptr.shape[0] - 1,)
+            and itinerary.flags.writeable and at.flags.writeable and left.flags.writeable
+        ):
+            raise ValueError(
+                "rotor_walk: arrays do not match the kernel's dtypes, shapes or layout"
+            )
+
+    @staticmethod
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
         for the compiled csv_rows, or None when a Ratios field is not int64.
@@ -612,6 +674,18 @@ if _compiled is not None:
         if mu < -1:
             raise _FAILURE[mu]()
         return mu, lam.value
+
+    def rotor_walk(itinerary, run_ptr, targets, counts, at, left):
+        """Compiled reference.rotor_walk."""
+        _Arguments.runs(itinerary, run_ptr, targets, counts, at, left)
+        k = _compiled[_INT64].rotor_walk(
+            _Pointer.of(itinerary), itinerary.shape[0] - 1, _Pointer.of(run_ptr),
+            _Pointer.of(targets), _Pointer.of(counts), at.shape[0], targets.shape[0],
+            _Pointer.of(at), _Pointer.of(left),
+        )
+        if k < 0:
+            raise ValueError("rotor_walk: the runs are not the rotors of n states")
+        return k
 
     def csv_rows(f, fields):
         """Compiled reference.csv_rows when every Ratios field holds int64

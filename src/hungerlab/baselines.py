@@ -5,13 +5,13 @@ Both need integer chip moves, so they run on rational chains only; each
 state i carries a threshold d_i that clears its row's denominators.
 """
 
-import itertools as it
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .chain_model import (
     RATIONAL,
     MarkovChain,
@@ -145,21 +145,6 @@ class RotorTrace:
     d: Tuple[int, ...]
 
 
-def _slots(runs, r, N):
-    """A rotor's targets from slot r on, for a walk of N steps: its
-    (target, count) runs rotated to start at slot r, and cycled (which keeps
-    only the slots passed). Each run is cut to N + 1 slots: the walk leaves
-    the state at most N times, so it never reaches the end of a cut run, and
-    a rotor with a cut run never wraps."""
-    k = 0
-    while r >= runs[k][1]:
-        r -= runs[k][1]
-        k += 1
-    j, c = runs[k]
-    runs = [(j, c - r), *runs[k + 1 :], *runs[:k], (j, r)]
-    return it.cycle(it.chain.from_iterable(it.repeat(j, min(c, N + 1)) for j, c in runs))
-
-
 def rotor_run(
     chain: MarkovChain,
     start: int,
@@ -171,12 +156,16 @@ def rotor_run(
     State i owns d_i outgoing edge slots: d_i * P_ij consecutive slots
     point at j, targets in ascending order. Each departure uses the
     current rotor slot and advances it cyclically. The slots are runs read
-    off the Engel machine's cached moves, rotated to the rotor and cut at
-    N + 1 slots, so the walk holds O(nnz + N) whatever the d_i.
+    off the Engel machine's cached moves, and _kernels.rotor_walk walks
+    them. Each run's count, and the slots left in the rotor's run, are cut
+    at N + 1: the walk leaves a state at most N times, so it never reaches
+    the end of a cut run. The walk holds O(nnz + N) int64 entries whatever
+    the d_i, past 2^63 too.
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("rotor walks need exact rows")
     _check_state(chain, start)
+    N = _as_index(N, "N")
     if N < 0:
         raise ValueError("N must be >= 0")
     d, moves, _ = chain._chip_firing
@@ -184,17 +173,24 @@ def rotor_run(
     rotors = [_as_index(r, "rotor position") for r in rotors]
     if len(rotors) != chain.n or any(not 0 <= r < di for r, di in zip(rotors, d)):
         raise ValueError("rotor_init must give a slot in [0, d_i) per state")
-    # a fire at i moves d_i * H_ij = d_i * P_ij - d_i [j == i] chips to j
-    slots = [
-        _slots([(j, c + di * (j == i)) for j, c in row], r, N)
-        for i, (di, row, r) in enumerate(zip(d, moves, rotors))
-    ]
-    x = start
-    itinerary = [x]
-    for _ in range(N):
-        x = next(slots[x])
-        itinerary.append(x)
-    itinerary = np.array(itinerary, dtype=np.int64)
+    run_ptr, targets, counts, at, left = [0], [], [], [], []
+    for i, (di, row, r) in enumerate(zip(d, moves, rotors)):
+        # a fire at i moves d_i * H_ij = d_i * P_ij - d_i [j == i] chips to j
+        for j, c in row:
+            c += di * (j == i)
+            if c == 0:
+                continue
+            if 0 <= r < c:  # the rotor's run; r < 0 past it
+                at.append(len(targets))
+                left.append(min(c - r, N + 1))
+            r -= c
+            targets.append(j)
+            counts.append(min(c, N + 1))
+        run_ptr.append(len(targets))
+    itinerary = np.empty(N + 1, dtype=np.int64)
+    itinerary[0] = start
+    runs = (np.array(a, dtype=np.int64) for a in (run_ptr, targets, counts, at, left))
+    _kernels.rotor_walk(itinerary, *runs)
     visits = np.bincount(itinerary, minlength=chain.n)
     departures = np.bincount(itinerary[:-1], minlength=chain.n).tolist()
     rotors = tuple((r + k) % di for r, k, di in zip(rotors, departures, d))
@@ -226,6 +222,7 @@ def compare_two_state(q, N: int) -> TwoStateComparison:
     of 1/q visits before first crossing.
     """
     q = Fraction(q)
+    N = _as_index(N, "N")
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
     if N < 2:

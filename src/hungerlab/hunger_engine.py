@@ -271,6 +271,7 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
 
     Deterministic; bit-exact across runs in rational mode.
     """
+    steps = _as_index(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     h = coerce_hunger(chain, h0)
@@ -320,6 +321,7 @@ def chip_add(
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
+    cap = _as_index(cap, "cap")
     mask = _absorbing_mask(chain)
     if mask[i]:
         raise IIsAbsorbing(f"cannot insert at absorbing state {chain.labels[i]}")
@@ -372,6 +374,7 @@ def run_with_reinsertion(
     Returns a trace carrying running min/max hunger over the whole run
     (initial vector included), for the boundedness lemma checks.
     """
+    steps = _as_index(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps > cap:

@@ -20,6 +20,7 @@ from .chain_model import (
     RATIONAL,
     MarkovChain,
     _absorbing_mask,
+    _as_index,
     _stationary,
     hunger_matrix,
     lcd_of_stationary,
@@ -80,6 +81,7 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
         CapExceeded: the orbit did not close within cap steps.
     """
     _check_cycle_chain(chain)
+    cap = _as_index(cap, "cap")
     h = coerce_hunger(chain, h0)
     g, rows, keys = _scaled(chain, h)
     mu, lam, order = _orbit(g, rows, cap)
@@ -243,7 +245,7 @@ def basin_scan(
         raise ValueError("basin scans are drawn over 3-state chains")
     values = _grid(bounds, step)
     _check_cycle_chain(chain)
-    cells, _, orbit = _grid_orbits(chain, values, cap)
+    cells, _, orbit = _grid_orbits(chain, values, _as_index(cap, "cap"))
     class_ids = {}  # canonical order -> class id, in first-seen order
     id_of = {}  # firing order -> class id, so each order is named once
     out = []

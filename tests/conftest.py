@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from hungerlab import chip_add, find_cycle, parse_chain, run, run_with_reinsertion
+from hungerlab import (
+    chip_add, find_cycle, parse_chain, rotor_run, run, run_with_reinsertion,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -46,6 +48,7 @@ def _warm_kernels():
     absorbing = load_chain("two_sinks5.json")
     run(rational, None, 4)
     find_cycle(rational)
+    rotor_run(rational, 0, None, 4)
     chip_add(absorbing, None, 1)
     run_with_reinsertion(absorbing, None, [1], 4)
     as_float = parse_chain(

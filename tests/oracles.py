@@ -5,7 +5,8 @@ library's exact linear algebra, so agreement between the two is evidence
 rather than tautology. The dense firing bodies are the kernels as they were
 before sparse rows and the tournament tree: np.argmax and whole-row adds.
 The slot-table rotor walk is the rotor walk as it was before it read the
-Engel machine's cached moves: one list entry per rotor slot. The doubling
+Engel machine's cached moves: one list entry per rotor slot; the slot-list
+walk is the same walk on the runs _kernels.rotor_walk takes. The doubling
 chip addition is chip_add as it was before Brent's cycle finder sized its
 run: it fires into a buffer that doubles toward the cap.
 """
@@ -238,6 +239,29 @@ def slot_table_rotor_run(chain: MarkovChain, start: int, rotor_init, N: int):
     return np.array(itinerary, dtype=np.int64), visits, tuple(rotors), d
 
 
+def slot_list_rotor_walk(itinerary, run_ptr, targets, counts, at, left):
+    """_kernels.rotor_walk on a list of every slot of each state's runs,
+    with the rotor an index into it: at and left become a slot index, and
+    back after the walk."""
+    ptr = run_ptr.tolist()
+    slots = [np.repeat(targets[a:b], counts[a:b]).tolist() for a, b in zip(ptr, ptr[1:])]
+    rotors = [
+        int(counts[a:k].sum() + counts[k] - r) for a, k, r in zip(ptr, at.tolist(), left)
+    ]
+    x = int(itinerary[0])
+    for t in range(1, itinerary.shape[0]):
+        j = slots[x][rotors[x]]
+        rotors[x] = (rotors[x] + 1) % len(slots[x])
+        x = itinerary[t] = j
+    for x, r in enumerate(rotors):
+        k = ptr[x]
+        while r >= counts[k]:
+            r -= counts[k]
+            k += 1
+        at[x], left[x] = k, counts[k] - r
+    return itinerary.shape[0] - 1
+
+
 # ---------------------------------------------------------------------------
 # chip addition that fires until absorption or the cap
 
@@ -374,6 +398,7 @@ def dense_brent_cycle(h0, rows, cap):
 DENSE_KERNELS = SimpleNamespace(
     greedy_run=dense_greedy_run,
     brent_cycle=dense_brent_cycle,
+    rotor_walk=slot_list_rotor_walk,
 )
 
 

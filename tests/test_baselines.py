@@ -327,6 +327,23 @@ def test_rotor_walk_holds_a_row_not_its_slots():
         assert (t.itinerary.tolist(), t.rotors) == (itinerary.tolist(), final)
 
 
+def test_rotor_walk_without_self_loops_from_the_last_slot_of_a_run():
+    """Rows with P_ii = 0 have no slots pointing home (their diagonal run is
+    dropped), and rotors starting in the last slot of a run move on to the
+    next run, or wrap from the last run to the first."""
+    chain = MarkovChain([
+        [0, F(1, 2), F(1, 2)], [F(1, 3), 0, F(2, 3)], [F(1, 4), F(3, 4), 0],
+    ])
+    # slots: [1, 2], [0, 2, 2], [0, 1, 1, 1]
+    for rotors in ((1, 0, 0), (0, 2, 3), (1, 2, 0)):
+        itinerary, visits, final, d = slot_table_rotor_run(chain, 0, rotors, 50)
+        t = rotor_run(chain, 0, rotors, 50)
+        assert t.itinerary.tolist() == itinerary.tolist()
+        assert t.visits.tolist() == visits.tolist()
+        assert (t.rotors, t.d) == (final, d) and d == (2, 3, 4)
+    assert rotor_run(chain, 0, (1, 0, 0), 3).itinerary.tolist() == [0, 2, 0, 1]
+
+
 def test_rotor_walk_with_slot_counts_past_int64():
     """d_1 = 2^70: the runs are rotated to the rotor and cut at N + 1 slots
     before they are repeated."""

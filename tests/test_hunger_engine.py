@@ -17,8 +17,10 @@ from hungerlab import (
     IIsAbsorbing,
     MarkovChain,
     absorbing_states,
+    basin_scan,
     chip_add,
     common_denominator,
+    compare_two_state,
     find_cycle,
     fire_step,
     goldbug_chain,
@@ -27,9 +29,11 @@ from hungerlab import (
     hungriest_index,
     lazy_run,
     parse_chain,
+    rotor_run,
     run,
     run_with_reinsertion,
     zero_hunger,
+    zero_period,
 )
 from hungerlab import hunger_engine
 from hungerlab.hunger_engine import SparseHunger
@@ -734,6 +738,44 @@ def test_state_indices_must_be_integers(absorbing_walk5, call):
     # before any fire instead of indexing numpy or truncating the float
     with pytest.raises(ValueError, match=r"state index \d\.\d is not an integer"):
         call(absorbing_walk5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chains: run(chains["reflect"], None, 2.5),
+        lambda chains: run(chains["reflect"], None, 5.0),
+        lambda chains: run_with_reinsertion(chains["walk"], None, [1], 2.5),
+        lambda chains: rotor_run(chains["reflect"], 0, None, 2.5),
+        lambda chains: compare_two_state(F(1, 3), 2.5),
+        lambda chains: find_cycle(chains["reflect"], None, cap=2.5),
+        lambda chains: chip_add(chains["walk"], None, 2, cap=2.5),
+        lambda chains: zero_period(chains["reflect"], cap=2.5),
+        lambda chains: basin_scan(chains["basin"], (F(-1), F(1)), F(1, 2), cap=2.5),
+    ],
+    ids=["run", "run-5.0", "reinsertion", "rotor", "compare2", "find_cycle",
+         "chip_add", "zero_period", "basin_scan"],
+)
+def test_step_counts_and_caps_must_be_integers(
+    reflecting3, absorbing_walk5, basin_demo3, call
+):
+    # refused as state indices are, not leaked as a TypeError from range or
+    # a ctypes.ArgumentError from a compiled kernel
+    chains = {"reflect": reflecting3, "walk": absorbing_walk5, "basin": basin_demo3}
+    with pytest.raises(ValueError, match=r"(steps|N|cap) \d\.\d is not an integer"):
+        call(chains)
+
+
+def test_numpy_integer_step_counts_and_caps(reflecting3, absorbing_walk5):
+    five = np.int64(5)
+    t = run(reflecting3, None, five)
+    assert type(t.steps) is int
+    assert t.fired.tolist() == run(reflecting3, None, 5).fired.tolist()
+    t = run_with_reinsertion(absorbing_walk5, None, [1], five, cap=np.int64(9))
+    assert type(t.steps) is int
+    assert rotor_run(reflecting3, 0, None, five).itinerary.shape == (6,)
+    assert find_cycle(reflecting3, None, cap=np.int64(100)) == find_cycle(reflecting3)
+    assert chip_add(absorbing_walk5, None, 2, cap=np.int64(100))[1].steps == 3
 
 
 def test_numpy_integer_state_indices(absorbing_walk5):

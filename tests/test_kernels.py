@@ -5,7 +5,8 @@ Each property test builds random arguments, runs the numpy reference and
 (when loaded) the compiled kernel on SparseRows, and the dense oracle
 (tests/oracles.py: np.argmax and whole-row adds) on the same rows as an
 n x n array, each on its own copy, and requires bit-identical results:
-return values and every array the kernel writes.
+return values and every array the kernel writes. rotor_walk's oracle is
+the walk on a list of every slot.
 """
 
 import io
@@ -318,6 +319,124 @@ def test_compiled_kernels_reject_mismatched_arrays():
             _kernels.greedy_run(
                 h, rows, 1, fired, v, stop, np.int64(1), schedule, extrema
             )
+
+
+# ---------------------------------------------------------------------------
+# the rotor-router walk: every body against the slot-list walk
+
+
+def rotor_arrays(start, N, run_ptr, targets, counts, at, left):
+    """rotor_walk's arguments as int64 arrays, the itinerary holding the start."""
+    itinerary = np.zeros(N + 1, np.int64)
+    itinerary[0] = start
+    return [itinerary, *(np.array(a, np.int64) for a in (run_ptr, targets, counts, at, left))]
+
+
+@st.composite
+def rotor_cases(draw):
+    """Random runs of n states' rotors: 1-4 runs a state of 1-5 slots each,
+    any targets, and each rotor anywhere in its runs (its last slot when
+    left is 1)."""
+    n = draw(st.integers(1, 40))
+    N = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs_of = rng.integers(1, 5, size=n)
+    run_ptr = np.concatenate([[0], np.cumsum(runs_of)])
+    counts = rng.integers(1, 6, size=run_ptr[-1])
+    at = run_ptr[:-1] + rng.integers(0, runs_of)
+    left = rng.integers(1, counts[at] + 1)
+    targets = rng.integers(0, n, size=run_ptr[-1])
+    return rotor_arrays(rng.integers(n), N, run_ptr, targets, counts, at, left)
+
+
+def walk_all(args):
+    """rotor_walk on each sparse body and the slot-list oracle, each on its
+    own copy: [(steps, arrays), ...], the oracle's last."""
+    out = []
+    for body in (*SPARSE, DENSE_KERNELS):
+        mine = [a.copy() for a in args]
+        out.append((body.rotor_walk(*mine), mine))
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rotor_cases())
+def test_rotor_walk_matches_reference(args):
+    """The same itinerary, and at and left at the same final rotors."""
+    *mine, (expected, expected_args) = walk_all(args)
+    assert expected == args[0].shape[0] - 1
+    for steps, arrays in mine:
+        assert steps == expected
+        assert_same_arrays(arrays, expected_args)
+
+
+def test_rotor_walk_edge_cases():
+    """N = 0 walks nothing and keeps the rotors. A rotor in the last slot of
+    a run moves on to the next run, and from the last run wraps to the
+    first."""
+    # state 0: runs (1, 2 slots), (0, 3 slots), its rotor in the last slot
+    # of the last run; state 1: one run of one slot, back to 0
+    runs = ([0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1])
+    for body in (*SPARSE, DENSE_KERNELS):
+        args = rotor_arrays(0, 0, *runs)
+        assert body.rotor_walk(*args) == 0
+        assert [a.tolist() for a in args] == [[0], *runs]
+        args = rotor_arrays(0, 4, *runs)
+        assert body.rotor_walk(*args) == 4
+        assert args[0].tolist() == [0, 0, 1, 0, 1]
+        assert (args[4].tolist(), args[5].tolist()) == ([1, 2], [3, 1])
+
+
+def test_rotor_walk_on_a_ring():
+    """10^5 steps on a ring of 10^4 states, each rotor alternating left and
+    right (ascending targets): every body walks as the slot list does, one
+    state to either side a step."""
+    n, N = 10**4, 10**5
+    state = np.arange(n)
+    targets = np.sort(np.stack([state - 1, state + 1], axis=1) % n, axis=1).ravel()
+    args = rotor_arrays(0, N, np.arange(0, 2 * n + 1, 2), targets, np.ones(2 * n),
+                        2 * state, np.ones(n))
+    *mine, (expected, expected_args) = walk_all(args)
+    for steps, arrays in mine:
+        assert steps == expected == N
+        assert_same_arrays(arrays, expected_args)
+    assert np.isin((np.diff(expected_args[0]) % n), (1, n - 1)).all()
+
+
+@compiled
+def test_compiled_rotor_walk_rejects_malformed_runs():
+    """Arrays that do not fit the kernel, and runs that do not describe n
+    states' rotors, raise ValueError before the walk reads past them."""
+    good = ([0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1])
+    assert _kernels.rotor_walk(*rotor_arrays(0, 4, *good)) == 4
+    for start, run_ptr, targets, counts, at, left in (
+        (0, [1, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # run_ptr[0] != 0
+        (0, [0, 2, 2], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # run_ptr[n] != runs
+        (0, [0, 3, 2], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # decreasing
+        (0, [0, 3, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # a state without runs
+        (0, [0, 2, 3], [1, 2, 0], [2, 3, 1], [1, 2], [1, 1]),  # a target past n
+        (0, [0, 2, 3], [1, 0, -1], [2, 3, 1], [1, 2], [1, 1]),  # a negative target
+        (0, [0, 2, 3], [1, 0, 0], [2, 0, 1], [0, 2], [1, 1]),  # a run of no slots
+        (0, [0, 2, 3], [1, 0, 0], [2, 3, 1], [2, 2], [1, 1]),  # at outside its row
+        (0, [0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [0, 1]),  # no slot left
+        (0, [0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [4, 1]),  # more left than slots
+        (2, [0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # a start past n
+    ):
+        with pytest.raises(ValueError, match="not the rotors of n states"):
+            _kernels.rotor_walk(*rotor_arrays(start, 4, run_ptr, targets, counts, at, left))
+    itinerary, *runs = rotor_arrays(0, 4, *good)
+    read_only = itinerary.copy()
+    read_only.flags.writeable = False
+    for bad in (
+        [itinerary[:0], *runs],  # no start
+        [read_only, *runs],
+        [itinerary.astype(np.int32), *runs],
+        [itinerary, *runs[:3], runs[3][:1], runs[4][:1]],  # one rotor for two states
+        [itinerary, runs[0], runs[1], runs[2][:2], *runs[3:]],  # a count missing
+        [itinerary, *runs[:4], runs[4].astype(np.float64)],
+    ):
+        with pytest.raises(ValueError, match="do not match the kernel"):
+            _kernels.rotor_walk(*bad)
 
 
 # ---------------------------------------------------------------------------
