@@ -386,15 +386,24 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
  *           nothing;
  *   RATIOS: k cells num[r * rs + c * cs] / den[r] (or / scalar when den is
  *           NULL), joined by sep, each reduced by their gcd and written as
- *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction.
+ *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction;
+ *   DEVIATIONS: one cell scale[r] |num[r] q - p den[r]| / (den[r] q), with
+ *           p in scalar and scale NULL for 1, written as RATIOS cells are.
+ *           Its products are __int128: the caller has checked that |p| and
+ *           q > 0 are below 2^63 and that m^2 max(|p|, q) < 2^126, m the
+ *           largest magnitude in num, den and scale, so each fits.
  * Numerators are formatted from their uint64 magnitudes, so INT64_MIN comes
- * out as Python's str gives it. A cell takes at most CELL_MAX bytes. */
+ * out as Python's str gives it. A cell takes at most CELL_MAX bytes, or
+ * CELL128_MAX for a DEVIATIONS cell. */
 
-enum { TEXT, LABELS, RATIOS };
+enum { TEXT, LABELS, RATIOS, DEVIATIONS };
 #define BAD_DEN (-4)   /* a denominator <= 0 */
 #define BAD_LABEL (-5) /* a label index outside -1 .. k - 1 */
 #define NO_ROOM (-6)   /* the buffer cannot hold one more row */
 #define CELL_MAX 40    /* "-", 19 digits, "/", 19 digits */
+#define CELL128_MAX 80 /* "-", 39 digits, "/", 39 digits */
+
+typedef unsigned __int128 u128;
 
 typedef struct {
     int64_t kind, k;
@@ -404,6 +413,8 @@ typedef struct {
     const char *text;
     const int64_t *ends;
     int64_t sep;
+    int64_t q; /* DEVIATIONS: p / q is scalar / q */
+    const int64_t *scale;
 } field;
 
 static uint64_t gcd_u64(uint64_t a, uint64_t b) /* b > 0 */
@@ -455,6 +466,47 @@ static char *put_ratio(char *p, int64_t a, int64_t d)
     return p;
 }
 
+static char *put_u128(char *p, u128 x)
+{
+    if (x >> 64 == 0)
+        return put_u64(p, (uint64_t)x);
+    uint64_t low = (uint64_t)(x % 10000000000000000000u);
+    p = put_u128(p, x / 10000000000000000000u);
+    for (int i = 18; i >= 0; i--, low /= 10)
+        p[i] = (char)('0' + low % 10);
+    return p + 19;
+}
+
+/* s |a q - pn d| / (d q), d > 0 and q > 0, reduced: as a RATIOS cell when
+ * the numerator and d q fit int64, and otherwise with every gcd on 64-bit
+ * operands: gcd(x, m1 m2) = g1 gcd(x / g1, m2), where g1 = gcd(x mod m1, m1),
+ * reduces the deviation x / (d q) to x / m, and then s x / m needs only
+ * gcd(s, m). s is NULL for 1. */
+static char *put_deviation(char *p, int64_t a, int64_t d, int64_t pn, int64_t q,
+                           const int64_t *s)
+{
+    __int128 t = (__int128)a * q - (__int128)pn * d;
+    u128 x = t < 0 ? -(u128)t : (u128)t, dq = (u128)d * (uint64_t)q;
+    uint64_t sm = s == NULL ? 1 : *s < 0 ? 0 - (uint64_t)*s : (uint64_t)*s;
+    if (s != NULL && *s < 0 && x != 0)
+        *p++ = '-';
+    if (x >> 63 == 0 && dq >> 63 == 0 && x * sm >> 63 == 0)
+        return put_ratio(p, (int64_t)(x * sm), (int64_t)dq);
+    uint64_t g1 = gcd_u64((uint64_t)(x % (uint64_t)d), (uint64_t)d);
+    uint64_t g2 = gcd_u64((uint64_t)(x / g1 % (uint64_t)q), (uint64_t)q);
+    u128 m = (u128)((uint64_t)d / g1) * ((uint64_t)q / g2);
+    x = x / g1 / g2;
+    uint64_t h = sm == 0 ? 1 : gcd_u64((uint64_t)(m % sm), sm);
+    x *= sm / h;
+    m = x == 0 ? 1 : m / h;
+    p = put_u128(p, x);
+    if (m != 1) {
+        *p++ = '/';
+        p = put_u128(p, m);
+    }
+    return p;
+}
+
 /* The most bytes one row can take. */
 static int64_t row_bound(const field *fields, int64_t nfields)
 {
@@ -464,6 +516,8 @@ static int64_t row_bound(const field *fields, int64_t nfields)
             bound += f->k;
         else if (f->kind == RATIOS)
             bound += f->k * (CELL_MAX + 1);
+        else if (f->kind == DEVIATIONS)
+            bound += CELL128_MAX;
         else {
             int64_t longest = 0;
             for (int64_t j = 0; j < f->k; j++)
@@ -505,6 +559,11 @@ int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
                     memcpy(p, f->text + f->ends[i], (size_t)len);
                     p += len;
                 }
+            } else if (f->kind == DEVIATIONS) {
+                if (f->den[r] <= 0)
+                    return BAD_DEN;
+                p = put_deviation(p, f->num[r], f->den[r], f->scalar, f->q,
+                                  f->scale == NULL ? NULL : f->scale + r);
             } else {
                 int64_t d = f->den == NULL ? f->scalar : f->den[r];
                 if (d <= 0)

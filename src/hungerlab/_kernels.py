@@ -51,14 +51,15 @@ the removed and the inserted one) and the tree's hungriest. It is
 compiled once with that tracking and once without, so runs without
 extrema pay nothing for it.
 
-csv_rows takes a row's fields as str (a constant), Labels (a label a row)
-and Ratios (k cells num/den a row, reduced by their gcd). Its C body runs
-when every Ratios field is int64, numerators and denominators; float cells
-(repr) and Python ints take the reference body on either backend. The C
-body formats the uint64 magnitudes of the numerators, so INT64_MIN prints
-as Python's str does, refuses a denominator <= 0 with ValueError, and
-writes a call's rows through one buffer sized from them, a piece at a
-time, never past its end.
+csv_rows takes a row's fields as str (a constant), Labels (a label a row),
+Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
+estimate's exact distance from p/q, scaled). Its C body runs when Ratios
+are int64 and Deviations fit 128 bits (|p|, q < 2^63 and m^2 max(|p|, q)
+< 2^126, m the largest magnitude in their arrays); floats (repr), Python
+ints and wider Deviations take the reference body on either backend. The
+C body prints unsigned magnitudes (INT64_MIN as Python's str does),
+refuses a denominator <= 0 with ValueError, and writes a call's rows
+through one buffer sized from them, a piece at a time, never past its end.
 
 rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
 steps leaves a state at most N times, so its caller cuts every count at
@@ -327,10 +328,6 @@ class Labels(NamedTuple):
     table: Sequence[str]
     index: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return len(self.index)
-
 
 class Ratios(NamedTuple):
     """A CSV field of k cells a row, num[r, c] / den joined by sep: num is
@@ -342,24 +339,43 @@ class Ratios(NamedTuple):
     den: object
     sep: str = ","
 
-    @property
-    def rows(self) -> int:
-        return len(self.num)
+    def take(self, rows):  # the same field over some of its rows
+        return type(self)(*(x[rows] if isinstance(x, np.ndarray) else x for x in self))
+
+
+class Deviations(NamedTuple):
+    """A CSV field of one cell a row, scale[r] |num[r] q - p den[r]| / (den[r] q):
+    the distance of num[r] / den[r] from p / q, scaled, written as a Ratios
+    cell. num, den and scale (None for 1) are int64 arrays; den, q > 0."""
+
+    num: np.ndarray
+    den: np.ndarray
+    p: int
+    q: int
+    scale: Optional[np.ndarray] = None
+    take = Ratios.take
+
+    def ratios(self) -> Ratios:
+        """The same cells as a Ratios of Python ints."""
+        num, den, q = self.num.astype(object), self.den.astype(object), int(self.q)
+        dev = np.abs(num * q - int(self.p) * den)
+        return Ratios(dev if self.scale is None else dev * self.scale, den * q)
 
 
 def csv_rows(f, fields):
     """Write CSV rows to the text file f: in each row its fields, joined by
     "," and ended by "\n".
 
-    A field is a str (the same text in every row), Labels or Ratios, and the
-    rows are as many as the first Labels or Ratios has. A Ratios cell num/den
-    is reduced by its gcd and written as "a", or "a/b" for b > 1, as the
-    reduced Fraction prints.
+    A field is a str (the same text in every row), Labels, Ratios or
+    Deviations, and the rows are as many as the first of the others has. A
+    Ratios cell num/den is reduced by its gcd and written as "a", or "a/b"
+    for b > 1, as the reduced Fraction prints.
 
     Raises:
         ValueError: a denominator is <= 0.
     """
-    rows = next(field.rows for field in fields if not isinstance(field, str))
+    rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
+                for field in fields if not isinstance(field, str))
     columns = []
     for field in fields:
         if isinstance(field, str):
@@ -368,7 +384,7 @@ def csv_rows(f, fields):
             padded = ["", *field.table]
             columns.append([padded[i] for i in (field.index + 1).tolist()])
         else:
-            num, den, sep = field
+            num, den, sep = field.ratios() if isinstance(field, Deviations) else field
             if den is not None and np.any(np.asarray(den) <= 0):
                 raise ValueError("csv_rows: a denominator is <= 0")
             cells = []
@@ -443,13 +459,14 @@ def _build() -> Path:
 class _Field(ctypes.Structure):
     """A field of csv_rows in _kernels.c."""
 
-    _TEXT, _LABELS, _RATIOS = range(3)
+    _TEXT, _LABELS, _RATIOS, _DEVIATIONS = range(4)
     _fields_ = [
         ("kind", ctypes.c_int64), ("k", ctypes.c_int64),
         ("num", ctypes.c_void_p), ("den", ctypes.c_void_p),
         ("rs", ctypes.c_int64), ("cs", ctypes.c_int64),
         ("scalar", ctypes.c_int64), ("text", ctypes.c_char_p),
         ("ends", ctypes.c_void_p), ("sep", ctypes.c_int64),
+        ("q", ctypes.c_int64), ("scale", ctypes.c_void_p),
     ]
 
 
@@ -593,12 +610,13 @@ class _Arguments:
     @staticmethod
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
-        for the compiled csv_rows, or None when a Ratios field is not int64.
+        for the compiled csv_rows, or None when a field needs Python ints.
 
         Raises:
             ValueError: an array's length is not the number of rows.
         """
-        rows = next(field.rows for field in fields if not isinstance(field, str))
+        rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
+                    for field in fields if not isinstance(field, str))
         spec = (_Field * len(fields))()
         arrays = []
 
@@ -618,6 +636,17 @@ class _Arguments:
                 ends = np.cumsum([0, *map(len, table)], dtype=_INT64)
                 index = np.ascontiguousarray(field.index, dtype=_INT64)
                 c.ends, c.num = pointer(ends, len(table) + 1), pointer(index, rows)
+            elif isinstance(field, Deviations):
+                num, den, p, q, scale = field
+                ints = [a for a in (num, den, scale) if a is not None]
+                if not all(a.dtype == _INT64 and a.ndim == 1 for a in ints):
+                    return None
+                m = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in ints)
+                if not (abs(p) < 2**63 and 0 < q < 2**63 and m * m * max(abs(p), q) < 2**126):
+                    return None
+                c.kind, c.scalar, c.q = _Field._DEVIATIONS, p, q
+                c.num, c.den = (pointer(np.ascontiguousarray(a), rows) for a in (num, den))
+                c.scale = scale if scale is None else pointer(np.ascontiguousarray(scale), rows)
             else:
                 num, den, sep = field
                 if num.dtype != _INT64:
@@ -688,10 +717,9 @@ if _compiled is not None:
         return k
 
     def csv_rows(f, fields):
-        """Compiled reference.csv_rows when every Ratios field holds int64
-        numerators and int64 denominators; the reference otherwise (float
-        cells, Python ints). The rows go out in pieces of at most _PIECE
-        bytes (or one row), written into one buffer per call."""
+        """Compiled reference.csv_rows, or the reference when a field needs
+        repr or Python ints (see _Arguments.fields). Rows go out in pieces of
+        at most _PIECE bytes (or one row), written into one buffer per call."""
         prepared = _Arguments.fields(fields)
         if prepared is None:
             return reference.csv_rows(f, fields)

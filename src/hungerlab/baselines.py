@@ -234,5 +234,5 @@ def compare_two_state(q, N: int) -> TwoStateComparison:
     hunger, rotor = (
         _scalar(Ns, np.cumsum(walk == 0), Ns, Fraction(1, 2), True) for walk in walks
     )
-    hmax, rmax = (_largest(num[1:], den[1:]) for num, den in (hunger.dev, rotor.dev))
+    hmax, rmax = (_largest(p.dev.take(slice(1, None))) for p in (hunger, rotor))
     return TwoStateComparison(q, hmax, rmax, hunger, rotor)

@@ -223,11 +223,8 @@ def _write_profile(args, profile):
         f.write("N,estimate,exact,deviation,N_times_deviation\n")
         for lo in range(0, len(profile.Ns), PROFILE_CHUNK):
             part = slice(lo, lo + PROFILE_CHUNK)
-            est, dev, nd = (
-                Ratios(num[part], None if den is None else den[part], ";")
-                for num, den in (profile.est, profile.dev, profile.nd)
-            )
-            csv_rows(f, [Ratios(profile.Ns[part], 1), est, exact, dev, nd])
+            est, dev, nd = (c.take(part) for c in (profile.est, profile.dev, profile.nd))
+            csv_rows(f, [Ratios(profile.Ns[part], 1), est._replace(sep=";"), exact, dev, nd])
 
 
 def _last(profile, at="") -> str:
@@ -449,7 +446,7 @@ def cmd_compare2(args) -> int:
     with _out(args) as f:
         f.write("N,hunger_dev,rotor_dev\n")
         hunger, rotor = comp.hunger, comp.rotor
-        csv_rows(f, [Ratios(hunger.Ns, 1), Ratios(*hunger.dev), Ratios(*rotor.dev)])
+        csv_rows(f, [Ratios(hunger.Ns, 1), hunger.dev, rotor.dev])
     _say(
         f"max deviation over N in [2, {args.N}]: "
         f"hunger {_fmt(comp.hunger_max)}, rotor {_fmt(comp.rotor_max)}"

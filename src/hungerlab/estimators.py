@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import Deviations, Ratios
 from ._linalg import _reduce
 from .chain_model import (
     RATIONAL,
@@ -38,10 +39,11 @@ from .errors import UEqualsV, ZeroSteps
 from .hunger_engine import FiringTrace, run
 
 
-def _value(num, den, k):
-    """Item k of a (num, den) column: num[k] / den[k] as a Fraction, or the
-    float num[k] when den is None; a tuple of them for vector items."""
-    x = num[k]
+def _value(col, k):
+    """Item k of a column: a Fraction, a float (float cells) or a tuple of them."""
+    if isinstance(col, Deviations):
+        col, k = col.take([k]).ratios(), 0
+    x, den = col.num[k], col.den
     if den is None:
         return tuple(map(float, x)) if np.ndim(x) else float(x)
     d = int(den[k])
@@ -63,14 +65,19 @@ class _Lazy(Sequence):
         return self._row(range(self._n)[k])
 
 
-def _largest(num, den):
-    """Exact max of a (num, den) column: the float quotients pick a
-    candidate, and cross-multiplied Python ints confirm or beat it."""
-    if den is None:
-        return float(num.max())
-    approx = np.asarray(num / den, dtype=np.float64)
-    near = np.flatnonzero(approx >= approx.max() * (1 - 1e-9))
-    a, b = num[near].astype(object), den[near].astype(object)
+def _largest(col):
+    """Exact max of a column (Ratios ones hold num / den >= 0): float values
+    within err of their items shortlist the rows Python ints decide between."""
+    if col.den is None:
+        return float(col.num.max())
+    est = np.asarray(col.num / col.den, dtype=np.float64)
+    x, s = (col.p / col.q, col.scale) if isinstance(col, Deviations) else (0.0, None)
+    s = 1 if s is None else s  # s |est - x| is off by a few ulps of s (|est| + |x|)
+    err = (np.abs(est).max() + abs(x)) * np.max(s) * 2.0**-47
+    approx = np.multiply(np.abs(est - x, out=est), s, out=est)
+    near = np.flatnonzero(approx >= approx.max() - err)
+    a, b = (col.take(near).ratios() if isinstance(col, Deviations) else col.take(near))[:2]
+    a, b = a.astype(object), b.astype(object)
     k = int(np.argmax(approx[near]))
     while (above := np.flatnonzero(a * b[k] > a[k] * b)).size:
         k = int(above[0])
@@ -83,21 +90,20 @@ class DiscrepancyProfile:
     entries[k] is (N, deviation, N * deviation) for the k-th N, sorted by N:
     an L1 distance (vector estimators) or absolute error (scalar ones).
     estimates[k] is the estimate at that N, sup_Nd the largest N * deviation
-    and exact the oracle value. Ns holds the Ns, and est, dev and nd hold
-    (num, den) array pairs whose item k is num[k] / den[k] (int64, or Python
-    ints where int64 could overflow), or the float num[k] when den is None
-    (float mode); vector estimates add an axis of n to est's num. entries and
-    estimates are lazy: their Fraction (float) tuples are built on indexing
-    or iteration, and len() is O(1).
+    and exact the oracle value. Ns holds the Ns, est, dev and nd the columns
+    as _kernels.Ratios (num / den, int64 or Python ints, or float num; vector
+    estimates add an axis of n to est's num) or, for rational scalar ones, as
+    Deviations of num / den - k from r / q, where exact = k + r / q. entries
+    and estimates build Fractions (floats) only for the rows read; len() is O(1).
     """
 
     def __init__(self, Ns, est, dev, nd, exact):
         self.Ns, self.est, self.dev, self.nd, self.exact = Ns, est, dev, nd, exact
-        self.sup_Nd = _largest(*nd)
+        self.sup_Nd = _largest(nd)
         self.entries = _Lazy(
-            len(Ns), lambda k: (int(Ns[k]), _value(*dev, k), _value(*nd, k))
+            len(Ns), lambda k: (int(Ns[k]), _value(dev, k), _value(nd, k))
         )
-        self.estimates = _Lazy(len(Ns), lambda k: _value(*est, k))
+        self.estimates = _Lazy(len(Ns), lambda k: _value(est, k))
 
 
 @dataclass
@@ -140,13 +146,11 @@ def _scalar(Ns, num, den, exact, rational) -> DiscrepancyProfile:
     if not rational:
         est = num / den
         dev = np.abs(est - exact)
-        return DiscrepancyProfile(Ns, (est, None), (dev, None), (dev * Ns, None), exact)
-    p, q = exact.numerator, exact.denominator
-    # num, den <= max(N, 1), so (N + 1)^2 max(p, q) bounds every product
-    if (int(Ns[-1]) + 1) ** 2 * max(p, q) >= 2**62:
-        Ns, num, den = (x.astype(object) for x in (Ns, num, den))
-    dev, den_q = np.abs(num * q - p * den), den * q
-    return DiscrepancyProfile(Ns, (num, den), (dev, den_q), (Ns * dev, den_q), exact)
+        return DiscrepancyProfile(Ns, *(Ratios(x, None) for x in (est, dev, dev * Ns)), exact)
+    p, q = exact.numerator, exact.denominator  # as k + r / q: |num - k den| and r < q fit int64
+    k, r = divmod(p, q) if abs(p // q) * (int(Ns[-1]) + 1) < 2**62 else (0, p)
+    dev = Deviations(num - k * den, den, r, q)
+    return DiscrepancyProfile(Ns, Ratios(num, den), dev, dev._replace(scale=Ns), exact)
 
 
 def discrepancy_profile(
@@ -170,8 +174,7 @@ def discrepancy_profile(
     if chain.mode != RATIONAL:
         est = counts / Ns
         dist = np.abs(est - np.array(pi, dtype=np.float64)[:, None]).sum(axis=0)
-        nd = (dist * Ns, None)
-        return DiscrepancyProfile(Ns, (est.T, None), (dist, None), nd, pi)
+        return DiscrepancyProfile(Ns, *(Ratios(x, None) for x in (est.T, dist, dist * Ns)), pi)
     lcd = math.lcm(*(p.denominator for p in pi))
     a = [p.numerator * (lcd // p.denominator) for p in pi]
     # every |lcd * count - N * a_i| is at most lcd * N
@@ -180,7 +183,7 @@ def discrepancy_profile(
     # N * dist * lcd as exact integers, vectorized over N
     D = np.abs(lcd * counts - Ns * np.array(a, dtype=counts.dtype)[:, None]).sum(axis=0)
     return DiscrepancyProfile(
-        Ns, (counts.T, Ns), (D, Ns * lcd), (D, np.full_like(D, lcd)), pi
+        Ns, Ratios(counts.T, Ns), Ratios(D, Ns * lcd), Ratios(D, np.full_like(D, lcd)), pi
     )
 
 

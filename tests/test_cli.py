@@ -516,6 +516,20 @@ def test_hunger_accepts_decimal_tokens(capsys):
 # ---------------------------------------------------------------------------
 # sweep output pinned by sha256 (CSV on stdout, summary on stderr), N = 20000
 
+def _wide_row(*counts):
+    return [f"{c}/2097143" if c else "0" for c in counts]
+
+
+# every row over the prime 2097143 (about 2^21): the exact hitting and
+# absorption values from v2 have 42-bit denominators, the escape value 63
+WIDE_CHAINS = {"WIDE": {"mode": "rational", "P": [
+    _wide_row(0, 1000000, 1097142, 1), _wide_row(700001, 0, 1000000, 397142),
+    _wide_row(3, 1048571, 0, 1048569), _wide_row(999999, 1, 1097143, 0),
+]}}
+WIDE_CHAINS["WIDE_SINKS"] = {"mode": "rational", "P": [
+    ["1", "0", "0", "0"], *WIDE_CHAINS["WIDE"]["P"][1:3], ["0", "0", "0", "1"],
+]}
+
 GOLDEN_SWEEPS = [
     ("stationary", REFLECT, (), "rational",
      "20c4a2502955567bf9707374b5ff7b91040a381696ed546fc43acf9d965fc607",
@@ -565,11 +579,26 @@ GOLDEN_SWEEPS = [
     ("return-time", REFLECT, ("--from", "v2"), "float",
      "17b04d2d66339034fa8513cee3261ce468eca106ae26a5d9448b1bd45d734db1",
      "529fc019be846e88a4a1c719960bc2bb71fe2acab9c381ee7afa027d6d46adcb"),
+    # exact values with 42- and 63-bit denominators: N * deviation passes
+    # int64 at N = 20000, and the deviation cells take 128-bit arithmetic
+    ("hitting", "WIDE_SINKS", ("--from", "v2", "--target", "v4"), "rational",
+     "bdeae093ce2dc641f0ef63fb4a3bef0b022e970a8fb07734f6df89fde5c9f0f6",
+     "aa4137318f47b508385f2c9e42ca05321a6aed589f1556400f33e50d1a51157d"),
+    ("absorb", "WIDE_SINKS", ("--from", "v2"), "rational",
+     "99abf058a6555772adf0ba5d4efb140618577006b1b0b36e7ec6dd4c892ccb51",
+     "bbda85e012e48c21578bbfae0e0b03e3ae2f5db15930dd36d448bfbfa9f2d46b"),
+    ("escape", "WIDE", ("--from", "v1", "--target", "v4"), "rational",
+     "6ece6ee999d89be5ad8a6d4393d8de664642285b15ce5f296542b95177fd1964",
+     "3915c69c394e309d0cb8289f381517f44218e9d0012067e7ad4cf4c01b441184"),
 ]
 
 
 @pytest.mark.parametrize("sub, chain, extra, mode, out_sha, err_sha", GOLDEN_SWEEPS)
-def test_sweep_output_unchanged(capsys, sub, chain, extra, mode, out_sha, err_sha):
+def test_sweep_output_unchanged(tmp_path, capsys, sub, chain, extra, mode, out_sha, err_sha):
+    if chain in WIDE_CHAINS:
+        path = tmp_path / f"{chain}.json"
+        path.write_text(json.dumps(WIDE_CHAINS[chain]))
+        chain = str(path)
     code, out, err = run_cli(
         capsys, sub, "--chain", chain, "--mode", mode, *extra, "--N", "20000"
     )

@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hungerlab import (
@@ -28,7 +30,7 @@ from hungerlab import (
     split_vertex,
     stationary_distribution,
 )
-from hungerlab import _linalg, estimators
+from hungerlab import _kernels, _linalg, estimators
 from oracles import (
     absorption_solve_float,
     first_transient,
@@ -361,37 +363,84 @@ def test_discrepancy_profile_with_lcd_above_int64():
 
 
 def test_scalar_profiles_with_products_above_int64():
-    # exact values with ~2**61 denominators push N^2 * q past int64, so the
-    # hitting and absorption bodies run on Python ints; each row is
-    # recomputed here with Fractions from the rerouted run
-    a = 2**61 + 1
-    hit = parse_chain(json.dumps({"mode": "rational", "P": [
-        ["1", "0", "0"], [f"{a - 1}/{a}", "0", f"1/{a}"], ["0", "0", "1"]]}))
-    absorb = parse_chain(json.dumps({"mode": "rational", "P": [
-        ["1", "0"], [f"{a - 1}/{a}", f"1/{a}"]]}))
-    N_max = 80
-    for chain, prof, exact in (
-        (hit, hitting_profile(hit, 1, 0, N_max), F(a - 1, a)),
-        (absorb, absorption_profile(absorb, 1, N_max), F(a, a - 1)),
-    ):
-        assert prof.exact == exact
-        rer = reroute(chain, 1)
-        fired = run(rer.chain, None, N_max).fired
-        counts = [0] * rer.chain.n
-        sup = 0
-        for N, (entry, estimate) in enumerate(zip(prof.entries, prof.estimates), 1):
-            counts[int(fired[N - 1])] += 1
-            d = sum(counts[w] for w in rer.absorbing_images)
-            if not d:
-                est = F(0)
-            elif chain is hit:
-                est = F(counts[rer.kept.index(0)], d)
-            else:
-                est = F(N, d) - 1
-            dev = abs(est - exact)
-            assert (entry, estimate) == ((N, dev, N * dev), est)
-            sup = max(sup, N * dev)
-        assert prof.sup_Nd == sup
+    # exact values with ~2**61 denominators push N^2 * q past int64, and the
+    # deviation cells take 128-bit products in C; past 2**63 they take the
+    # reference body on Python ints. Each row is recomputed here with
+    # Fractions from the rerouted run, and its CSV cells with them.
+    for a, c_body in ((2**61 + 1, True), (2**64 + 13, False)):
+        hit = parse_chain(json.dumps({"mode": "rational", "P": [
+            ["1", "0", "0"], [f"{a - 1}/{a}", "0", f"1/{a}"], ["0", "0", "1"]]}))
+        absorb = parse_chain(json.dumps({"mode": "rational", "P": [
+            ["1", "0"], [f"{a - 1}/{a}", f"1/{a}"]]}))
+        N_max = 80
+        for chain, prof, exact in (
+            (hit, hitting_profile(hit, 1, 0, N_max), F(a - 1, a)),
+            (absorb, absorption_profile(absorb, 1, N_max), F(a, a - 1)),
+        ):
+            assert prof.exact == exact
+            rer = reroute(chain, 1)
+            fired = run(rer.chain, None, N_max).fired
+            counts = [0] * rer.chain.n
+            sup = 0
+            rows = []
+            for N, (entry, estimate) in enumerate(zip(prof.entries, prof.estimates), 1):
+                counts[int(fired[N - 1])] += 1
+                d = sum(counts[w] for w in rer.absorbing_images)
+                if not d:
+                    est = F(0)
+                elif chain is hit:
+                    est = F(counts[rer.kept.index(0)], d)
+                else:
+                    est = F(N, d) - 1
+                dev = abs(est - exact)
+                assert (entry, estimate) == ((N, dev, N * dev), est)
+                sup = max(sup, N * dev)
+                rows.append(f"{dev},{N * dev}\n")
+            assert prof.sup_Nd == sup
+            assert (_kernels._Arguments.fields([prof.dev, prof.nd]) is not None) == c_body
+            f = io.StringIO()
+            _kernels.csv_rows(f, [prof.dev, prof.nd])
+            assert f.getvalue() == "".join(rows)
+
+
+@pytest.mark.parametrize("exact", [
+    F(2, 3), F(1), F(0), F(40, 3), F(2**64 + 13, 2**64 + 12), F(2**50 * 7 + 1, 7),
+    F(10**30 + 1, 7),
+])
+def test_scalar_cells_match_fractions(exact):
+    # exact = k + r / q: the cells shift num by k den when that fits int64
+    # (k up to 2^50 at N = 20000 does not), and match Fractions either way
+    rng = np.random.default_rng(7)
+    Ns = np.arange(1, 20001, dtype=np.int64)
+    den = (Ns * rng.random(Ns.size)).astype(np.int64)
+    num = (den * rng.random(Ns.size) * 20).astype(np.int64)
+    prof = estimators._scalar(Ns, num, den, exact, True)
+    est = [F(int(a), int(d)) if d else F(0) for a, d in zip(num, den)]
+    nd = [N * abs(e - exact) for N, e in zip(Ns.tolist(), est)]
+    assert prof.sup_Nd == max(nd)
+    assert prof.entries[-1] == (20000, nd[-1] / 20000, nd[-1])
+    f = io.StringIO()
+    _kernels.csv_rows(f, [prof.dev, prof.nd])
+    assert f.getvalue() == "".join(f"{x / N},{x}\n" for N, x in zip(Ns.tolist(), nd))
+
+
+def test_sup_Nd_is_exact_where_floats_misorder_rows():
+    # N * |e - x| at two rows differs by under 2^-41 relative, below what
+    # the float deviations resolve: they order the rows the wrong way
+    e1, e2 = F(16374, 32749), F(16360, 32719)
+    mid = (40000 * e1 + 40001 * e2) / 80001
+    x = mid - F(5, 2 * mid.denominator * (2**14 - 3))
+    assert x.denominator < 2**63 and e1 < x < e2
+    nd1, nd2 = 40000 * (x - e1), 40001 * (e2 - x)
+    assert 0 < (nd2 - nd1) / nd2 < F(1, 2**41)
+    floats = [abs(a / b - x.numerator / x.denominator) * N
+              for N, a, b in ((40000, 16374, 32749), (40001, 16360, 32719))]
+    assert floats[0] > floats[1]
+    prof = estimators._scalar(
+        np.array([40000, 40001]), np.array([16374, 16360]), np.array([32749, 32719]), x, True
+    )
+    assert prof.sup_Nd == nd2
+    assert [entry[2] for entry in prof.entries] == [nd1, nd2]
 
 
 def test_scalar_sweeps_count_only_the_states_they_read():

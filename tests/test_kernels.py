@@ -10,6 +10,7 @@ the walk on a list of every slot.
 """
 
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -528,6 +529,111 @@ def test_csv_rows_wider_than_a_piece():
 @pytest.mark.parametrize("den", [0, -1, INT64_MIN, np.array([3, 0]), np.array([2, -3])])
 def test_csv_rows_refuse_denominators_below_one(den):
     fields = [_kernels.Ratios(np.array([1, 2]), den)]
+    for body in (_kernels, _kernels.reference):
+        with pytest.raises(ValueError, match="denominator"):
+            written(body, fields)
+
+
+def deviation_cells(field):
+    """The cells a Deviations field holds, as the reduced Fractions print."""
+    num, den, p, q, scale = (x.tolist() if isinstance(x, np.ndarray) else x for x in field)
+    return [
+        str((1 if scale is None else scale[r]) * abs(Fraction(num[r], den[r]) - Fraction(p, q)))
+        for r in range(len(num))
+    ]
+
+
+@st.composite
+def deviation_blocks(draw, rows=None):
+    """Random Deviations fields that the C body takes: p and q up to
+    2^63 - 1 (p = 0, p > q and p < 0 included), reduced or not; dens sharing
+    prime powers with q; num = 0, num near den p / q and negative nums;
+    scales of 1, 0 and below 0; magnitudes up to the largest m with
+    m^2 max(|p|, q) < 2^126. An integer column and the deviations unscaled
+    and scaled, in a random order."""
+    if rows is None:
+        rows = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smooth = 2 ** draw(st.integers(0, 40)) * 3 ** draw(st.integers(0, 12)) * 7
+    q = draw(st.one_of(
+        st.sampled_from([1, 2, 3, 2**62, INT64_MAX, smooth]), st.integers(1, INT64_MAX)
+    ))
+    p = draw(st.one_of(
+        st.just(0), st.integers(0, q), st.integers(q, INT64_MAX), st.integers(-INT64_MAX, 0)
+    ))
+    if draw(st.booleans()):
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+    widest = min(math.isqrt((2**126 - 1) // max(abs(p), q)), INT64_MAX)
+    top = min(draw(st.sampled_from([1, 3, 10**5, 2**40, widest])), widest)
+    den = rng.integers(1, top, size=rows, dtype=np.int64, endpoint=True)
+    den[0] = top
+    share = rng.random(rows) < 0.3
+    den[share] = [  # divisors of q, most of them smooth ones
+        g if (g := math.gcd(q, d * smooth)) <= top else math.gcd(q, d)
+        for d in den[share].tolist()
+    ]
+    num = rng.integers(-top, top, size=rows, dtype=np.int64, endpoint=True)
+    near = [min(max(d * p // q, -top), top) for d in den.tolist()]
+    pick = rng.choice(4, size=rows, p=[0.4, 0.3, 0.15, 0.15])
+    num = np.where(pick == 1, np.array(near, dtype=np.int64), num)
+    num = np.where(pick == 2, 0, np.where(pick == 3, np.abs(num), num))
+    scale = rng.integers(0, top, size=rows, dtype=np.int64, endpoint=True)
+    scale[rng.random(rows) < 0.2] = 1
+    scale[rng.random(rows) < 0.1] *= -1
+    scale[-1] = top
+    fields = [
+        _kernels.Ratios(np.arange(1, rows + 1), 1),
+        _kernels.Deviations(num, den, p, q),
+        _kernels.Deviations(num, den, p, q, scale),
+    ]
+    return draw(st.permutations(fields))
+
+
+@compiled
+@settings(max_examples=300, deadline=None)
+@given(deviation_blocks())
+def test_deviation_cells_match_the_reference(fields):
+    assert _kernels._Arguments.fields(fields) is not None  # the C body runs
+    out = written(_kernels, fields)
+    assert out == written(_kernels.reference, fields)
+    cells = [deviation_cells(f) if isinstance(f, _kernels.Deviations)
+             else [str(x) for x in f.num.tolist()] for f in fields]
+    assert out == "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+@compiled
+@settings(max_examples=3, deadline=None)
+@given(deviation_blocks(rows=PROFILE_CHUNK + 1))
+def test_deviation_cells_match_the_reference_past_a_chunk(fields):
+    assert written(_kernels, fields) == written(_kernels.reference, fields)
+
+
+@pytest.mark.parametrize("num, p, q, c", [
+    (2**62 - 1, 1, 4, True),  # m^2 max(|p|, q) just below 2^126
+    (2**62, 1, 4, False),  # exactly 2^126
+    (INT64_MIN, 0, 1, False),  # m = 2^63
+    (5, 1, 2**63, False),
+    (5, 2**63, 3, False),
+    (5, -(2**63), 3, False),
+    (5, 7, 0, False),  # q > 0 is the reference's to refuse
+])
+def test_wide_deviations_take_the_reference_body(num, p, q, c):
+    field = _kernels.Deviations(np.array([num, 3]), np.array([1, 3]), p, q, np.array([1, 1]))
+    assert (_kernels._Arguments.fields([field]) is not None) == c
+    if q <= 0:
+        for body in (_kernels, _kernels.reference):
+            with pytest.raises(ValueError, match="denominator"):
+                written(body, [field])
+        return
+    expected = "".join(cell + "\n" for cell in deviation_cells(field))
+    for body in (_kernels, _kernels.reference):
+        assert written(body, [field]) == expected
+
+
+@pytest.mark.parametrize("den", [np.array([3, 0]), np.array([2, -3])])
+def test_deviation_cells_refuse_denominators_below_one(den):
+    fields = [_kernels.Deviations(np.array([1, 2]), den, 1, 3)]
     for body in (_kernels, _kernels.reference):
         with pytest.raises(ValueError, match="denominator"):
             written(body, fields)
