@@ -387,21 +387,19 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
  *   RATIOS: k cells num[r * rs + c * cs] / den[r] (or / scalar when den is
  *           NULL), joined by sep, each reduced by their gcd and written as
  *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction;
- *   DEVIATIONS: one cell scale[r] |num[r] q - p den[r]| / (den[r] q), with
- *           p in scalar and scale NULL for 1, written as RATIOS cells are.
- *           Its products are __int128: the caller has checked that |p| and
- *           q > 0 are below 2^63 and that m^2 max(|p|, q) < 2^126, m the
- *           largest magnitude in num, den and scale, so each fits.
+ *   DEVIATIONS: one cell scale[r] |num[r] q - p den[r]| / (den[r] q), p / q
+ *           in lowest terms and scale NULL for 1, as RATIOS cells are; in
+ *           __int128, since the caller has checked that q > 0 and that
+ *           m^2 max(|p|, q) < 2^126, m the largest |num|, den or |scale|.
  * Numerators are formatted from their uint64 magnitudes, so INT64_MIN comes
- * out as Python's str gives it. A cell takes at most CELL_MAX bytes, or
- * CELL128_MAX for a DEVIATIONS cell. */
+ * out as Python's str gives it. A RATIOS cell takes at most CELL_MAX bytes. */
 
 enum { TEXT, LABELS, RATIOS, DEVIATIONS };
 #define BAD_DEN (-4)   /* a denominator <= 0 */
 #define BAD_LABEL (-5) /* a label index outside -1 .. k - 1 */
 #define NO_ROOM (-6)   /* the buffer cannot hold one more row */
 #define CELL_MAX 40    /* "-", 19 digits, "/", 19 digits */
-#define CELL128_MAX 80 /* "-", 39 digits, "/", 39 digits */
+#define CELL128_MAX 80 /* DEVIATIONS: "-", 39 digits, "/", 39 digits */
 
 typedef unsigned __int128 u128;
 
@@ -413,7 +411,7 @@ typedef struct {
     const char *text;
     const int64_t *ends;
     int64_t sep;
-    int64_t q; /* DEVIATIONS: p / q is scalar / q */
+    uint64_t p[2], q[2]; /* DEVIATIONS: two's complement, low word first */
     const int64_t *scale;
 } field;
 
@@ -477,24 +475,26 @@ static char *put_u128(char *p, u128 x)
     return p + 19;
 }
 
-/* s |a q - pn d| / (d q), d > 0 and q > 0, reduced: as a RATIOS cell when
- * the numerator and d q fit int64, and otherwise with every gcd on 64-bit
- * operands: gcd(x, m1 m2) = g1 gcd(x / g1, m2), where g1 = gcd(x mod m1, m1),
- * reduces the deviation x / (d q) to x / m, and then s x / m needs only
- * gcd(s, m). s is NULL for 1. */
-static char *put_deviation(char *p, int64_t a, int64_t d, int64_t pn, int64_t q,
-                           const int64_t *s)
+/* s |a q - pn d| / (d q), reduced, for d > 0 and pn / q (from its words) in
+ * lowest terms with q > 0: as a RATIOS cell when the numerator and d q fit
+ * int64, and otherwise with 64-bit gcds. gcd(x, d q) = g1 g2 for
+ * g1 = gcd(x mod d, d) and g2 = gcd(x / g1 mod e, e), as e = gcd(d, q) is
+ * gcd(x, q); then s x / m needs only gcd(s, m). s is NULL for 1. */
+static char *put_deviation(char *p, int64_t a, int64_t d, const uint64_t *pw,
+                           const uint64_t *qw, const int64_t *s)
 {
-    __int128 t = (__int128)a * q - (__int128)pn * d;
-    u128 x = t < 0 ? -(u128)t : (u128)t, dq = (u128)d * (uint64_t)q;
+    u128 q = (u128)qw[1] << 64 | qw[0], pn = (u128)pw[1] << 64 | pw[0];
+    __int128 t = (__int128)a * (__int128)q - (__int128)pn * d;
+    u128 x = t < 0 ? -(u128)t : (u128)t, dq = (u128)d * q;
     uint64_t sm = s == NULL ? 1 : *s < 0 ? 0 - (uint64_t)*s : (uint64_t)*s;
     if (s != NULL && *s < 0 && x != 0)
         *p++ = '-';
     if (x >> 63 == 0 && dq >> 63 == 0 && x * sm >> 63 == 0)
         return put_ratio(p, (int64_t)(x * sm), (int64_t)dq);
     uint64_t g1 = gcd_u64((uint64_t)(x % (uint64_t)d), (uint64_t)d);
-    uint64_t g2 = gcd_u64((uint64_t)(x / g1 % (uint64_t)q), (uint64_t)q);
-    u128 m = (u128)((uint64_t)d / g1) * ((uint64_t)q / g2);
+    uint64_t e = gcd_u64((uint64_t)(q % (uint64_t)d), (uint64_t)d);
+    uint64_t g2 = gcd_u64((uint64_t)(x / g1 % e), e);
+    u128 m = (u128)((uint64_t)d / g1) * (q / g2);
     x = x / g1 / g2;
     uint64_t h = sm == 0 ? 1 : gcd_u64((uint64_t)(m % sm), sm);
     x *= sm / h;
@@ -562,7 +562,7 @@ int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
             } else if (f->kind == DEVIATIONS) {
                 if (f->den[r] <= 0)
                     return BAD_DEN;
-                p = put_deviation(p, f->num[r], f->den[r], f->scalar, f->q,
+                p = put_deviation(p, f->num[r], f->den[r], f->p, f->q,
                                   f->scale == NULL ? NULL : f->scale + r);
             } else {
                 int64_t d = f->den == NULL ? f->scalar : f->den[r];

@@ -54,12 +54,12 @@ extrema pay nothing for it.
 csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
 estimate's exact distance from p/q, scaled). Its C body runs when Ratios
-are int64 and Deviations fit 128 bits (|p|, q < 2^63 and m^2 max(|p|, q)
-< 2^126, m the largest magnitude in their arrays); floats (repr), Python
-ints and wider Deviations take the reference body on either backend. The
-C body prints unsigned magnitudes (INT64_MIN as Python's str does),
-refuses a denominator <= 0 with ValueError, and writes a call's rows
-through one buffer sized from them, a piece at a time, never past its end.
+are int64 and Deviations fit 128 bits (m^2 max(|p|, q) < 2^126, m the
+largest magnitude in their arrays); floats (repr), Python ints and wider
+Deviations take the reference body on either backend. The C body prints
+unsigned magnitudes (INT64_MIN as Python's str does), refuses a denominator
+<= 0 with ValueError, and writes a call's rows through one buffer sized
+from them, a piece at a time, never past its end.
 
 rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
 steps leaves a state at most N times, so its caller cuts every count at
@@ -70,6 +70,7 @@ not describe n states' rotors.
 
 import ctypes
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -466,7 +467,7 @@ class _Field(ctypes.Structure):
         ("rs", ctypes.c_int64), ("cs", ctypes.c_int64),
         ("scalar", ctypes.c_int64), ("text", ctypes.c_char_p),
         ("ends", ctypes.c_void_p), ("sep", ctypes.c_int64),
-        ("q", ctypes.c_int64), ("scale", ctypes.c_void_p),
+        ("p", ctypes.c_uint64 * 2), ("q", ctypes.c_uint64 * 2), ("scale", ctypes.c_void_p),
     ]
 
 
@@ -639,12 +640,12 @@ class _Arguments:
             elif isinstance(field, Deviations):
                 num, den, p, q, scale = field
                 ints = [a for a in (num, den, scale) if a is not None]
-                if not all(a.dtype == _INT64 and a.ndim == 1 for a in ints):
-                    return None
                 m = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in ints)
-                if not (abs(p) < 2**63 and 0 < q < 2**63 and m * m * max(abs(p), q) < 2**126):
+                if not (all(a.dtype == _INT64 and a.ndim == 1 for a in ints)
+                        and 0 < q and m * m * max(abs(p), q) < 2**126):
                     return None
-                c.kind, c.scalar, c.q = _Field._DEVIATIONS, p, q
+                g = math.gcd(p, q)  # in lowest terms, as words that ctypes cuts to 64 bits
+                c.kind, c.p, c.q = _Field._DEVIATIONS, *((x, x >> 64) for x in (p // g, q // g))
                 c.num, c.den = (pointer(np.ascontiguousarray(a), rows) for a in (num, den))
                 c.scale = scale if scale is None else pointer(np.ascontiguousarray(scale), rows)
             else:

@@ -79,8 +79,8 @@ def _largest(col):
     a, b = (col.take(near).ratios() if isinstance(col, Deviations) else col.take(near))[:2]
     a, b = a.astype(object), b.astype(object)
     k = int(np.argmax(approx[near]))
-    while (above := np.flatnonzero(a * b[k] > a[k] * b)).size:
-        k = int(above[0])
+    above = np.flatnonzero(a * b[k] > a[k] * b)  # rows exactly above the float pick
+    k = max(above, key=lambda i: Fraction(a[i], b[i]), default=k)
     return Fraction(int(a[k]), int(b[k]))
 
 
@@ -147,7 +147,7 @@ def _scalar(Ns, num, den, exact, rational) -> DiscrepancyProfile:
         est = num / den
         dev = np.abs(est - exact)
         return DiscrepancyProfile(Ns, *(Ratios(x, None) for x in (est, dev, dev * Ns)), exact)
-    p, q = exact.numerator, exact.denominator  # as k + r / q: |num - k den| and r < q fit int64
+    p, q = exact.numerator, exact.denominator  # as k + r / q: |num - k den| <= N fits int64
     k, r = divmod(p, q) if abs(p // q) * (int(Ns[-1]) + 1) < 2**62 else (0, p)
     dev = Deviations(num - k * den, den, r, q)
     return DiscrepancyProfile(Ns, Ratios(num, den), dev, dev._replace(scale=Ns), exact)

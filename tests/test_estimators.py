@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -363,11 +364,12 @@ def test_discrepancy_profile_with_lcd_above_int64():
 
 
 def test_scalar_profiles_with_products_above_int64():
-    # exact values with ~2**61 denominators push N^2 * q past int64, and the
-    # deviation cells take 128-bit products in C; past 2**63 they take the
-    # reference body on Python ints. Each row is recomputed here with
-    # Fractions from the rerouted run, and its CSV cells with them.
-    for a, c_body in ((2**61 + 1, True), (2**64 + 13, False)):
+    # exact values with ~2**61 and ~2**64 denominators push N^2 * q past
+    # int64, and the deviation cells take 128-bit products in C; past
+    # N^2 q = 2**126 they take the reference body on Python ints. Each row is
+    # recomputed here with Fractions from the rerouted run, and its CSV cells
+    # with them.
+    for a, c_body in ((2**61 + 1, True), (2**64 + 13, True), (2**120 + 1, False)):
         hit = parse_chain(json.dumps({"mode": "rational", "P": [
             ["1", "0", "0"], [f"{a - 1}/{a}", "0", f"1/{a}"], ["0", "0", "1"]]}))
         absorb = parse_chain(json.dumps({"mode": "rational", "P": [
@@ -441,6 +443,18 @@ def test_sup_Nd_is_exact_where_floats_misorder_rows():
     )
     assert prof.sup_Nd == nd2
     assert [entry[2] for entry in prof.entries] == [nd1, nd2]
+
+
+def test_sup_Nd_settles_rows_floats_cannot_tell_apart_in_linear_time():
+    # est = 1 at every N against exact 1 - 1/a: the float deviations are all
+    # 0, so every row is shortlisted, and N / a grows with N. Moving the pick
+    # to the first row above it, one exact pass at a time, took about 45 s.
+    a = 2**64 + 13
+    Ns = np.arange(1, 20001, dtype=np.int64)
+    t0 = time.perf_counter()
+    prof = estimators._scalar(Ns, Ns, Ns, F(a - 1, a), True)
+    assert time.perf_counter() - t0 < 5.0
+    assert prof.sup_Nd == F(20000, a)
 
 
 def test_scalar_sweeps_count_only_the_states_they_read():

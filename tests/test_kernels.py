@@ -546,7 +546,7 @@ def deviation_cells(field):
 @st.composite
 def deviation_blocks(draw, rows=None):
     """Random Deviations fields that the C body takes: p and q up to
-    2^63 - 1 (p = 0, p > q and p < 0 included), reduced or not; dens sharing
+    2^126 - 1 (p = 0, p > q and p < 0 included), reduced or not; dens sharing
     prime powers with q; num = 0, num near den p / q and negative nums;
     scales of 1, 0 and below 0; magnitudes up to the largest m with
     m^2 max(|p|, q) < 2^126. An integer column and the deviations unscaled
@@ -555,11 +555,13 @@ def deviation_blocks(draw, rows=None):
         rows = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     smooth = 2 ** draw(st.integers(0, 40)) * 3 ** draw(st.integers(0, 12)) * 7
+    widest_q = 2**126 - 1
     q = draw(st.one_of(
-        st.sampled_from([1, 2, 3, 2**62, INT64_MAX, smooth]), st.integers(1, INT64_MAX)
+        st.sampled_from([1, 2, 3, 2**62, INT64_MAX, 2**64 + 1, smooth, smooth << 60]),
+        st.integers(1, INT64_MAX), st.integers(1, widest_q),
     ))
     p = draw(st.one_of(
-        st.just(0), st.integers(0, q), st.integers(q, INT64_MAX), st.integers(-INT64_MAX, 0)
+        st.just(0), st.integers(0, q), st.integers(q, widest_q), st.integers(-widest_q, 0)
     ))
     if draw(st.booleans()):
         g = math.gcd(p, q)
@@ -613,9 +615,11 @@ def test_deviation_cells_match_the_reference_past_a_chunk(fields):
     (2**62 - 1, 1, 4, True),  # m^2 max(|p|, q) just below 2^126
     (2**62, 1, 4, False),  # exactly 2^126
     (INT64_MIN, 0, 1, False),  # m = 2^63
-    (5, 1, 2**63, False),
-    (5, 2**63, 3, False),
-    (5, -(2**63), 3, False),
+    (5, 1, 2**63, True),  # p and q are 128-bit words
+    (5, -(2**63) - 1, 3, True),
+    (5, 1, 2**121, True),  # 25 * 2^121 < 2^126
+    (6, 1, 2**121, False),  # 36 * 2^121 > 2^126
+    (1, -(2**126), 3, False),
     (5, 7, 0, False),  # q > 0 is the reference's to refuse
 ])
 def test_wide_deviations_take_the_reference_body(num, p, q, c):
