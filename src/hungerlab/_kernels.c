@@ -286,10 +286,13 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
  * lam and copies the cycle-entry vector into h0 (h0 itself when mu is 0);     \
  * or returns -1, stores -1 and leaves h0 alone if a phase would pass cap      \
  * iterations. Phase one needs no tree for the tortoise, which never fires     \
- * there; phase two builds one for each. */                                    \
+ * there; phase two builds one for each. When order is not NULL and lam <=     \
+ * len, the tortoise then fires the lam steps of one period, which bring it    \
+ * back to the cycle entry, and writes them into order. */                     \
 int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
                           const int64_t *indices, const T *values, int64_t n,  \
-                          int64_t nnz, int64_t cap, int64_t *lam_out)          \
+                          int64_t nnz, int64_t cap, int64_t *lam_out,          \
+                          int64_t *order, int64_t len)                         \
 {                                                                              \
     *lam_out = -1;                                                             \
     if (!rows_ok(indptr, indices, n, nnz))                                     \
@@ -334,6 +337,8 @@ int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
         if (mu > cap)                                                          \
             goto capped;                                                       \
     }                                                                          \
+    for (int64_t t = 0; order != NULL && lam <= len && t < lam; t++)           \
+        order[t] = fire_##SUF(tortoise, tortoise_tree, &r);                    \
     if (mu > 0)                                                                \
         memcpy(h0, tortoise, bytes);                                           \
     *lam_out = lam;                                                            \

@@ -5,7 +5,9 @@ There are two firing kernels. greedy_run fires the hungriest state, for a
 number of steps or until a stop state fires; given a schedule of
 insertion states it runs the paper's remove-and-reinsert walk instead,
 and given an extrema array it keeps the least and largest hunger seen.
-brent_cycle finds where and how an orbit cycles. A third kernel,
+brent_cycle finds where and how an orbit cycles and, given a buffer long
+enough, writes the states fired in one period from the cycle entry, so
+a cycle's order costs no second call. A third kernel,
 rotor_walk, walks the rotor-router over each state's runs of slots. One
 row writer, csv_rows, turns a block of CSV rows (traces, sweep profiles,
 rotor itineraries) into text. Each has two implementations:
@@ -246,7 +248,7 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     return len(seq)
 
 
-def brent_cycle(h0, rows, cap):
+def brent_cycle(h0, rows, cap, order=None):
     """Brent's cycle detection on the firing orbit of h0.
 
     Returns (entry_steps, period) and overwrites h0 with the cycle-entry
@@ -256,12 +258,18 @@ def brent_cycle(h0, rows, cap):
     all; exact equality comparisons, so this is only meaningful for
     integer-scaled state, and for the fixed point an absorbing fire makes
     on float state (its row of H is exactly zero).
+
+    order, an int64 array, if given and at least period entries long,
+    receives the states fired in one period from the cycle entry (the
+    tortoise fires them once more); a shorter one is left untouched.
     """
     table = SparseRows.of(rows).table()
 
     def fire(h):
-        cols, vals = table[np.argmax(h)]
+        i = np.argmax(h)
+        cols, vals = table[i]
         h[cols] += vals
+        return i
 
     power = 1
     lam = 1
@@ -288,6 +296,8 @@ def brent_cycle(h0, rows, cap):
         mu += 1
         if mu > cap:
             return -1, -1
+    if order is not None and lam <= len(order):
+        order[:lam] = [fire(tortoise) for _ in range(lam)]
     if mu:
         h0[:] = tortoise
     return mu, lam
@@ -490,7 +500,7 @@ def _load(path: Path) -> dict:
         # h, then the rows (indptr, indices, values, n, nnz), then the rest
         signatures = {
             "greedy_run": ([P, P, P, P, I, I, I, P, P, P, T, P, I, P], I),
-            "brent_cycle": ([P, P, P, P, I, I, I, ctypes.POINTER(I)], I),
+            "brent_cycle": ([P, P, P, P, I, I, I, ctypes.POINTER(I), P, I], I),
         }
         kernels = SimpleNamespace()
         for name, (argtypes, restype) in signatures.items():
@@ -549,11 +559,12 @@ class _Arguments:
 
     @staticmethod
     def rows(kernel, h, rows, steps=0, stop=None, fired=None, v=None,
-             schedule=(), extrema=None):
+             schedule=(), extrema=None, order=None):
         """rows as SparseRows, once they and the other arrays fit the
-        compiled `kernel`: brent_cycle passes h and the rows only,
-        greedy_run adds steps, its stop mask, fired, v, its schedule, whose
-        m >= 1 entries must be states, and extrema, (2,) of h's dtype.
+        compiled `kernel`: brent_cycle passes h, the rows and its order
+        buffer (1-D int64, writable), greedy_run adds steps, its stop mask,
+        fired, v, its schedule, whose m >= 1 entries must be states, and
+        extrema, (2,) of h's dtype.
 
         Raises:
             ValueError: an array has the wrong dtype, shape or layout.
@@ -580,6 +591,12 @@ class _Arguments:
                 extrema is None
                 or isinstance(extrema, np.ndarray) and extrema.dtype == h.dtype
                 and extrema.shape == (2,) and extrema.flags.c_contiguous
+            )
+            and (
+                order is None
+                or isinstance(order, np.ndarray) and order.dtype == _INT64
+                and order.ndim == 1 and order.flags.c_contiguous
+                and order.flags.writeable
             )
         ):
             raise ValueError(
@@ -691,15 +708,16 @@ if _compiled is not None:
             raise _FAILURE[k]()
         return k
 
-    def brent_cycle(h0, rows, cap):
+    def brent_cycle(h0, rows, cap, order=None):
         """Compiled reference.brent_cycle."""
         if h0.dtype == object:
-            return reference.brent_cycle(h0, rows, cap)
-        rows = _Arguments.rows("brent_cycle", h0, rows)
+            return reference.brent_cycle(h0, rows, cap, order)
+        rows = _Arguments.rows("brent_cycle", h0, rows, order=order)
         lam = ctypes.c_int64()
         mu = _compiled[h0.dtype].brent_cycle(
             _Pointer.of(h0), *rows.address, h0.shape[0], rows.indices.shape[0],
-            cap, ctypes.byref(lam),
+            cap, ctypes.byref(lam), None if order is None else _Pointer.of(order),
+            0 if order is None else order.shape[0],
         )
         if mu < -1:
             raise _FAILURE[mu]()

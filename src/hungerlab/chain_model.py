@@ -181,6 +181,11 @@ class MarkovChain:
         return indptr, cols, values, diagonal
 
     @cached_property
+    def _has_absorbing(self):
+        """Whether some P_ii = 1: the cycle analyses check it on every call."""
+        return bool(_absorbing_mask(self).any())
+
+    @cached_property
     def _chip_firing(self):
         """(d, moves, absorbing) for the Engel machine's default thresholds
         and the rotor walk, built once in rational mode: d_i the lcm of row
@@ -383,7 +388,8 @@ def absorbing_states(chain: MarkovChain) -> frozenset:
 
 
 def _absorbing_mask(chain: MarkovChain) -> np.ndarray:
-    """Bool array of P_ii = 1 (H_ii = 0), made per call, not kept on the chain."""
+    """Bool array of P_ii = 1 (H_ii = 0), made per call: callers may write to
+    it, so only whether it has a True entry is kept (chain._has_absorbing)."""
     _, _, values, diagonal = chain._kernel_rows
     return values[diagonal] == 0
 

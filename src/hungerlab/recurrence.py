@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import _kernels
 from .chain_model import (
     RATIONAL,
     MarkovChain,
-    _absorbing_mask,
     _as_index,
     _stationary,
     hunger_matrix,
@@ -64,7 +64,7 @@ class CycleInfo:
 def _check_cycle_chain(chain: MarkovChain) -> None:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("cycle detection needs exact arithmetic")
-    if _absorbing_mask(chain).any():
+    if chain._has_absorbing:
         raise HasAbsorbing("cycle analysis needs a chain without absorbing states")
 
 
@@ -75,7 +75,7 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     state (see hunger_engine._Keys), which repeat exactly when h does: int64,
     or Python ints when the keys could overflow int64 (_kernels.brent_cycle
     runs those on its reference body). It leaves the cycle-entry vector in
-    place, so only the `period` steps of the order are fired again.
+    place; the same call fires the `period` steps of the order again.
 
     Raises:
         CapExceeded: the orbit did not close within cap steps.
@@ -85,19 +85,24 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
     h = coerce_hunger(chain, h0)
     g, rows, keys = _scaled(chain, h)
     mu, lam, order = _orbit(g, rows, cap)
-    return CycleInfo(mu, lam, keys.hunger(g), order, canonical_order(order, chain.n))
+    return CycleInfo(mu, lam, keys.hunger(g), order, _order_name(order, chain.n))
+
+
+_ORDER_BUFFER = 1 << 12  # periods up to this long come out of brent_cycle
 
 
 def _orbit(g, rows, cap: int) -> Tuple[int, int, Tuple[int, ...]]:
     """(entry_steps, period, order) of the orbit of the keys g under rows,
-    leaving g at cycle entry; CapExceeded past cap steps."""
-    mu, lam = _kernels.brent_cycle(g, rows, cap)
+    leaving g at cycle entry; CapExceeded past cap steps. greedy_run fires
+    a period longer than _ORDER_BUFFER again, back to the cycle entry."""
+    fired = np.empty(_ORDER_BUFFER, dtype=np.int64)
+    mu, lam = _kernels.brent_cycle(g, rows, cap, fired)
     if mu < 0 or mu + lam > cap:
         raise CapExceeded(cap)
-    n, fired = g.shape[0], np.empty(lam, dtype=np.int64)
-    # the period's steps bring g back to the cycle-entry vector
-    _kernels.greedy_run(g, rows, lam, fired, np.zeros(n, np.int64), np.zeros(n, bool))
-    return mu, lam, tuple(fired.tolist())
+    if lam > _ORDER_BUFFER:
+        n, fired = g.shape[0], np.empty(lam, dtype=np.int64)
+        _kernels.greedy_run(g, rows, lam, fired, np.zeros(n, np.int64), np.zeros(n, bool))
+    return mu, lam, tuple(fired[:lam].tolist())
 
 
 def is_recurrent(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> bool:
@@ -158,6 +163,18 @@ def canonical_order(order: Sequence[int], n: Optional[int] = None) -> str:
     rot = tuple(order[k:]) + tuple(order[:k])
     width = max(rot) + 1 if n is None else n
     return ("" if width <= 9 else "-").join(map(str, [i + 1 for i in rot]))
+
+
+def _order_name(order: Tuple[int, ...], n: int) -> str:
+    """canonical_order(order, n), memoised for orders of up to 256 fires
+    (about 3 kB an entry): scans and repeated find_cycle calls meet a few
+    orders many times."""
+    return (_short_order_name if len(order) <= 256 else canonical_order)(order, n)
+
+
+@lru_cache(maxsize=1024)
+def _short_order_name(order: Tuple[int, ...], n: int) -> str:
+    return canonical_order(order, n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +255,8 @@ def basin_scan(
     (all exact fractions), finds each orbit's cycle and buckets it by
     canonical firing order. Class ids are 1-based in first-seen order,
     scanning h1 in the outer loop. The cells' keys and rows are prepared
-    once for the grid (_grid_orbits) and each distinct order is named
-    once; every cell's result equals find_cycle's.
+    once for the grid (_grid_orbits) and orders are named through
+    _order_name; every cell's result equals find_cycle's.
     """
     if chain.n != 3:
         raise ValueError("basin scans are drawn over 3-state chains")
@@ -247,7 +264,6 @@ def basin_scan(
     _check_cycle_chain(chain)
     cells, _, orbit = _grid_orbits(chain, values, _as_index(cap, "cap"))
     class_ids = {}  # canonical order -> class id, in first-seen order
-    id_of = {}  # firing order -> class id, so each order is named once
     out = []
     for h1, h2, keys in cells:
         try:
@@ -255,10 +271,8 @@ def basin_scan(
         except CapExceeded:
             out.append(BasinCell(h1, h2, None, None, None, None))
             continue
-        if order not in id_of:
-            name = canonical_order(order, 3)
-            id_of[order] = class_ids.setdefault(name, len(class_ids) + 1)
-        out.append(BasinCell(h1, h2, mu == 0, lam, id_of[order], mu))
+        class_id = class_ids.setdefault(_order_name(order, 3), len(class_ids) + 1)
+        out.append(BasinCell(h1, h2, mu == 0, lam, class_id, mu))
     return BasinScan(out, list(class_ids))
 
 

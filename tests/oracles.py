@@ -344,8 +344,9 @@ def dense_greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema
     return t
 
 
-def dense_brent_cycle(h0, rows, cap):
-    """brent_cycle on dense rows."""
+def dense_brent_cycle(h0, rows, cap, order=None):
+    """brent_cycle on dense rows, writing one period's fires into order
+    when it has room for them."""
     n = h0.shape[0]
     power = 1
     lam = 1
@@ -391,7 +392,12 @@ def dense_brent_cycle(h0, rows, cap):
         mu += 1
         if mu > cap:
             return -1, -1
-    h0[:] = tortoise
+    if order is not None and lam <= len(order):
+        for t in range(lam):
+            order[t] = i = np.argmax(tortoise)
+            tortoise += rows[i]
+    if mu:
+        h0[:] = tortoise
     return mu, lam
 
 

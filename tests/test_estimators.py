@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hungerlab import (
     MarkovChain,
@@ -455,6 +457,33 @@ def test_sup_Nd_settles_rows_floats_cannot_tell_apart_in_linear_time():
     prof = estimators._scalar(Ns, Ns, Ns, F(a - 1, a), True)
     assert time.perf_counter() - t0 < 5.0
     assert prof.sup_Nd == F(20000, a)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(1, 6),
+    st.sampled_from(["ratios", "deviations", "scaled deviations"]),
+    st.sampled_from([1, 2**50]),
+)
+def test_largest_of_many_ties_matches_fractions(seed, rows, pairs, kind, M):
+    """Rows drawn from a few (num, den) pairs near (a M, b M), each also
+    scaled by 1 or 2: the shortlist is mostly repeated pairs and equal
+    values, and with M = 2^50 distinct values floats cannot tell apart.
+    _largest gives the largest value as a Fraction."""
+    rng = np.random.default_rng(seed)
+    pick, m = rng.integers(0, pairs, size=rows), rng.integers(1, 3, size=rows)
+    a, b = int(rng.integers(8, 100)), int(rng.integers(1, 100))
+    num = (a * M + rng.integers(0, 4, size=pairs))[pick] * m
+    den = (b * M + rng.integers(0, 4, size=pairs))[pick] * m
+    scale = rng.integers(1, 4, size=pairs)[pick] if kind == "scaled deviations" else None
+    p, q = int(rng.integers(0, 100)), int(rng.integers(1, 100))
+    if kind == "ratios":
+        col, values = _kernels.Ratios(num, den), map(F, num.tolist(), den.tolist())
+    else:
+        col = _kernels.Deviations(num, den, p, q, scale)
+        s = [1] * rows if scale is None else scale.tolist()
+        values = (k * abs(F(x, y) - F(p, q)) for k, x, y in zip(s, num.tolist(), den.tolist()))
+    assert estimators._largest(col) == max(values)
 
 
 def test_scalar_sweeps_count_only_the_states_they_read():

@@ -131,6 +131,35 @@ def test_brent_cycle_matches_reference(case):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
+def test_brent_cycle_writes_the_period_order(case):
+    """Given an order buffer of at least lam entries, every implementation
+    writes the lam states greedy_run fires from the cycle entry it returns,
+    and nothing past them; a shorter buffer, or none, is left as it was.
+    (mu, lam) and the vector left in h0 never depend on the buffer."""
+    h, rows, _, _, _, steps = case
+    n, cap, guard = h.shape[0], 10 * steps, -7
+    for brent in [k.brent_cycle for k in SPARSE] + [DENSE_KERNELS.brent_cycle]:
+        r = rows if brent is DENSE_KERNELS.brent_cycle else SparseRows.of(rows)
+        entry = h.copy()
+        mu, lam = map(int, brent(entry, r, cap))
+        expected = np.zeros(max(lam, 0), np.int64)
+        if mu >= 0:
+            DENSE_KERNELS.greedy_run(
+                entry.copy(), rows, lam, expected, np.zeros(n, np.int64),
+                np.zeros(n, np.bool_),
+            )
+        for size in {0, max(lam - 1, 0), max(lam, 0), lam + 3}:
+            buf = np.full(size + 2, guard, np.int64)  # two entries past it
+            h0 = h.copy()
+            assert tuple(map(int, brent(h0, r, cap, buf[:size]))) == (mu, lam)
+            assert h0.tobytes() == entry.tobytes()
+            written = lam if 0 <= mu and lam <= size else 0
+            assert buf[:written].tolist() == expected[:written].tolist()
+            assert (buf[written:] == guard).all()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases())
 def test_greedy_run_with_extrema_matches_reference(case):
     """The remove-and-reinsert walk (the absorbing mask as stop states),
     and with an empty schedule chip addition, both tracking extrema: the
@@ -183,9 +212,11 @@ def test_reference_on_python_ints_matches_int64(case):
             assert big[0].tolist() == scaled(small[0])
 
         small_h, big_h2 = h.copy(), big_h.copy()
-        mu_lam = tuple(map(int, _kernels.brent_cycle(small_h, rows, 10 * steps)))
-        assert body.brent_cycle(big_h2, big_rows, 10 * steps) == mu_lam
+        order, big_order = np.zeros(steps, np.int64), np.zeros(steps, np.int64)
+        mu_lam = tuple(map(int, _kernels.brent_cycle(small_h, rows, 10 * steps, order)))
+        assert body.brent_cycle(big_h2, big_rows, 10 * steps, big_order) == mu_lam
         assert big_h2.tolist() == scaled(small_h)
+        assert big_order.tolist() == order.tolist()
 
         small = [h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
         big = [big_h.copy(), np.zeros(steps, np.int64), np.zeros(n, np.int64)]
@@ -311,6 +342,12 @@ def test_compiled_kernels_reject_mismatched_arrays():
             )
     with pytest.raises(ValueError):
         _kernels.brent_cycle(h, SparseRows.of(np.zeros((4, 4), np.int64)), 10)
+    frozen = np.zeros(4, np.int64)
+    frozen.flags.writeable = False
+    for order in (np.zeros(4, np.int32), np.zeros((2, 2), np.int64),
+                  np.zeros(8, np.int64)[::2], frozen, [0, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            _kernels.brent_cycle(h, rows, 10, order)
     for schedule, extrema in (
         (np.array([0, 3]), np.zeros(2, np.int64)),  # a state past the last
         (np.array([0, 1]), np.zeros(2, np.float64)),  # extrema not h's dtype

@@ -525,30 +525,75 @@ def test_grid_scans_match_a_per_cell_find_cycle_loop(
 
 
 def test_grid_scans_prepare_once(basin_demo3, monkeypatch):
-    made, cycles = [], []
+    made = []
     post_init = recurrence._kernels.SparseRows.__post_init__
     monkeypatch.setattr(
         recurrence._kernels.SparseRows, "__post_init__",
         lambda self: made.append(1) or post_init(self),
     )
-    find = recurrence.find_cycle
+    cycles = count_calls(monkeypatch, recurrence, "find_cycle")
+    brents = count_calls(monkeypatch, recurrence._kernels, "brent_cycle")
+    runs = count_calls(monkeypatch, recurrence._kernels, "greedy_run")
+    names = count_calls(monkeypatch, recurrence, "canonical_order")
+    orbits = []
+    orbit = recurrence._orbit
     monkeypatch.setattr(
-        recurrence, "find_cycle", lambda *a: cycles.append(1) or find(*a)
+        recurrence, "_orbit", lambda *a: orbits.append(orbit(*a)) or orbits[-1]
     )
-    names = []
-    canonical = recurrence.canonical_order
-    monkeypatch.setattr(
-        recurrence, "canonical_order", lambda *a: names.append(1) or canonical(*a)
-    )
+    recurrence._short_order_name.cache_clear()
     scan = basin_scan(basin_demo3, (F(-3, 2), F(3, 2)), F(1, 4))
-    # one set of rows for the grid, no find_cycle call, one name an order
-    orders = {c.class_id for c in scan.cells}
+    # one set of rows for the grid, no find_cycle call, one brent_cycle
+    # call and no greedy_run a cell, one name a distinct order
     assert (len(made), len(cycles), len(scan.cells)) == (1, 0, 169)
-    assert len(orders) == len(scan.classes) <= len(names) < 169
+    assert (len(brents), len(runs)) == (169, 0)
+    assert len(names) == len({order for _, _, order in orbits}) < 169
+    assert len({c.class_id for c in scan.cells}) == len(scan.classes)
     # a grid where every key fails _int64_safe: each of the 9 cells is
     # re-keyed by _scaled, with its own rows, and still no find_cycle call
     basin_scan(HUGE_D, (F(-1), F(1)), F(1), 30)
-    assert (len(made), len(cycles)) == (10, 0)
+    assert (len(made), len(cycles), len(brents), len(runs)) == (10, 0, 178, 0)
+
+
+def test_find_cycle_past_the_order_buffer(basin_demo3, monkeypatch):
+    """Periods longer than the order buffer are fired again by greedy_run,
+    on int64 keys and on Python ints (HUGE_D), with the same CycleInfo."""
+    starts = [None, (F(3, 2), F(-1, 20), F(-29, 20)), (F(-7, 5), F(1, 2), F(9, 10))]
+    cases = [(basin_demo3, h) for h in starts] + [(HUGE_D, (F(1), F(-1), F(0)))]
+    one_call = [find_cycle(chain, h) for chain, h in cases]
+    runs = count_calls(monkeypatch, recurrence._kernels, "greedy_run")
+    assert runs == []
+    monkeypatch.setattr(recurrence, "_ORDER_BUFFER", 2)
+    assert [find_cycle(chain, h) for chain, h in cases] == one_call
+    assert [args[2] for args in runs] == [info.period for info in one_call]
+    assert min(info.period for info in one_call) > 2
+    # pi = (2, 4097) / 4099: a zero period past the buffer itself
+    monkeypatch.undo()
+    runs = count_calls(monkeypatch, recurrence._kernels, "greedy_run")
+    chain = recurrence.MarkovChain([[F(1, 2), F(1, 2)], [F(1, 4097), F(4096, 4097)]])
+    info = find_cycle(chain, (F(7, 3), F(-7, 3)))
+    assert (info.entry_steps, info.period) == (5, 4099) and len(runs) == 1
+    assert 4099 > recurrence._ORDER_BUFFER
+    lap = run(chain, info.representative, info.period)
+    assert lap.final_h == info.representative
+    assert tuple(lap.fired.tolist()) == info.order
+
+
+def test_order_names_are_canonical_and_bounded():
+    """The memo gives canonical_order's names, keeps orders of up to 256
+    fires only, and never more than its maxsize of them."""
+    recurrence._short_order_name.cache_clear()
+    rng = random.Random(3)
+    short = set()
+    for _ in range(5000):
+        n = rng.choice([2, 3, 12])
+        order = tuple(rng.randrange(n) for _ in range(rng.choice([1, 5, 256, 257, 300])))
+        assert recurrence._order_name(order, n) == canonical_order(order, n)
+        if len(order) <= 256:
+            short.add((order, n))
+    info = recurrence._short_order_name.cache_info()
+    assert info.maxsize == 1024
+    assert info.currsize == min(len(short), info.maxsize)
+    assert len(short) > info.maxsize
 
 
 def test_grid_scans_mix_int64_and_fallback_cells(basin_demo3):
