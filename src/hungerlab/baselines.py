@@ -18,6 +18,7 @@ from .chain_model import (
     _as_index,
     _check_state,
     _chip_moves,
+    _count,
     absorbing_states,
 )
 from .errors import CapExceeded, FloatModeUnsupported, Stabilized
@@ -98,16 +99,14 @@ def engel_run(
     shipping d_i * P_ij chips to each j. Absorbing states never fire;
     they only collect. Raises Stabilized(steps) when no state can fire,
     CapExceeded when the configuration keeps changing past cap firings.
-    c0 is checked on every call. The default thresholds, their integer
-    moves and the absorbing states are built once per chain
-    (MarkovChain._chip_firing); a given d is checked and its moves built
-    per call.
+    c0 and cap are checked on every call. The default thresholds and
+    their integer moves are built once per chain (MarkovChain._chip_firing);
+    a given d is checked and its moves built per call.
     """
     cfg = ChipConfig.build(chain, c0, d)
-    if d is None:
-        _, moves, absorbing = chain._chip_firing
-    else:
-        moves, absorbing = _chip_moves(chain, cfg.d), absorbing_states(chain)
+    cap = _count(cap, "cap")
+    moves = chain._chip_firing[1] if d is None else _chip_moves(chain, cfg.d)
+    absorbing = absorbing_states(chain)
     c = list(cfg.c)
     counts = [0] * chain.n
     seen = {tuple(c): (0, tuple(counts))}
@@ -165,10 +164,8 @@ def rotor_run(
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("rotor walks need exact rows")
     _check_state(chain, start)
-    N = _as_index(N, "N")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    d, moves, _ = chain._chip_firing
+    N = _count(N, "N")
+    d, moves = chain._chip_firing
     rotors = [0] * chain.n if rotor_init is None else list(rotor_init)
     rotors = [_as_index(r, "rotor position") for r in rotors]
     if len(rotors) != chain.n or any(not 0 <= r < di for r, di in zip(rotors, d)):

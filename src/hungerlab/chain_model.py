@@ -157,11 +157,11 @@ class MarkovChain:
 
     @cached_property
     def _kernel_rows(self):
-        """(indptr, indices, values, diagonal) for the firing engine and
-        absorbing_states, built once: the rows of H = P - I as int64 CSR
-        arrays with an entry (i, i) at diagonal[i] in every row, and values
-        float64, or D * H_ij in rational mode: int64 below 2**62, else
-        Python ints."""
+        """(indptr, indices, values, diagonal) for the firing engine, the
+        chip moves and the absorbing record, built once: the rows of
+        H = P - I as int64 CSR arrays with an entry (i, i) at diagonal[i] in
+        every row, and values float64, or D * H_ij in rational mode: int64
+        below 2**62, else Python ints."""
         n = self.n
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
         cols = np.array(self.indices, dtype=np.int64)
@@ -181,17 +181,32 @@ class MarkovChain:
         return indptr, cols, values, diagonal
 
     @cached_property
-    def _has_absorbing(self):
-        """Whether some P_ii = 1: the cycle analyses check it on every call."""
-        return bool(_absorbing_mask(self).any())
+    def _absorbing(self):
+        """(mask, states), built once: the read-only bool array of P_ii = 1
+        (H_ii = 0 on _kernel_rows' diagonal) and its indices as a frozenset."""
+        _, _, values, diagonal = self._kernel_rows
+        mask = values[diagonal] == 0
+        mask.flags.writeable = False
+        return mask, frozenset(np.flatnonzero(mask).tolist())
+
+    @cached_property
+    def _pi(self):
+        """(pi, lcd, a), built once from one _stationary solve: pi, and in
+        rational mode its lcd and the integers a = lcd * pi (else None).
+        A solve that raises is not kept, so every read raises again."""
+        pi = _stationary(self, ())[0]
+        if self.mode == FLOAT:
+            return pi, None, None
+        lcd = math.lcm(*(p.denominator for p in pi))
+        return pi, lcd, tuple(p.numerator * (lcd // p.denominator) for p in pi)
 
     @cached_property
     def _chip_firing(self):
-        """(d, moves, absorbing) for the Engel machine's default thresholds
-        and the rotor walk, built once in rational mode: d_i the lcm of row
-        i's denominators, _chip_moves(self, d) and absorbing_states(self)."""
+        """(d, moves) for the Engel machine's default thresholds and the
+        rotor walk, built once in rational mode: d_i the lcm of row i's
+        denominators, and _chip_moves(self, d)."""
         d = tuple(math.lcm(*(p.denominator for _, p in row)) for row in self.rows())
-        return d, _chip_moves(self, d), absorbing_states(self)
+        return d, _chip_moves(self, d)
 
     def __eq__(self, other):
         return (
@@ -276,6 +291,16 @@ def _as_index(i, what: str = "state index") -> int:
         return operator.index(i)
     except TypeError:
         raise ValueError(f"{what} {i!r} is not an integer") from None
+
+
+def _count(x, what: str, least: int = 0) -> int:
+    """x as an int (numpy integers too): ValueError naming `what` if x is
+    not an integer or is below least. Every step count, N and cap is
+    checked here."""
+    x = _as_index(x, what)
+    if x < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return x
 
 
 def _check_state(chain: MarkovChain, i) -> None:
@@ -383,15 +408,9 @@ def _chip_moves(chain: MarkovChain, d):
 
 
 def absorbing_states(chain: MarkovChain) -> frozenset:
-    """Indices i with P_ii = 1 (exact equality in both modes)."""
-    return frozenset(np.flatnonzero(_absorbing_mask(chain)).tolist())
-
-
-def _absorbing_mask(chain: MarkovChain) -> np.ndarray:
-    """Bool array of P_ii = 1 (H_ii = 0), made per call: callers may write to
-    it, so only whether it has a True entry is kept (chain._has_absorbing)."""
-    _, _, values, diagonal = chain._kernel_rows
-    return values[diagonal] == 0
+    """Indices i with P_ii = 1 (exact equality in both modes), kept on the
+    chain with its mask (MarkovChain._absorbing)."""
+    return chain._absorbing[1]
 
 
 def _reachable_from(adj, start):
@@ -442,10 +461,12 @@ def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
     H = P - I; a dimension above one means the chain has several recurrent
     classes.
 
+    The solve runs once per chain (MarkovChain._pi).
+
     Raises:
         NonUniqueStationary: when the stationary space is not one-dimensional.
     """
-    return _stationary(chain, ())[0]
+    return chain._pi[0]
 
 
 def _stationary(chain: MarkovChain, bs):
@@ -472,7 +493,8 @@ def _stationary(chain: MarkovChain, bs):
 
 
 def lcd_of_stationary(chain: MarkovChain) -> int:
-    """Least common denominator of the stationary probabilities.
+    """Least common denominator of the stationary probabilities, kept with
+    pi from its one solve (MarkovChain._pi).
 
     Raises:
         FloatModeUnsupported: float chains have no exact denominators.
@@ -480,8 +502,7 @@ def lcd_of_stationary(chain: MarkovChain) -> int:
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("lcd is defined for rational chains only")
-    pi = stationary_distribution(chain)
-    return math.lcm(*(p.denominator for p in pi))
+    return chain._pi[1]
 
 
 def common_denominator(chain: MarkovChain) -> int:

@@ -10,10 +10,10 @@ Estimator runs always start from the zero hunger vector; the underlying
 theory holds for any start, and zero is the reproducible choice.
 """
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from .chain_model import (
     Scalar,
     _FLOAT_PIVOT_TOL,
     _check_state,
+    _count,
     _dense,
     absorbing_states,
     is_irreducible,
@@ -112,15 +113,19 @@ class DiscrepancyProfile:
     estimates add an axis of n to est's num) or, for rational scalar ones, as
     Deviations of num / den - k from r / q, where exact = k + r / q. entries
     and estimates build Fractions (floats) only for the rows read; len() is O(1).
+    sup_Nd is found on its first read, then kept.
     """
 
     def __init__(self, Ns, est, dev, nd, exact):
         self.Ns, self.est, self.dev, self.nd, self.exact = Ns, est, dev, nd, exact
-        self.sup_Nd = _largest(nd)
         self.entries = _Lazy(
             len(Ns), lambda k: (int(Ns[k]), _value(dev, k), _value(nd, k))
         )
         self.estimates = _Lazy(len(Ns), lambda k: _value(est, k))
+
+    @cached_property
+    def sup_Nd(self):
+        return _largest(self.nd)
 
 
 @dataclass
@@ -180,8 +185,7 @@ def discrepancy_profile(
     absorbing state reachable from everywhere); the stationary solve
     raises NonUniqueStationary otherwise. Exact in rational mode.
     """
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
+    N_max = _count(N_max, "N_max", 1)
     pi = stationary_distribution(chain)
     fired = run(chain, h0, N_max).fired
     Ns = np.arange(1, N_max + 1, dtype=np.int64)
@@ -192,8 +196,7 @@ def discrepancy_profile(
         est = counts / Ns
         dist = np.abs(est - np.array(pi, dtype=np.float64)[:, None]).sum(axis=0)
         return DiscrepancyProfile(Ns, *(Ratios(x, None) for x in (est.T, dist, dist * Ns)), pi)
-    lcd = math.lcm(*(p.denominator for p in pi))
-    a = [p.numerator * (lcd // p.denominator) for p in pi]
+    _, lcd, a = chain._pi
     # every |lcd * count - N * a_i| is at most lcd * N
     if chain.n * lcd * N_max >= 2**62:
         Ns, counts = Ns.astype(object), counts.astype(object)
@@ -361,9 +364,7 @@ def hitting_profiles(
 ) -> Dict[int, DiscrepancyProfile]:
     """a_N at every N in 1..N_max for each absorbing target, keyed by the
     target, from a single run and a single hitting_oracle call."""
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
-    return _hitting(chain, v, N_max, sweep=True)
+    return _hitting(chain, v, _count(N_max, "N_max", 1), sweep=True)
 
 
 def hitting_profile(
@@ -383,9 +384,7 @@ def absorption_profile(
     chain: MarkovChain, v: int, N_max: int, exact: Optional[Scalar] = None
 ) -> DiscrepancyProfile:
     """b_N at every N in 1..N_max, from a single run."""
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
-    return _absorption(chain, v, N_max, sweep=True, exact=exact)
+    return _absorption(chain, v, _count(N_max, "N_max", 1), sweep=True, exact=exact)
 
 
 def escape_profile(

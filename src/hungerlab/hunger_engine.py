@@ -32,9 +32,9 @@ from .chain_model import (
     RATIONAL,
     MarkovChain,
     Scalar,
-    _absorbing_mask,
     _as_index,
     _check_state,
+    _count,
 )
 from .errors import CapExceeded, IIsAbsorbing
 
@@ -271,9 +271,7 @@ def run(chain: MarkovChain, h0: Optional[Sequence] = None, steps: int = 0) -> Fi
 
     Deterministic; bit-exact across runs in rational mode.
     """
-    steps = _as_index(steps, "steps")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = _count(steps, "steps")
     h = coerce_hunger(chain, h0)
     fired = np.empty(steps, dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
@@ -321,11 +319,11 @@ def chip_add(
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
-    cap = _as_index(cap, "cap")
-    mask = _absorbing_mask(chain)
+    cap = _count(cap, "cap")
+    mask, absorbing = chain._absorbing
     if mask[i]:
         raise IIsAbsorbing(f"cannot insert at absorbing state {chain.labels[i]}")
-    if not mask.any():
+    if not absorbing:
         raise CapExceeded(cap)  # no fire can ever absorb the chip
     # + 0.0 turns -0.0 into +0.0, as adding the dense row P_i did
     inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)
@@ -333,7 +331,7 @@ def chip_add(
         inserted[j] += p
     inserted = tuple(inserted)
     g, rows, keys = _scaled(chain, inserted)
-    fired = np.empty(max(0, min(cap, _FIRST_FIRES)), dtype=np.int64)
+    fired = np.empty(min(cap, _FIRST_FIRES), dtype=np.int64)
     v = np.zeros(chain.n, dtype=np.int64)
     k = _kernels.greedy_run(g, rows, len(fired), fired, v, mask)
     if k == 0 or not mask[fired[k - 1]]:
@@ -374,13 +372,11 @@ def run_with_reinsertion(
     Returns a trace carrying running min/max hunger over the whole run
     (initial vector included), for the boundedness lemma checks.
     """
-    steps = _as_index(steps, "steps")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps, cap = _count(steps, "steps"), _count(cap, "cap")
     if steps > cap:
         raise CapExceeded(cap)
     h = coerce_hunger(chain, h0)
-    mask = _absorbing_mask(chain)
+    mask = chain._absorbing[0]
     sched = [_as_index(s) for s in schedule]
     if steps > 0 and not sched:
         raise ValueError("schedule must not be empty")
@@ -524,7 +520,8 @@ def lazy_run(
     correctly. An absorbing arrival removes the chip and stops early.
 
     Raises:
-        ValueError: insert_at or a tracked key is not a state index 0, 1, 2, ...
+        ValueError: insert_at or a tracked key is not a state index 0, 1, 2, ...,
+            or steps is not an integer >= 0.
         IIsAbsorbing: insertion at an absorbing index.
     """
     tracked = h0.tracked if isinstance(h0, SparseHunger) else dict(h0 or {})
@@ -544,7 +541,7 @@ def lazy_run(
     rows: List[Tuple[Optional[int], Dict[int, Fraction]]] = [(None, dict(h))]
     fired: List[int] = []
     absorbed = False
-    for _ in range(steps):
+    for _ in range(_count(steps, "steps")):
         k = 0
         while k in h:
             k += 1

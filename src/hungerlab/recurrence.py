@@ -20,11 +20,10 @@ from . import _kernels
 from .chain_model import (
     RATIONAL,
     MarkovChain,
-    _as_index,
+    _count,
     _stationary,
     hunger_matrix,
     lcd_of_stationary,
-    stationary_distribution,
 )
 from .errors import CapExceeded, FloatModeUnsupported, HasAbsorbing, YNotOnZ
 from .hunger_engine import (
@@ -64,7 +63,7 @@ class CycleInfo:
 def _check_cycle_chain(chain: MarkovChain) -> None:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("cycle detection needs exact arithmetic")
-    if chain._has_absorbing:
+    if chain._absorbing[1]:
         raise HasAbsorbing("cycle analysis needs a chain without absorbing states")
 
 
@@ -81,7 +80,7 @@ def find_cycle(chain: MarkovChain, h0=None, cap: int = DEFAULT_CAP) -> CycleInfo
         CapExceeded: the orbit did not close within cap steps.
     """
     _check_cycle_chain(chain)
-    cap = _as_index(cap, "cap")
+    cap = _count(cap, "cap")
     h = coerce_hunger(chain, h0)
     g, rows, keys = _scaled(chain, h)
     mu, lam, order = _orbit(g, rows, cap)
@@ -115,19 +114,14 @@ def zero_period(chain: MarkovChain, cap: int = DEFAULT_CAP) -> int:
 
     The zero orbit is recurrent and its period equals the least common
     denominator of the stationary distribution; both facts are theorems,
-    so a mismatch here means a bug and raises RuntimeError.
+    so a mismatch here means a bug and raises RuntimeError. The lcd comes
+    from the chain's one stationary solve (lcd_of_stationary), so a
+    repeated call fires the orbit but solves nothing.
     """
-    return _zero_period(chain, cap)
-
-
-def _zero_period(chain: MarkovChain, cap: int, lcd: Optional[int] = None) -> int:
-    """zero_period, checked against lcd (the stationary lcd, solved here
-    when not given)."""
     info = find_cycle(chain, zero_hunger(chain), cap)
     if info.entry_steps != 0:
         raise RuntimeError("zero orbit reported as non-recurrent")
-    if lcd is None:
-        lcd = lcd_of_stationary(chain)
+    lcd = lcd_of_stationary(chain)
     if info.period != lcd:
         raise RuntimeError(
             f"zero orbit period {info.period} != stationary lcd {lcd}"
@@ -262,7 +256,7 @@ def basin_scan(
         raise ValueError("basin scans are drawn over 3-state chains")
     values = _grid(bounds, step)
     _check_cycle_chain(chain)
-    cells, _, orbit = _grid_orbits(chain, values, _as_index(cap, "cap"))
+    cells, _, orbit = _grid_orbits(chain, values, _count(cap, "cap"))
     class_ids = {}  # canonical order -> class id, in first-seen order
     out = []
     for h1, h2, keys in cells:
@@ -299,9 +293,7 @@ def lattice_basis(chain: MarkovChain) -> HungerLattice:
         raise FloatModeUnsupported("the displacement lattice needs exact entries")
     H = hunger_matrix(chain).H
     basis = tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(H, H[1:]))
-    pi = stationary_distribution(chain)
-    lcd = math.lcm(*(p.denominator for p in pi))
-    p_vec = tuple(int(p * lcd) for p in pi)
+    _, lcd, p_vec = chain._pi
     return HungerLattice(basis, p_vec, lcd)
 
 
@@ -419,6 +411,7 @@ def conjecture_reports(
     multiple of 1/den for any den in 1..20.
     """
     _check_cycle_chain(chain)
+    cap = _count(cap, "cap")
     values = _grid(bounds, step)
     lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
     # with all 20 present, choice(dens) draws as randint(1, 20) did
@@ -426,9 +419,7 @@ def conjecture_reports(
     if samples > 0 and not dens:
         raise ValueError(f"bounds [{lo}, {hi}] hold no k/den with den <= 20")
     rng = random.Random(seed)
-    # one stationary solve serves both the zero period and the lattice
-    lat = lattice_basis(chain) if chain.n == 3 else None
-    base = _zero_period(chain, cap, lat and lat.lcd)
+    base = zero_period(chain, cap)
 
     checked = violations = skipped = 0
     notes: List[str] = []
@@ -454,8 +445,9 @@ def conjecture_reports(
         notes.append("skipped: the tiling scan is defined for 3-state chains")
     else:
         cells, S, orbit = _grid_orbits(chain, values, cap)
+        basis = lattice_basis(chain).basis
         shifts = [  # (a, b) and the keys S*u of u
-            ((a, b), tuple(int(S * (a * p + b * q)) for p, q in zip(*lat.basis)))
+            ((a, b), tuple(int(S * (a * p + b * q)) for p, q in zip(*basis)))
             for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)
         ]
         recurrent_cache = {}

@@ -23,7 +23,6 @@ from hungerlab import _kernels, hunger_engine
 from hungerlab.chain_model import (
     FLOAT,
     MarkovChain,
-    _absorbing_mask,
     absorbing_states,
     float_matrix,
     is_irreducible,
@@ -271,7 +270,7 @@ def doubling_chip_add(chain: MarkovChain, h, i: int, cap: int):
     1024 entries) up to cap until an absorbing arrival; CapExceeded when
     none comes within cap fires."""
     h = hunger_engine.coerce_hunger(chain, h)
-    mask = _absorbing_mask(chain)
+    mask = np.array([dict(chain.row(i)).get(i) == 1 for i in range(chain.n)])
     if not mask.any():
         raise hunger_engine.CapExceeded(cap)
     inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)

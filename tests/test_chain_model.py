@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hungerlab import (
@@ -17,8 +18,10 @@ from hungerlab import (
     absorbing_states,
     chain_to_document,
     chip_add,
+    discrepancy_profile,
     hunger_matrix,
     is_irreducible,
+    lattice_basis,
     lcd_of_stationary,
     make_absorbing,
     parse_chain,
@@ -27,7 +30,10 @@ from hungerlab import (
     run,
     split_vertex,
     stationary_distribution,
+    zero_period,
 )
+from hungerlab import _linalg
+from conftest import load_chain
 from oracles import random_irreducible_chain, stationary_solve_float
 
 F = Fraction
@@ -384,3 +390,93 @@ def test_a_ring_of_100000_states_from_mapping_rows():
     assert (len(chain.entries), chain.D) == (2 * n, 2)
     assert trace.v.sum() == n and sum(trace.final_h) == 0
     assert rotor.visits.sum() == n + 1 and rotor.d == (2,) * n
+
+
+# ---------------------------------------------------------------------------
+# the records each chain keeps: absorbing states and the stationary solve
+
+
+def test_absorbing_mask_is_read_only_and_kept(absorbing_walk5):
+    mask, states = absorbing_walk5._absorbing
+    assert absorbing_walk5._absorbing[0] is mask
+    assert absorbing_states(absorbing_walk5) is states
+    assert mask.tolist() == [True, False, False, False, True]
+    with pytest.raises(ValueError, match="read-only"):
+        mask[1] = True
+    assert states == {0, 4}
+
+
+def random_rows(rng, n):
+    """n random rational rows: unit self-loops, rows with P_ii = 1 - e for
+    a tiny e (1/2^70 makes D pass int64), and rows of denominator <= 6."""
+    rows = []
+    for i in range(n):
+        kind = rng.choice(("sink", "near", "any"))
+        if kind == "sink":
+            rows.append({i: F(1)})
+        elif kind == "near":
+            e = rng.choice((F(1, 7), F(1, 2**70)))
+            rows.append({i: 1 - e, (i + 1) % n: e} if n > 1 else {i: F(1)})
+        else:
+            den = rng.randint(1, 6)
+            row = {}
+            for _ in range(den):
+                j = rng.randrange(n)
+                row[j] = row.get(j, 0) + F(1, den)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["reflecting3", "basin_demo3", "absorbing_walk5",
+                                  "two_sinks5", "random"])
+def test_absorbing_states_are_the_unit_diagonal(name):
+    if name == "random":
+        rng = random.Random(41)
+        chains = [MarkovChain(random_rows(rng, rng.randint(1, 7))) for _ in range(60)]
+        assert any(c.D >= 2**62 for c in chains)  # object-dtype kernel rows
+        # float copies, of rows whose entries stay apart from 1 in float64
+        chains += [
+            MarkovChain([{j: float(x) for j, x in row} for row in c.rows()], mode=FLOAT)
+            for c in chains if c.D < 2**62
+        ]
+    else:
+        chains = [load_chain(f"{name}.json")]
+    for chain in chains:
+        expected = {i for i in range(chain.n) if chain.P[i][i] == 1}
+        assert absorbing_states(chain) == expected
+        assert chain._absorbing[0].tolist() == [i in expected for i in range(chain.n)]
+
+
+def count_rref(monkeypatch):
+    calls = []
+    rref = _linalg._rref
+    monkeypatch.setattr(_linalg, "_rref", lambda *a: calls.append(a) or rref(*a))
+    return calls
+
+
+def test_stationary_record_is_solved_once(monkeypatch):
+    chain = load_chain("basin_demo3.json")  # fresh: nothing solved yet
+    calls = count_rref(monkeypatch)
+    pi = stationary_distribution(chain)
+    assert lcd_of_stationary(chain) == zero_period(chain) == 18
+    lat = lattice_basis(chain)
+    profile = discrepancy_profile(chain, None, 100)
+    assert len(calls) == 1
+    assert pi == (F(11, 18), F(5, 18), F(2, 18)) == profile.exact
+    assert lat.p_vec == (11, 5, 2) and lat.lcd == 18
+    assert stationary_distribution(chain) is pi
+
+
+def test_a_chain_without_a_unique_pi_raises_on_every_call(monkeypatch):
+    # two closed classes and no absorbing state: the failed solve is not
+    # kept, so each call solves and raises again
+    half = F(1, 2)
+    chain = MarkovChain([{0: half, 1: half}, {0: half, 1: half}, {2: half, 3: half},
+                         {2: half, 3: half}])
+    calls = count_rref(monkeypatch)
+    for k, call in enumerate([stationary_distribution, stationary_distribution,
+                              lcd_of_stationary, lattice_basis, zero_period]):
+        with pytest.raises(NonUniqueStationary):
+            call(chain)
+        assert len(calls) == k + 1
+    assert np.array_equal(chain._absorbing[0], np.zeros(4, dtype=bool))

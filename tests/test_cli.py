@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hungerlab import cli, hunger_engine, parse_chain
+from hungerlab import cli, estimators, hunger_engine, parse_chain
 from hungerlab.cli import main
 
 CHAINS = Path(__file__).resolve().parent.parent / "chains"
@@ -401,6 +401,51 @@ def test_conjectures_cap_below_zero_period(capsys):
     assert code == 3
     assert out == ""
     assert "error: step cap 10 exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chip-add", "--chain", WALK5, "--at", "v3"),
+        ("cycle", "--chain", DEMO),
+        ("basin", "--chain", DEMO),
+        ("cover", "--chain", DEMO),
+        ("conjectures", "--chain", DEMO, "--samples", "2"),
+        ("engel", "--chain", DEMO, "--chips", "5,3,7"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_cap_is_a_usage_error(capsys, argv):
+    # not "step cap -1 exceeded" (exit 3), nor a basin of capped cells
+    code, out, err = run_cli(capsys, *argv, "--cap", "-1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: cap must be >= 0"]
+
+
+def test_only_stationary_reads_sup_Nd(capsys, monkeypatch):
+    # the scalar sweeps' CSV and summary never read sup_Nd, so they do not
+    # pay for its exact maximum
+    calls = []
+    largest = estimators._largest
+    monkeypatch.setattr(estimators, "_largest", lambda col: calls.append(col) or largest(col))
+    commands = {
+        "stationary": ("--chain", REFLECT, "--N", "3000"),
+        "hitting": ("--chain", SINKS, "--from", "v2", "--N", "3000"),
+        "absorb": ("--chain", WALK5, "--from", "v3", "--N", "3000"),
+        "escape": ("--chain", REFLECT, "--from", "v1", "--target", "v3", "--N", "3000"),
+        "return-time": ("--chain", REFLECT, "--from", "v2", "--N", "3000"),
+    }
+    counts = {}
+    for name, argv in commands.items():
+        calls.clear()
+        code, _, err = run_cli(capsys, name, *argv)
+        assert code == 0
+        counts[name] = len(calls)
+        if name == "stationary":
+            assert "sup of N times L1 deviation over N <= 3000: 4/3" in err
+    assert counts == {
+        "stationary": 1, "hitting": 0, "absorb": 0, "escape": 0, "return-time": 0,
+    }
 
 
 def test_compare2_subcommand(capsys):

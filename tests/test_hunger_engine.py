@@ -17,14 +17,20 @@ from hungerlab import (
     IIsAbsorbing,
     MarkovChain,
     absorbing_states,
+    absorption_profile,
     basin_scan,
     chip_add,
     common_denominator,
     compare_two_state,
+    conjecture_reports,
+    covering_detail,
+    discrepancy_profile,
+    engel_run,
     find_cycle,
     fire_step,
     goldbug_chain,
     harmonic_chain,
+    hitting_profiles,
     hunger_matrix,
     hungriest_index,
     lazy_run,
@@ -285,9 +291,11 @@ def test_chip_add_fires_each_step_once_past_buffer_doublings(monkeypatch):
         assert fired == list(trace.fired)
         assert h == trace.final_h
         assert result == (F(2499, 5000), F(-2499, 5000))
-        for cap in (2500, 0, -1):
+        for cap in (2500, 0):
             with pytest.raises(CapExceeded):
                 chip_add(chain, None, 0, cap=cap)
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            chip_add(chain, None, 0, cap=-1)
 
 
 def reducible_chain(rng, n, closed, mode):
@@ -766,6 +774,49 @@ def test_step_counts_and_caps_must_be_integers(
         call(chains)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c: run(c["reflect"], None, -1), "steps must be >= 0"),
+        (lambda c: run_with_reinsertion(c["walk"], None, [1], -1), "steps must be >= 0"),
+        (lambda c: run_with_reinsertion(c["walk"], None, [1], 0, -1), "cap must be >= 0"),
+        (lambda c: chip_add(c["walk"], None, 2, cap=-1), "cap must be >= 0"),
+        (lambda c: lazy_run(goldbug_chain(), {}, 2, -1), "steps must be >= 0"),
+        (lambda c: find_cycle(c["reflect"], None, cap=-1), "cap must be >= 0"),
+        (lambda c: zero_period(c["reflect"], cap=-1), "cap must be >= 0"),
+        (lambda c: covering_detail(c["basin"], None, cap=-1), "cap must be >= 0"),
+        (lambda c: basin_scan(c["basin"], (F(-1), F(1)), F(1, 2), cap=-1),
+         "cap must be >= 0"),
+        (lambda c: conjecture_reports(c["basin"], samples=2, cap=-1), "cap must be >= 0"),
+        (lambda c: engel_run(c["reflect"], (1, 2, 1), None, -1), "cap must be >= 0"),
+        (lambda c: rotor_run(c["reflect"], 0, None, -1), "N must be >= 0"),
+        (lambda c: discrepancy_profile(c["reflect"], None, 0), "N_max must be >= 1"),
+        (lambda c: hitting_profiles(c["walk"], 2, 0), "N_max must be >= 1"),
+        (lambda c: absorption_profile(c["walk"], 2, -1), "N_max must be >= 1"),
+        (lambda c: engel_run(c["reflect"], (1, 2, 1), None, 2.5),
+         "cap 2.5 is not an integer"),
+        (lambda c: discrepancy_profile(c["reflect"], None, 2.5),
+         "N_max 2.5 is not an integer"),
+        (lambda c: hitting_profiles(c["walk"], 2, 2.5), "N_max 2.5 is not an integer"),
+        (lambda c: absorption_profile(c["walk"], 2, 2.5), "N_max 2.5 is not an integer"),
+    ],
+    ids=["run", "reinsertion-steps", "reinsertion-cap", "chip_add", "lazy_run",
+         "find_cycle", "zero_period", "covering_detail", "basin_scan",
+         "conjecture_reports", "engel_run", "rotor_run", "discrepancy_profile",
+         "hitting_profiles", "absorption_profile", "engel_run-2.5",
+         "discrepancy_profile-2.5", "hitting_profiles-2.5", "absorption_profile-2.5"],
+)
+def test_counts_below_their_least_value_are_refused(
+    reflecting3, absorbing_walk5, basin_demo3, call, message
+):
+    # every step count, N, N_max and cap goes through chain_model._count,
+    # which names the argument: no call fires, scans or caps on such a count
+    chains = {"reflect": reflecting3, "walk": absorbing_walk5, "basin": basin_demo3}
+    with pytest.raises(ValueError) as info:
+        call(chains)
+    assert str(info.value) == message
+
+
 def test_numpy_integer_step_counts_and_caps(reflecting3, absorbing_walk5):
     five = np.int64(5)
     t = run(reflecting3, None, five)
@@ -826,14 +877,15 @@ def test_reference_rows_table_is_built_once(absorbing_walk5, monkeypatch):
         hunger_engine._kernels.SparseRows, "_build_table",
         lambda rows: builds.append(rows) or build(rows),
     )
-    # D = 2**61 puts the keys past int64: Brent, then greedy_run for the
-    # cycle's order, both on the reference bodies and one set of rows
+    # D = 2**61 puts the keys past int64: Brent's finder, which writes the
+    # cycle's order in the same call, runs on the reference body
     e = F(1, 2**61)
     circulant = MarkovChain([[0, 1 - e, e], [e, 0, 1 - e], [1 - e, e, 0]])
     assert hunger_engine._scaled(circulant, zero_hunger(circulant))[0].dtype == object
     assert find_cycle(circulant).period == 3
     assert len(builds) == 1
-    # chip_add fires into a buffer of 1024, 2048, 4096 then 8192 entries
+    # chip_add makes one first run of up to _FIRST_FIRES fires, and asks
+    # Brent's finder where the orbit cycles only past it
     H = 2**70
     _, trace = chip_add(absorbing_walk5, (H - 1000, H, H, H, H - 1000), 2)
     assert trace.steps > 4096
