@@ -190,17 +190,6 @@ class MarkovChain:
         return mask, frozenset(np.flatnonzero(mask).tolist())
 
     @cached_property
-    def _pi(self):
-        """(pi, lcd, a), built once from one _stationary solve: pi, and in
-        rational mode its lcd and the integers a = lcd * pi (else None).
-        A solve that raises is not kept, so every read raises again."""
-        pi = _stationary(self, ())[0]
-        if self.mode == FLOAT:
-            return pi, None, None
-        lcd = math.lcm(*(p.denominator for p in pi))
-        return pi, lcd, tuple(p.numerator * (lcd // p.denominator) for p in pi)
-
-    @cached_property
     def _chip_firing(self):
         """(d, moves) for the Engel machine's default thresholds and the
         rotor walk, built once in rational mode: d_i the lcm of row i's
@@ -461,12 +450,10 @@ def stationary_distribution(chain: MarkovChain) -> Tuple[Scalar, ...]:
     H = P - I; a dimension above one means the chain has several recurrent
     classes.
 
-    The solve runs once per chain (MarkovChain._pi).
-
     Raises:
         NonUniqueStationary: when the stationary space is not one-dimensional.
     """
-    return chain._pi[0]
+    return _stationary(chain, ())[0]
 
 
 def _stationary(chain: MarkovChain, bs):
@@ -492,9 +479,20 @@ def _stationary(chain: MarkovChain, bs):
     return tuple(pi), xs
 
 
+def _stationary_record(chain: MarkovChain):
+    """(pi, lcd, a) from one stationary_distribution solve: pi, and in
+    rational mode its lcd and the integers a = lcd * pi (else None). Every
+    reader of the lcd takes it from here; no solve is kept between calls."""
+    pi = stationary_distribution(chain)
+    if chain.mode == FLOAT:
+        return pi, None, None
+    lcd = math.lcm(*(p.denominator for p in pi))
+    return pi, lcd, tuple(p.numerator * (lcd // p.denominator) for p in pi)
+
+
 def lcd_of_stationary(chain: MarkovChain) -> int:
-    """Least common denominator of the stationary probabilities, kept with
-    pi from its one solve (MarkovChain._pi).
+    """Least common denominator of the stationary probabilities
+    (_stationary_record).
 
     Raises:
         FloatModeUnsupported: float chains have no exact denominators.
@@ -502,7 +500,7 @@ def lcd_of_stationary(chain: MarkovChain) -> int:
     """
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("lcd is defined for rational chains only")
-    return chain._pi[1]
+    return _stationary_record(chain)[1]
 
 
 def common_denominator(chain: MarkovChain) -> int:

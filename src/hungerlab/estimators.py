@@ -29,6 +29,7 @@ from .chain_model import (
     _check_state,
     _count,
     _dense,
+    _stationary_record,
     absorbing_states,
     is_irreducible,
     make_absorbing,
@@ -186,7 +187,7 @@ def discrepancy_profile(
     raises NonUniqueStationary otherwise. Exact in rational mode.
     """
     N_max = _count(N_max, "N_max", 1)
-    pi = stationary_distribution(chain)
+    pi, lcd, a = _stationary_record(chain)
     fired = run(chain, h0, N_max).fired
     Ns = np.arange(1, N_max + 1, dtype=np.int64)
     counts = np.empty((chain.n, N_max), dtype=np.int64)
@@ -196,7 +197,6 @@ def discrepancy_profile(
         est = counts / Ns
         dist = np.abs(est - np.array(pi, dtype=np.float64)[:, None]).sum(axis=0)
         return DiscrepancyProfile(Ns, *(Ratios(x, None) for x in (est.T, dist, dist * Ns)), pi)
-    _, lcd, a = chain._pi
     # every |lcd * count - N * a_i| is at most lcd * N
     if chain.n * lcd * N_max >= 2**62:
         Ns, counts = Ns.astype(object), counts.astype(object)

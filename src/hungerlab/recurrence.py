@@ -22,6 +22,7 @@ from .chain_model import (
     MarkovChain,
     _count,
     _stationary,
+    _stationary_record,
     hunger_matrix,
     lcd_of_stationary,
 )
@@ -114,9 +115,7 @@ def zero_period(chain: MarkovChain, cap: int = DEFAULT_CAP) -> int:
 
     The zero orbit is recurrent and its period equals the least common
     denominator of the stationary distribution; both facts are theorems,
-    so a mismatch here means a bug and raises RuntimeError. The lcd comes
-    from the chain's one stationary solve (lcd_of_stationary), so a
-    repeated call fires the orbit but solves nothing.
+    so a mismatch here means a bug and raises RuntimeError.
     """
     info = find_cycle(chain, zero_hunger(chain), cap)
     if info.entry_steps != 0:
@@ -291,10 +290,14 @@ class HungerLattice:
 def lattice_basis(chain: MarkovChain) -> HungerLattice:
     if chain.mode != RATIONAL:
         raise FloatModeUnsupported("the displacement lattice needs exact entries")
+    _, lcd, p_vec = _stationary_record(chain)
+    return HungerLattice(_lattice_rows(chain), p_vec, lcd)
+
+
+def _lattice_rows(chain: MarkovChain):
+    """The lattice basis H_i - H_{i+1}, which needs no stationary solve."""
     H = hunger_matrix(chain).H
-    basis = tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(H, H[1:]))
-    _, lcd, p_vec = chain._pi
-    return HungerLattice(basis, p_vec, lcd)
+    return tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(H, H[1:]))
 
 
 def lattice_member(chain: MarkovChain, y: Sequence) -> bool:
@@ -407,11 +410,12 @@ def conjecture_reports(
     keys and rows prepared once (_grid_orbits) and each start's recurrence
     found once. Violations are counted and quoted, never raised; these are
     conjectures, not invariants. A step <= 0 or bounds with lo > hi raise
-    ValueError, for every chain, as do samples > 0 and bounds that hold no
-    multiple of 1/den for any den in 1..20.
+    ValueError, for every chain, as do a negative samples or cap and
+    samples > 0 with bounds that hold no multiple of 1/den for any den in
+    1..20.
     """
     _check_cycle_chain(chain)
-    cap = _count(cap, "cap")
+    cap, samples = _count(cap, "cap"), _count(samples, "samples")
     values = _grid(bounds, step)
     lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
     # with all 20 present, choice(dens) draws as randint(1, 20) did
@@ -445,7 +449,7 @@ def conjecture_reports(
         notes.append("skipped: the tiling scan is defined for 3-state chains")
     else:
         cells, S, orbit = _grid_orbits(chain, values, cap)
-        basis = lattice_basis(chain).basis
+        basis = _lattice_rows(chain)
         shifts = [  # (a, b) and the keys S*u of u
             ((a, b), tuple(int(S * (a * p + b * q)) for p, q in zip(*basis)))
             for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)

@@ -270,7 +270,7 @@ def doubling_chip_add(chain: MarkovChain, h, i: int, cap: int):
     1024 entries) up to cap until an absorbing arrival; CapExceeded when
     none comes within cap fires."""
     h = hunger_engine.coerce_hunger(chain, h)
-    mask = np.array([dict(chain.row(i)).get(i) == 1 for i in range(chain.n)])
+    mask = np.array([dict(chain.row(j)).get(j) == 1 for j in range(chain.n)])
     if not mask.any():
         raise hunger_engine.CapExceeded(cap)
     inserted = [x + 0.0 for x in h] if chain.mode == FLOAT else list(h)

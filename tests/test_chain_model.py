@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -454,22 +455,27 @@ def count_rref(monkeypatch):
     return calls
 
 
-def test_stationary_record_is_solved_once(monkeypatch):
-    chain = load_chain("basin_demo3.json")  # fresh: nothing solved yet
+def test_each_stationary_read_solves_once(basin_demo3, monkeypatch):
+    # one elimination per call, pi, lcd and lcd * pi all from it; none is
+    # kept on the chain, so a repeated call solves again
     calls = count_rref(monkeypatch)
-    pi = stationary_distribution(chain)
-    assert lcd_of_stationary(chain) == zero_period(chain) == 18
-    lat = lattice_basis(chain)
-    profile = discrepancy_profile(chain, None, 100)
-    assert len(calls) == 1
-    assert pi == (F(11, 18), F(5, 18), F(2, 18)) == profile.exact
-    assert lat.p_vec == (11, 5, 2) and lat.lcd == 18
-    assert stationary_distribution(chain) is pi
+    reads = [
+        (stationary_distribution, (F(11, 18), F(5, 18), F(2, 18))),
+        (lcd_of_stationary, 18),
+        (zero_period, 18),
+        (lambda c: astuple(lattice_basis(c))[1:], ((11, 5, 2), 18)),
+        (lambda c: discrepancy_profile(c, None, 100).exact, (F(11, 18), F(5, 18), F(2, 18))),
+    ]
+    for read, expected in reads:
+        for _ in range(2):
+            calls.clear()
+            assert read(basin_demo3) == expected
+            assert len(calls) == 1
 
 
 def test_a_chain_without_a_unique_pi_raises_on_every_call(monkeypatch):
-    # two closed classes and no absorbing state: the failed solve is not
-    # kept, so each call solves and raises again
+    # two closed classes and no absorbing state: each call solves and
+    # raises again
     half = F(1, 2)
     chain = MarkovChain([{0: half, 1: half}, {0: half, 1: half}, {2: half, 3: half},
                          {2: half, 3: half}])

@@ -788,6 +788,7 @@ def test_step_counts_and_caps_must_be_integers(
         (lambda c: basin_scan(c["basin"], (F(-1), F(1)), F(1, 2), cap=-1),
          "cap must be >= 0"),
         (lambda c: conjecture_reports(c["basin"], samples=2, cap=-1), "cap must be >= 0"),
+        (lambda c: conjecture_reports(c["basin"], samples=-1), "samples must be >= 0"),
         (lambda c: engel_run(c["reflect"], (1, 2, 1), None, -1), "cap must be >= 0"),
         (lambda c: rotor_run(c["reflect"], 0, None, -1), "N must be >= 0"),
         (lambda c: discrepancy_profile(c["reflect"], None, 0), "N_max must be >= 1"),
@@ -802,15 +803,16 @@ def test_step_counts_and_caps_must_be_integers(
     ],
     ids=["run", "reinsertion-steps", "reinsertion-cap", "chip_add", "lazy_run",
          "find_cycle", "zero_period", "covering_detail", "basin_scan",
-         "conjecture_reports", "engel_run", "rotor_run", "discrepancy_profile",
+         "conjecture_reports", "conjecture_reports-samples", "engel_run", "rotor_run", "discrepancy_profile",
          "hitting_profiles", "absorption_profile", "engel_run-2.5",
          "discrepancy_profile-2.5", "hitting_profiles-2.5", "absorption_profile-2.5"],
 )
 def test_counts_below_their_least_value_are_refused(
     reflecting3, absorbing_walk5, basin_demo3, call, message
 ):
-    # every step count, N, N_max and cap goes through chain_model._count,
-    # which names the argument: no call fires, scans or caps on such a count
+    # every step count, N, N_max, cap and samples count goes through
+    # chain_model._count, which names the argument: no call fires, scans or
+    # caps on such a count
     chains = {"reflect": reflecting3, "walk": absorbing_walk5, "basin": basin_demo3}
     with pytest.raises(ValueError) as info:
         call(chains)

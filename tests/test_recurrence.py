@@ -32,7 +32,6 @@ from hungerlab import (
 )
 from hungerlab import _linalg, chain_model, hunger_engine, recurrence
 from hungerlab.cli import main
-from conftest import load_chain
 from hungerlab.hunger_engine import fire_step
 from oracles import random_irreducible_chain
 
@@ -274,10 +273,9 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_lattice_basis_solves_once(monkeypatch):
+def test_lattice_basis_solves_once(basin_demo3, monkeypatch):
     calls = count_calls(monkeypatch, _linalg, "_rref")
-    # a fresh copy: the session fixture may already hold its stationary record
-    assert lattice_basis(load_chain("basin_demo3.json")).lcd == 18
+    assert lattice_basis(basin_demo3).lcd == 18
     assert len(calls) == 1
 
 
@@ -289,9 +287,9 @@ def test_lattice_member_solves_and_builds_h_once(basin_demo3, monkeypatch):
     assert (len(solves), len(builds)) == (1, 1)
 
 
-def test_conjecture_reports_solve_once(monkeypatch):
+def test_conjecture_reports_solve_once(basin_demo3, monkeypatch):
     calls = count_calls(monkeypatch, _linalg, "_rref")
-    conjecture_reports(load_chain("basin_demo3.json"), samples=5, step=Fraction(1, 2))
+    conjecture_reports(basin_demo3, samples=5, step=Fraction(1, 2))
     assert len(calls) == 1
 
 
