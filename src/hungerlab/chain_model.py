@@ -284,8 +284,8 @@ def _as_index(i, what: str = "state index") -> int:
 
 def _count(x, what: str, least: int = 0) -> int:
     """x as an int (numpy integers too): ValueError naming `what` if x is
-    not an integer or is below least. Every step count, N and cap is
-    checked here."""
+    not an integer or is below least. Every step count, N, cap and
+    sample count is checked here."""
     x = _as_index(x, what)
     if x < least:
         raise ValueError(f"{what} must be >= {least}")
