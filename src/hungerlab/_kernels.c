@@ -20,10 +20,14 @@
  * hungriest state. Nodes carry their state's hunger, so the tree is read
  * without touching h. Left children cover lower states and a tie goes to
  * the left, so the tree names the first maximal index, exactly as np.argmax
- * does; leaves past the last block hold LOWEST and never win. After a fire
- * each touched block is rescanned and its path replayed up to the first
- * node that does not change: a step costs O(deg * (BLOCK + log(n / BLOCK)))
- * instead of O(n). A chain with n <= BLOCK is one block, whose leaf is the
+ * does; leaves past the last block hold LOWEST and never win. A fire adds
+ * its row an entry at a time (add): an entry whose hunger rose takes its
+ * block's leaf or leaves it be, in O(1), and one whose hunger fell has its
+ * block rescanned; a leaf that changed has its path replayed. In a row of
+ * H = P - I only the diagonal falls, so a step costs one block rescan and
+ * one replay for the fired state's block, and O(1) plus at most one replay
+ * for each other entry: O(BLOCK + deg * log(n / BLOCK)), against O(n) for
+ * a dense argmax. A chain with n <= BLOCK is one block, whose leaf is the
  * root: a fire adds the row and rescans that block, as the dense argmax
  * did. The tree's memory is allocated here, once per call. greedy_run's
  * walk is inlined twice, with its extrema tracked (O(1) a step) and
@@ -123,19 +127,41 @@ static void build_##SUF(const T *h, node_##SUF *tree, const rows_##SUF *r)     \
         tree[k] = winner_##SUF(tree, k);                                       \
 }                                                                              \
                                                                                \
-/* Rescan block b and replay its path to the root, up to the first node        \
- * that does not change: the nodes above it depend on nothing else that        \
- * changed. */                                                                 \
-static void retree_##SUF(const T *h, node_##SUF *tree, const rows_##SUF *r,    \
-                         int64_t b)                                            \
+/* Set leaf k to w and, unless that changes nothing, replay its path to the   \
+ * root. The climb has no early exit: a fire changes the root (the fired       \
+ * state was the root), so most paths change all the way up, and a test per   \
+ * level is a branch that orbits which do not repeat keep mispredicting. */    \
+static void retree_##SUF(node_##SUF *tree, int64_t k, node_##SUF w)            \
 {                                                                              \
-    int64_t k = r->leaves + b;                                                 \
-    tree[k] = block_max_##SUF(h, r, b);                                        \
+    if (w.i == tree[k].i && w.h == tree[k].h)                                  \
+        return;                                                                \
+    tree[k] = w;                                                               \
     for (k >>= 1; k > 0; k >>= 1) {                                            \
-        node_##SUF w = winner_##SUF(tree, k);                                  \
-        if (w.i == tree[k].i && w.h == tree[k].h)                              \
-            break;                                                             \
-        tree[k] = w;                                                           \
+        node_##SUF left = tree[2 * k], right = tree[2 * k + 1];                \
+        int up = right.h > left.h; /* as in winner, without a branch */        \
+        tree[k].h = up ? right.h : left.h;                                     \
+        tree[k].i = up ? right.i : left.i;                                     \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* Add vals[0 .. len) to h at cols[0 .. len), updating the tree an entry at    \
+ * a time. An entry that rose takes its block's leaf in O(1) if it is the      \
+ * leaf already, is now hungrier, or ties it with a lower index; otherwise     \
+ * nothing changes. An entry that did not rise (a fall, an int64 add that      \
+ * wrapped, a NaN) has its block rescanned. In a row of H = P - I only the     \
+ * diagonal falls, so a fire rescans one block, the fired state's. */          \
+static void add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,             \
+                      const int64_t *cols, const T *vals, int64_t len)         \
+{                                                                              \
+    for (int64_t k = 0; k < len; k++) {                                        \
+        int64_t j = cols[k], b = j / BLOCK;                                    \
+        T old = h[j], x = old + vals[k];                                       \
+        h[j] = x;                                                              \
+        node_##SUF w = tree[r->leaves + b];                                    \
+        if (!(x >= old))                                                       \
+            retree_##SUF(tree, r->leaves + b, block_max_##SUF(h, r, b));       \
+        else if (j == w.i || x > w.h || (x == w.h && j < w.i))                 \
+            retree_##SUF(tree, r->leaves + b, (node_##SUF){x, j});             \
     }                                                                          \
 }                                                                              \
                                                                                \
@@ -145,42 +171,31 @@ static inline void add_row_##SUF(T *h, const rows_##SUF *r, int64_t i)         \
         h[r->indices[k]] += r->values[k];                                      \
 }                                                                              \
                                                                                \
-/* Retree every block that row i touches (each once: columns ascend). */       \
-static void retree_row_##SUF(const T *h, node_##SUF *tree,                     \
-                             const rows_##SUF *r, int64_t i)                   \
-{                                                                              \
-    int64_t last = -1;                                                         \
-    for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++) {                \
-        int64_t b = r->indices[k] / BLOCK;                                     \
-        if (b != last)                                                         \
-            retree_##SUF(h, tree, r, b);                                       \
-        last = b;                                                              \
-    }                                                                          \
-}                                                                              \
-                                                                               \
 /* Fire the hungriest state and return its index. A single-block chain         \
  * rescans its one block with a branch per state, as the dense argmax did:     \
  * greedy orbits are mostly periodic, so the branches are predicted and the    \
  * next fire's row is read before the compares resolve. The empty asm keeps    \
- * the compiler from turning the branch into a conditional move. The root's    \
- * hunger is left stale there, as no node compares against it. Inline: a      \
+ * the compiler from turning the branch into a conditional move. The root      \
+ * keeps its hunger for an insertion's add to compare against. Inline: a       \
  * call per fire costs about as much as a small chain's fire itself. */        \
 static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
                                   const rows_##SUF *r)                         \
 {                                                                              \
     int64_t i = tree[1].i;                                                     \
-    add_row_##SUF(h, r, i);                                                    \
     if (r->leaves > 1) {                                                       \
-        retree_row_##SUF(h, tree, r, i);                                       \
+        int64_t a = r->indptr[i];                                              \
+        add_##SUF(h, tree, r, r->indices + a, r->values + a,                   \
+                  r->indptr[i + 1] - a);                                       \
         return i;                                                              \
     }                                                                          \
+    add_row_##SUF(h, r, i);                                                    \
     int64_t best = 0;                                                          \
     for (int64_t j = 1; j < r->n; j++)                                         \
         if (h[j] > h[best]) {                                                  \
             best = j;                                                          \
             __asm__("");                                                       \
         }                                                                      \
-    tree[1].i = best;                                                          \
+    tree[1] = (node_##SUF){h[best], best};                                     \
     return i;                                                                  \
 }                                                                              \
                                                                                \
@@ -202,13 +217,13 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
                                                                                \
 /* The walk of greedy_run in _kernels.py, on a built tree. An insertion        \
  * (m >= 1) first takes the chip off k, the state fired last (k = i on the     \
- * first step, which takes nothing off). With track set, lo and hi take the    \
- * entries a step can move past them, for the rows of H = P - I (the           \
- * diagonal is their only negative entry): a fire lowers only the fired        \
- * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
- * largest entry (its index is kept on the one-block path, where the root's    \
- * hunger is stale). track is a literal at each call, so the untracked walk    \
- * never tests it. */                                                          \
+ * first step, which takes nothing off), then adds row i and the chip at i,    \
+ * each through add: the removal rescans k's block, the row i's block. With    \
+ * track set, lo and hi take the entries a step can move past them, for the   \
+ * rows of H = P - I (the diagonal is their only negative entry): a fire       \
+ * lowers only the fired entry, an insertion k and the inserted one, and       \
+ * h[tree[1].i] is the largest entry. track is a literal at each call, so      \
+ * the untracked walk never tests it. */                                       \
 static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
     int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
@@ -218,13 +233,13 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     while (t < steps) {                                                        \
         if (m > 0) {                                                           \
             int64_t i = schedule[si++ % m], k = t > 0 ? fired[t - 1] : i;      \
+            int64_t a = r->indptr[i];                                          \
+            T less = -one;                                                     \
             if (t > 0)                                                         \
-                h[k] -= one;                                                   \
-            add_row_##SUF(h, r, i);                                            \
-            h[i] += one;                                                       \
-            retree_##SUF(h, tree, r, k / BLOCK);                               \
-            retree_##SUF(h, tree, r, i / BLOCK);                               \
-            retree_row_##SUF(h, tree, r, i);                                   \
+                add_##SUF(h, tree, r, &k, &less, 1);                           \
+            add_##SUF(h, tree, r, r->indices + a, r->values + a,               \
+                      r->indptr[i + 1] - a);                                   \
+            add_##SUF(h, tree, r, &i, &one, 1);                                \
             fired[t++] = -1;                                                   \
             if (track) {                                                       \
                 track_##SUF(h[k], lo, hi);                                     \
@@ -420,21 +435,20 @@ typedef struct {
     const int64_t *scale;
 } field;
 
+/* Binary gcd: both odd, then the odd part of their difference replaces the
+ * larger, with no branch on which is larger. */
 static uint64_t gcd_u64(uint64_t a, uint64_t b) /* b > 0 */
 {
     if (a == 0)
         return b;
     int shift = __builtin_ctzll(a | b);
     a >>= __builtin_ctzll(a);
-    do {
-        b >>= __builtin_ctzll(b);
-        if (a > b) {
-            uint64_t t = a;
-            a = b;
-            b = t;
-        }
-        b -= a;
-    } while (b != 0);
+    b >>= __builtin_ctzll(b);
+    while (a != b) {
+        uint64_t d = a > b ? a - b : b - a;
+        a = a < b ? a : b;
+        b = d >> __builtin_ctzll(d);
+    }
     return a << shift;
 }
 

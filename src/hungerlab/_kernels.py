@@ -39,19 +39,23 @@ tournament tree over blocks of 8 consecutive states: each block's first
 maximal state (a linear scan with a strict '>') is a leaf, and a tie
 between nodes goes to the lower index, so the tree names the first maximal
 index, which is exactly np.argmax's choice and the tie-breaking rule (fire
-the smallest hungriest index). A fire rescans the blocks its row touches
-and replays their paths to the root, up to the first node that does not
-change: a step costs O(deg * (8 + log(n / 8))) instead of a dense row's
-O(n). The tree lives only in _kernels.c: a reference fire is
-i = np.argmax(h), then h[cols] += vals over row i's entries. A dense fire
-added +0.0 to every column, turning -0.0 hunger into +0.0; each kernel
-makes that rewrite once, before its first fire (h += 0 in the reference),
-so float runs stay bit-identical to it. The reference takes greedy_run's
-extrema over every entry a step touches; the compiled walk reads only the
-entries that can pass them, O(1) a step: the fired entry (on an insertion
-the removed and the inserted one) and the tree's hungriest. It is
-compiled once with that tracking and once without, so runs without
-extrema pay nothing for it.
+the smallest hungriest index). A fire adds its row an entry at a time: an
+entry whose hunger rose takes its block's leaf or leaves it be, in O(1),
+one whose hunger fell (in a row of H = P - I, the diagonal only) has its
+block rescanned, and a leaf that changed has its path replayed. A step
+costs one block rescan and one replay for the fired state's block, and
+O(1) plus at most one replay for each other entry: O(8 + deg * log(n / 8))
+instead of a dense row's O(n). An insertion step of the reinsertion walk
+goes through the same update. The tree lives only in _kernels.c: a
+reference fire is i = np.argmax(h), then h[cols] += vals over row i's
+entries. A dense fire added +0.0 to every column, turning -0.0 hunger
+into +0.0; each kernel makes that rewrite once, before its first fire
+(h += 0 in the reference), so float runs stay bit-identical to it. The
+reference takes greedy_run's extrema over every entry a step touches; the
+compiled walk reads only the entries that can pass them, O(1) a step: the
+fired entry (on an insertion the removed and the inserted one) and the
+tree's hungriest. It is compiled once with that tracking and once
+without, so runs without extrema pay nothing for it.
 
 csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an

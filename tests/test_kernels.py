@@ -34,6 +34,7 @@ from oracles import DENSE_KERNELS
 compiled = pytest.mark.skipif(
     _kernels.active_backend() != "c", reason="the C kernels are not loaded"
 )
+BLOCK_STATES = 8  # BLOCK in _kernels.c: a chain past it has a tree of several blocks
 SPARSE = [_kernels.reference] + ([_kernels] if _kernels.active_backend() == "c" else [])
 
 
@@ -74,14 +75,16 @@ def cases(draw):
 def run_all(name, h, rows, *rest):
     """Run kernel `name` on each sparse implementation, given SparseRows and
     given the dense rows (which it turns into SparseRows), and on the dense
-    oracle, each on its own copy of the array arguments.
+    oracle, each on its own copy of the array arguments. rows may be dense
+    or SparseRows, which may hold explicit zeros.
 
     Returns [(result, args), ...], args without the rows, with the dense
     oracle's last.
     """
     sparse = SparseRows.of(rows)
-    runs = [(getattr(k, name), r) for k in SPARSE for r in (sparse, rows)]
-    runs.append((getattr(DENSE_KERNELS, name), rows))
+    dense = sparse.dense() if rows is sparse else rows
+    runs = [(getattr(k, name), r) for k in SPARSE for r in (sparse, dense)]
+    runs.append((getattr(DENSE_KERNELS, name), dense))
     out = []
     for fn, r in runs:
         mine = [a.copy() if isinstance(a, np.ndarray) else a for a in (h, *rest)]
@@ -179,6 +182,131 @@ def test_greedy_run_with_extrema_matches_reference(case):
         if len(sched):
             assert int(dense_res) == steps
             assert (dense_args[2][:1] == -1).all()
+
+
+def assert_all_agree(name, h, rows, *rest):
+    """run_all, requiring every implementation to return what the dense
+    oracle returns and to write the same arrays; returns the oracle's
+    (result, args)."""
+    *mine, (dense_res, dense_args) = run_all(name, h, rows, *rest)
+    for res, args in mine:
+        assert np.array(res).tolist() == np.array(dense_res).tolist()
+        assert_same_arrays(args, dense_args)
+    return dense_res, dense_args
+
+
+@st.composite
+def signed_cases(draw):
+    """Rows of several blocks that are not rows of H = P - I: each holds the
+    diagonal and up to four other entries, every one drawn from -3 .. 3, so
+    off-diagonal entries can be negative or an explicit zero (kept in the
+    CSR arrays) and the diagonal can rise. Float values are quarters, so
+    float sums stay exact."""
+    n = draw(st.one_of(st.integers(9, 40), st.sampled_from([64, 129])))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr, indices, values = [0], [], []
+    for i in range(n):
+        others = rng.choice(n, size=rng.integers(0, min(n, 5)), replace=False)
+        cols = np.union1d(others, [i])
+        indices += cols.tolist()
+        values += rng.integers(-3, 4, size=cols.shape[0]).tolist()
+        indptr.append(len(indices))
+    scale = 1 if dtype is np.int64 else 4
+    rows = SparseRows(
+        np.array(indptr, np.int64), np.array(indices, np.int64),
+        np.array(values, dtype) / (dtype(scale)),
+    )
+    h = rng.integers(-6, 7, size=n).astype(dtype) / dtype(scale)
+    return h, rows, rng.random(n) < 0.2, draw(st.integers(0, 200))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(signed_cases())
+def test_kernels_on_rows_that_fall_off_the_diagonal(case):
+    """A fire's entries that do not rise have their block rescanned,
+    wherever they are: greedy_run (without extrema, which assume rows of H)
+    and brent_cycle agree with the reference and the dense oracle."""
+    h, rows, stop, steps = case
+    n = h.shape[0]
+    for mask in (np.zeros(n, np.bool_), stop):
+        assert_all_agree(
+            "greedy_run", h, rows, steps, np.zeros(steps, np.int64),
+            np.zeros(n, np.int64), mask,
+        )
+    assert_all_agree("brent_cycle", h, rows, 10 * steps)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_int64_adds_that_wrap_fire_as_numpy(seed):
+    """Keys within a few fires of 2^63: a positive add wraps to a large
+    negative key, as numpy's int64 does, and the compiled tree must take
+    that as a fall and rescan, not as a rise. Plain fires, the reinsertion
+    walk (without extrema) and Brent all agree with numpy."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([12, 30, 70]))
+    S = 4
+    counts = np.zeros((n, n), np.int64)
+    for i in range(n):
+        support = rng.choice(n, size=3, replace=False)
+        np.add.at(counts[i], rng.choice(support, size=S), 1)
+    rows = counts - S * np.eye(n, dtype=np.int64)
+    h = np.iinfo(np.int64).max - rng.integers(0, 2, size=n)
+    h[rng.random(n) < 0.3] = rng.integers(-S, S + 1)
+    steps = 200
+    schedule = rng.integers(0, n, size=3)
+    stop = rng.random(n) < 0.3
+    with np.errstate(over="ignore"):
+        for args in ((np.zeros(n, np.bool_),), (stop,), (stop, np.int64(S), schedule)):
+            _, (after, *_) = assert_all_agree(
+                "greedy_run", h, rows, steps, np.zeros(steps, np.int64),
+                np.zeros(n, np.int64), *args,
+            )
+            if len(args) == 1 and not args[0].any():
+                assert (after < -(2**62)).any()  # some key wrapped
+        assert_all_agree("brent_cycle", h, rows, 500)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_a_lower_state_rising_to_the_leafs_hunger_fires_next(dtype):
+    """Two blocks. State 5 leads block 0 at 10 and state 12 is the
+    hungriest; firing 12 lifts states 2 and 7 from 9 to 10. State 2 ties
+    the leaf with a lower index, so it takes the leaf and fires next; 7
+    ties it with a higher index and does not. Then 5 fires, as np.argmax
+    picks it over 7."""
+    n = 16
+    state = np.arange(n)
+    rows = np.zeros((n, n), dtype)
+    rows[state, state] = -4
+    rows[state, (state + 1) % n] = 4
+    rows[12] = 0
+    rows[12, [2, 7, 12]] = [1, 1, -20]
+    h = np.zeros(n, dtype)
+    h[[2, 5, 7, 12]] = [9, 10, 9, 20]
+    _, oracle = assert_all_agree(
+        "greedy_run", h, rows, 4, np.zeros(4, np.int64), np.zeros(n, np.int64),
+        np.zeros(n, np.bool_),
+    )
+    assert oracle[2][:3].tolist() == [12, 2, 5]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cases().filter(lambda case: case[0].shape[0] > BLOCK_STATES))
+def test_insertions_on_chains_of_several_blocks(case):
+    """The remove-and-reinsert walk on chains of more than 8 states, with a
+    stop at every fire (an insertion every other step) and at the absorbing
+    mask, with and without extrema: each insertion's removal, row and chip
+    go through the tree like a fire's row."""
+    h, rows, absorbing, one, schedule, steps = case
+    n = h.shape[0]
+    for stop in (np.ones(n, np.bool_), absorbing):
+        for extrema in (None, np.zeros(2, h.dtype)):
+            _, oracle = assert_all_agree(
+                "greedy_run", h, rows, steps, np.zeros(steps, np.int64),
+                np.zeros(n, np.int64), stop, one, schedule, extrema,
+            )
+            if stop.all():
+                assert (oracle[2][:steps:2] == -1).all()
 
 
 BIG = 2**70
