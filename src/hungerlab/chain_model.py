@@ -352,6 +352,7 @@ def parse_chain(text: str) -> MarkovChain:
     if not isinstance(P, list) or not P or not all(isinstance(r, list) for r in P):
         raise ChainFormatError("P must be a non-empty array of rows")
     rows = []
+    memo = {}  # token -> Fraction: each distinct token is parsed once
     for i, row in enumerate(P):
         parsed = []
         for x in row:
@@ -361,7 +362,10 @@ def parse_chain(text: str) -> MarkovChain:
                         f"row {i + 1}: rational mode entries must be strings, "
                         f"got {x!r}"
                     )
-                parsed.append(parse_rational(x))
+                q = memo.get(x)
+                if q is None:
+                    q = memo[x] = parse_rational(x)
+                parsed.append(q)
             else:
                 if not isinstance(x, (int, float)) or isinstance(x, bool):
                     raise ChainFormatError(
