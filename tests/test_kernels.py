@@ -34,7 +34,6 @@ from oracles import DENSE_KERNELS
 compiled = pytest.mark.skipif(
     _kernels.active_backend() != "c", reason="the C kernels are not loaded"
 )
-BLOCK_STATES = 8  # BLOCK in _kernels.c: a chain past it has a tree of several blocks
 SPARSE = [_kernels.reference] + ([_kernels] if _kernels.active_backend() == "c" else [])
 
 
@@ -99,6 +98,17 @@ def assert_same_arrays(a, b):
             assert x.tobytes() == y.tobytes()
 
 
+def assert_all_agree(name, h, rows, *rest):
+    """run_all, requiring every implementation to return what the dense
+    oracle returns and to write the same arrays; returns the oracle's
+    (result, args)."""
+    *mine, (dense_res, dense_args) = run_all(name, h, rows, *rest)
+    for res, args in mine:
+        assert np.array(res).tolist() == np.array(dense_res).tolist()
+        assert_same_arrays(args, dense_args)
+    return dense_res, dense_args
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_greedy_run_matches_reference(case):
@@ -108,12 +118,9 @@ def test_greedy_run_matches_reference(case):
     fired = np.zeros(steps, dtype=np.int64)
     v = np.zeros(h.shape[0], dtype=np.int64)
     for stop in (np.zeros_like(absorbing), absorbing):
-        *mine, (dense_res, dense_args) = run_all(
+        dense_res, dense_args = assert_all_agree(
             "greedy_run", h, rows, steps, fired, v, stop
         )
-        for res, args in mine:
-            assert int(res) == int(dense_res)
-            assert_same_arrays(args, dense_args)
         k = int(dense_res)
         dense_fired = dense_args[2]
         assert k == steps or (0 < k < steps and stop[dense_fired[k - 1]])
@@ -126,10 +133,7 @@ def test_brent_cycle_matches_reference(case):
     """Every implementation returns the same (mu, lam) and leaves the same
     vector in h0: the start advanced mu steps, or the start itself."""
     h, rows, _, _, _, steps = case
-    *mine, (dense_res, dense_args) = run_all("brent_cycle", h, rows, 10 * steps)
-    for res, args in mine:
-        assert tuple(map(int, res)) == tuple(map(int, dense_res))
-        assert_same_arrays(args, dense_args)
+    assert_all_agree("brent_cycle", h, rows, 10 * steps)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -164,35 +168,26 @@ def test_brent_cycle_writes_the_period_order(case):
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_greedy_run_with_extrema_matches_reference(case):
-    """The remove-and-reinsert walk (the absorbing mask as stop states),
-    and with an empty schedule chip addition, both tracking extrema: the
-    compiled kernels' reads of the entries a step can move past the
-    extrema against the dense oracle's scan of every entry."""
+    """The remove-and-reinsert walk, and with an empty schedule chip
+    addition, tracking extrema (the compiled kernels' reads of the entries a
+    step can move past them against the dense oracle's scan of every entry)
+    and not. The stop states are the absorbing mask, or every state, which
+    puts an insertion after every fire; each insertion's removal, row and
+    chip go through the tree like a fire's row."""
     h, rows, absorbing, one, schedule, steps = case
+    n = h.shape[0]
     fired = np.zeros(steps, dtype=np.int64)
-    v = np.zeros(h.shape[0], dtype=np.int64)
-    extrema = np.zeros(2, dtype=h.dtype)
+    v = np.zeros(n, dtype=np.int64)
     for sched in (schedule, schedule[:0]):
-        *mine, (dense_res, dense_args) = run_all(
-            "greedy_run", h, rows, steps, fired, v, absorbing, one, sched, extrema
-        )
-        for res, args in mine:
-            assert int(res) == int(dense_res)
-            assert_same_arrays(args, dense_args)
-        if len(sched):
-            assert int(dense_res) == steps
-            assert (dense_args[2][:1] == -1).all()
-
-
-def assert_all_agree(name, h, rows, *rest):
-    """run_all, requiring every implementation to return what the dense
-    oracle returns and to write the same arrays; returns the oracle's
-    (result, args)."""
-    *mine, (dense_res, dense_args) = run_all(name, h, rows, *rest)
-    for res, args in mine:
-        assert np.array(res).tolist() == np.array(dense_res).tolist()
-        assert_same_arrays(args, dense_args)
-    return dense_res, dense_args
+        for stop in (absorbing, np.ones(n, np.bool_)):
+            for extrema in (np.zeros(2, dtype=h.dtype), None):
+                dense_res, dense_args = assert_all_agree(
+                    "greedy_run", h, rows, steps, fired, v, stop, one, sched, extrema
+                )
+                if len(sched):
+                    assert int(dense_res) == steps
+                    insertions = dense_args[2][::2] if stop.all() else dense_args[2][:1]
+                    assert (insertions == -1).all()
 
 
 @st.composite
@@ -288,25 +283,6 @@ def test_a_lower_state_rising_to_the_leafs_hunger_fires_next(dtype):
         np.zeros(n, np.bool_),
     )
     assert oracle[2][:3].tolist() == [12, 2, 5]
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(cases().filter(lambda case: case[0].shape[0] > BLOCK_STATES))
-def test_insertions_on_chains_of_several_blocks(case):
-    """The remove-and-reinsert walk on chains of more than 8 states, with a
-    stop at every fire (an insertion every other step) and at the absorbing
-    mask, with and without extrema: each insertion's removal, row and chip
-    go through the tree like a fire's row."""
-    h, rows, absorbing, one, schedule, steps = case
-    n = h.shape[0]
-    for stop in (np.ones(n, np.bool_), absorbing):
-        for extrema in (None, np.zeros(2, h.dtype)):
-            _, oracle = assert_all_agree(
-                "greedy_run", h, rows, steps, np.zeros(steps, np.int64),
-                np.zeros(n, np.int64), stop, one, schedule, extrema,
-            )
-            if stop.all():
-                assert (oracle[2][:steps:2] == -1).all()
 
 
 BIG = 2**70
