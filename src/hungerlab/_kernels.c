@@ -127,9 +127,9 @@ static void build_##SUF(const T *h, node_##SUF *tree, const rows_##SUF *r)     \
         tree[k] = winner_##SUF(tree, k);                                       \
 }                                                                              \
                                                                                \
-/* Set leaf k to w and, unless that changes nothing, replay its path to the   \
+/* Set leaf k to w and, unless that changes nothing, replay its path to the    \
  * root. The climb has no early exit: a fire changes the root (the fired       \
- * state was the root), so most paths change all the way up, and a test per   \
+ * state was the root), so most paths change all the way up, and a test per    \
  * level is a branch that orbits which do not repeat keep mispredicting. */    \
 static void retree_##SUF(node_##SUF *tree, int64_t k, node_##SUF w)            \
 {                                                                              \
@@ -175,9 +175,9 @@ static inline void add_row_##SUF(T *h, const rows_##SUF *r, int64_t i)         \
  * rescans its one block with a branch per state, as the dense argmax did:     \
  * greedy orbits are mostly periodic, so the branches are predicted and the    \
  * next fire's row is read before the compares resolve. The empty asm keeps    \
- * the compiler from turning the branch into a conditional move. The root      \
- * keeps its hunger for an insertion's add to compare against. Inline: a       \
- * call per fire costs about as much as a small chain's fire itself. */        \
+ * the compiler from turning the branch into a conditional move. The root's    \
+ * hunger is left stale there (see walk). Inline: a call per fire costs about  \
+ * as much as a small chain's fire itself. */                                  \
 static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
                                   const rows_##SUF *r)                         \
 {                                                                              \
@@ -195,7 +195,7 @@ static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
             best = j;                                                          \
             __asm__("");                                                       \
         }                                                                      \
-    tree[1] = (node_##SUF){h[best], best};                                     \
+    tree[1].i = best;                                                          \
     return i;                                                                  \
 }                                                                              \
                                                                                \
@@ -217,13 +217,15 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
                                                                                \
 /* The walk of greedy_run in _kernels.py, on a built tree. An insertion        \
  * (m >= 1) first takes the chip off k, the state fired last (k = i on the     \
- * first step, which takes nothing off), then adds row i and the chip at i,    \
- * each through add: the removal rescans k's block, the row i's block. With    \
- * track set, lo and hi take the entries a step can move past them, for the   \
- * rows of H = P - I (the diagonal is their only negative entry): a fire       \
- * lowers only the fired entry, an insertion k and the inserted one, and       \
- * h[tree[1].i] is the largest entry. track is a literal at each call, so      \
- * the untracked walk never tests it. */                                       \
+ * first step, which takes nothing off) and rescans k's block, then adds row   \
+ * i and the chip at i through add. On one block that rescan also renews the   \
+ * root's hunger, which the fires leave stale, before add compares against     \
+ * it (on the first step the tree is freshly built). With track set, lo and    \
+ * hi take the entries a step can move past them, for the rows of H = P - I    \
+ * (the diagonal is their only negative entry): a fire lowers only the fired   \
+ * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
+ * largest entry. track is a literal at each call, so the untracked walk       \
+ * never tests it. */                                                          \
 static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
     int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
@@ -233,10 +235,11 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     while (t < steps) {                                                        \
         if (m > 0) {                                                           \
             int64_t i = schedule[si++ % m], k = t > 0 ? fired[t - 1] : i;      \
-            int64_t a = r->indptr[i];                                          \
-            T less = -one;                                                     \
-            if (t > 0)                                                         \
-                add_##SUF(h, tree, r, &k, &less, 1);                           \
+            int64_t a = r->indptr[i], b = k / BLOCK;                           \
+            if (t > 0) {                                                       \
+                h[k] -= one;                                                   \
+                retree_##SUF(tree, r->leaves + b, block_max_##SUF(h, r, b));   \
+            }                                                                  \
             add_##SUF(h, tree, r, r->indices + a, r->values + a,               \
                       r->indptr[i + 1] - a);                                   \
             add_##SUF(h, tree, r, &i, &one, 1);                                \

@@ -232,34 +232,40 @@ def test_kernels_on_rows_that_fall_off_the_diagonal(case):
     assert_all_agree("brent_cycle", h, rows, 10 * steps)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(16))
 def test_int64_adds_that_wrap_fire_as_numpy(seed):
-    """Keys within a few fires of 2^63: a positive add wraps to a large
-    negative key, as numpy's int64 does, and the compiled tree must take
-    that as a fall and rescan, not as a rise. Plain fires, the reinsertion
-    walk (without extrema) and Brent all agree with numpy."""
+    """Keys within a few fires of 2^63 - 1 or of -2^63: a rise past the top
+    wraps to a large negative key and a fall past the bottom (a fire, or the
+    removal of the chip) to a large positive one, as numpy's int64 does.
+    The compiled tree must judge a move by the keys, not by the sign of
+    what was added. Plain fires, the reinsertion walk (without extrema)
+    and Brent agree with numpy, on chains of one block and of several."""
     rng = np.random.default_rng(seed)
-    n = int(rng.choice([12, 30, 70]))
+    n = int(rng.choice([5, 12, 30, 70]))
     S = 4
     counts = np.zeros((n, n), np.int64)
     for i in range(n):
         support = rng.choice(n, size=3, replace=False)
         np.add.at(counts[i], rng.choice(support, size=S), 1)
     rows = counts - S * np.eye(n, dtype=np.int64)
-    h = np.iinfo(np.int64).max - rng.integers(0, 2, size=n)
-    h[rng.random(n) < 0.3] = rng.integers(-S, S + 1)
+    if seed % 2:
+        h = np.iinfo(np.int64).max - rng.integers(0, 2, size=n)
+        h[rng.random(n) < 0.3] = rng.integers(-S, S + 1)
+    else:
+        h = np.iinfo(np.int64).min + rng.integers(0, 2 * S, size=n)
     steps = 200
     schedule = rng.integers(0, n, size=3)
     stop = rng.random(n) < 0.3
+    wrapped = False
     with np.errstate(over="ignore"):
         for args in ((np.zeros(n, np.bool_),), (stop,), (stop, np.int64(S), schedule)):
             _, (after, *_) = assert_all_agree(
                 "greedy_run", h, rows, steps, np.zeros(steps, np.int64),
                 np.zeros(n, np.int64), *args,
             )
-            if len(args) == 1 and not args[0].any():
-                assert (after < -(2**62)).any()  # some key wrapped
+            wrapped |= any(abs(x - y) > 2**62 for x, y in zip(after.tolist(), h.tolist()))
         assert_all_agree("brent_cycle", h, rows, 500)
+    assert wrapped
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
