@@ -46,7 +46,8 @@ block rescanned, and a leaf that changed has its path replayed. A step
 costs one block rescan and one replay for the fired state's block, and
 O(1) plus at most one replay for each other entry: O(8 + deg * log(n / 8))
 instead of a dense row's O(n). An insertion step of the reinsertion walk
-goes through the same update. The tree lives only in _kernels.c: a
+rescans the block it takes the chip from and adds the row and the chip
+through the same update. The tree lives only in _kernels.c: a
 reference fire is i = np.argmax(h), then h[cols] += vals over row i's
 entries. A dense fire added +0.0 to every column, turning -0.0 hunger
 into +0.0; each kernel makes that rewrite once, before its first fire
