@@ -172,8 +172,8 @@ def test_greedy_run_with_extrema_matches_reference(case):
     addition, tracking extrema (the compiled kernels' reads of the entries a
     step can move past them against the dense oracle's scan of every entry)
     and not. The stop states are the absorbing mask, or every state, which
-    puts an insertion after every fire; each insertion's removal, row and
-    chip go through the tree like a fire's row."""
+    puts an insertion after every fire: its removal rescans a block, and its
+    row and chip go through the tree like a fire's row."""
     h, rows, absorbing, one, schedule, steps = case
     n = h.shape[0]
     fired = np.zeros(steps, dtype=np.int64)
@@ -207,12 +207,12 @@ def signed_cases(draw):
         indices += cols.tolist()
         values += rng.integers(-3, 4, size=cols.shape[0]).tolist()
         indptr.append(len(indices))
-    scale = 1 if dtype is np.int64 else 4
-    rows = SparseRows(
-        np.array(indptr, np.int64), np.array(indices, np.int64),
-        np.array(values, dtype) / (dtype(scale)),
-    )
-    h = rng.integers(-6, 7, size=n).astype(dtype) / dtype(scale)
+    values = np.array(values, dtype)
+    h = rng.integers(-6, 7, size=n).astype(dtype)
+    if dtype is np.float64:
+        values /= 4
+        h /= 4
+    rows = SparseRows(np.array(indptr, np.int64), np.array(indices, np.int64), values)
     return h, rows, rng.random(n) < 0.2, draw(st.integers(0, 200))
 
 
