@@ -8,10 +8,13 @@
  * int64_t (exact, the engine's integer keys) and double (float mode),
  * giving e.g. greedy_run_i64 and greedy_run_f64. The Python side checks
  * dtypes, shapes and contiguity before passing pointers; the kernels check
- * the CSR structure themselves (rows_ok), in O(n + nnz).
+ * the CSR structure themselves (rows_ok), in O(n + nnz), and return a
+ * failure code (below -1) for input they refuse. The reference bodies in
+ * _kernels.py refuse the same input, and raise the same error for a code.
  *
  * Rows are CSR: row i holds values[indptr[i] .. indptr[i+1]) at the columns
- * in indices[...], ascending (the engine keeps the diagonal in every row).
+ * in indices[...], strictly ascending, so no column is listed twice (the
+ * engine keeps the diagonal in every row).
  * Firing state i adds its row to those columns only. The hungriest state is
  * read off a max tournament tree over blocks of BLOCK consecutive states,
  * with `leaves` (a power of two) leaves: tree[leaves + b] is the first
@@ -52,18 +55,21 @@
 #define NO_MEMORY (-3) /* the tree could not be allocated */
 
 /* There is at least one state, indptr runs from 0 up to nnz without
- * decreasing, and every index names one of the n states. */
+ * decreasing, every index names one of the n states and, with ascending
+ * set, each row's indices strictly ascend. */
 static int rows_ok(const int64_t *indptr, const int64_t *indices, int64_t n,
-                   int64_t nnz)
+                   int64_t nnz, int ascending)
 {
     if (n < 1 || indptr[0] != 0 || indptr[n] != nnz)
         return 0;
     for (int64_t i = 0; i < n; i++)
         if (indptr[i + 1] < indptr[i])
             return 0;
-    for (int64_t k = 0; k < nnz; k++)
-        if (indices[k] < 0 || indices[k] >= n)
-            return 0;
+    for (int64_t i = 0, k = 0; i < n; i++)
+        for (int64_t first = k; k < indptr[i + 1]; k++)
+            if (indices[k] < 0 || indices[k] >= n ||
+                (ascending && k > first && indices[k] <= indices[k - 1]))
+                return 0;
     return 1;
 }
 
@@ -275,7 +281,7 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
                          const uint8_t *stop, T one, const int64_t *schedule,  \
                          int64_t m, T *extrema)                                \
 {                                                                              \
-    if (!rows_ok(indptr, indices, n, nnz))                                     \
+    if (!rows_ok(indptr, indices, n, nnz, 1))                                  \
         return BAD_ROWS;                                                       \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
@@ -313,7 +319,7 @@ int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
                           int64_t *order, int64_t len)                         \
 {                                                                              \
     *lam_out = -1;                                                             \
-    if (!rows_ok(indptr, indices, n, nnz))                                     \
+    if (!rows_ok(indptr, indices, n, nnz, 1))                                  \
         return BAD_ROWS;                                                       \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
     node_##SUF *tortoise_tree =                                                \
@@ -372,23 +378,25 @@ DEFINE_KERNELS(double, f64, -HUGE_VAL)
 
 /* The rotor-router walk behind rotor_walk in _kernels.py, int64 only. The
  * rotor of state x cycles the runs run_ptr[x] .. run_ptr[x + 1] (CSR, as
- * rows_ok checks them): counts[k] slots pointing at targets[k]. It points
- * into run at[x] with left[x] slots of it left. Walks N steps from path[0]
- * into path[1 .. N], leaving at and left at the final rotors; returns N, or
- * BAD_ROWS when the arrays do not describe n states' rotors. */
+ * rows_ok checks them, in any order): counts[k] slots pointing at
+ * targets[k]. It points into run at[x] with left[x] slots of it left. Walks
+ * N steps from path[0] into path[1 .. N], leaving at and left at the final
+ * rotors; returns N, or BAD_RUNS when the arrays do not describe n states'
+ * rotors. */
+#define BAD_RUNS (-7)
 int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
                    const int64_t *targets, const int64_t *counts, int64_t n,
                    int64_t runs, int64_t *at, int64_t *left)
 {
-    if (!rows_ok(run_ptr, targets, n, runs) || path[0] < 0 || path[0] >= n)
-        return BAD_ROWS;
+    if (!rows_ok(run_ptr, targets, n, runs, 0) || path[0] < 0 || path[0] >= n)
+        return BAD_RUNS;
     for (int64_t k = 0; k < runs; k++)
         if (counts[k] < 1)
-            return BAD_ROWS;
+            return BAD_RUNS;
     for (int64_t i = 0; i < n; i++)
         if (at[i] < run_ptr[i] || at[i] >= run_ptr[i + 1] || left[i] < 1 ||
             left[i] > counts[at[i]])
-            return BAD_ROWS;
+            return BAD_RUNS;
     for (int64_t t = 0, x = path[0]; t < N; t++) {
         int64_t k = at[x];
         path[t + 1] = targets[k];

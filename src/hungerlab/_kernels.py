@@ -32,31 +32,28 @@ _kernels.<name>. The engine uses Python ints only when the keys could
 overflow int64: hunger of huge magnitude or a chain whose own
 denominators overflow, never the start's denominators alone.
 
-The rows of H come as SparseRows (CSR; a dense n x n array of rows is
-turned into SparseRows first), and a fire adds its row to the columns it
-touches only. The compiled kernels read the hungriest state off a max
-tournament tree over blocks of 8 consecutive states: each block's first
-maximal state (a linear scan with a strict '>') is a leaf, and a tie
-between nodes goes to the lower index, so the tree names the first maximal
-index, which is exactly np.argmax's choice and the tie-breaking rule (fire
-the smallest hungriest index). A fire adds its row an entry at a time: an
-entry whose hunger rose takes its block's leaf or leaves it be, in O(1),
-one whose hunger fell (in a row of H = P - I, the diagonal only) has its
-block rescanned, and a leaf that changed has its path replayed. A step
-costs one block rescan and one replay for the fired state's block, and
-O(1) plus at most one replay for each other entry: O(8 + deg * log(n / 8))
-instead of a dense row's O(n). An insertion step of the reinsertion walk
-rescans the block it takes the chip from and adds the row and the chip
-through the same update. The tree lives only in _kernels.c: a
+One input contract holds for both bodies of each kernel: the rows of H
+come as SparseRows only (CSR, each row's columns strictly ascending), and
+input that the compiled body refuses (_kernels.c's failure codes: rows
+that are not n states' CSR rows, runs that are not n states' rotors, a
+label index outside -1 .. k - 1, a denominator <= 0) the reference body
+refuses with the same exception and message, _FAILURE[code].
+tests/test_kernels.py runs both bodies on such input and on random valid
+input; the golden sha256 tables of tests/test_cli.py and
+tests/test_hunger_engine.py pin the bytes that tier-1 checks on either
+backend.
+
+A fire adds its row to the columns it touches only. The compiled kernels
+read the hungriest state off a max tournament tree over blocks of 8
+states, whose ties go to the lower index as np.argmax's do, updated an
+entry at a time: O(8 + deg * log(n / 8)) a step instead of a dense row's
+O(n). The tree lives only in _kernels.c, whose header describes it; a
 reference fire is i = np.argmax(h), then h[cols] += vals over row i's
 entries. A dense fire added +0.0 to every column, turning -0.0 hunger
 into +0.0; each kernel makes that rewrite once, before its first fire
 (h += 0 in the reference), so float runs stay bit-identical to it. The
 reference takes greedy_run's extrema over every entry a step touches; the
-compiled walk reads only the entries that can pass them, O(1) a step: the
-fired entry (on an insertion the removed and the inserted one) and the
-tree's hungriest. It is compiled once with that tracking and once
-without, so runs without extrema pay nothing for it.
+compiled walk reads only the entries that can pass them, O(1) a step.
 
 csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
@@ -64,15 +61,13 @@ estimate's exact distance from p/q, scaled). Its C body runs when Ratios
 are int64 and Deviations fit 128 bits (m^2 max(|p|, q) < 2^126, m the
 largest magnitude in their arrays); floats (repr), Python ints and wider
 Deviations take the reference body on either backend. The C body prints
-unsigned magnitudes (INT64_MIN as Python's str does), refuses a denominator
-<= 0 with ValueError, and writes a call's rows through one buffer sized
-from them, a piece at a time, never past its end.
+unsigned magnitudes (INT64_MIN as Python's str does) and writes a call's
+rows through one buffer sized from them, a piece at a time, never past
+its end.
 
 rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
 steps leaves a state at most N times, so its caller cuts every count at
-N + 1 and no count past 2^63 reaches it. Its C body checks the runs as
-the firing kernels check their rows, and raises ValueError when they do
-not describe n states' rotors.
+N + 1 and no count past 2^63 reaches it.
 """
 
 import ctypes
@@ -117,19 +112,33 @@ class _Pointer:
             return a.ctypes.data
 
 
+# Failure codes of _kernels.c. Each body raises _FAILURE[code]() for input
+# that the compiled body refuses with that code.
+_BAD_ROWS, _NO_MEMORY, _BAD_DEN, _BAD_LABEL, _NO_ROOM, _BAD_RUNS = range(-2, -8, -1)
+_FAILURE = {
+    _BAD_ROWS: partial(ValueError, "rows are not the CSR rows of n states"),
+    _NO_MEMORY: partial(MemoryError, "no memory for the tournament tree"),
+    _BAD_DEN: partial(ValueError, "csv_rows: a denominator is <= 0"),
+    _BAD_LABEL: partial(ValueError, "csv_rows: a label index is out of range"),
+    _NO_ROOM: partial(RuntimeError, "csv_rows: the row buffer is too small"),
+    _BAD_RUNS: partial(ValueError, "rotor_walk: the runs are not the rotors of n states"),
+}
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class SparseRows:
     """The rows of H = P - I in compressed sparse row form.
 
     Row i holds values[indptr[i]:indptr[i + 1]] at the columns
-    indices[indptr[i]:indptr[i + 1]], ascending; the engine keeps the
-    diagonal in every row. indptr and indices are int64, values has the
+    indices[indptr[i]:indptr[i + 1]], strictly ascending; the engine keeps
+    the diagonal in every row. indptr and indices are int64, values has the
     hunger vector's dtype (int64 keys R*D*H, float64 P - I, or Python ints),
     all 1-D and contiguous. `address` holds the arrays' data pointers for
     the compiled kernels, read once here rather than on every call (None
-    where no compiled kernel takes the dtype); the kernels check indptr and
-    indices themselves. The reference bodies' per-row table is built on
-    first use and kept, since the kernels never change the rows.
+    where no compiled kernel takes the dtype). Each kernel checks the
+    structure (rows_ok): C on every call, the reference once, when it builds
+    its per-row table on first use and keeps it (the kernels never change
+    the rows).
     """
 
     indptr: np.ndarray
@@ -152,27 +161,18 @@ class SparseRows:
             address = (_Pointer.of(indptr), _Pointer.of(indices), _Pointer.of(values))
         object.__setattr__(self, "address", address)
 
-    @classmethod
-    def of(cls, rows) -> "SparseRows":
-        """rows itself, or the nonzero entries and diagonal of rows given as
-        a dense n x n array; every kernel takes either."""
-        if isinstance(rows, cls):
-            return rows
-        dense = np.asarray(rows)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("SparseRows: dense rows must be an n x n array")
-        kept = dense != 0
-        kept[np.diag_indices(dense.shape[0])] = True
-        indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int64)
-        indices = (np.flatnonzero(kept) % dense.shape[0]).astype(np.int64)
-        return cls(indptr, indices, dense[kept])
-
-    def dense(self) -> np.ndarray:
-        """The n x n array of the rows, zeros filled in."""
-        n = self.indptr.shape[0] - 1
-        out = np.zeros((n, n), dtype=self.values.dtype)
-        out[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.values
-        return out
+    @staticmethod
+    def rows_ok(indptr, indices, ascending=True) -> bool:
+        """rows_ok of _kernels.c: at least one state, indptr running from 0
+        up to len(indices) without decreasing, every index one of the n
+        states, and with `ascending` each row's indices strictly ascending.
+        (A static method, so tracers do not count it as a kernel call.)"""
+        n, nnz = indptr.shape[0] - 1, indices.shape[0]
+        if (n < 1 or indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any()
+                or nnz and not 0 <= indices.min() <= indices.max() < n):
+            return False
+        row = np.repeat(np.arange(n), np.diff(indptr))  # row * n + index rises with both
+        return not ascending or bool((np.diff(row * n + indices) > 0).all())
 
     def table(self) -> list:
         """Per row: views of its columns and values, for the reference
@@ -182,6 +182,8 @@ class SparseRows:
         return self._table
 
     def _build_table(self) -> list:
+        if not self.rows_ok(self.indptr, self.indices):
+            raise _FAILURE[_BAD_ROWS]()
         indptr = self.indptr.tolist()
         return [
             (self.indices[a:b], self.values[a:b]) for a, b in zip(indptr, indptr[1:])
@@ -193,10 +195,10 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     the lemma's walk, which takes an absorbed chip out and reinserts it.
 
     h is mutated in place; rows are the (scaled) hunger matrix H as
-    SparseRows (or a dense n x n array). fired and v collect the firing
-    sequence and per-state counts. With an empty schedule the run ends
-    after the first fire at a state whose bool `stop` entry is set. With a
-    schedule of m >= 1 states the first step inserts the chip at
+    SparseRows. fired and v collect the firing sequence and per-state
+    counts. With an empty schedule the run ends after the first fire at a
+    state whose bool `stop` entry is set. With a schedule of m >= 1 states
+    the first step inserts the chip at
     schedule[0] (h += row s, plus `one` at s), and the step after each fire
     at a stop state k removes it (h[k] -= one) and inserts it at the next
     schedule state: insertion si goes to schedule[si % m]. An insertion
@@ -213,8 +215,8 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
         start = h.tolist()  # min and max keep the first of -0.0 and 0.0
         lo, hi = min(start), max(start)
     seq = []
+    table = rows.table()
     if steps > 0:
-        table = SparseRows.of(rows).table()
         stop = stop.tolist()
         h += 0  # -0.0 -> +0.0, as a dense fire did
     si, m = 0, len(schedule)
@@ -268,7 +270,7 @@ def brent_cycle(h0, rows, cap, order=None):
     receives the states fired in one period from the cycle entry (the
     tortoise fires them once more); a shorter one is left untouched.
     """
-    table = SparseRows.of(rows).table()
+    table = rows.table()
 
     def fire(h):
         i = np.argmax(h)
@@ -320,6 +322,11 @@ def rotor_walk(itinerary, run_ptr, targets, counts, at, left):
     the rotor wraps to the first. at and left are mutated in place to the
     final rotors. Every array is int64. Returns the steps walked.
     """
+    if not (SparseRows.rows_ok(run_ptr, targets, ascending=False)
+            and 0 <= itinerary[0] < at.shape[0] and (counts >= 1).all()
+            and ((run_ptr[:-1] <= at) & (at < run_ptr[1:]) & (left >= 1)).all()
+            and (left <= counts[at]).all()):
+        raise _FAILURE[_BAD_RUNS]()
     ptr, targets, counts = run_ptr.tolist(), targets.tolist(), counts.tolist()
     at_x, left_x = at.tolist(), left.tolist()
     x = int(itinerary[0])
@@ -388,7 +395,8 @@ def csv_rows(f, fields):
     for b > 1, as the reduced Fraction prints.
 
     Raises:
-        ValueError: a denominator is <= 0.
+        ValueError: a denominator is <= 0, or a label index is outside
+            -1 .. k - 1 for a table of k labels.
     """
     rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
                 for field in fields if not isinstance(field, str))
@@ -397,12 +405,14 @@ def csv_rows(f, fields):
         if isinstance(field, str):
             columns.append([field] * rows)
         elif isinstance(field, Labels):
+            if ((field.index < -1) | (field.index >= len(field.table))).any():
+                raise _FAILURE[_BAD_LABEL]()
             padded = ["", *field.table]
             columns.append([padded[i] for i in (field.index + 1).tolist()])
         else:
             num, den, sep = field.ratios() if isinstance(field, Deviations) else field
             if den is not None and np.any(np.asarray(den) <= 0):
-                raise ValueError("csv_rows: a denominator is <= 0")
+                raise _FAILURE[_BAD_DEN]()
             cells = []
             for col in (num if num.ndim == 2 else num[:, None]).T:
                 if den is None:
@@ -541,19 +551,8 @@ def active_backend() -> str:
 
 # The compiled kernels keep the reference signatures. Each hands object
 # state to its reference body, and otherwise checks dtypes, shapes and
-# contiguity with _Arguments.rows before handing raw pointers to C.
-# SparseRows checked its own layout when it was made (SparseRows.of makes
-# them from dense rows), and the C code checks the rows' structure,
-# returning BAD_ROWS or NO_MEMORY (below -1) when it cannot run.
-
-_BAD_ROWS, _NO_MEMORY, _BAD_DEN, _BAD_LABEL, _NO_ROOM = -2, -3, -4, -5, -6
-_FAILURE = {
-    _BAD_ROWS: partial(ValueError, "rows are not the CSR rows of n states"),
-    _NO_MEMORY: partial(MemoryError, "no memory for the tournament tree"),
-    _BAD_DEN: partial(ValueError, "csv_rows: a denominator is <= 0"),
-    _BAD_LABEL: partial(ValueError, "csv_rows: a label index is out of range"),
-    _NO_ROOM: partial(RuntimeError, "csv_rows: the row buffer is too small"),
-}
+# contiguity with _Arguments before handing raw pointers to C, which checks
+# the rows' or runs' structure and returns a _FAILURE code when it cannot run.
 
 
 class _Arguments:
@@ -565,16 +564,15 @@ class _Arguments:
     @staticmethod
     def rows(kernel, h, rows, steps=0, stop=None, fired=None, v=None,
              schedule=(), extrema=None, order=None):
-        """rows as SparseRows, once they and the other arrays fit the
-        compiled `kernel`: brent_cycle passes h, the rows and its order
-        buffer (1-D int64, writable), greedy_run adds steps, its stop mask,
-        fired, v, its schedule, whose m >= 1 entries must be states, and
-        extrema, (2,) of h's dtype.
+        """Check that rows (SparseRows of h's dtype) and the other arrays
+        fit the compiled `kernel`: brent_cycle passes h, the rows and its
+        order buffer (1-D int64, writable), greedy_run adds steps, its stop
+        mask, fired, v, its schedule, whose m >= 1 entries must be states,
+        and extrema, (2,) of h's dtype.
 
         Raises:
             ValueError: an array has the wrong dtype, shape or layout.
         """
-        rows = SparseRows.of(rows)
         n = h.shape[0]
         if not (
             h.ndim == 1 and h.dtype in _compiled and h.flags.c_contiguous
@@ -607,7 +605,6 @@ class _Arguments:
             raise ValueError(
                 f"{kernel}: arrays do not match the kernel's dtypes, shapes or layout"
             )
-        return rows
 
     @staticmethod
     def runs(itinerary, run_ptr, targets, counts, at, left) -> None:
@@ -699,9 +696,7 @@ if _compiled is not None:
             return reference.greedy_run(
                 h, rows, steps, fired, v, stop, one, schedule, extrema
             )
-        rows = _Arguments.rows(
-            "greedy_run", h, rows, steps, stop, fired, v, schedule, extrema
-        )
+        _Arguments.rows("greedy_run", h, rows, steps, stop, fired, v, schedule, extrema)
         m = len(schedule)
         k = _compiled[h.dtype].greedy_run(
             _Pointer.of(h), *rows.address, h.shape[0], rows.indices.shape[0],
@@ -717,7 +712,7 @@ if _compiled is not None:
         """Compiled reference.brent_cycle."""
         if h0.dtype == object:
             return reference.brent_cycle(h0, rows, cap, order)
-        rows = _Arguments.rows("brent_cycle", h0, rows, order=order)
+        _Arguments.rows("brent_cycle", h0, rows, order=order)
         lam = ctypes.c_int64()
         mu = _compiled[h0.dtype].brent_cycle(
             _Pointer.of(h0), *rows.address, h0.shape[0], rows.indices.shape[0],
@@ -737,7 +732,7 @@ if _compiled is not None:
             _Pointer.of(at), _Pointer.of(left),
         )
         if k < 0:
-            raise ValueError("rotor_walk: the runs are not the rotors of n states")
+            raise _FAILURE[k]()
         return k
 
     def csv_rows(f, fields):

@@ -322,6 +322,16 @@ class ReroutedChain:
     absorbing_images: frozenset
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object as a dict; a key given twice, whose first value the
+    dict would drop unread, raises ChainFormatError."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        twice = sorted({k for k in keys if keys.count(k) > 1})
+        raise ChainFormatError(f"duplicate keys {twice}")
+    return dict(pairs)
+
+
 def parse_chain(text: str) -> MarkovChain:
     """Parse a chain definition document (JSON).
 
@@ -332,10 +342,11 @@ def parse_chain(text: str) -> MarkovChain:
 
     Raises:
         ChainFormatError: on malformed documents of any kind, including
-            unknown keys, which would otherwise be dropped unread.
+            unknown and duplicate keys, which would otherwise be dropped
+            unread.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as e:
         raise ChainFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -406,9 +417,9 @@ def absorbing_states(chain: MarkovChain) -> frozenset:
     return chain._absorbing[1]
 
 
-def _reachable_from(adj, start):
-    seen = {start}
-    stack = [start]
+def _reachable_from(adj, *starts):
+    seen = set(starts)
+    stack = list(starts)
     while stack:
         i = stack.pop()
         for j in adj[i]:
@@ -427,13 +438,17 @@ def is_irreducible(chain: MarkovChain) -> bool:
     """
     ptr = chain.indptr
     adj = [chain.indices[a:b] for a, b in zip(ptr, ptr[1:])]
-    if len(_reachable_from(adj, 0)) != chain.n:
-        return False
-    radj = [[] for _ in range(chain.n)]
-    for i, targets in enumerate(adj):
-        for j in targets:
-            radj[j].append(i)
-    return len(_reachable_from(radj, 0)) == chain.n
+    return len(_reachable_from(adj, 0)) == chain.n == len(_reaching(chain, 0))
+
+
+def _reaching(chain: MarkovChain, *targets) -> set:
+    """The states with a path of positive probability to one of targets,
+    the targets included."""
+    into = [[] for _ in range(chain.n)]
+    rows = np.repeat(np.arange(chain.n), np.diff(chain.indptr)).tolist()
+    for i, j in zip(rows, chain.indices):
+        into[j].append(i)
+    return _reachable_from(into, *targets)
 
 
 def hunger_matrix(chain: MarkovChain) -> HungerMatrix:

@@ -29,6 +29,7 @@ from .chain_model import (
     _check_state,
     _count,
     _dense,
+    _reaching,
     _stationary_record,
     absorbing_states,
     is_irreducible,
@@ -212,18 +213,19 @@ def hitting_oracle(chain: MarkovChain, v: int) -> Dict[int, Scalar]:
 
     Solves the first-step equations z_x = sum_y P_xy z_y with boundary 1
     at u and 0 at the other absorbing states, all targets in one
-    elimination; exact in rational mode.
+    elimination, over the live states that reach an absorbing one (z is 0
+    at the others); exact in rational mode.
 
     Raises:
         ValueError: v is not a state index.
     """
     _check_state(chain, v)
     U = sorted(absorbing_states(chain))
-    live = [x for x in range(chain.n) if x not in set(U)]
+    live = sorted(_reaching(chain, *U) - set(U))
     idx = {x: k for k, x in enumerate(live)}
     one = Fraction(1) if chain.mode == RATIONAL else 1.0
     zero = one - one
-    if v not in idx:  # v absorbs at u, or elsewhere and never reaches u
+    if v not in idx:  # v absorbs at u, or elsewhere, or never absorbs
         return {u: one if v == u else zero for u in U}
     P = _dense(chain, zero)  # the dense system Bareiss eliminates
     A = [[(x == y) - P[x][y] for y in live] for x in live]

@@ -66,6 +66,26 @@ def random_absorbing_chain(rng: random.Random, n: int, max_den: int = 6) -> Mark
     return MarkovChain(P)
 
 
+def chain40_document() -> dict:
+    """A 40-state doubly stochastic rational chain, as a chain document:
+    state i moves to i + 1 with probability 1/2, to 7i + 3 with 1/3 and
+    stays with 1/6 (mod 40). Its 5 blocks of 8 states take the compiled
+    kernels' tournament tree past one block, and pi is uniform, so its
+    orbits cycle soon."""
+    n = 40
+    P = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        P[i][(i + 1) % n] += Fraction(1, 2)
+        P[i][(7 * i + 3) % n] += Fraction(1, 3)
+        P[i][i] += Fraction(1, 6)
+    return {"mode": "rational", "P": [[str(x) for x in row] for row in P]}
+
+
+# integers in -5 .. 5 summing to 0: the 40-state chain's start, scaled
+START40 = [5 * j % 11 - 5 for j in range(39)]
+START40.append(-sum(START40))
+
+
 def first_transient(chain: MarkovChain) -> int:
     sinks = absorbing_states(chain)
     return next(i for i in range(chain.n) if i not in sinks)
@@ -405,6 +425,25 @@ DENSE_KERNELS = SimpleNamespace(
     brent_cycle=dense_brent_cycle,
     rotor_walk=slot_list_rotor_walk,
 )
+
+
+def sparse_rows(dense) -> _kernels.SparseRows:
+    """The nonzero entries and diagonal of an n x n array of rows, as the
+    SparseRows the kernels take."""
+    dense = np.asarray(dense)
+    kept = dense != 0
+    kept[np.diag_indices(dense.shape[0])] = True
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int64)
+    indices = (np.flatnonzero(kept) % dense.shape[0]).astype(np.int64)
+    return _kernels.SparseRows(indptr, indices, dense[kept])
+
+
+def dense_rows(rows: _kernels.SparseRows) -> np.ndarray:
+    """The n x n array of SparseRows, zeros filled in, for DENSE_KERNELS."""
+    n = rows.indptr.shape[0] - 1
+    out = np.zeros((n, n), dtype=rows.values.dtype)
+    out[np.repeat(np.arange(n), np.diff(rows.indptr)), rows.indices] = rows.values
+    return out
 
 
 # bound once: tests swap hunger_engine._scaled for dense_scaled

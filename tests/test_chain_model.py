@@ -120,6 +120,16 @@ def test_parse_rejects_unknown_keys_and_non_array_states():
     assert parse_chain('{"mode": "rational", "P": [["1"]], "states": ["a"]}').labels == ("a",)
 
 
+def test_parse_rejects_duplicate_keys():
+    # json.loads keeps a key's last value: the first P would be dropped
+    with pytest.raises(ChainFormatError, match=r"duplicate keys \['P'\]"):
+        parse_chain(
+            '{"mode": "rational", "P": [["1"]], "P": [["1/2", "1/2"], ["1/2", "1/2"]]}'
+        )
+    with pytest.raises(ChainFormatError, match=r"duplicate keys \['mode'\]"):
+        parse_chain('{"mode": "float", "P": [[1.0]], "mode": "rational"}')
+
+
 def test_parse_mode_mismatch():
     # float literals inside a rational document
     with pytest.raises(ChainFormatError):

@@ -13,6 +13,7 @@ import pytest
 
 from hungerlab import cli, estimators, hunger_engine, parse_chain
 from hungerlab.cli import main
+from oracles import START40, chain40_document
 
 CHAINS = Path(__file__).resolve().parent.parent / "chains"
 REFLECT = str(CHAINS / "reflecting3.json")
@@ -545,6 +546,17 @@ def test_unknown_document_key_exit_code(tmp_path, capsys):
     assert "unknown keys ['labels']" in err
 
 
+def test_duplicate_document_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"mode": "rational", "P": [["1"]], "P": [["1/2", "1/2"], ["1/2", "1/2"]]}'
+    )
+    code, out, err = run_cli(capsys, "validate", "--chain", str(path))
+    assert code == 2
+    assert out == ""
+    assert "duplicate keys ['P']" in err
+
+
 def test_hunger_accepts_decimal_tokens(capsys):
     # decimal strings are exact in rational mode: 1.5 is 3/2
     code, out, err = run_cli(
@@ -565,15 +577,50 @@ def _wide_row(*counts):
     return [f"{c}/2097143" if c else "0" for c in counts]
 
 
-# every row over the prime 2097143 (about 2^21): the exact hitting and
-# absorption values from v2 have 42-bit denominators, the escape value 63
-WIDE_CHAINS = {"WIDE": {"mode": "rational", "P": [
-    _wide_row(0, 1000000, 1097142, 1), _wide_row(700001, 0, 1000000, 397142),
-    _wide_row(3, 1048571, 0, 1048569), _wide_row(999999, 1, 1097143, 0),
-]}}
-WIDE_CHAINS["WIDE_SINKS"] = {"mode": "rational", "P": [
-    ["1", "0", "0", "0"], *WIDE_CHAINS["WIDE"]["P"][1:3], ["0", "0", "0", "1"],
+A65, D70 = 2**64 + 13, 2**70
+# chain documents the golden tables name; chain_file writes them out
+GENERATED = {
+    # every row over the prime 2097143 (about 2^21): the exact hitting and
+    # absorption values from v2 have 42-bit denominators, the escape value 63
+    "WIDE": {"mode": "rational", "P": [
+        _wide_row(0, 1000000, 1097142, 1), _wide_row(700001, 0, 1000000, 397142),
+        _wide_row(3, 1048571, 0, 1048569), _wide_row(999999, 1, 1097143, 0),
+    ]},
+    # exact values with 65-bit denominators: p and q reach the C deviation
+    # cells as 128-bit words, and every N * deviation shortlists in sup_Nd,
+    # where floats cannot order the rows
+    "SINKS65": {"mode": "rational", "P": [
+        ["1", "0", "0"], [f"{A65 - 2}/{A65}", f"1/{A65}", f"1/{A65}"], ["0", "0", "1"],
+    ]},
+    "LOOP65": {"mode": "rational", "P": [[f"1/{A65}", f"{A65 - 1}/{A65}"], ["1/2", "1/2"]]},
+    # a row entry of 1/2^70: d_1 = 2^70 rotor slots
+    "BIG70": {"mode": "rational", "P": [[f"1/{D70}", f"{D70 - 1}/{D70}"], ["1/2", "1/2"]]},
+    # pi = (2, 4097) / 4099: a period of 4099 fires, longer than find_cycle's
+    # order buffer, so its order is fired a second time
+    "LONG_PERIOD": {"mode": "rational", "P": [["1/2", "1/2"], ["1/4097", "4096/4097"]]},
+    "C40": chain40_document(),
+    "QUOTED": {
+        "mode": "rational",
+        "states": ["a,b", 'say "hi"', "end"],
+        "P": [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "0", "1"]],
+    },
+}
+GENERATED["WIDE_SINKS"] = {"mode": "rational", "P": [
+    ["1", "0", "0", "0"], *GENERATED["WIDE"]["P"][1:3], ["0", "0", "0", "1"],
 ]}
+H40 = "--h0=" + ",".join(f"{x}/7" for x in START40)
+H40_FLOAT = "--h0=" + ",".join(repr(x / 8) for x in START40)
+
+
+def chain_file(tmp_path, chain):
+    """chain itself, or the path of the GENERATED document it names,
+    written into tmp_path."""
+    if chain not in GENERATED:
+        return chain
+    path = tmp_path / f"{chain}.json"
+    path.write_text(json.dumps(GENERATED[chain]))
+    return str(path)
+
 
 GOLDEN_SWEEPS = [
     ("stationary", REFLECT, (), "rational",
@@ -635,17 +682,23 @@ GOLDEN_SWEEPS = [
     ("escape", "WIDE", ("--from", "v1", "--target", "v4"), "rational",
      "6ece6ee999d89be5ad8a6d4393d8de664642285b15ce5f296542b95177fd1964",
      "3915c69c394e309d0cb8289f381517f44218e9d0012067e7ad4cf4c01b441184"),
+    ("hitting", "SINKS65", ("--from", "v2", "--target", "v1"), "rational",
+     "71efda17998de7a213c2e67d7048da89ff4145f577aca933d7c5546753f29cb3",
+     "3e8f9575a9488170c41e701255a414558b851779575ca06433eddf85a934f9c2"),
+    ("absorb", "SINKS65", ("--from", "v2"), "rational",
+     "5e5aece0565f2347c1a298ea8b8b386da95c997a3850481e2af54f159882d0ad",
+     "d8d68ba6147cc6b97154eea587c57152ab83a2d983c02dceeb6a40b411877245"),
+    ("escape", "LOOP65", ("--from", "v1", "--target", "v2"), "rational",
+     "ff7b351e7308fdeb864a7c80ce183192532ea84db48accf6e06ff67d65ac65a6",
+     "bb730aa816f415c8b5747dc0b9ec86e4fdc88df82ae7a06bf535adf3f659cdf4"),
 ]
 
 
 @pytest.mark.parametrize("sub, chain, extra, mode, out_sha, err_sha", GOLDEN_SWEEPS)
 def test_sweep_output_unchanged(tmp_path, capsys, sub, chain, extra, mode, out_sha, err_sha):
-    if chain in WIDE_CHAINS:
-        path = tmp_path / f"{chain}.json"
-        path.write_text(json.dumps(WIDE_CHAINS[chain]))
-        chain = str(path)
     code, out, err = run_cli(
-        capsys, sub, "--chain", chain, "--mode", mode, *extra, "--N", "20000"
+        capsys, sub, "--chain", chain_file(tmp_path, chain), "--mode", mode, *extra,
+        "--N", "20000",
     )
     assert code == 0
     assert out.count("\n") == 20001
@@ -687,11 +740,6 @@ def test_stationary_with_lcd_above_int64(tmp_path, capsys):
 # stderr); the step counts straddle the writer's PROFILE_CHUNK boundary
 
 BIG_X = "4611686018427387905/1099511627776"  # (2**62 + 1) / 2**40
-QUOTED_CHAIN = {
-    "mode": "rational",
-    "states": ["a,b", 'say "hi"', "end"],
-    "P": [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "0", "1"]],
-}
 
 GOLDEN_TRACES = [
     (("simulate", REFLECT, "--steps", "3000"),
@@ -740,16 +788,21 @@ GOLDEN_TRACES = [
     (("chip-add", "QUOTED", "--at", "a,b"),
      "f5ec8e335b74926a66cb60a21561a634c4eb65c8b48ca4ad0c3c62c2af668c0a",
      "2beb0b02bf91cc0a58b3802def3e9c43d1c1a4d900098471006bd59961b6c223"),
+    # 40 states, five blocks of eight: the compiled kernels fire through a
+    # tournament tree of several blocks
+    (("simulate", "C40", H40, "--steps", "10000"),
+     "5307bd148d0638f188c33047764c105f6d8f30a930529d8609817f951df234d8",
+     "de8ff209fa4a5daf2f4e8735d2fb2ab8b42a5433689662c04d3fdb3b658b0aff"),
+    (("simulate", "C40", "--mode", "float", H40_FLOAT, "--steps", "10000"),
+     "a1033a9cd7b22774aa5b6adaa4af760d524eeecdaa5a55522eda5289eb3c6d12",
+     "c236e09a32c745dc5c551c714a67c0dbf3231e719b02cffbf0c487925738500e"),
 ]
 
 
 @pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_TRACES)
 def test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
     sub, chain, *extra = argv
-    if chain == "QUOTED":
-        chain = str(tmp_path / "quoted.json")
-        Path(chain).write_text(json.dumps(QUOTED_CHAIN))
-    code, out, err = run_cli(capsys, sub, "--chain", chain, *extra)
+    code, out, err = run_cli(capsys, sub, "--chain", chain_file(tmp_path, chain), *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
@@ -772,16 +825,20 @@ GOLDEN_ROTORS = [
     (("QUOTED", "--start", "a,b", "--N", "40"),
      "7acc7c74858e8dd76ab645924aae7cf1d511c119f0c523630623c075f9893373",
      "c8e87e5e5d9af1cbcc000ceb0e4f67213d479fbcfb3bfb0d47b5e7509b4be5ea"),
+    ((DEMO, "--start", "v2", "--rotors", "3,1,4", "--N", "40000"),
+     "f37c974b9c9824c729c08b304b2f8b999f9b217a36a615ef162ce69421159c7c",
+     "6c2d4d3c7859eab011526904c50e107eff64ad4c51b43e5b8c9311415bc53478"),
+    # the rotor of v1 in the last of its 2^70 - 1 slots to v2
+    (("BIG70", "--start", "v1", "--rotors", f"{D70 - 1},1", "--N", "40000"),
+     "e6bbb21bf7b23ebe6a8d74aec15cd0a23bc80c67e391dbe257362c3edef44e5a",
+     "38edad961c20352135c29a4ce922177c724b77a770068d6495ae19d0cc8369c9"),
 ]
 
 
 @pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_ROTORS)
 def test_rotor_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha):
     chain, *extra = argv
-    if chain == "QUOTED":
-        chain = str(tmp_path / "quoted.json")
-        Path(chain).write_text(json.dumps(QUOTED_CHAIN))
-    code, out, err = run_cli(capsys, "rotor", "--chain", chain, *extra)
+    code, out, err = run_cli(capsys, "rotor", "--chain", chain_file(tmp_path, chain), *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
@@ -864,30 +921,25 @@ GOLDEN_COMMANDS = [
     (("conjectures", "--chain", DEMO),
      "11d9bc489afb8b99bac2da926d8fdf029c61695af19c089ca807ce6edc6dd588",
      "98c407cc0d4d34e8992237c39590c408f7e5defc94a3aea9eab5272ef7942379"),
+    (("cycle", "--chain", "LONG_PERIOD", "--h0=7/3,-7/3"),
+     "239d4d9465b7ed0f97a2af469fe53268036202008b018152c341bc52d7a09872",
+     "4931c2266a3ce38b61e66ac7c02e008039404dbbc9c682f809629c461b2095b9"),
+    (("cycle", "--chain", "C40", H40),
+     "9fb914aa5e77ee6ebc54ee3aca6951612954c8156c2b2e1139863d2459442b6a",
+     "e1b37760544f9840a9e8b9688be4c005d6689f482b1b0df88534d4f253368e36"),
 ]
 
 
 @pytest.mark.parametrize("argv, out_sha, err_sha", GOLDEN_COMMANDS)
 def test_command_output_unchanged(tmp_path, capsys, monkeypatch, argv, out_sha, err_sha):
     monkeypatch.chdir(tmp_path)  # a relative --output keeps stderr fixed
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *(chain_file(tmp_path, a) for a in argv))
     assert code == 0
     if "--output" in argv:
         path = tmp_path / argv[argv.index("--output") + 1]
         out += path.read_text() + Path(f"{path}.classes").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
-
-
-@pytest.mark.parametrize("argv, out_sha, err_sha", [
-    GOLDEN_TRACES[i] for i in (2, 5, 9, 10)  # float, big-int, 16385 steps, chip-add
-])
-def test_traces_build_no_dense_rows(tmp_path, capsys, monkeypatch, argv, out_sha, err_sha):
-    def dense(self):
-        raise AssertionError("a trace built the n x n rows")
-
-    monkeypatch.setattr(hunger_engine._kernels.SparseRows, "dense", dense)
-    test_trace_output_unchanged(tmp_path, capsys, argv, out_sha, err_sha)
 
 
 def test_main_builds_its_parser_once():

@@ -136,6 +136,21 @@ def test_hitting_oracle_eliminates_once_for_all_targets(absorbing_walk5, monkeyp
     assert len(calls) == 1
 
 
+def test_hitting_oracle_solves_only_where_absorption_is_reachable():
+    """v2 and v3 pass the chip between them and never absorb, so their
+    hitting probability is 0, and from v4 the chance of v1 is the 1/2 of
+    stepping there at once. Solving over v2 and v3 as well would leave a
+    singular system whose free variable is set to 0."""
+    h = F(1, 2)
+    P = [[1, 0, 0, 0], [0, h, h, 0], [0, h, h, 0], [h, h, 0, 0]]
+    rational = MarkovChain(P)
+    as_float = MarkovChain([[float(x) for x in row] for row in P], mode="float")
+    assert repr(hitting_oracle(rational, 3)) == "{0: Fraction(1, 2)}"
+    assert repr(hitting_oracle(as_float, 3)) == "{0: 0.5}"
+    for chain in (rational, as_float):
+        assert hitting_oracle(chain, 1) == hitting_oracle(chain, 2) == {0: 0}
+
+
 def test_hitting_oracle_matches_float_solve():
     rng = random.Random(71)
     for _ in range(12):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -34,6 +36,7 @@ from hungerlab import (
     hunger_matrix,
     hungriest_index,
     lazy_run,
+    make_absorbing,
     parse_chain,
     rotor_run,
     run,
@@ -43,7 +46,10 @@ from hungerlab import (
 )
 from hungerlab import hunger_engine
 from hungerlab.hunger_engine import SparseHunger
-from oracles import doubling_chip_add, random_absorbing_chain, random_irreducible_chain
+from oracles import (
+    chain40_document, dense_rows, doubling_chip_add, random_absorbing_chain,
+    random_irreducible_chain,
+)
 
 F = Fraction
 
@@ -385,6 +391,24 @@ def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
     assert peak < 5 * 2**20
 
 
+def test_chip_add_refuses_a_float_fixed_point_at_a_live_state(monkeypatch):
+    """From (1e20, -1e20, 0) a fire at v1 of a float chain adds -1/2 and
+    1/2, which round away: v1 fires forever without changing h. Brent's
+    finder sees a fixed point (period 1), and the fire that reaches it is
+    at v1, which does not absorb: CapExceeded, not an absorption."""
+    chain = MarkovChain([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]], mode=FLOAT)
+    runs = []
+    greedy_run = hunger_engine._kernels.greedy_run
+    monkeypatch.setattr(
+        hunger_engine._kernels, "greedy_run",
+        lambda *args: runs.append(args[2]) or greedy_run(*args),
+    )
+    with pytest.raises(CapExceeded) as err:
+        chip_add(chain, (1e20, -1e20, 0.0), 0, cap=10**6)
+    assert err.value.cap == 10**6
+    assert runs == [hunger_engine._FIRST_FIRES, 1]  # the first run, then mu + 1 fires
+
+
 def test_chip_add_stops_at_a_cycle_past_a_transient(monkeypatch):
     """From (1000, -1000, 0) the chip at v1 of the chain above fires about
     2000 steps before its orbit closes with period 2. Past a first run of
@@ -490,6 +514,29 @@ def test_reinsertion_sentinels_and_counts(absorbing_walk5):
     assert all(f == -1 or 0 <= f < absorbing_walk5.n for f in fired)
 
 
+@pytest.mark.parametrize("name, mode, digest", [
+    ("two_sinks5", RATIONAL, "c8dc8b2bc194eca14d689e74b8682727b9973097d369165502ee5526c32d2912"),
+    ("two_sinks5", FLOAT, "875426a40cc28b4b5ca76b9f97a0226176b2328bfae03824907a1c78d6aa9c9d"),
+    ("sinks40", RATIONAL, "0717238783f4d34054dfb9b0c44b42ec5095a59cfe39e4133f1f7c927e7701e3"),
+    ("sinks40", FLOAT, "79b1c2d49a16b1a59860580605b5e747d76a068dd71e4a566be50c954df89922"),
+])
+def test_reinsertion_walk_unchanged(two_sinks5, name, mode, digest):
+    """40000 steps of the walk pinned by sha256, on either backend: the
+    firing sequence's own sha256, the counts, insertions, extrema and final
+    vector. sinks40 is the 40-state chain with states 1 and 21 made
+    absorbing, which takes the compiled tree past one block."""
+    chain, schedule = two_sinks5, [1, 2]
+    if name == "sinks40":
+        c40 = parse_chain(json.dumps(chain40_document()))
+        chain, schedule = make_absorbing(make_absorbing(c40, 0), 20), [5, 17, 33]
+    if mode == FLOAT:
+        chain = MarkovChain([[float(x) for x in row] for row in chain.P], chain.labels, FLOAT)
+    t = run_with_reinsertion(chain, None, schedule, 40000)
+    record = (hashlib.sha256(t.fired.tobytes()).hexdigest(), t.v.tolist(),
+              t.insertions, t.min_h, t.max_h, t.final_h)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
 def test_reinsertion_min_includes_initial(absorbing_walk5):
     h0 = (F(0), F(-2), F(1), F(0), F(1))
     t = run_with_reinsertion(absorbing_walk5, h0, [2], 1)
@@ -580,7 +627,7 @@ def test_zero_start_keys_are_scaled_hunger(basin_demo3):
     assert (keys.R, keys.M, keys.unit, keys.S) == (1, 1, D, D)
     assert g.tolist() == [0] * 3
     H = hunger_matrix(basin_demo3).H
-    assert rows.dense().tolist() == [[D * x for x in row] for row in H]
+    assert dense_rows(rows).tolist() == [[D * x for x in row] for row in H]
     # CSR: each row's nonzero entries and its diagonal, columns ascending
     kept = [[j for j, x in enumerate(row) if x or i == j] for i, row in enumerate(H)]
     assert rows.indptr.tolist() == [0, *itertools.accumulate(map(len, kept))]

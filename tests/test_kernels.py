@@ -29,7 +29,7 @@ from hungerlab import _kernels
 from hungerlab._kernels import SparseRows
 from hungerlab.chain_model import fmt_scalar
 from hungerlab.cli import PROFILE_CHUNK, _quoted
-from oracles import DENSE_KERNELS
+from oracles import DENSE_KERNELS, dense_rows, sparse_rows
 
 compiled = pytest.mark.skipif(
     _kernels.active_backend() != "c", reason="the C kernels are not loaded"
@@ -72,17 +72,17 @@ def cases(draw):
 
 
 def run_all(name, h, rows, *rest):
-    """Run kernel `name` on each sparse implementation, given SparseRows and
-    given the dense rows (which it turns into SparseRows), and on the dense
-    oracle, each on its own copy of the array arguments. rows may be dense
-    or SparseRows, which may hold explicit zeros.
+    """Run kernel `name` on each sparse implementation, given SparseRows,
+    and on the dense oracle, given the n x n rows, each on its own copy of
+    the array arguments. rows may be dense or SparseRows, which may hold
+    explicit zeros.
 
     Returns [(result, args), ...], args without the rows, with the dense
     oracle's last.
     """
-    sparse = SparseRows.of(rows)
-    dense = sparse.dense() if rows is sparse else rows
-    runs = [(getattr(k, name), r) for k in SPARSE for r in (sparse, dense)]
+    sparse = rows if isinstance(rows, SparseRows) else sparse_rows(rows)
+    dense = dense_rows(rows) if rows is sparse else rows
+    runs = [(getattr(k, name), sparse) for k in SPARSE]
     runs.append((getattr(DENSE_KERNELS, name), dense))
     out = []
     for fn, r in runs:
@@ -146,7 +146,7 @@ def test_brent_cycle_writes_the_period_order(case):
     h, rows, _, _, _, steps = case
     n, cap, guard = h.shape[0], 10 * steps, -7
     for brent in [k.brent_cycle for k in SPARSE] + [DENSE_KERNELS.brent_cycle]:
-        r = rows if brent is DENSE_KERNELS.brent_cycle else SparseRows.of(rows)
+        r = rows if brent is DENSE_KERNELS.brent_cycle else sparse_rows(rows)
         entry = h.copy()
         mu, lam = map(int, brent(entry, r, cap))
         expected = np.zeros(max(lam, 0), np.int64)
@@ -304,7 +304,7 @@ def test_reference_on_python_ints_matches_int64(case):
     the same results and writes the same arrays."""
     h, dense, absorbing, one, schedule, steps = case
     n = h.shape[0]
-    rows = SparseRows.of(dense)
+    rows = sparse_rows(dense)
     big_h = h.astype(object) * BIG
     big_rows = SparseRows(rows.indptr, rows.indices, rows.values.astype(object) * BIG)
 
@@ -394,17 +394,11 @@ def test_sparse_rows_reject_other_layouts():
     ):
         with pytest.raises(ValueError):
             SparseRows(*bad)
-    for bad in (np.zeros((2, 3), np.int64), np.zeros(2, np.int64)):
-        with pytest.raises(ValueError):
-            SparseRows.of(bad)
-    rows = SparseRows(indptr, indices, values)
-    assert rows.dense().tolist() == [[-1, 0], [0, -1]]
-    assert SparseRows.of(rows) is rows
 
 
 @compiled
 def test_read_only_rows_fire_as_writable_ones():
-    rows = SparseRows.of(np.array([[-2, 1, 1], [1, -1, 0], [1, 1, -2]]))
+    rows = sparse_rows(np.array([[-2, 1, 1], [1, -1, 0], [1, 1, -2]]))
     arrays = [a.copy() for a in (rows.indptr, rows.indices, rows.values)]
     for a in arrays:
         a.flags.writeable = False
@@ -416,57 +410,43 @@ def test_read_only_rows_fire_as_writable_ones():
     assert runs[0] == runs[1]
 
 
-@compiled
-def test_compiled_kernels_reject_mismatched_arrays():
-    h = np.zeros(3, dtype=np.int64)
-    dense = np.zeros((3, 3), dtype=np.int64)
-    rows = SparseRows.of(dense)
-    v = np.zeros(3, dtype=np.int64)
-    stop = np.zeros(3, dtype=np.bool_)
-    fired = np.zeros(1, np.int64)
-    for bad in (
-        (h, SparseRows.of(dense.astype(np.float64)), 1, fired, v, stop),
-        (h, rows, 5, np.zeros(4, np.int64), v, stop),
-        (h.astype(np.int32), SparseRows.of(dense.astype(np.int32)), 1, fired, v, stop),
-        (h, rows, 1, fired, v, stop.astype(np.uint8)),
-        (h, rows, 1, fired, v, np.zeros(4, np.bool_)),
-        (h, SparseRows.of(np.zeros((2, 2), np.int64)), 1, fired, v, stop),
+def refusals(call):
+    """The messages of the ValueErrors call(body) raises on the reference
+    body and on _kernels, the compiled body on the C backend: one message
+    when both refuse alike."""
+    messages = set()
+    for body in (_kernels.reference, _kernels):
+        with pytest.raises(ValueError) as info:
+            call(body)
+        messages.add(str(info.value))
+    return messages
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 2, 3], [0, 3, 2]),  # a column past the last state
+    ([0, 2, 1, 3], [0, 1, 2]),  # a row ending before it starts
+    ([0, 1, 2, 2], [0, 1, 2]),  # an entry past the last row
+    ([0, 2, 3, 4], [1, 0, 1, 2]),  # a row's columns descending
+    ([0, 3, 5], [0, 1, 1, 0, 1]),  # a column listed twice, added once by h[cols] +=
+])
+def test_kernels_refuse_rows_that_are_not_csr(indptr, indices):
+    """Well-formed arrays that are not n states' CSR rows, columns strictly
+    ascending: both bodies of greedy_run (with no steps, with steps and on
+    the reinsertion walk) and of brent_cycle raise the same ValueError."""
+    n = len(indptr) - 1
+    rows = SparseRows(np.array(indptr), np.array(indices), np.ones(len(indices), np.int64))
+    h, fired = np.arange(n), np.zeros(3, np.int64)
+    v, stop = np.zeros(n, np.int64), np.zeros(n, np.bool_)
+    for call in (
+        lambda body: body.greedy_run(h.copy(), rows, 0, fired, v, stop),
+        lambda body: body.greedy_run(h.copy(), rows, 3, fired, v, stop),
+        lambda body: body.greedy_run(
+            h.copy(), rows, 3, fired, v, stop, np.int64(1), np.array([0, 1]),
+            np.zeros(2, np.int64),
+        ),
+        lambda body: body.brent_cycle(h.copy(), rows, 10),
     ):
-        with pytest.raises(ValueError):
-            _kernels.greedy_run(*bad)
-    # well-formed arrays that do not describe three rows: the C code checks
-    for indptr, indices in (
-        ([0, 1, 2, 3], [0, 3, 2]),  # a column past the last state
-        ([0, 2, 1, 3], [0, 1, 2]),  # a row ending before it starts
-        ([0, 1, 2, 2], [0, 1, 2]),  # an entry past the last row
-    ):
-        bad = SparseRows(np.array(indptr), np.array(indices), np.zeros(3, np.int64))
-        with pytest.raises(ValueError):
-            _kernels.greedy_run(h, bad, 1, fired, v, stop)
-        with pytest.raises(ValueError):
-            _kernels.brent_cycle(h, bad, 10)
-        with pytest.raises(ValueError):
-            _kernels.greedy_run(
-                h, bad, 1, fired, v, stop, np.int64(1), np.array([0, 1]),
-                np.zeros(2, np.int64),
-            )
-    with pytest.raises(ValueError):
-        _kernels.brent_cycle(h, SparseRows.of(np.zeros((4, 4), np.int64)), 10)
-    frozen = np.zeros(4, np.int64)
-    frozen.flags.writeable = False
-    for order in (np.zeros(4, np.int32), np.zeros((2, 2), np.int64),
-                  np.zeros(8, np.int64)[::2], frozen, [0, 0, 0, 0]):
-        with pytest.raises(ValueError):
-            _kernels.brent_cycle(h, rows, 10, order)
-    for schedule, extrema in (
-        (np.array([0, 3]), np.zeros(2, np.int64)),  # a state past the last
-        (np.array([0, 1]), np.zeros(2, np.float64)),  # extrema not h's dtype
-        (np.array([0, 1]), np.zeros(3, np.int64)),
-    ):
-        with pytest.raises(ValueError):
-            _kernels.greedy_run(
-                h, rows, 1, fired, v, stop, np.int64(1), schedule, extrema
-            )
+        assert refusals(call) == {"rows are not the CSR rows of n states"}
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +531,15 @@ def test_rotor_walk_on_a_ring():
     assert np.isin((np.diff(expected_args[0]) % n), (1, n - 1)).all()
 
 
-@compiled
-def test_compiled_rotor_walk_rejects_malformed_runs():
-    """Arrays that do not fit the kernel, and runs that do not describe n
-    states' rotors, raise ValueError before the walk reads past them."""
-    good = ([0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1])
-    assert _kernels.rotor_walk(*rotor_arrays(0, 4, *good)) == 4
-    for start, run_ptr, targets, counts, at, left in (
+GOOD_RUNS = ([0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1])
+
+
+def test_rotor_walk_rejects_malformed_runs():
+    """Runs that do not describe n states' rotors: both bodies raise the
+    same ValueError before the walk reads past them."""
+    for body in (_kernels.reference, _kernels):
+        assert body.rotor_walk(*rotor_arrays(0, 4, *GOOD_RUNS)) == 4
+    for runs in (
         (0, [1, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # run_ptr[0] != 0
         (0, [0, 2, 2], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # run_ptr[n] != runs
         (0, [0, 3, 2], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # decreasing
@@ -570,9 +552,50 @@ def test_compiled_rotor_walk_rejects_malformed_runs():
         (0, [0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [4, 1]),  # more left than slots
         (2, [0, 2, 3], [1, 0, 0], [2, 3, 1], [1, 2], [1, 1]),  # a start past n
     ):
-        with pytest.raises(ValueError, match="not the rotors of n states"):
-            _kernels.rotor_walk(*rotor_arrays(start, 4, run_ptr, targets, counts, at, left))
-    itinerary, *runs = rotor_arrays(0, 4, *good)
+        start, *arrays = runs
+        assert refusals(lambda body: body.rotor_walk(*rotor_arrays(start, 4, *arrays))) == {
+            "rotor_walk: the runs are not the rotors of n states"
+        }
+
+
+@compiled
+def test_compiled_kernels_reject_mismatched_arrays():
+    """Arrays that do not fit a compiled kernel's dtypes, shapes or layout:
+    the C wrappers refuse them before handing pointers to C."""
+    h = np.zeros(3, dtype=np.int64)
+    dense = np.zeros((3, 3), dtype=np.int64)
+    rows = sparse_rows(dense)
+    v = np.zeros(3, dtype=np.int64)
+    stop = np.zeros(3, dtype=np.bool_)
+    fired = np.zeros(1, np.int64)
+    for bad in (
+        (h, sparse_rows(dense.astype(np.float64)), 1, fired, v, stop),
+        (h, rows, 5, np.zeros(4, np.int64), v, stop),
+        (h.astype(np.int32), sparse_rows(dense.astype(np.int32)), 1, fired, v, stop),
+        (h, rows, 1, fired, v, stop.astype(np.uint8)),
+        (h, rows, 1, fired, v, np.zeros(4, np.bool_)),
+        (h, sparse_rows(np.zeros((2, 2), np.int64)), 1, fired, v, stop),
+    ):
+        with pytest.raises(ValueError):
+            _kernels.greedy_run(*bad)
+    with pytest.raises(ValueError):
+        _kernels.brent_cycle(h, sparse_rows(np.zeros((4, 4), np.int64)), 10)
+    frozen = np.zeros(4, np.int64)
+    frozen.flags.writeable = False
+    for order in (np.zeros(4, np.int32), np.zeros((2, 2), np.int64),
+                  np.zeros(8, np.int64)[::2], frozen, [0, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            _kernels.brent_cycle(h, rows, 10, order)
+    for schedule, extrema in (
+        (np.array([0, 3]), np.zeros(2, np.int64)),  # a state past the last
+        (np.array([0, 1]), np.zeros(2, np.float64)),  # extrema not h's dtype
+        (np.array([0, 1]), np.zeros(3, np.int64)),
+    ):
+        with pytest.raises(ValueError):
+            _kernels.greedy_run(
+                h, rows, 1, fired, v, stop, np.int64(1), schedule, extrema
+            )
+    itinerary, *runs = rotor_arrays(0, 4, *GOOD_RUNS)
     read_only = itinerary.copy()
     read_only.flags.writeable = False
     for bad in (
@@ -676,9 +699,19 @@ def test_csv_rows_wider_than_a_piece():
 @pytest.mark.parametrize("den", [0, -1, INT64_MIN, np.array([3, 0]), np.array([2, -3])])
 def test_csv_rows_refuse_denominators_below_one(den):
     fields = [_kernels.Ratios(np.array([1, 2]), den)]
-    for body in (_kernels, _kernels.reference):
-        with pytest.raises(ValueError, match="denominator"):
-            written(body, fields)
+    assert refusals(lambda body: written(body, fields)) == {"csv_rows: a denominator is <= 0"}
+
+
+@pytest.mark.parametrize("index", [-2, 3])
+def test_csv_rows_refuse_label_indices_out_of_range(index):
+    """Index -1 writes an empty field; one below it or past the k = 3
+    labels is refused alike by both bodies, whether the other fields take
+    the C body (int64) or the reference (float cells)."""
+    labels = _kernels.Labels(LABELS[:3], np.array([0, -1, index]))
+    for other in (_kernels.Ratios(np.arange(3), 1), _kernels.Ratios(np.ones(3), None)):
+        assert refusals(lambda body: written(body, [labels, other])) == {
+            "csv_rows: a label index is out of range"
+        }
 
 
 def deviation_cells(field):
@@ -773,9 +806,7 @@ def test_wide_deviations_take_the_reference_body(num, p, q, c):
     field = _kernels.Deviations(np.array([num, 3]), np.array([1, 3]), p, q, np.array([1, 1]))
     assert (_kernels._Arguments.fields([field]) is not None) == c
     if q <= 0:
-        for body in (_kernels, _kernels.reference):
-            with pytest.raises(ValueError, match="denominator"):
-                written(body, [field])
+        assert refusals(lambda body: written(body, [field])) == {"csv_rows: a denominator is <= 0"}
         return
     expected = "".join(cell + "\n" for cell in deviation_cells(field))
     for body in (_kernels, _kernels.reference):
@@ -785,9 +816,7 @@ def test_wide_deviations_take_the_reference_body(num, p, q, c):
 @pytest.mark.parametrize("den", [np.array([3, 0]), np.array([2, -3])])
 def test_deviation_cells_refuse_denominators_below_one(den):
     fields = [_kernels.Deviations(np.array([1, 2]), den, 1, 3)]
-    for body in (_kernels, _kernels.reference):
-        with pytest.raises(ValueError, match="denominator"):
-            written(body, fields)
+    assert refusals(lambda body: written(body, fields)) == {"csv_rows: a denominator is <= 0"}
 
 
 # ---------------------------------------------------------------------------
