@@ -8,13 +8,15 @@
  * int64_t (exact, the engine's integer keys) and double (float mode),
  * giving e.g. greedy_run_i64 and greedy_run_f64. The Python side checks
  * dtypes, shapes and contiguity before passing pointers; the kernels check
- * the CSR structure themselves (rows_ok), in O(n + nnz), and return a
- * failure code (below -1) for input they refuse. The reference bodies in
- * _kernels.py refuse the same input, and raise the same error for a code.
+ * that the CSR arrays stay in bounds themselves (rows_ok), in O(n + nnz),
+ * and return a failure code (below -1) for input they refuse. The
+ * reference bodies in _kernels.py refuse the same input with the error
+ * _FAILURE gives for that code.
  *
  * Rows are CSR: row i holds values[indptr[i] .. indptr[i+1]) at the columns
- * in indices[...], strictly ascending, so no column is listed twice (the
- * engine keeps the diagonal in every row).
+ * in indices[...], strictly ascending, so no column is listed twice
+ * (SparseRows checks that when it is made; the engine keeps the diagonal in
+ * every row).
  * Firing state i adds its row to those columns only. The hungriest state is
  * read off a max tournament tree over blocks of BLOCK consecutive states,
  * with `leaves` (a power of two) leaves: tree[leaves + b] is the first
@@ -55,21 +57,18 @@
 #define NO_MEMORY (-3) /* the tree could not be allocated */
 
 /* There is at least one state, indptr runs from 0 up to nnz without
- * decreasing, every index names one of the n states and, with ascending
- * set, each row's indices strictly ascend. */
+ * decreasing, and every index names one of the n states. */
 static int rows_ok(const int64_t *indptr, const int64_t *indices, int64_t n,
-                   int64_t nnz, int ascending)
+                   int64_t nnz)
 {
     if (n < 1 || indptr[0] != 0 || indptr[n] != nnz)
         return 0;
     for (int64_t i = 0; i < n; i++)
         if (indptr[i + 1] < indptr[i])
             return 0;
-    for (int64_t i = 0, k = 0; i < n; i++)
-        for (int64_t first = k; k < indptr[i + 1]; k++)
-            if (indices[k] < 0 || indices[k] >= n ||
-                (ascending && k > first && indices[k] <= indices[k - 1]))
-                return 0;
+    for (int64_t k = 0; k < nnz; k++)
+        if (indices[k] < 0 || indices[k] >= n)
+            return 0;
     return 1;
 }
 
@@ -281,7 +280,7 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
                          const uint8_t *stop, T one, const int64_t *schedule,  \
                          int64_t m, T *extrema)                                \
 {                                                                              \
-    if (!rows_ok(indptr, indices, n, nnz, 1))                                  \
+    if (!rows_ok(indptr, indices, n, nnz))                                     \
         return BAD_ROWS;                                                       \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
@@ -319,7 +318,7 @@ int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
                           int64_t *order, int64_t len)                         \
 {                                                                              \
     *lam_out = -1;                                                             \
-    if (!rows_ok(indptr, indices, n, nnz, 1))                                  \
+    if (!rows_ok(indptr, indices, n, nnz))                                     \
         return BAD_ROWS;                                                       \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
     node_##SUF *tortoise_tree =                                                \
@@ -388,7 +387,7 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
                    const int64_t *targets, const int64_t *counts, int64_t n,
                    int64_t runs, int64_t *at, int64_t *left)
 {
-    if (!rows_ok(run_ptr, targets, n, runs, 0) || path[0] < 0 || path[0] >= n)
+    if (!rows_ok(run_ptr, targets, n, runs) || path[0] < 0 || path[0] >= n)
         return BAD_RUNS;
     for (int64_t k = 0; k < runs; k++)
         if (counts[k] < 1)

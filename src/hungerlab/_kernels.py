@@ -32,16 +32,17 @@ _kernels.<name>. The engine uses Python ints only when the keys could
 overflow int64: hunger of huge magnitude or a chain whose own
 denominators overflow, never the start's denominators alone.
 
-One input contract holds for both bodies of each kernel: the rows of H
-come as SparseRows only (CSR, each row's columns strictly ascending), and
-input that the compiled body refuses (_kernels.c's failure codes: rows
-that are not n states' CSR rows, runs that are not n states' rotors, a
-label index outside -1 .. k - 1, a denominator <= 0) the reference body
-refuses with the same exception and message, _FAILURE[code].
-tests/test_kernels.py runs both bodies on such input and on random valid
-input; the golden sha256 tables of tests/test_cli.py and
-tests/test_hunger_engine.py pin the bytes that tier-1 checks on either
-backend.
+One input contract holds for both bodies of each kernel. The rows of H
+come as SparseRows only, which refuse rows that are not n states' CSR
+rows, each row's columns strictly ascending, when they are made; the
+compiled bodies check the arrays' bounds again on every call. Other input
+that the compiled body refuses (_kernels.c's failure codes: runs that are
+not n states' rotors, a label index outside -1 .. k - 1, a denominator
+<= 0) the reference body refuses with the same exception and message,
+_FAILURE[code]. tests/test_kernels.py runs both bodies on such input and
+on random valid input; the golden sha256 tables of tests/test_cli.py and
+tests/test_hunger_engine.py pin the bytes that the test suite checks on
+either backend.
 
 A fire adds its row to the columns it touches only. The compiled kernels
 read the hungriest state off a max tournament tree over blocks of 8
@@ -74,11 +75,10 @@ import ctypes
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,7 +125,6 @@ _FAILURE = {
 }
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class SparseRows:
     """The rows of H = P - I in compressed sparse row form.
 
@@ -133,22 +132,19 @@ class SparseRows:
     indices[indptr[i]:indptr[i + 1]], strictly ascending; the engine keeps
     the diagonal in every row. indptr and indices are int64, values has the
     hunger vector's dtype (int64 keys R*D*H, float64 P - I, or Python ints),
-    all 1-D and contiguous. `address` holds the arrays' data pointers for
-    the compiled kernels, read once here rather than on every call (None
-    where no compiled kernel takes the dtype). Each kernel checks the
-    structure (rows_ok): C on every call, the reference once, when it builds
-    its per-row table on first use and keeps it (the kernels never change
-    the rows).
+    all 1-D and contiguous. Making SparseRows checks that layout and the
+    structure (rows_ok), so no body of a kernel is handed rows that another
+    would refuse or fire differently; times() gives the same rows scaled,
+    without checking them again. `address` holds the arrays' data pointers
+    for the compiled kernels, read once here rather than on every call
+    (None where no compiled kernel takes the dtype). The kernels never
+    change the rows, and the reference bodies' per-row table is built on
+    first use and kept.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    address: Optional[Tuple[int, int, int]] = field(init=False, repr=False)
-    _table: Optional[list] = field(init=False, repr=False, default=None)
+    __slots__ = ("indptr", "indices", "values", "address", "_table")
 
-    def __post_init__(self):
-        indptr, indices, values = self.indptr, self.indices, self.values
+    def __init__(self, indptr, indices, values):
         if not (
             indptr.dtype == indices.dtype == _INT64
             and indptr.ndim == indices.ndim == 1 and indptr.shape[0] >= 1
@@ -156,34 +152,45 @@ class SparseRows:
             and indices.flags.c_contiguous and values.flags.c_contiguous
         ):
             raise ValueError("SparseRows: arrays do not match the CSR layout")
-        address = None
-        if _compiled is not None and values.dtype in _compiled:
-            address = (_Pointer.of(indptr), _Pointer.of(indices), _Pointer.of(values))
-        object.__setattr__(self, "address", address)
+        if not self.rows_ok(indptr, indices):
+            raise _FAILURE[_BAD_ROWS]()
+        self._hold(indptr, indices, values)
+
+    def _hold(self, indptr, indices, values) -> "SparseRows":
+        """Keep the arrays and read their addresses; returns self."""
+        self.indptr, self.indices, self.values, self._table = indptr, indices, values, None
+        on = _compiled is not None and values.dtype in _compiled
+        self.address = tuple(map(_Pointer.of, (indptr, indices, values))) if on else None
+        return self
+
+    def times(self, factor, dtype) -> "SparseRows":
+        """These rows with values.astype(dtype) * factor. They share indptr
+        and indices with self, which were checked when self was made."""
+        values = self.values.astype(dtype, copy=False) * factor
+        return object.__new__(SparseRows)._hold(self.indptr, self.indices, values)
 
     @staticmethod
     def rows_ok(indptr, indices, ascending=True) -> bool:
-        """rows_ok of _kernels.c: at least one state, indptr running from 0
-        up to len(indices) without decreasing, every index one of the n
-        states, and with `ascending` each row's indices strictly ascending.
-        (A static method, so tracers do not count it as a kernel call.)"""
-        n, nnz = indptr.shape[0] - 1, indices.shape[0]
-        if (n < 1 or indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any()
-                or nnz and not 0 <= indices.min() <= indices.max() < n):
+        """The check of rows_ok in _kernels.c (at least one state, indptr
+        running from 0 up to len(indices) without decreasing, every index
+        one of the n states) and, with `ascending`, each row's indices
+        strictly ascending. (A static method, so tracers do not count it as
+        a kernel call.)"""
+        n, sizes = indptr.shape[0] - 1, np.diff(indptr)
+        if n < 1 or indptr[0] != 0 or indptr[-1] != indices.shape[0] or sizes.min() < 0:
             return False
-        row = np.repeat(np.arange(n), np.diff(indptr))  # row * n + index rises with both
-        return not ascending or bool((np.diff(row * n + indices) > 0).all())
+        key = np.repeat(np.arange(0, n * n, n), sizes) + indices  # by row, then by index
+        in_range = ((indices >= 0) & (indices < n)).all()
+        return bool(in_range and (not ascending or (key[1:] > key[:-1]).all()))
 
     def table(self) -> list:
         """Per row: views of its columns and values, for the reference
         bodies (a method, so tracers do not count it as a kernel call)."""
         if self._table is None:
-            object.__setattr__(self, "_table", self._build_table())
+            self._table = self._build_table()
         return self._table
 
     def _build_table(self) -> list:
-        if not self.rows_ok(self.indptr, self.indices):
-            raise _FAILURE[_BAD_ROWS]()
         indptr = self.indptr.tolist()
         return [
             (self.indices[a:b], self.values[a:b]) for a, b in zip(indptr, indptr[1:])
@@ -198,11 +205,11 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     SparseRows. fired and v collect the firing sequence and per-state
     counts. With an empty schedule the run ends after the first fire at a
     state whose bool `stop` entry is set. With a schedule of m >= 1 states
-    the first step inserts the chip at
-    schedule[0] (h += row s, plus `one` at s), and the step after each fire
-    at a stop state k removes it (h[k] -= one) and inserts it at the next
-    schedule state: insertion si goes to schedule[si % m]. An insertion
-    step writes -1 in fired. Returns the number of steps taken.
+    the first step inserts the chip at schedule[0] (h += row s, plus `one`
+    at s), and the step after each fire at a stop state k removes it
+    (h[k] -= one) and inserts it at the next schedule state: insertion si
+    goes to schedule[si % m]. An insertion step writes -1 in fired. Returns
+    the number of steps taken.
 
     extrema, a length-2 array of h's dtype, if given receives the min and
     max hunger over the start and every step. Here they are taken over the
@@ -215,8 +222,8 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
         start = h.tolist()  # min and max keep the first of -0.0 and 0.0
         lo, hi = min(start), max(start)
     seq = []
-    table = rows.table()
     if steps > 0:
+        table = rows.table()
         stop = stop.tolist()
         h += 0  # -0.0 -> +0.0, as a dense fire did
     si, m = 0, len(schedule)

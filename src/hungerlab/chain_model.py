@@ -28,6 +28,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from . import _kernels
 from ._linalg import _reduce
 from .errors import (
     ChainFormatError,
@@ -157,11 +158,11 @@ class MarkovChain:
 
     @cached_property
     def _kernel_rows(self):
-        """(indptr, indices, values, diagonal) for the firing engine, the
-        chip moves and the absorbing record, built once: the rows of
-        H = P - I as int64 CSR arrays with an entry (i, i) at diagonal[i] in
-        every row, and values float64, or D * H_ij in rational mode: int64
-        below 2**62, else Python ints."""
+        """(rows, diagonal) for the firing engine, the chip moves and the
+        absorbing record, built once: the rows of H = P - I as
+        _kernels.SparseRows with an entry (i, i) at diagonal[i] in every
+        row, and values float64, or D * H_ij in rational mode: int64 below
+        2**62, else Python ints."""
         n = self.n
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
         cols = np.array(self.indices, dtype=np.int64)
@@ -178,14 +179,14 @@ class MarkovChain:
         indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int64)
         diagonal = np.flatnonzero(cols == rows)
         values[diagonal] -= 1.0 if self.mode == FLOAT else self.D
-        return indptr, cols, values, diagonal
+        return _kernels.SparseRows(indptr, cols, values), diagonal
 
     @cached_property
     def _absorbing(self):
         """(mask, states), built once: the read-only bool array of P_ii = 1
         (H_ii = 0 on _kernel_rows' diagonal) and its indices as a frozenset."""
-        _, _, values, diagonal = self._kernel_rows
-        mask = values[diagonal] == 0
+        rows, diagonal = self._kernel_rows
+        mask = rows.values[diagonal] == 0
         mask.flags.writeable = False
         return mask, frozenset(np.flatnonzero(mask).tolist())
 
@@ -405,8 +406,8 @@ def _chip_moves(chain: MarkovChain, d):
     """The chips a fire at each state i moves under thresholds d: pairs
     (j, d_i * H_ij) over row i's entries and diagonal, from the rows D * H
     (exact when d_i clears row i)."""
-    indptr, indices, values, _ = chain._kernel_rows
-    pairs, ptr = list(zip(indices.tolist(), values.tolist())), indptr.tolist()
+    csr = chain._kernel_rows[0]
+    pairs, ptr = list(zip(csr.indices.tolist(), csr.values.tolist())), csr.indptr.tolist()
     rows = zip(d, ptr, ptr[1:])
     return [[(j, di * x // chain.D) for j, x in pairs[a:b]] for di, a, b in rows]
 

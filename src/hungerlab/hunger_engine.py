@@ -199,18 +199,17 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     """Prepare h and H = P - I for the kernels: returns (g, rows, keys).
 
     rows are _kernels.SparseRows of H at P's nonzero entries and the
-    diagonal, laid out once per chain (MarkovChain._kernel_rows). Float
-    chains give those float64 rows as they are, and _FloatKeys. Rational
-    chains give the integer keys of h (see _Keys) and the rows R*D*H, made
-    here from the chain's D*H: int64 arrays when _int64_safe holds, which
-    it does whatever the start's denominators, otherwise dtype=object
-    arrays of Python ints, which _kernels fires on its reference bodies,
-    identically and without overflow. Only magnitudes or chain
-    denominators past int64 take that path.
+    diagonal, laid out and checked once per chain (MarkovChain._kernel_rows).
+    Float chains give those float64 rows as they are, and _FloatKeys.
+    Rational chains give the integer keys of h (see _Keys) and the rows
+    R*D*H, the chain's D*H scaled here: int64 arrays when _int64_safe
+    holds, which it does whatever the start's denominators, otherwise
+    dtype=object arrays of Python ints, which _kernels fires on its
+    reference bodies, identically and without overflow. Only magnitudes or
+    chain denominators past int64 take that path.
     """
-    indptr, indices, values, _ = chain._kernel_rows
+    rows = chain._kernel_rows[0]
     if chain.mode == FLOAT:
-        rows = _kernels.SparseRows(indptr, indices, values)
         return np.array(h, dtype=np.float64), rows, _FloatKeys
     D = chain.D
     S = math.lcm(D, *(x.denominator for x in h))
@@ -226,8 +225,7 @@ def _scaled(chain: MarkovChain, h: HungerVector):
     keys = [R * q + rank[f] for q, f in zip(floors, fracs)]
     unit = R * D
     dtype = np.int64 if _int64_safe(keys, unit, chain.n) else object
-    values = values.astype(dtype, copy=False) * R  # D*H_ij, so unit*H_ij
-    rows = _kernels.SparseRows(indptr, indices, values)
+    rows = rows.times(R, dtype)  # D*H_ij, so unit*H_ij
     return np.array(keys, dtype=dtype), rows, _Keys(unit, R, M, tuple(c))
 
 

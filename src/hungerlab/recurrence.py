@@ -224,9 +224,8 @@ def _grid_orbits(chain: MarkovChain, values: List[Fraction], cap: int):
     num = [x.numerator * (S // x.denominator) for x in values]
     grid = list(zip(values, num))
     cells = ((h1, h2, (a, b, -a - b)) for h1, a in grid for h2, b in grid)
-    indptr, indices, dh, _ = chain._kernel_rows
     if S < 2**62:  # else no keys pass _int64_safe
-        rows = _kernels.SparseRows(indptr, indices, dh * (S // chain.D))
+        rows = chain._kernel_rows[0].times(S // chain.D, np.int64)
 
     def orbit(keys):
         if _int64_safe(keys, S, chain.n):

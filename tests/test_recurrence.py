@@ -526,11 +526,12 @@ def test_grid_scans_match_a_per_cell_find_cycle_loop(
 
 def test_grid_scans_prepare_once(basin_demo3, monkeypatch):
     made = []
-    post_init = recurrence._kernels.SparseRows.__post_init__
-    monkeypatch.setattr(
-        recurrence._kernels.SparseRows, "__post_init__",
-        lambda self: made.append(1) or post_init(self),
-    )
+    for chain in (basin_demo3, HUGE_D):
+        chain._kernel_rows  # a chain's own rows, made once, before the scans
+    rows = recurrence._kernels.SparseRows
+    init, times = rows.__init__, rows.times
+    monkeypatch.setattr(rows, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(rows, "times", lambda self, *a: made.append(1) or times(self, *a))
     cycles = count_calls(monkeypatch, recurrence, "find_cycle")
     brents = count_calls(monkeypatch, recurrence._kernels, "brent_cycle")
     runs = count_calls(monkeypatch, recurrence._kernels, "greedy_run")
