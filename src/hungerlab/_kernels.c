@@ -38,6 +38,19 @@
  * walk is inlined twice, with its extrema tracked (O(1) a step) and
  * without, so a run without them tests nothing for them.
  *
+ * An int64 greedy_run without a schedule stops firing once h repeats. The
+ * paper's lemma keeps every hunger at or above h_min - 1 while the total
+ * is conserved, so the keys stay in a finite set and every orbit is
+ * eventually periodic. From the first power of two >= n fires on, the walk
+ * keeps a hash H of h, which firing i moves by delta[i], and copies h at
+ * every power of two (Brent). When H is the copy's again and h equals the
+ * copy, p fires back, it writes the remaining whole periods as fired[k] =
+ * fired[k - p], adds their counts to v, and fires the last (steps - t) mod
+ * p steps, so h, fired, v and the steps taken are the full walk's. Equal
+ * keys have equal futures; a hash collision costs one O(n) compare and
+ * skips nothing; a period already fired holds no stop state and no new
+ * extremum. Float walks and the reinsertion walk fire every step.
+ *
  * Signed zeros: a dense fire added +0.0 to every column, which turned a
  * -0.0 hunger into +0.0. Untouched columns are not added to here, so each
  * kernel rewrites -0.0 as +0.0 once, before its first fire, and firing
@@ -81,7 +94,34 @@ static int64_t leaves(int64_t n)
     return count;
 }
 
-#define DEFINE_KERNELS(T, SUF, LOWEST)                                         \
+/* The orbit hash of an int64 walk's h, sum_j z_j h[j] mod 2^64 over odd
+ * multipliers z_j (any serve: a match is confirmed by comparing h): here of
+ * len entries x[k] at states cols[k], or at k when cols is NULL. */
+static uint64_t hash_of(const int64_t *cols, const int64_t *x, int64_t len)
+{
+    uint64_t hash = 0;
+    for (int64_t k = 0; k < len; k++) {
+        uint64_t z = (uint64_t)(cols == NULL ? k : cols[k]);
+        z *= 0x9E3779B97F4A7C15u;
+        hash += ((z ^ z >> 29) | 1) * (uint64_t)x[k];
+    }
+    return hash;
+}
+
+/* At step t, h is what it was p steps before: repeat those p fires in fired
+ * and v as often as they fit before `steps`. Returns the step reached. */
+static int64_t repeat(int64_t *fired, int64_t *v, int64_t t, int64_t p,
+                      int64_t steps)
+{
+    int64_t q = (steps - t) / p, end = t + q * p;
+    for (int64_t k = t - p; k < t; k++)
+        v[fired[k]] += q;
+    for (; t < end; t++)
+        fired[t] = fired[t - p];
+    return t;
+}
+
+#define DEFINE_KERNELS(T, SUF, LOWEST, EXACT)                                  \
                                                                                \
 typedef struct {                                                               \
     const int64_t *indptr, *indices;                                           \
@@ -230,13 +270,16 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
  * (the diagonal is their only negative entry): a fire lowers only the fired   \
  * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
  * largest entry. track is a literal at each call, so the untracked walk       \
- * never tests it. */                                                          \
+ * never tests it. Given delta, copy and next >= 0 (an int64 walk with m =     \
+ * 0), it stops firing once h repeats, as the header describes. */             \
 static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
     int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
-    const int64_t *schedule, int64_t m, T *lo, T *hi, const int track)         \
+    const int64_t *schedule, int64_t m, T *lo, T *hi, const int track,         \
+    const uint64_t *delta, T *copy, int64_t next)                              \
 {                                                                              \
-    int64_t t = 0, si = 0;                                                     \
+    int64_t t = 0, si = 0, at = -1; /* at: the step copied, -1 for none */     \
+    uint64_t hash = 0, mark = 0;                                               \
     while (t < steps) {                                                        \
         if (m > 0) {                                                           \
             int64_t i = schedule[si++ % m], k = t > 0 ? fired[t - 1] : i;      \
@@ -265,6 +308,19 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
             }                                                                  \
             if (stop[i])                                                       \
                 break;                                                         \
+            if (EXACT && at >= 0 && (hash += delta[i]) == mark                 \
+                && same_##SUF(h, copy, r->n)) {                                \
+                t = repeat(fired, v, t, t - at, steps);                        \
+                at = next = -1;                                                \
+            }                                                                  \
+            if (EXACT && t == next) {                                          \
+                if (at < 0) /* the first copy: H from scratch */               \
+                    hash = hash_of(NULL, (const int64_t *)h, r->n);            \
+                memcpy(copy, h, (size_t)r->n * sizeof *h);                     \
+                mark = hash;                                                   \
+                at = t;                                                        \
+                next *= 2;                                                     \
+            }                                                                  \
         }                                                                      \
         if (m == 0)                                                            \
             break;                                                             \
@@ -283,9 +339,20 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     if (!rows_ok(indptr, indices, n, nnz))                                     \
         return BAD_ROWS;                                                       \
     rows_##SUF r = {indptr, indices, values, n, leaves(n)};                    \
-    node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree);                    \
+    int64_t next = 1; /* the orbit check's first copy of h */                  \
+    while (next < n)                                                           \
+        next *= 2;                                                             \
+    size_t orbit = EXACT && m == 0 && steps > next ? (size_t)n : 0;            \
+    node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree +                    \
+                              orbit * (sizeof(uint64_t) + sizeof(T)));         \
     if (tree == NULL)                                                          \
         return NO_MEMORY;                                                      \
+    uint64_t *delta = orbit ? (uint64_t *)(tree + 2 * r.leaves) : NULL;        \
+    T *copy = orbit ? (T *)(delta + n) : NULL;                                 \
+    for (int64_t i = 0; i < (int64_t)orbit; i++) /* how firing i moves H */    \
+        delta[i] = hash_of(indices + indptr[i], (const int64_t *)values +      \
+                           indptr[i], indptr[i + 1] - indptr[i]);              \
+    next = orbit ? next : -1;                                                  \
     T lo = h[0], hi = h[0];                                                    \
     for (int64_t j = 0; extrema != NULL && j < n; j++)                         \
         track_##SUF(h[j], &lo, &hi);                                           \
@@ -294,9 +361,9 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     build_##SUF(h, tree, &r);                                                  \
     int64_t t = extrema != NULL                                                \
         ? walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
-                     &lo, &hi, 1)                                              \
+                     &lo, &hi, 1, delta, copy, next)                           \
         : walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
-                     &lo, &hi, 0);                                             \
+                     &lo, &hi, 0, delta, copy, next);                          \
     free(tree);                                                                \
     if (extrema != NULL) {                                                     \
         extrema[0] = lo;                                                       \
@@ -372,8 +439,8 @@ capped:                                                                        \
     return -1;                                                                 \
 }
 
-DEFINE_KERNELS(int64_t, i64, INT64_MIN)
-DEFINE_KERNELS(double, f64, -HUGE_VAL)
+DEFINE_KERNELS(int64_t, i64, INT64_MIN, 1)
+DEFINE_KERNELS(double, f64, -HUGE_VAL, 0)
 
 /* The rotor-router walk behind rotor_walk in _kernels.py, int64 only. The
  * rotor of state x cycles the runs run_ptr[x] .. run_ptr[x + 1] (CSR, as

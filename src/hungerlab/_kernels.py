@@ -133,13 +133,14 @@ class SparseRows:
     the diagonal in every row. indptr and indices are int64, values has the
     hunger vector's dtype (int64 keys R*D*H, float64 P - I, or Python ints),
     all 1-D and contiguous. Making SparseRows checks that layout and the
-    structure (rows_ok), so no body of a kernel is handed rows that another
-    would refuse or fire differently; times() gives the same rows scaled,
-    without checking them again. `address` holds the arrays' data pointers
-    for the compiled kernels, read once here rather than on every call
-    (None where no compiled kernel takes the dtype). The kernels never
-    change the rows, and the reference bodies' per-row table is built on
-    first use and kept.
+    structure (rows_ok) and makes indptr and indices read-only, so no body
+    of a kernel is handed rows that another would refuse or fire
+    differently; times() gives the same rows scaled, without checking them
+    again. `address` holds the arrays' data pointers for the compiled
+    kernels, read once here rather than on every call (None where no
+    compiled kernel takes the dtype). The kernels never change the rows,
+    and the reference bodies' per-row table is built on first use and
+    kept.
     """
 
     __slots__ = ("indptr", "indices", "values", "address", "_table")
@@ -155,19 +156,24 @@ class SparseRows:
         if not self.rows_ok(indptr, indices):
             raise _FAILURE[_BAD_ROWS]()
         self._hold(indptr, indices, values)
+        indptr.flags.writeable = indices.flags.writeable = False  # as checked
 
-    def _hold(self, indptr, indices, values) -> "SparseRows":
-        """Keep the arrays and read their addresses; returns self."""
+    def _hold(self, indptr, indices, values, address=None) -> "SparseRows":
+        """Keep the arrays and read their addresses (indptr's and indices'
+        from `address` when given); returns self."""
         self.indptr, self.indices, self.values, self._table = indptr, indices, values, None
-        on = _compiled is not None and values.dtype in _compiled
-        self.address = tuple(map(_Pointer.of, (indptr, indices, values))) if on else None
+        self.address = None
+        if _compiled is not None and values.dtype in _compiled:
+            head = address[:2] if address else tuple(map(_Pointer.of, (indptr, indices)))
+            self.address = (*head, _Pointer.of(values))
         return self
 
     def times(self, factor, dtype) -> "SparseRows":
         """These rows with values.astype(dtype) * factor. They share indptr
-        and indices with self, which were checked when self was made."""
+        and indices with self, which were checked, and made read-only, when
+        self was made."""
         values = self.values.astype(dtype, copy=False) * factor
-        return object.__new__(SparseRows)._hold(self.indptr, self.indices, values)
+        return object.__new__(SparseRows)._hold(self.indptr, self.indices, values, self.address)
 
     @staticmethod
     def rows_ok(indptr, indices, ascending=True) -> bool:
@@ -216,6 +222,12 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     entries each step touches; the compiled kernels read only those a step
     can move past them, which holds for the rows of H = P - I (the diagonal
     is their only negative entry).
+
+    This body fires every step. The compiled body of an int64 run without
+    a schedule stops firing once h repeats, and writes the rest of the run
+    as copies of the period it has fired (see _kernels.c). That is exact:
+    the paper's lemma keeps the keys in a finite set, so the orbit is
+    eventually periodic, and equal keys fire alike.
     """
     track = extrema is not None
     if track:
@@ -638,9 +650,12 @@ class _Arguments:
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
         for the compiled csv_rows, or None when a field needs Python ints.
+        Checks every label index and denominator the C body takes here, so
+        that a refused block writes nothing, as in the reference body.
 
         Raises:
-            ValueError: an array's length is not the number of rows.
+            ValueError: an array's length is not the number of rows, a label
+                index is outside -1 .. k - 1, or a denominator is <= 0.
         """
         rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
                     for field in fields if not isinstance(field, str))
@@ -662,6 +677,8 @@ class _Arguments:
                 c.kind, c.k, c.text = _Field._LABELS, len(table), b"".join(table)
                 ends = np.cumsum([0, *map(len, table)], dtype=_INT64)
                 index = np.ascontiguousarray(field.index, dtype=_INT64)
+                if ((index < -1) | (index >= len(table))).any():
+                    raise _FAILURE[_BAD_LABEL]()
                 c.ends, c.num = pointer(ends, len(table) + 1), pointer(index, rows)
             elif isinstance(field, Deviations):
                 num, den, p, q, scale = field
@@ -670,6 +687,8 @@ class _Arguments:
                 if not (all(a.dtype == _INT64 and a.ndim == 1 for a in ints)
                         and 0 < q and m * m * max(abs(p), q) < 2**126):
                     return None
+                if (den <= 0).any():
+                    raise _FAILURE[_BAD_DEN]()
                 g = math.gcd(p, q)  # in lowest terms, as words that ctypes cuts to 64 bits
                 c.kind, c.p, c.q = _Field._DEVIATIONS, *((x, x >> 64) for x in (p // g, q // g))
                 c.num, c.den = (pointer(np.ascontiguousarray(a), rows) for a in (num, den))
@@ -686,6 +705,8 @@ class _Arguments:
                     c.scalar = den
                 else:
                     return None
+                if np.any(den <= 0):
+                    raise _FAILURE[_BAD_DEN]()
                 num = num if num.ndim == 2 else num[:, None]
                 if any(stride % num.itemsize for stride in num.strides):
                     num = np.ascontiguousarray(num)
@@ -698,7 +719,9 @@ class _Arguments:
 if _compiled is not None:
 
     def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
-        """Compiled reference.greedy_run."""
+        """Compiled reference.greedy_run: an int64 run without a schedule
+        fires until h repeats, then copies its period to the end, which
+        the lemma's bound on the keys makes exact."""
         if h.dtype == object:
             return reference.greedy_run(
                 h, rows, steps, fired, v, stop, one, schedule, extrema

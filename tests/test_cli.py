@@ -927,6 +927,11 @@ GOLDEN_COMMANDS = [
     (("cycle", "--chain", "C40", H40),
      "9fb914aa5e77ee6ebc54ee3aca6951612954c8156c2b2e1139863d2459442b6a",
      "e1b37760544f9840a9e8b9688be4c005d6689f482b1b0df88534d4f253368e36"),
+    # an orbit entering its 18-step cycle after 6243 fires, run far past
+    # it: the compiled walk copies most of the 200000 fires
+    (("simulate", "--chain", DEMO, "--steps", "200000", "--h0=500,250,-750"),
+     "5522246d95cb07c4d5af5419640d531c142f42b586cd4b5b1340a2ea58addf2d",
+     "d72fc4e07112dbed72863612e27cb8ce8b11caf013b716ab501d62e7004821d8"),
 ]
 
 

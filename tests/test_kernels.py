@@ -191,6 +191,78 @@ def test_greedy_run_with_extrema_matches_reference(case):
 
 
 @st.composite
+def long_runs(draw):
+    """An int64 run past its orbit's transient and first periods, for
+    greedy_run's orbit check: a start spread wide (a long transient), v
+    counting already, a stop state on the cycle, off it or none, and a step
+    count up to about 5000 just before, on or after a period boundary,
+    counted from the cycle entry or from the step where the compiled walk
+    sees the period (its copy at a power of two >= n, mu and lam, then lam
+    fires). Orbits that do not close within 5000 fires get any step count."""
+    n = draw(st.integers(2, 48))
+    S = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        support = rng.choice(n, size=rng.integers(1, min(n, 4) + 1), replace=False)
+        np.add.at(counts[i], rng.choice(support, size=S), 1)
+    rows = sparse_rows(counts - S * np.eye(n, dtype=np.int64))
+    spread = draw(st.sampled_from([2, 20, 100])) * S
+    h = rng.integers(-spread, spread + 1, size=n)
+    order = np.zeros(5000, np.int64)
+    mu, lam = _kernels.brent_cycle(h.copy(), rows, 5000, order)
+    stop = np.zeros(n, np.bool_)
+    if mu < 0:
+        steps = draw(st.integers(0, 5000))
+    else:
+        seen = 1
+        while seen < max(n, mu, lam):
+            seen *= 2
+        base = draw(st.sampled_from([mu, seen + lam]))
+        periods = draw(st.integers(0, max(0, (5000 - base) // lam)))
+        steps = max(0, base + periods * lam + draw(st.sampled_from([-1, 0, 1])))
+        cycle = np.unique(order[:lam])
+        where = draw(st.sampled_from(["none", "on the cycle", "off the cycle"]))
+        if where == "on the cycle":
+            stop[draw(st.sampled_from(cycle.tolist()))] = True
+        elif where == "off the cycle" and len(cycle) < n:
+            stop[draw(st.sampled_from(np.setdiff1d(np.arange(n), cycle).tolist()))] = True
+    return h, rows, stop, steps, rng.integers(0, 100, size=n)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(long_runs())
+def test_greedy_run_past_the_orbits_transient_and_period(case):
+    """Runs long enough for the compiled int64 walk to see its orbit repeat
+    and copy the rest of its fires: the return value, fired, v (counting
+    already) and the final h are the reference's and the dense oracle's,
+    with and without extrema."""
+    h, rows, stop, steps, v = case
+    for extrema in (None, np.zeros(2, np.int64)):
+        assert_all_agree(
+            "greedy_run", h, rows, steps, np.full(steps, -9, np.int64), v, stop,
+            np.int64(0), (), extrema,
+        )
+
+
+@compiled
+def test_a_million_steps_from_zero_on_a_doubly_stochastic_chain():
+    """From zero hunger each of the n states of a doubly stochastic chain
+    fires once and h is zero again, so the orbit's period is n: a run of
+    3333 periods on 300 states fires every state 3333 times and ends at
+    zero, the compiled walk firing only its first periods."""
+    n, third = 300, Fraction(1, 3)
+    P = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for shift, w in ((1, Fraction(1, 6)), (7, third), (100, Fraction(1, 2))):
+            P[i][(i + shift) % n] += w
+    trace = hungerlab.run(hungerlab.MarkovChain(P), None, 3333 * n)
+    assert (trace.v == 3333).all()
+    assert all(x == 0 for x in trace.final_h)
+    assert trace.fired[-n:].tolist() == trace.fired[:n].tolist()
+
+
+@st.composite
 def signed_cases(draw):
     """Rows of several blocks that are not rows of H = P - I: each holds the
     diagonal and up to four other entries, every one drawn from -3 .. 3, so
@@ -410,6 +482,18 @@ def test_read_only_rows_fire_as_writable_ones():
     assert runs[0] == runs[1]
 
 
+def test_checked_rows_are_read_only():
+    """SparseRows makes the indptr and indices it checked read-only, and
+    times() shares them, so rows cannot change between the check and a
+    kernel (an index edited to -1 would fire a wrapped column on numpy and
+    be refused by C)."""
+    rows = hungerlab.parse_chain(REFLECT.read_text())._kernel_rows[0]
+    for a in (rows.indices, rows.indptr, rows.times(3, np.int64).indices):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = -1
+    assert rows.times(3, np.int64).indices is rows.indices
+
+
 def refusals(call):
     """The messages of the ValueErrors call(body) raises on the reference
     body and on _kernels, the compiled body on the C backend: one message
@@ -550,7 +634,8 @@ def test_rotor_walk_rejects_malformed_runs():
 def test_compiled_kernels_reject_mismatched_arrays():
     """Arrays that do not fit a compiled kernel's dtypes, shapes or layout:
     the C wrappers refuse them before handing pointers to C. Rows changed
-    out of bounds after they were made: the C code checks them again."""
+    out of bounds after they were made, made writable again to do so: the C
+    code checks them again."""
     h = np.zeros(3, dtype=np.int64)
     dense = np.zeros((3, 3), dtype=np.int64)
     rows = sparse_rows(dense)
@@ -570,6 +655,7 @@ def test_compiled_kernels_reject_mismatched_arrays():
     with pytest.raises(ValueError):
         _kernels.brent_cycle(h, sparse_rows(np.zeros((4, 4), np.int64)), 10)
     moved = sparse_rows(dense)
+    moved.indices.flags.writeable = True
     moved.indices[1] = 3  # past the last state, after SparseRows checked it
     with pytest.raises(ValueError, match="not the CSR rows"):
         _kernels.greedy_run(h, moved, 1, fired, v, stop)
@@ -691,22 +777,52 @@ def test_csv_rows_wider_than_a_piece():
     assert written(_kernels, fields) == written(_kernels.reference, fields)
 
 
+def refusals_writing_nothing(fields):
+    """refusals of csv_rows on fields, requiring that each body leaves
+    its file empty."""
+    files = []
+
+    def call(body):
+        files.append(io.StringIO())
+        body.csv_rows(files[-1], fields)
+
+    messages = refusals(call)
+    assert [f.getvalue() for f in files] == ["", ""]
+    return messages
+
+
+# rows before a refused last one: more than one piece of the compiled body
+LONG_BLOCK = 20_000
+
+
 @pytest.mark.parametrize("den", [0, -1, INT64_MIN, np.array([3, 0]), np.array([2, -3])])
 def test_csv_rows_refuse_denominators_below_one(den):
+    """Both bodies refuse the block alike, and write none of it, also when
+    the rows before the bad denominator pass _PIECE bytes."""
     fields = [_kernels.Ratios(np.array([1, 2]), den)]
     assert refusals(lambda body: written(body, fields)) == {"csv_rows: a denominator is <= 0"}
+    dens = np.full(LONG_BLOCK, 7, np.int64)
+    dens[-1] = np.atleast_1d(den)[-1]
+    long = [_kernels.Ratios(np.arange(LONG_BLOCK) + 10**6, dens)]
+    assert len(written(_kernels.reference, [long[0].take(slice(-1))])) > _kernels._PIECE
+    assert refusals_writing_nothing(long) == {"csv_rows: a denominator is <= 0"}
 
 
 @pytest.mark.parametrize("index", [-2, 3])
 def test_csv_rows_refuse_label_indices_out_of_range(index):
     """Index -1 writes an empty field; one below it or past the k = 3
     labels is refused alike by both bodies, whether the other fields take
-    the C body (int64) or the reference (float cells)."""
-    labels = _kernels.Labels(LABELS[:3], np.array([0, -1, index]))
-    for other in (_kernels.Ratios(np.arange(3), 1), _kernels.Ratios(np.ones(3), None)):
-        assert refusals(lambda body: written(body, [labels, other])) == {
-            "csv_rows: a label index is out of range"
-        }
+    the C body (int64) or the reference (float cells), and neither writes
+    any of the block, also when the rows before the bad index pass _PIECE
+    bytes."""
+    for rows in (3, LONG_BLOCK):
+        at = np.zeros(rows, np.int64)
+        at[1], at[-1] = -1, index
+        labels = _kernels.Labels(LABELS[:3], at)
+        for other in (_kernels.Ratios(np.arange(rows), 1), _kernels.Ratios(np.ones(rows), None)):
+            assert refusals_writing_nothing([labels, other]) == {
+                "csv_rows: a label index is out of range"
+            }
 
 
 def deviation_cells(field):
