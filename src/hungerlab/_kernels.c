@@ -342,17 +342,17 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     int64_t next = 1; /* the orbit check's first copy of h */                  \
     while (next < n)                                                           \
         next *= 2;                                                             \
-    size_t orbit = EXACT && m == 0 && steps > next ? (size_t)n : 0;            \
+    size_t hashed = EXACT && m == 0 && steps > next ? (size_t)n : 0;           \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree +                    \
-                              orbit * (sizeof(uint64_t) + sizeof(T)));         \
+                              hashed * (sizeof(uint64_t) + sizeof(T)));        \
     if (tree == NULL)                                                          \
         return NO_MEMORY;                                                      \
-    uint64_t *delta = orbit ? (uint64_t *)(tree + 2 * r.leaves) : NULL;        \
-    T *copy = orbit ? (T *)(delta + n) : NULL;                                 \
-    for (int64_t i = 0; i < (int64_t)orbit; i++) /* how firing i moves H */    \
+    uint64_t *delta = hashed ? (uint64_t *)(tree + 2 * r.leaves) : NULL;       \
+    T *copy = hashed ? (T *)(delta + n) : NULL;                                \
+    for (int64_t i = 0; i < (int64_t)hashed; i++) /* how firing i moves H */   \
         delta[i] = hash_of(indices + indptr[i], (const int64_t *)values +      \
                            indptr[i], indptr[i + 1] - indptr[i]);              \
-    next = orbit ? next : -1;                                                  \
+    next = hashed ? next : -1;                                                 \
     T lo = h[0], hi = h[0];                                                    \
     for (int64_t j = 0; extrema != NULL && j < n; j++)                         \
         track_##SUF(h[j], &lo, &hi);                                           \
