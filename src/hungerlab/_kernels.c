@@ -38,18 +38,18 @@
  * walk is inlined twice, with its extrema tracked (O(1) a step) and
  * without, so a run without them tests nothing for them.
  *
- * An int64 greedy_run without a schedule stops firing once h repeats. The
- * paper's lemma keeps every hunger at or above h_min - 1 while the total
- * is conserved, so the keys stay in a finite set and every orbit is
- * eventually periodic. From the first power of two >= n fires on, the walk
- * keeps a hash H of h, which firing i moves by delta[i], and copies h at
- * every power of two (Brent). When H is the copy's again and h equals the
- * copy, p fires back, it writes the remaining whole periods as fired[k] =
- * fired[k - p], adds their counts to v, and fires the last (steps - t) mod
- * p steps, so h, fired, v and the steps taken are the full walk's. Equal
- * keys have equal futures; a hash collision costs one O(n) compare and
- * skips nothing; a period already fired holds no stop state and no new
- * extremum. Float walks and the reinsertion walk fire every step.
+ * A greedy_run without a schedule stops firing once h repeats: the paper's
+ * lemma keeps every hunger at or above h_min - 1 while the total is
+ * conserved, so int64 keys stay in a finite set and every orbit (a float
+ * one: the rounded map's) is eventually periodic. A fire moves the hash
+ * H = sum_j z_j bits(h[j]) mod 2^64, less its start value, by the entries
+ * it touches; the walk copies h at every power of two >= n fires (Brent).
+ * When H and then h equal the copy again, p fires on, a run with stop
+ * states ends (its orbit never fires one); any other writes the remaining
+ * whole periods as fired[k] = fired[k - p], adds their counts to v and
+ * fires the last (steps - t) mod p, as the full walk would. brent_cycle's
+ * tortoise and hare compare the same way; the reinsertion walk fires every
+ * step.
  *
  * Signed zeros: a dense fire added +0.0 to every column, which turned a
  * -0.0 hunger into +0.0. Untouched columns are not added to here, so each
@@ -94,18 +94,11 @@ static int64_t leaves(int64_t n)
     return count;
 }
 
-/* The orbit hash of an int64 walk's h, sum_j z_j h[j] mod 2^64 over odd
- * multipliers z_j (any serve: a match is confirmed by comparing h): here of
- * len entries x[k] at states cols[k], or at k when cols is NULL. */
-static uint64_t hash_of(const int64_t *cols, const int64_t *x, int64_t len)
+/* State j's weight in the orbit hash: odd (any serve; h confirms a match). */
+static inline uint64_t weight(int64_t j)
 {
-    uint64_t hash = 0;
-    for (int64_t k = 0; k < len; k++) {
-        uint64_t z = (uint64_t)(cols == NULL ? k : cols[k]);
-        z *= 0x9E3779B97F4A7C15u;
-        hash += ((z ^ z >> 29) | 1) * (uint64_t)x[k];
-    }
-    return hash;
+    uint64_t z = (uint64_t)j * 0x9E3779B97F4A7C15u;
+    return (z ^ z >> 29) | 1;
 }
 
 /* At step t, h is what it was p steps before: repeat those p fires in fired
@@ -121,7 +114,7 @@ static int64_t repeat(int64_t *fired, int64_t *v, int64_t t, int64_t p,
     return t;
 }
 
-#define DEFINE_KERNELS(T, SUF, LOWEST, EXACT)                                  \
+#define DEFINE_KERNELS(T, SUF, LOWEST)                                         \
                                                                                \
 typedef struct {                                                               \
     const int64_t *indptr, *indices;                                           \
@@ -139,6 +132,16 @@ static void unsign_zeros_##SUF(T *h, int64_t n)                                \
     for (int64_t j = 0; j < n; j++)                                            \
         if (h[j] == 0)                                                         \
             h[j] = 0;                                                          \
+}                                                                              \
+                                                                               \
+/* Add x to h[j], return how the hash moves (memcpy: no aliasing cast). */     \
+static inline uint64_t move_##SUF(T *h, int64_t j, T x)                        \
+{                                                                              \
+    uint64_t old, new;                                                         \
+    memcpy(&old, h + j, sizeof old);                                           \
+    h[j] += x;                                                                 \
+    memcpy(&new, h + j, sizeof new);                                           \
+    return weight(j) * (new - old);                                            \
 }                                                                              \
                                                                                \
 /* The first maximal state of block b, or a node that never wins when the      \
@@ -190,50 +193,48 @@ static void retree_##SUF(node_##SUF *tree, int64_t k, node_##SUF w)            \
 }                                                                              \
                                                                                \
 /* Add vals[0 .. len) to h at cols[0 .. len), updating the tree an entry at    \
- * a time. An entry that rose takes its block's leaf in O(1) if it is the      \
- * leaf already, is now hungrier, or ties it with a lower index; otherwise     \
- * nothing changes. An entry that did not rise (a fall, an int64 add that      \
- * wrapped, a NaN) has its block rescanned. In a row of H = P - I only the     \
- * diagonal falls, so a fire rescans one block, the fired state's. */          \
-static void add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,             \
-                      const int64_t *cols, const T *vals, int64_t len)         \
+ * a time, and return how the orbit hash moves. An entry that rose takes its   \
+ * block's leaf in O(1) if it is the leaf already, is now hungrier, or ties    \
+ * it with a lower index; otherwise nothing changes. An entry that did not     \
+ * rise (a fall, an int64 add that wrapped, a NaN) has its block rescanned.    \
+ * In a row of H = P - I only the diagonal falls, so a fire rescans one        \
+ * block, the fired state's. */                                                \
+static uint64_t add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,         \
+                          const int64_t *cols, const T *vals, int64_t len)     \
 {                                                                              \
+    uint64_t moved = 0;                                                        \
     for (int64_t k = 0; k < len; k++) {                                        \
         int64_t j = cols[k], b = j / BLOCK;                                    \
-        T old = h[j], x = old + vals[k];                                       \
-        h[j] = x;                                                              \
+        T old = h[j];                                                          \
+        moved += move_##SUF(h, j, vals[k]);                                    \
+        T x = h[j];                                                            \
         node_##SUF w = tree[r->leaves + b];                                    \
         if (!(x >= old))                                                       \
             retree_##SUF(tree, r->leaves + b, block_max_##SUF(h, r, b));       \
         else if (j == w.i || x > w.h || (x == w.h && j < w.i))                 \
             retree_##SUF(tree, r->leaves + b, (node_##SUF){x, j});             \
     }                                                                          \
+    return moved;                                                              \
 }                                                                              \
                                                                                \
-static inline void add_row_##SUF(T *h, const rows_##SUF *r, int64_t i)         \
-{                                                                              \
-    for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++)                  \
-        h[r->indices[k]] += r->values[k];                                      \
-}                                                                              \
-                                                                               \
-/* Fire the hungriest state and return its index. A single-block chain         \
- * rescans its one block with a branch per state, as the dense argmax did:     \
- * greedy orbits are mostly periodic, so the branches are predicted and the    \
- * next fire's row is read before the compares resolve. The empty asm keeps    \
- * the compiler from turning the branch into a conditional move. The root's    \
- * hunger is left stale there (see walk). Inline: a call per fire costs about  \
- * as much as a small chain's fire itself. */                                  \
+/* Fire the hungriest state, move *hash by it and return its index. A          \
+ * single-block chain rescans its one block with a branch per state, as the    \
+ * dense argmax did: greedy orbits are mostly periodic, so the branches are    \
+ * predicted and the next fire's row is read before the compares resolve.      \
+ * The empty asm keeps the compiler from turning the branch into a             \
+ * conditional move. The root's hunger is left stale there (see walk).         \
+ * Inline: a call per fire costs about as much as a small chain's fire. */     \
 static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
-                                  const rows_##SUF *r)                         \
+                                  const rows_##SUF *r, uint64_t *hash)         \
 {                                                                              \
-    int64_t i = tree[1].i;                                                     \
+    int64_t i = tree[1].i, a = r->indptr[i];                                   \
     if (r->leaves > 1) {                                                       \
-        int64_t a = r->indptr[i];                                              \
-        add_##SUF(h, tree, r, r->indices + a, r->values + a,                   \
-                  r->indptr[i + 1] - a);                                       \
+        *hash += add_##SUF(h, tree, r, r->indices + a, r->values + a,          \
+                           r->indptr[i + 1] - a);                              \
         return i;                                                              \
     }                                                                          \
-    add_row_##SUF(h, r, i);                                                    \
+    for (; a < r->indptr[i + 1]; a++)                                          \
+        *hash += move_##SUF(h, r->indices[a], r->values[a]);                   \
     int64_t best = 0;                                                          \
     for (int64_t j = 1; j < r->n; j++)                                         \
         if (h[j] > h[best]) {                                                  \
@@ -244,6 +245,7 @@ static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
     return i;                                                                  \
 }                                                                              \
                                                                                \
+/* Called on a match of a and b's orbit hashes only. */                        \
 static int same_##SUF(const T *a, const T *b, int64_t n)                       \
 {                                                                              \
     for (int64_t j = 0; j < n; j++)                                            \
@@ -270,16 +272,16 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
  * (the diagonal is their only negative entry): a fire lowers only the fired   \
  * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
  * largest entry. track is a literal at each call, so the untracked walk       \
- * never tests it. Given delta, copy and next >= 0 (an int64 walk with m =     \
- * 0), it stops firing once h repeats, as the header describes. */             \
+ * never tests it. Given copy and next >= 0 (a walk with m = 0), it stops      \
+ * firing once h repeats, as the header describes. */                          \
 static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
     int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
     const int64_t *schedule, int64_t m, T *lo, T *hi, const int track,         \
-    const uint64_t *delta, T *copy, int64_t next)                              \
+    T *copy, int64_t next)                                                     \
 {                                                                              \
     int64_t t = 0, si = 0, at = -1; /* at: the step copied, -1 for none */     \
-    uint64_t hash = 0, mark = 0;                                               \
+    uint64_t hash = 0, mark = 0; /* H less its value at the start */           \
     while (t < steps) {                                                        \
         if (m > 0) {                                                           \
             int64_t i = schedule[si++ % m], k = t > 0 ? fired[t - 1] : i;      \
@@ -299,7 +301,7 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
             }                                                                  \
         }                                                                      \
         while (t < steps) {                                                    \
-            int64_t i = fire_##SUF(h, tree, r);                                \
+            int64_t i = fire_##SUF(h, tree, r, &hash);                         \
             fired[t++] = i;                                                    \
             v[i] += 1;                                                         \
             if (track) {                                                       \
@@ -308,14 +310,13 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
             }                                                                  \
             if (stop[i])                                                       \
                 break;                                                         \
-            if (EXACT && at >= 0 && (hash += delta[i]) == mark                 \
-                && same_##SUF(h, copy, r->n)) {                                \
+            if (at >= 0 && hash == mark && same_##SUF(h, copy, r->n)) {        \
+                if (memchr(stop, 1, (size_t)r->n) != NULL)                     \
+                    break; /* its orbit never fires a stop state */            \
                 t = repeat(fired, v, t, t - at, steps);                        \
                 at = next = -1;                                                \
             }                                                                  \
-            if (EXACT && t == next) {                                          \
-                if (at < 0) /* the first copy: H from scratch */               \
-                    hash = hash_of(NULL, (const int64_t *)h, r->n);            \
+            if (t == next) {                                                   \
                 memcpy(copy, h, (size_t)r->n * sizeof *h);                     \
                 mark = hash;                                                   \
                 at = t;                                                        \
@@ -342,17 +343,13 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     int64_t next = 1; /* the orbit check's first copy of h */                  \
     while (next < n)                                                           \
         next *= 2;                                                             \
-    size_t hashed = EXACT && m == 0 && steps > next ? (size_t)n : 0;           \
+    size_t copied = m == 0 && steps > next ? (size_t)n : 0;                    \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree +                    \
-                              hashed * (sizeof(uint64_t) + sizeof(T)));        \
+                              copied * sizeof(T));                             \
     if (tree == NULL)                                                          \
         return NO_MEMORY;                                                      \
-    uint64_t *delta = hashed ? (uint64_t *)(tree + 2 * r.leaves) : NULL;       \
-    T *copy = hashed ? (T *)(delta + n) : NULL;                                \
-    for (int64_t i = 0; i < (int64_t)hashed; i++) /* how firing i moves H */   \
-        delta[i] = hash_of(indices + indptr[i], (const int64_t *)values +      \
-                           indptr[i], indptr[i + 1] - indptr[i]);              \
-    next = hashed ? next : -1;                                                 \
+    T *copy = copied ? (T *)(tree + 2 * r.leaves) : NULL;                      \
+    next = copied ? next : -1;                                                 \
     T lo = h[0], hi = h[0];                                                    \
     for (int64_t j = 0; extrema != NULL && j < n; j++)                         \
         track_##SUF(h[j], &lo, &hi);                                           \
@@ -361,9 +358,9 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     build_##SUF(h, tree, &r);                                                  \
     int64_t t = extrema != NULL                                                \
         ? walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
-                     &lo, &hi, 1, delta, copy, next)                           \
+                     &lo, &hi, 1, copy, next)                                  \
         : walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
-                     &lo, &hi, 0, delta, copy, next);                          \
+                     &lo, &hi, 0, copy, next);                                 \
     free(tree);                                                                \
     if (extrema != NULL) {                                                     \
         extrema[0] = lo;                                                       \
@@ -376,9 +373,10 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
  * lam and copies the cycle-entry vector into h0 (h0 itself when mu is 0);     \
  * or returns -1, stores -1 and leaves h0 alone if a phase would pass cap      \
  * iterations. Phase one needs no tree for the tortoise, which never fires     \
- * there; phase two builds one for each. When order is not NULL and lam <=     \
- * len, the tortoise then fires the lam steps of one period, which bring it    \
- * back to the cycle entry, and writes them into order. */                     \
+ * there; phase two builds one for each. Both start with -0.0 rewritten, so    \
+ * equal states have equal hashes. When order is not NULL and lam <= len,      \
+ * the tortoise then fires the lam steps of one period, which bring it back    \
+ * to the cycle entry, and writes them into order. */                          \
 int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
                           const int64_t *indices, const T *values, int64_t n,  \
                           int64_t nnz, int64_t cap, int64_t *lam_out,          \
@@ -396,39 +394,41 @@ int64_t brent_cycle_##SUF(T *h0, const int64_t *indptr,                        \
     T *tortoise = (T *)(hare_tree + 2 * r.leaves), *hare = tortoise + n;       \
     int64_t power = 1, lam = 1, mu = 0;                                        \
     size_t bytes = (size_t)n * sizeof(T);                                      \
-    memcpy(tortoise, h0, bytes);                                               \
     memcpy(hare, h0, bytes);                                                   \
     unsign_zeros_##SUF(hare, n);                                               \
+    memcpy(tortoise, hare, bytes);                                             \
+    uint64_t mark = 0, hash = 0; /* H less its value at h0 */                  \
     build_##SUF(hare, hare_tree, &r);                                          \
-    fire_##SUF(hare, hare_tree, &r);                                           \
-    while (!same_##SUF(tortoise, hare, n)) {                                   \
+    fire_##SUF(hare, hare_tree, &r, &hash);                                    \
+    while (hash != mark || !same_##SUF(hare, tortoise, n)) {                   \
         if (power == lam) {                                                    \
             memcpy(tortoise, hare, bytes);                                     \
+            mark = hash;                                                       \
             power *= 2;                                                        \
             lam = 0;                                                           \
         }                                                                      \
-        fire_##SUF(hare, hare_tree, &r);                                       \
+        fire_##SUF(hare, hare_tree, &r, &hash);                                \
         lam += 1;                                                              \
         if (lam > cap)                                                         \
             goto capped;                                                       \
     }                                                                          \
     memcpy(tortoise, h0, bytes);                                               \
-    memcpy(hare, h0, bytes);                                                   \
     unsign_zeros_##SUF(tortoise, n);                                           \
-    unsign_zeros_##SUF(hare, n);                                               \
+    memcpy(hare, tortoise, bytes);                                             \
+    mark = hash = 0;                                                           \
     build_##SUF(tortoise, tortoise_tree, &r);                                  \
     build_##SUF(hare, hare_tree, &r);                                          \
     for (int64_t t = 0; t < lam; t++)                                          \
-        fire_##SUF(hare, hare_tree, &r);                                       \
-    while (!same_##SUF(tortoise, hare, n)) {                                   \
-        fire_##SUF(tortoise, tortoise_tree, &r);                               \
-        fire_##SUF(hare, hare_tree, &r);                                       \
+        fire_##SUF(hare, hare_tree, &r, &hash);                                \
+    while (hash != mark || !same_##SUF(hare, tortoise, n)) {                   \
+        fire_##SUF(tortoise, tortoise_tree, &r, &mark);                        \
+        fire_##SUF(hare, hare_tree, &r, &hash);                                \
         mu += 1;                                                               \
         if (mu > cap)                                                          \
             goto capped;                                                       \
     }                                                                          \
     for (int64_t t = 0; order != NULL && lam <= len && t < lam; t++)           \
-        order[t] = fire_##SUF(tortoise, tortoise_tree, &r);                    \
+        order[t] = fire_##SUF(tortoise, tortoise_tree, &r, &mark);             \
     if (mu > 0)                                                                \
         memcpy(h0, tortoise, bytes);                                           \
     *lam_out = lam;                                                            \
@@ -439,8 +439,8 @@ capped:                                                                        \
     return -1;                                                                 \
 }
 
-DEFINE_KERNELS(int64_t, i64, INT64_MIN, 1)
-DEFINE_KERNELS(double, f64, -HUGE_VAL, 0)
+DEFINE_KERNELS(int64_t, i64, INT64_MIN)
+DEFINE_KERNELS(double, f64, -HUGE_VAL)
 
 /* The rotor-router walk behind rotor_walk in _kernels.py, int64 only. The
  * rotor of state x cycles the runs run_ptr[x] .. run_ptr[x + 1] (CSR, as

@@ -1,16 +1,15 @@
 """Hot loops for the greedy firing process, the rotor walk it is raced
 against, and their CSV output.
 
-There are two firing kernels. greedy_run fires the hungriest state, for a
-number of steps or until a stop state fires; given a schedule of
-insertion states it runs the paper's remove-and-reinsert walk instead,
-and given an extrema array it keeps the least and largest hunger seen.
-brent_cycle finds where and how an orbit cycles and, given a buffer long
-enough, writes the states fired in one period from the cycle entry, so
-a cycle's order costs no second call. A third kernel,
-rotor_walk, walks the rotor-router over each state's runs of slots. One
-row writer, csv_rows, turns a block of CSV rows (traces, sweep profiles,
-rotor itineraries) into text. Each has two implementations:
+Two kernels fire. greedy_run fires the hungriest state for a number of
+steps, until a stop state fires or its orbit repeats without one; given a
+schedule it runs the paper's remove-and-reinsert walk, and given an
+extrema array it keeps the least and largest hunger seen. brent_cycle
+finds where and how an orbit cycles and, given a buffer long enough,
+writes the states fired in one period from the cycle entry. rotor_walk
+walks the rotor-router over each state's runs of slots, and csv_rows
+turns a block of CSV rows (traces, sweep profiles, rotor itineraries)
+into text. Each has two implementations:
 
 - ``c``: the bodies in ``_kernels.c``, compiled with the system ``cc`` the
   first time this module is imported and loaded through ctypes. The shared
@@ -44,17 +43,16 @@ on random valid input; the golden sha256 tables of tests/test_cli.py and
 tests/test_hunger_engine.py pin the bytes that the test suite checks on
 either backend.
 
-A fire adds its row to the columns it touches only. The compiled kernels
-read the hungriest state off a max tournament tree over blocks of 8
-states, whose ties go to the lower index as np.argmax's do, updated an
-entry at a time: O(8 + deg * log(n / 8)) a step instead of a dense row's
-O(n). The tree lives only in _kernels.c, whose header describes it; a
-reference fire is i = np.argmax(h), then h[cols] += vals over row i's
-entries. A dense fire added +0.0 to every column, turning -0.0 hunger
-into +0.0; each kernel makes that rewrite once, before its first fire
-(h += 0 in the reference), so float runs stay bit-identical to it. The
-reference takes greedy_run's extrema over every entry a step touches; the
-compiled walk reads only the entries that can pass them, O(1) a step.
+A fire adds its row to the columns it touches only. A reference fire is
+i = np.argmax(h), then h[cols] += vals over row i's entries; the compiled
+kernels read i off a max tournament tree over blocks of 8 states (ties to
+the lower index, as np.argmax's), O(8 + deg * log(n / 8)) a step, and find
+a repeat of h by an orbit hash that the touched entries move (see
+_kernels.c's header). A dense fire added +0.0 to every column, turning
+-0.0 hunger into +0.0; each kernel makes that rewrite once, before its
+first fire (h += 0 in the reference), so float runs stay bit-identical to
+it. The reference takes greedy_run's extrema over every entry a step
+touches; the compiled walk reads only the entries that can pass them.
 
 csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
@@ -210,12 +208,15 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     h is mutated in place; rows are the (scaled) hunger matrix H as
     SparseRows. fired and v collect the firing sequence and per-state
     counts. With an empty schedule the run ends after the first fire at a
-    state whose bool `stop` entry is set. With a schedule of m >= 1 states
-    the first step inserts the chip at schedule[0] (h += row s, plus `one`
-    at s), and the step after each fire at a stop state k removes it
-    (h[k] -= one) and inserts it at the next schedule state: insertion si
-    goes to schedule[si % m]. An insertion step writes -1 in fired. Returns
-    the number of steps taken.
+    state whose bool `stop` entry is set, or, when some entry is set, at
+    the first fire that leaves h equal to its copy, taken after the first
+    power of two >= n fires and at every power of two (Brent): the orbit
+    then never reaches a stop state. With a schedule of m >= 1 states the
+    first step inserts the chip at schedule[0] (h += row s, plus `one` at
+    s), and the step after each fire at a stop state k removes it (h[k] -=
+    one) and inserts it at the next schedule state: insertion si goes to
+    schedule[si % m]. An insertion step writes -1 in fired. Returns the
+    number of steps taken.
 
     extrema, a length-2 array of h's dtype, if given receives the min and
     max hunger over the start and every step. Here they are taken over the
@@ -223,22 +224,21 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     can move past them, which holds for the rows of H = P - I (the diagonal
     is their only negative entry).
 
-    This body fires every step. The compiled body of an int64 run without
-    a schedule stops firing once h repeats, and writes the rest of the run
-    as copies of the period it has fired (see _kernels.c). That is exact:
-    the paper's lemma keeps the keys in a finite set, so the orbit is
-    eventually periodic, and equal keys fire alike.
+    A run without stop states fires every step here. The compiled body
+    stops firing once h repeats and copies the period it has fired to the
+    end (see _kernels.c), which is exact: the lemma keeps the keys in a
+    finite set, so the orbit (a float one: the rounded map's) is periodic.
     """
     track = extrema is not None
     if track:
         start = h.tolist()  # min and max keep the first of -0.0 and 0.0
         lo, hi = min(start), max(start)
-    seq = []
+    si, m, seq = 0, len(schedule), []
+    ends, copy, next_copy = not m and stop.any(), None, 1 << (h.shape[0] - 1).bit_length()
     if steps > 0:
         table = rows.table()
         stop = stop.tolist()
         h += 0  # -0.0 -> +0.0, as a dense fire did
-    si, m = 0, len(schedule)
     while len(seq) < steps:
         if m:
             i = schedule[si % m]
@@ -264,6 +264,10 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
                 lo, hi = min(lo, *seen), max(hi, *seen)
             if stop[i]:
                 break
+            if ends and copy is not None and h[i] == copy[i] and (h == copy).all():
+                break  # the orbit never fires a stop state
+            if ends and len(seq) == next_copy:
+                copy, next_copy = h.copy(), 2 * next_copy
         if not m:
             break
     if track:
@@ -281,9 +285,9 @@ def brent_cycle(h0, rows, cap, order=None):
     vector, h0 advanced entry_steps steps (h0 itself when that is 0).
     Returns (-1, -1) and leaves h0 unchanged if either phase would pass
     `cap` iterations. Keeps three copies of the state, O(n + nnz) memory in
-    all; exact equality comparisons, so this is only meaningful for
-    integer-scaled state, and for the fixed point an absorbing fire makes
-    on float state (its row of H is exactly zero).
+    all. Exact equality comparisons: float state gives the cycle of the
+    rounded map, not of the exact chain. The compiled body compares states
+    on a match of their orbit hashes only, as greedy_run's walk does.
 
     order, an int64 array, if given and at least period entries long,
     receives the states fired in one period from the cycle entry (the
@@ -719,9 +723,9 @@ class _Arguments:
 if _compiled is not None:
 
     def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
-        """Compiled reference.greedy_run: an int64 run without a schedule
-        fires until h repeats, then copies its period to the end, which
-        the lemma's bound on the keys makes exact."""
+        """Compiled reference.greedy_run: a run without a schedule or stop
+        states fires until h repeats, then copies its period to the end,
+        which the lemma's bound on the keys makes exact."""
         if h.dtype == object:
             return reference.greedy_run(
                 h, rows, steps, fired, v, stop, one, schedule, extrema

@@ -39,9 +39,6 @@ from .chain_model import (
 from .errors import CapExceeded, IIsAbsorbing
 
 DEFAULT_CAP = 10**7
-# chip_add fires this many steps toward absorption (a 512 kB buffer)
-# before it asks where the orbit cycles
-_FIRST_FIRES = 2**16
 
 HungerVector = Tuple[Scalar, ...]
 
@@ -300,20 +297,17 @@ def chip_add(
     trace.final_h the pre-removal one, so the trace keeps the exact
     final_h = initial_h + vH identity.
 
-    The first _FIRST_FIRES fires stop at absorption. Past them the orbit
-    decides: an absorbing state's row of H is zero, so its fire leaves the
-    vector unchanged, and the chip is absorbed exactly when the orbit ends
-    in such a fixed point. Brent's cycle finder (_kernels.brent_cycle)
-    gives the transient mu and the period lam from there: with lam == 1
-    the chip is absorbed on fire mu + 1, and otherwise never.
+    The fires go into a buffer that doubles from 1024 entries up to
+    `cap`, with the absorbing states as greedy_run's stop states, so the
+    kernel also ends a run once the orbit repeats without an absorbing
+    fire: the orbit is then periodic and never absorbs the chip.
 
     Raises:
         ValueError: i is not a state index (an integer in 0..n-1).
         IIsAbsorbing: insertion at an absorbing state.
-        CapExceeded: no absorbing arrival within `cap` fires. Past the
-            first _FIRST_FIRES fires it is known as soon as the orbit
-            closes without one; raised before any fire when the chain has
-            no absorbing state.
+        CapExceeded: no absorbing arrival within `cap` fires. Raised as soon
+            as the orbit repeats without one, and before any fire when the
+            chain has no absorbing state.
     """
     h = coerce_hunger(chain, h)
     _check_state(chain, i)
@@ -329,18 +323,12 @@ def chip_add(
         inserted[j] += p
     inserted = tuple(inserted)
     g, rows, keys = _scaled(chain, inserted)
-    fired = np.empty(min(cap, _FIRST_FIRES), dtype=np.int64)
-    v = np.zeros(chain.n, dtype=np.int64)
-    k = _kernels.greedy_run(g, rows, len(fired), fired, v, mask)
-    if k == 0 or not mask[fired[k - 1]]:
-        # absorbed on fire k + mu + 1 if the orbit ends in a fixed point
-        mu, lam = _kernels.brent_cycle(g.copy(), rows, cap - k)
-        if mu < 0 or lam != 1 or k + mu + 1 > cap:
+    fired, v, k = np.empty(0, dtype=np.int64), np.zeros(chain.n, dtype=np.int64), 0
+    while k == 0 or not mask[fired[k - 1]]:
+        if k == cap or k < len(fired):  # the cap, or a repeat: never absorbed
             raise CapExceeded(cap)
-        fired = np.concatenate((fired, np.empty(mu + 1, dtype=np.int64)))
-        k += _kernels.greedy_run(g, rows, mu + 1, fired[k:], v, mask)
-        if not mask[fired[k - 1]]:
-            raise CapExceeded(cap)  # a float fixed point at a state that moves
+        fired = np.resize(fired, k + min(max(k, 1024), cap - k))
+        k += _kernels.greedy_run(g, rows, len(fired) - k, fired[k:], v, mask)
     pre_removal = keys.hunger(g)
     g[fired[k - 1]] -= keys.unit
     result = keys.hunger(g)

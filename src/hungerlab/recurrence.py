@@ -3,8 +3,9 @@ classification, basin scans over a grid of starts, and the displacement
 lattice tests behind the covering theorem.
 
 Rational mode only. Orbits of a rational-entry chain live on a shifted
-integer lattice, so cycle detection is exact at any scale; float orbits
-never close reliably and are rejected up front.
+integer lattice, so cycle detection is exact at any scale. A float orbit
+is that of a rounded map, not of the exact chain, so float chains are
+rejected up front.
 """
 
 import math

@@ -7,8 +7,9 @@ before sparse rows and the tournament tree: np.argmax and whole-row adds.
 The slot-table rotor walk is the rotor walk as it was before it read the
 Engel machine's cached moves: one list entry per rotor slot; the slot-list
 walk is the same walk on the runs _kernels.rotor_walk takes. The doubling
-chip addition is chip_add as it was before Brent's cycle finder sized its
-run: it fires into a buffer that doubles toward the cap.
+chip addition fires into a buffer that doubles toward the cap, as
+chip_add does, but fires on after a greedy_run call that ends short of
+its buffer (at a repeat of h) instead of trusting it.
 """
 
 import math
@@ -287,8 +288,9 @@ def slot_list_rotor_walk(itinerary, run_ptr, targets, counts, at, left):
 
 def doubling_chip_add(chain: MarkovChain, h, i: int, cap: int):
     """(result, trace) of chip_add, fired into a buffer that doubles (from
-    1024 entries) up to cap until an absorbing arrival; CapExceeded when
-    none comes within cap fires."""
+    1024 entries) up to cap until an absorbing arrival, calling greedy_run
+    again whenever a call ends short of it; CapExceeded when none comes
+    within cap fires."""
     h = hunger_engine.coerce_hunger(chain, h)
     mask = np.array([dict(chain.row(j)).get(j) == 1 for j in range(chain.n)])
     if not mask.any():
@@ -319,10 +321,17 @@ def doubling_chip_add(chain: MarkovChain, h, i: int, cap: int):
 def dense_greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
     """greedy_run on dense rows: np.argmax, then the whole row added, with
     insertion steps when a schedule is given and extrema over every entry
-    after every step."""
+    after every step. Without a schedule, and with some stop state, h is
+    copied after the first power of two >= n fires and then at every power
+    of two, and the run ends when h equals the copy again."""
     n = h.shape[0]
     lo = h[0]
     hi = h[0]
+    ends = not len(schedule) and stop.any()
+    copy = None
+    next_copy = 1
+    while next_copy < n:
+        next_copy *= 2
 
     def scan():
         nonlocal lo, hi
@@ -355,6 +364,11 @@ def dense_greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema
             scan()
             if stop[i]:
                 break
+            if ends and copy is not None and not (h != copy).any():
+                break
+            if ends and t == next_copy:
+                copy = h.copy()
+                next_copy *= 2
         if not len(schedule):
             break
     if extrema is not None:

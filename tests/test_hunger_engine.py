@@ -4,7 +4,6 @@ import json
 import random
 import time
 import tracemalloc
-from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -280,28 +279,44 @@ def test_chip_add_fraction_fallback_agrees(absorbing_walk5, monkeypatch):
         chip_add(chain, h0, 2, cap=1)
 
 
+def kernel_runs(monkeypatch):
+    """Record (steps asked for, steps taken) of every greedy_run call that
+    hunger_engine makes."""
+    runs = []
+    greedy_run = hunger_engine._kernels.greedy_run
+
+    def recorded(*args):
+        runs.append((args[2], greedy_run(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(hunger_engine._kernels, "greedy_run", recorded)
+    return runs
+
+
 def test_chip_add_fires_each_step_once_past_buffer_doublings(monkeypatch):
-    """2501 fires to absorption, two doublings past the reference loop's
-    1024-entry buffer (oracles.doubling_chip_add), and past a first run
-    of 1000 or 1 fires into the part Brent's finder sizes; the cap counts
-    fires, and absorption on fire `cap` succeeds."""
+    """2501 fires to absorption, two doublings past the 1024-entry first
+    buffer: each greedy_run call fills the buffer's new half, the last one
+    up to the absorbing fire or the cap. The cap counts fires, and
+    absorption on fire `cap` succeeds."""
     chain = parse_chain(
         '{"mode": "rational", "P": [["4999/5000", "1/5000"], ["0", "1"]]}'
     )
     fired, h = fire_steps(chain, chip_add(chain, None, 0)[1].initial_h, 2501)
-    for first in (hunger_engine._FIRST_FIRES, 1000, 1):
-        monkeypatch.setattr(hunger_engine, "_FIRST_FIRES", first)
-        result, trace = chip_add(chain, None, 0, cap=2501)
+    runs = kernel_runs(monkeypatch)
+    for cap, sizes in ((2501, [1024, 1024, 453]), (10**7, [1024, 1024, 2048])):
+        runs.clear()
+        result, trace = chip_add(chain, None, 0, cap=cap)
+        assert [asked for asked, _ in runs] == sizes
         assert trace.steps == len(trace.fired) == 2501
         assert trace.v.tolist() == [2500, 1]
         assert fired == list(trace.fired)
         assert h == trace.final_h
         assert result == (F(2499, 5000), F(-2499, 5000))
-        for cap in (2500, 0):
-            with pytest.raises(CapExceeded):
-                chip_add(chain, None, 0, cap=cap)
-        with pytest.raises(ValueError, match="cap must be >= 0"):
-            chip_add(chain, None, 0, cap=-1)
+    for cap in (2500, 0):
+        with pytest.raises(CapExceeded):
+            chip_add(chain, None, 0, cap=cap)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        chip_add(chain, None, 0, cap=-1)
 
 
 def reducible_chain(rng, n, closed, mode):
@@ -342,35 +357,36 @@ def chip_add_outcome(add, chain, h, i, cap):
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     st.integers(0, 2**32), st.integers(2, 6), st.booleans(),
-    st.sampled_from(("rational", "float", "big")),
-    st.sampled_from((1, 2, 7, hunger_engine._FIRST_FIRES)), st.data(),
+    st.sampled_from(("rational", "float", "big")), st.sampled_from((12, 1200)),
+    st.data(),
 )
-def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, first, data):
-    """chip_add fires `first` steps toward absorption, then the mu + 1
-    steps Brent's cycle finder counts; the loop that fires until
-    absorption or the cap is the reference. Caps run from 0 to just past
-    the absorption step; chips in a closed class without sinks meet the
-    cap on both sides. `big` starts near 2^62 take the Python-int path."""
+def test_chip_add_matches_the_doubling_loop(seed, n, closed, kind, spread, data):
+    """chip_add ends at the first greedy_run call that stops short of its
+    buffer without an absorbing fire, where its orbit repeats; the loop
+    that fires on to absorption or the cap is the reference. Starts spread
+    up to 1200 give transients past the first buffer's 1024 fires. Caps run
+    from 0 to just past the absorption step; chips in a closed class
+    without sinks meet the cap on both sides. `big` starts near 2^62 take
+    the Python-int path."""
     rng = random.Random(seed)
     chain = reducible_chain(rng, n, closed, FLOAT if kind == "float" else RATIONAL)
     i = rng.choice([s for s in range(n) if s not in absorbing_states(chain)])
-    h = [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+    h = [F(rng.randint(-spread, spread), rng.randint(1, 4)) for _ in range(n)]
     if kind == "float":
         h = [float(x) for x in h]
     elif kind == "big":
         h = [x + 2**62 for x in h]
-    reach = chip_add_outcome(doubling_chip_add, chain, h, i, 400)
-    cap = data.draw(st.integers(0, 400 if reach[0] == "cap" else reach[3] + 2))
+    reach = chip_add_outcome(doubling_chip_add, chain, h, i, 6000)
+    cap = data.draw(st.integers(0, 6000 if reach[0] == "cap" else reach[3] + 2))
     expected = chip_add_outcome(doubling_chip_add, chain, h, i, cap)
-    with mock.patch.object(hunger_engine, "_FIRST_FIRES", first):
-        assert chip_add_outcome(chip_add, chain, h, i, cap) == expected
+    assert chip_add_outcome(chip_add, chain, h, i, cap) == expected
 
 
 def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
     """Inserted at v1 of [[1/2,1/2,0],[1/2,1/2,0],[0,0,1]], the chip never
-    leaves {v1, v2}: past its first run the orbit has cycled, and chip_add
+    leaves {v1, v2}: its orbit cycles within the first buffer, and chip_add
     says so without firing toward the 10^7 cap. The time bound is for the
-    compiled kernels; the numpy backend fires the first run in Python."""
+    compiled kernels; the numpy backend fires in Python."""
     h = F(1, 2)
     chain = MarkovChain([[h, h, 0], [h, h, 0], [0, 0, 1]])
     with pytest.raises(CapExceeded):
@@ -393,41 +409,33 @@ def test_chip_add_finds_a_chip_that_is_never_absorbed_quickly():
 
 def test_chip_add_refuses_a_float_fixed_point_at_a_live_state(monkeypatch):
     """From (1e20, -1e20, 0) a fire at v1 of a float chain adds -1/2 and
-    1/2, which round away: v1 fires forever without changing h. Brent's
-    finder sees a fixed point (period 1), and the fire that reaches it is
-    at v1, which does not absorb: CapExceeded, not an absorption."""
+    1/2, which round away: v1 fires forever without changing h. The first
+    greedy_run call sees h repeat (period 1) at v1, which does not absorb,
+    and ends short of its buffer: CapExceeded, not an absorption."""
     chain = MarkovChain([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]], mode=FLOAT)
-    runs = []
-    greedy_run = hunger_engine._kernels.greedy_run
-    monkeypatch.setattr(
-        hunger_engine._kernels, "greedy_run",
-        lambda *args: runs.append(args[2]) or greedy_run(*args),
-    )
+    runs = kernel_runs(monkeypatch)
     with pytest.raises(CapExceeded) as err:
         chip_add(chain, (1e20, -1e20, 0.0), 0, cap=10**6)
     assert err.value.cap == 10**6
-    assert runs == [hunger_engine._FIRST_FIRES, 1]  # the first run, then mu + 1 fires
+    assert runs == [(1024, 5)]  # h copied after 4 fires, the same after 5
 
 
 def test_chip_add_stops_at_a_cycle_past_a_transient(monkeypatch):
-    """From (1000, -1000, 0) the chip at v1 of the chain above fires about
-    2000 steps before its orbit closes with period 2. Past a first run of
-    10 fires, CapExceeded comes from Brent's finder: no more fires."""
+    """From (1000, -1000, 0) the chip at v1 of the chain above fires 2000
+    steps before its orbit closes with period 2, past two buffers of 1024
+    fires. The third greedy_run call, of 2048, sees the period (h copied
+    after 4 of its fires, the same 2 fires later) and ends short:
+    CapExceeded after 2054 fires, not after the 10^7 of the cap."""
     h = F(1, 2)
     chain = MarkovChain([[h, h, 0], [h, h, 0], [0, 0, 1]])
     start = (F(1000), F(-1000), F(0))
     g, rows, _ = hunger_engine._scaled(chain, (F(2001, 2), F(-1999, 2), F(0)))
     assert hunger_engine._kernels.brent_cycle(g, rows, 10**4) == (2000, 2)
-    requested = []
-    run = hunger_engine._kernels.greedy_run
-    monkeypatch.setattr(
-        hunger_engine._kernels, "greedy_run",
-        lambda *a: requested.append(a[2]) or run(*a),
-    )
-    monkeypatch.setattr(hunger_engine, "_FIRST_FIRES", 10)
-    with pytest.raises(CapExceeded):
+    runs = kernel_runs(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
         chip_add(chain, start, 0)
-    assert requested == [10]
+    assert err.value.cap == hunger_engine.DEFAULT_CAP
+    assert runs == [(1024, 1024), (1024, 1024), (2048, 6)]
 
 
 def test_chip_add_random_chains_terminate():
@@ -933,8 +941,8 @@ def test_reference_rows_table_is_built_once(absorbing_walk5, monkeypatch):
     assert hunger_engine._scaled(circulant, zero_hunger(circulant))[0].dtype == object
     assert find_cycle(circulant).period == 3
     assert len(builds) == 1
-    # chip_add makes one first run of up to _FIRST_FIRES fires, and asks
-    # Brent's finder where the orbit cycles only past it
+    # chip_add fires into a buffer doubling from 1024 entries, one
+    # greedy_run call a size, all on the same rows
     H = 2**70
     _, trace = chip_add(absorbing_walk5, (H - 1000, H, H, H, H - 1000), 2)
     assert trace.steps > 4096

@@ -109,22 +109,44 @@ def assert_all_agree(name, h, rows, *rest):
     return dense_res, dense_args
 
 
+def last_copy(n, k):
+    """The step of greedy_run's last copy of h before step k: the largest
+    power of two below k that is >= n."""
+    copied = 1
+    while copied < n or 2 * copied < k:
+        copied *= 2
+    return copied
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(cases())
 def test_greedy_run_matches_reference(case):
     """Without a stop state (every fire recorded) and with the absorbing
-    mask as stop states (ends at the first absorbing arrival)."""
+    mask as stop states: ends at the first absorbing arrival, or where h
+    is what it was at the last copy, when the orbit has repeated without
+    one."""
     h, rows, absorbing, _, _, steps = case
+    n = h.shape[0]
     fired = np.zeros(steps, dtype=np.int64)
-    v = np.zeros(h.shape[0], dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
     for stop in (np.zeros_like(absorbing), absorbing):
         dense_res, dense_args = assert_all_agree(
             "greedy_run", h, rows, steps, fired, v, stop
         )
         k = int(dense_res)
         dense_fired = dense_args[2]
-        assert k == steps or (0 < k < steps and stop[dense_fired[k - 1]])
         assert not stop[dense_fired[: k - 1]].any()
+        if k < steps and not stop[dense_fired[k - 1]]:  # the orbit repeated
+            copied = last_copy(n, k)
+            assert copied < k
+            back = h.copy()
+            DENSE_KERNELS.greedy_run(
+                back, rows, copied, np.zeros(copied, np.int64), np.zeros(n, np.int64),
+                np.zeros(n, np.bool_),
+            )
+            assert (back == dense_args[0]).all()
+        else:
+            assert k == steps or 0 < k and stop[dense_fired[k - 1]]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -192,26 +214,36 @@ def test_greedy_run_with_extrema_matches_reference(case):
 
 @st.composite
 def long_runs(draw):
-    """An int64 run past its orbit's transient and first periods, for
-    greedy_run's orbit check: a start spread wide (a long transient), v
-    counting already, a stop state on the cycle, off it or none, and a step
-    count up to about 5000 just before, on or after a period boundary,
-    counted from the cycle entry or from the step where the compiled walk
-    sees the period (its copy at a power of two >= n, mu and lam, then lam
-    fires). Orbits that do not close within 5000 fires get any step count."""
+    """A run past its orbit's transient and first periods, for greedy_run's
+    orbit check: int64 rows, or float64 ones whose weights (k/S) are exact
+    for S a power of two and rounded otherwise, a start spread wide (a long
+    transient) that may hold -0.0, v counting already, a stop state on the
+    cycle, off it or none, and a step count up to about 5000 just before,
+    on or after a period boundary, counted from the cycle entry or from the
+    step where the walk sees the period (its copy at a power of two >= n,
+    mu and lam, then lam fires). Orbits that do not close within 5000 fires
+    (a rounded float map's may never) get any step count. Also returns the
+    step where a run with the stop state off the cycle ends once its orbit
+    repeats, or None."""
     n = draw(st.integers(2, 48))
-    S = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    S = draw(st.sampled_from([1, 2, 3, 4, 6, 10]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         support = rng.choice(n, size=rng.integers(1, min(n, 4) + 1), replace=False)
         np.add.at(counts[i], rng.choice(support, size=S), 1)
-    rows = sparse_rows(counts - S * np.eye(n, dtype=np.int64))
     spread = draw(st.sampled_from([2, 20, 100])) * S
     h = rng.integers(-spread, spread + 1, size=n)
+    if dtype is np.int64:
+        rows = sparse_rows(counts - S * np.eye(n, dtype=np.int64))
+    else:
+        rows = sparse_rows(counts / S - np.eye(n))
+        h = h / S
+        h[rng.random(n) < 0.2] = -0.0
     order = np.zeros(5000, np.int64)
     mu, lam = _kernels.brent_cycle(h.copy(), rows, 5000, order)
-    stop = np.zeros(n, np.bool_)
+    stop, repeats = np.zeros(n, np.bool_), None
     if mu < 0:
         steps = draw(st.integers(0, 5000))
     else:
@@ -227,22 +259,54 @@ def long_runs(draw):
             stop[draw(st.sampled_from(cycle.tolist()))] = True
         elif where == "off the cycle" and len(cycle) < n:
             stop[draw(st.sampled_from(np.setdiff1d(np.arange(n), cycle).tolist()))] = True
-    return h, rows, stop, steps, rng.integers(0, 100, size=n)
+            repeats = seen + lam
+    return h, rows, stop, steps, rng.integers(0, 100, size=n), repeats
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(long_runs())
 def test_greedy_run_past_the_orbits_transient_and_period(case):
-    """Runs long enough for the compiled int64 walk to see its orbit repeat
-    and copy the rest of its fires: the return value, fired, v (counting
+    """Runs long enough for the compiled walk to see its orbit repeat and
+    copy the rest of its fires: the return value, fired, v (counting
     already) and the final h are the reference's and the dense oracle's,
-    with and without extrema."""
-    h, rows, stop, steps, v = case
-    for extrema in (None, np.zeros(2, np.int64)):
-        assert_all_agree(
+    with and without extrema. With the stop state off the cycle, the run
+    ends at its first stop fire in the transient, or where the walk sees
+    the period, whichever comes first."""
+    h, rows, stop, steps, v, repeats = case
+    n = h.shape[0]
+    for extrema in (None, np.zeros(2, h.dtype)):
+        k, _ = assert_all_agree(
             "greedy_run", h, rows, steps, np.full(steps, -9, np.int64), v, stop,
-            np.int64(0), (), extrema,
+            h.dtype.type(0), (), extrema,
         )
+        if repeats is not None:
+            free = np.zeros(steps, np.int64)
+            DENSE_KERNELS.greedy_run(
+                h.copy(), dense_rows(rows), steps, free, np.zeros(n, np.int64),
+                np.zeros(n, np.bool_),
+            )
+            stops = np.flatnonzero(stop[free]).tolist()
+            assert k == min([steps, repeats] + [t + 1 for t in stops[:1]])
+
+
+def test_brent_cycle_past_many_untouched_states():
+    """300 states: 297 absorbing ones, never fired, at equal hunger below
+    three that move among themselves from a wide start. Every tortoise and
+    hare agree on the 297 leading entries, so comparing them after every
+    fire would cost O(n) a fire; the compiled body compares on a hash match
+    only, and returns the reference's mu and lam, entry vector and order."""
+    n = 300
+    rows = np.zeros((n, n), np.int64)  # 12 (P - I)
+    rows[297:, 297:] = [[-12, 6, 6], [4, -8, 4], [9, 3, -12]]
+    h = np.zeros(n, np.int64)
+    h[297:] = [108000, -36000, 2400]
+    rows = sparse_rows(rows)
+    results = []
+    for body in SPARSE:
+        h0, order = h.copy(), np.full(64, -1, np.int64)
+        results.append((body.brent_cycle(h0, rows, 10**6, order), h0.tolist(), order.tolist()))
+    assert results[0][0] == (11413, 41)
+    assert all(r == results[0] for r in results)
 
 
 @compiled
