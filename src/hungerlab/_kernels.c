@@ -35,8 +35,8 @@
  * a dense argmax. A chain with n <= BLOCK is one block, whose leaf is the
  * root: a fire adds the row and rescans that block, as the dense argmax
  * did. The tree's memory is allocated here, once per call. greedy_run's
- * walk is inlined twice, with its extrema tracked (O(1) a step) and
- * without, so a run without them tests nothing for them.
+ * walk is inlined thrice: with its extrema tracked (O(1) a step), and
+ * without, with or without the orbit check; a run tests only what it keeps.
  *
  * A greedy_run without a schedule stops firing once h repeats: the paper's
  * lemma keeps every hunger at or above h_min - 1 while the total is
@@ -45,11 +45,13 @@
  * H = sum_j z_j bits(h[j]) mod 2^64, less its start value, by the entries
  * it touches; the walk copies h at every power of two >= n fires (Brent).
  * When H and then h equal the copy again, p fires on, a run with stop
- * states ends (its orbit never fires one); any other writes the remaining
- * whole periods as fired[k] = fired[k - p], adds their counts to v and
- * fires the last (steps - t) mod p, as the full walk would. brent_cycle's
- * tortoise and hare compare the same way; the reinsertion walk fires every
- * step.
+ * states ends (its orbit never fires one); an int64 run without them
+ * writes the remaining whole periods as fired[k] = fired[k - p], adds
+ * their counts to v and fires the last (steps - t) mod p, as the full walk
+ * would. A float run without stop states fires every step, since
+ * whether its rounded orbit closes, and so its cost, varies tenfold from
+ * chain to chain. brent_cycle's tortoise and hare compare the same way;
+ * the reinsertion walk fires every step.
  *
  * Signed zeros: a dense fire added +0.0 to every column, which turned a
  * -0.0 hunger into +0.0. Untouched columns are not added to here, so each
@@ -134,14 +136,15 @@ static void unsign_zeros_##SUF(T *h, int64_t n)                                \
             h[j] = 0;                                                          \
 }                                                                              \
                                                                                \
-/* Add x to h[j], return how the hash moves (memcpy: no aliasing cast). */     \
-static inline uint64_t move_##SUF(T *h, int64_t j, T x)                        \
+/* h[j] += x; *hash, unless NULL, moves with H (memcpy: no aliasing cast). */  \
+static inline void move_##SUF(T *h, int64_t j, T x, uint64_t *hash)            \
 {                                                                              \
     uint64_t old, new;                                                         \
     memcpy(&old, h + j, sizeof old);                                           \
     h[j] += x;                                                                 \
     memcpy(&new, h + j, sizeof new);                                           \
-    return weight(j) * (new - old);                                            \
+    if (hash != NULL)                                                          \
+        *hash += weight(j) * (new - old);                                      \
 }                                                                              \
                                                                                \
 /* The first maximal state of block b, or a node that never wins when the      \
@@ -193,20 +196,20 @@ static void retree_##SUF(node_##SUF *tree, int64_t k, node_##SUF w)            \
 }                                                                              \
                                                                                \
 /* Add vals[0 .. len) to h at cols[0 .. len), updating the tree an entry at    \
- * a time, and return how the orbit hash moves. An entry that rose takes its   \
+ * a time, and move *hash as move does. An entry that rose takes its           \
  * block's leaf in O(1) if it is the leaf already, is now hungrier, or ties    \
  * it with a lower index; otherwise nothing changes. An entry that did not     \
  * rise (a fall, an int64 add that wrapped, a NaN) has its block rescanned.    \
  * In a row of H = P - I only the diagonal falls, so a fire rescans one        \
  * block, the fired state's. */                                                \
-static uint64_t add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,         \
-                          const int64_t *cols, const T *vals, int64_t len)     \
+static void add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,             \
+                      const int64_t *cols, const T *vals, int64_t len,         \
+                      uint64_t *hash)                                          \
 {                                                                              \
-    uint64_t moved = 0;                                                        \
     for (int64_t k = 0; k < len; k++) {                                        \
         int64_t j = cols[k], b = j / BLOCK;                                    \
         T old = h[j];                                                          \
-        moved += move_##SUF(h, j, vals[k]);                                    \
+        move_##SUF(h, j, vals[k], hash);                                       \
         T x = h[j];                                                            \
         node_##SUF w = tree[r->leaves + b];                                    \
         if (!(x >= old))                                                       \
@@ -214,10 +217,9 @@ static uint64_t add_##SUF(T *h, node_##SUF *tree, const rows_##SUF *r,         \
         else if (j == w.i || x > w.h || (x == w.h && j < w.i))                 \
             retree_##SUF(tree, r->leaves + b, (node_##SUF){x, j});             \
     }                                                                          \
-    return moved;                                                              \
 }                                                                              \
                                                                                \
-/* Fire the hungriest state, move *hash by it and return its index. A          \
+/* Fire the hungriest state, move *hash as add does, return its index. A      \
  * single-block chain rescans its one block with a branch per state, as the    \
  * dense argmax did: greedy orbits are mostly periodic, so the branches are    \
  * predicted and the next fire's row is read before the compares resolve.      \
@@ -229,12 +231,12 @@ static inline int64_t fire_##SUF(T *h, node_##SUF *tree,                       \
 {                                                                              \
     int64_t i = tree[1].i, a = r->indptr[i];                                   \
     if (r->leaves > 1) {                                                       \
-        *hash += add_##SUF(h, tree, r, r->indices + a, r->values + a,          \
-                           r->indptr[i + 1] - a);                              \
+        add_##SUF(h, tree, r, r->indices + a, r->values + a,                   \
+                  r->indptr[i + 1] - a, hash);                                 \
         return i;                                                              \
     }                                                                          \
     for (; a < r->indptr[i + 1]; a++)                                          \
-        *hash += move_##SUF(h, r->indices[a], r->values[a]);                   \
+        move_##SUF(h, r->indices[a], r->values[a], hash);                      \
     int64_t best = 0;                                                          \
     for (int64_t j = 1; j < r->n; j++)                                         \
         if (h[j] > h[best]) {                                                  \
@@ -272,8 +274,8 @@ static void track_##SUF(T x, T *lo, T *hi)                                     \
  * (the diagonal is their only negative entry): a fire lowers only the fired   \
  * entry, an insertion k and the inserted one, and h[tree[1].i] is the         \
  * largest entry. track is a literal at each call, so the untracked walk       \
- * never tests it. Given copy and next >= 0 (a walk with m = 0), it stops      \
- * firing once h repeats, as the header describes. */                          \
+ * never tests it. Given copy and next >= 0 (m = 0), it hashes h and stops     \
+ * once h repeats (see the header); a literal NULL copy compiles both out. */  \
 static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
     T *h, node_##SUF *tree, const rows_##SUF *r, int64_t steps,                \
     int64_t *fired, int64_t *v, const uint8_t *stop, T one,                    \
@@ -291,8 +293,8 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
                 retree_##SUF(tree, r->leaves + b, block_max_##SUF(h, r, b));   \
             }                                                                  \
             add_##SUF(h, tree, r, r->indices + a, r->values + a,               \
-                      r->indptr[i + 1] - a);                                   \
-            add_##SUF(h, tree, r, &i, &one, 1);                                \
+                      r->indptr[i + 1] - a, NULL);                             \
+            add_##SUF(h, tree, r, &i, &one, 1, NULL);                          \
             fired[t++] = -1;                                                   \
             if (track) {                                                       \
                 track_##SUF(h[k], lo, hi);                                     \
@@ -301,7 +303,7 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
             }                                                                  \
         }                                                                      \
         while (t < steps) {                                                    \
-            int64_t i = fire_##SUF(h, tree, r, &hash);                         \
+            int64_t i = fire_##SUF(h, tree, r, copy ? &hash : NULL);           \
             fired[t++] = i;                                                    \
             v[i] += 1;                                                         \
             if (track) {                                                       \
@@ -310,13 +312,13 @@ static inline __attribute__((always_inline)) int64_t walk_##SUF(               \
             }                                                                  \
             if (stop[i])                                                       \
                 break;                                                         \
-            if (at >= 0 && hash == mark && same_##SUF(h, copy, r->n)) {        \
+            if (copy && at >= 0 && hash == mark && same_##SUF(h, copy, r->n)) {\
                 if (memchr(stop, 1, (size_t)r->n) != NULL)                     \
                     break; /* its orbit never fires a stop state */            \
                 t = repeat(fired, v, t, t - at, steps);                        \
                 at = next = -1;                                                \
             }                                                                  \
-            if (t == next) {                                                   \
+            if (copy && t == next) {                                           \
                 memcpy(copy, h, (size_t)r->n * sizeof *h);                     \
                 mark = hash;                                                   \
                 at = t;                                                        \
@@ -343,7 +345,8 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     int64_t next = 1; /* the orbit check's first copy of h */                  \
     while (next < n)                                                           \
         next *= 2;                                                             \
-    size_t copied = m == 0 && steps > next ? (size_t)n : 0;                    \
+    size_t copied = m == 0 && steps > next /* (T)0.5 is 0 for int64 only */    \
+        && ((T)0.5 == 0 || memchr(stop, 1, (size_t)n)) ? (size_t)n : 0;        \
     node_##SUF *tree = malloc(2 * r.leaves * sizeof *tree +                    \
                               copied * sizeof(T));                             \
     if (tree == NULL)                                                          \
@@ -359,8 +362,11 @@ int64_t greedy_run_##SUF(T *h, const int64_t *indptr, const int64_t *indices,  \
     int64_t t = extrema != NULL                                                \
         ? walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
                      &lo, &hi, 1, copy, next)                                  \
+        : copy != NULL                                                         \
+        ? walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
+                     &lo, &hi, 0, copy, next)                                  \
         : walk_##SUF(h, tree, &r, steps, fired, v, stop, one, schedule, m,     \
-                     &lo, &hi, 0, copy, next);                                 \
+                     &lo, &hi, 0, NULL, -1);                                   \
     free(tree);                                                                \
     if (extrema != NULL) {                                                     \
         extrema[0] = lo;                                                       \

@@ -224,10 +224,11 @@ def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None)
     can move past them, which holds for the rows of H = P - I (the diagonal
     is their only negative entry).
 
-    A run without stop states fires every step here. The compiled body
-    stops firing once h repeats and copies the period it has fired to the
-    end (see _kernels.c), which is exact: the lemma keeps the keys in a
-    finite set, so the orbit (a float one: the rounded map's) is periodic.
+    A run without stop states fires every step here. The compiled body of
+    an int64 one stops firing once h repeats and copies the period it has
+    fired to the end (see _kernels.c), which is exact: the lemma keeps the
+    keys in a finite set, so the orbit is periodic. A float one fires every
+    step there too: whether its rounded orbit closes varies by chain.
     """
     track = extrema is not None
     if track:
@@ -723,9 +724,9 @@ class _Arguments:
 if _compiled is not None:
 
     def greedy_run(h, rows, steps, fired, v, stop, one=0, schedule=(), extrema=None):
-        """Compiled reference.greedy_run: a run without a schedule or stop
-        states fires until h repeats, then copies its period to the end,
-        which the lemma's bound on the keys makes exact."""
+        """Compiled reference.greedy_run: an int64 run without a schedule
+        or stop states fires until h repeats, then copies its period to the
+        end, which the lemma's bound on the keys makes exact."""
         if h.dtype == object:
             return reference.greedy_run(
                 h, rows, steps, fired, v, stop, one, schedule, extrema

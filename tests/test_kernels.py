@@ -267,7 +267,8 @@ def long_runs(draw):
 @given(long_runs())
 def test_greedy_run_past_the_orbits_transient_and_period(case):
     """Runs long enough for the compiled walk to see its orbit repeat and
-    copy the rest of its fires: the return value, fired, v (counting
+    copy the rest of its fires (int64 ones; a float run without a stop
+    state fires every step): the return value, fired, v (counting
     already) and the final h are the reference's and the dense oracle's,
     with and without extrema. With the stop state off the cycle, the run
     ends at its first stop fire in the transient, or where the walk sees
