@@ -487,7 +487,7 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
  *   LABELS: label num[r] from a table of k labels, stored back to back in
  *           text with label j at text[ends[j] .. ends[j + 1]); -1 writes
  *           nothing;
- *   RATIOS: k cells num[r * rs + c * cs] / den[r] (or / scalar when den is
+ *   RATIOS: k cells num[r * k + c] / den[r] (or / scalar when den is
  *           NULL), joined by sep, each reduced by their gcd and written as
  *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction;
  *   DEVIATIONS: one cell scale[r] |num[r] q - p den[r]| / (den[r] q), p / q
@@ -509,7 +509,6 @@ typedef unsigned __int128 u128;
 typedef struct {
     int64_t kind, k;
     const int64_t *num, *den;
-    int64_t rs, cs; /* RATIOS: num's strides, in elements, between rows and cells */
     int64_t scalar;
     const char *text;
     const int64_t *ends;
@@ -670,11 +669,11 @@ int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
                 int64_t d = f->den == NULL ? f->scalar : f->den[r];
                 if (d <= 0)
                     return BAD_DEN;
-                const int64_t *a = f->num + r * f->rs;
+                const int64_t *a = f->num + r * f->k;
                 for (int64_t c = 0; c < f->k; c++) {
                     if (c > 0)
                         *p++ = (char)f->sep;
-                    p = put_ratio(p, a[c * f->cs], d);
+                    p = put_ratio(p, a[c], d);
                 }
             }
         }

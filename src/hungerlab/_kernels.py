@@ -380,7 +380,8 @@ class Ratios(NamedTuple):
     """A CSV field of k cells a row, num[r, c] / den joined by sep: num is
     (rows, k), or (rows,) for k = 1; den is one positive integer for every
     row, an array of one a row, or None for float cells, written by repr.
-    An integer column is a Ratios over den 1."""
+    An integer column is a Ratios over den 1. The compiled csv_rows copies
+    a num that does not lie in rows (a transposed view) into rows."""
 
     num: np.ndarray
     den: object
@@ -414,16 +415,15 @@ def csv_rows(f, fields):
     "," and ended by "\n".
 
     A field is a str (the same text in every row), Labels, Ratios or
-    Deviations, and the rows are as many as the first of the others has. A
+    Deviations, and the rows are as many as every array of the others has. A
     Ratios cell num/den is reduced by its gcd and written as "a", or "a/b"
     for b > 1, as the reduced Fraction prints.
 
     Raises:
-        ValueError: a denominator is <= 0, or a label index is outside
-            -1 .. k - 1 for a table of k labels.
+        ValueError: the fields' lengths differ, a denominator is <= 0, or a
+            label index is outside -1 .. k - 1 for a table of k labels.
     """
-    rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
-                for field in fields if not isinstance(field, str))
+    rows = _Arguments.length(fields)
     columns = []
     for field in fields:
         if isinstance(field, str):
@@ -437,6 +437,8 @@ def csv_rows(f, fields):
             num, den, sep = field.ratios() if isinstance(field, Deviations) else field
             if den is not None and np.any(np.asarray(den) <= 0):
                 raise _FAILURE[_BAD_DEN]()
+            if isinstance(den, (int, np.integer)) and den >= 2**63:
+                num = num.astype(object)  # np.gcd takes no such int with int64
             cells = []
             for col in (num if num.ndim == 2 else num[:, None]).T:
                 if den is None:
@@ -513,7 +515,6 @@ class _Field(ctypes.Structure):
     _fields_ = [
         ("kind", ctypes.c_int64), ("k", ctypes.c_int64),
         ("num", ctypes.c_void_p), ("den", ctypes.c_void_p),
-        ("rs", ctypes.c_int64), ("cs", ctypes.c_int64),
         ("scalar", ctypes.c_int64), ("text", ctypes.c_char_p),
         ("ends", ctypes.c_void_p), ("sep", ctypes.c_int64),
         ("p", ctypes.c_uint64 * 2), ("q", ctypes.c_uint64 * 2), ("scale", ctypes.c_void_p),
@@ -580,9 +581,9 @@ def active_backend() -> str:
 
 
 class _Arguments:
-    """The compiled kernels' argument check. A class holding a static
-    method, like _Pointer, so that tracers wrapping this module's functions
-    do not count it as a kernel call.
+    """Argument checks: the compiled kernels', and csv_rows' row count for
+    both bodies. Static methods, as _Pointer's, so that tracers wrapping
+    this module's functions do not count them as kernel calls.
     """
 
     @staticmethod
@@ -652,24 +653,37 @@ class _Arguments:
             )
 
     @staticmethod
+    def length(fields) -> int:
+        """The rows of a csv_rows block, which every array of its fields
+        holds (Labels index; Ratios num, den; Deviations num, den, scale).
+
+        Raises:
+            ValueError: two of those lengths differ.
+        """
+        lengths = {len(a) for field in fields if not isinstance(field, str)
+                   for a in (field[1:] if isinstance(field, Labels) else field)
+                   if isinstance(a, np.ndarray)}
+        if len(lengths) > 1:
+            raise ValueError("csv_rows: the fields' lengths differ")
+        return lengths.pop()
+
+    @staticmethod
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
         for the compiled csv_rows, or None when a field needs Python ints.
-        Checks every label index and denominator the C body takes here, so
-        that a refused block writes nothing, as in the reference body.
+        Checks every array's length, label index and denominator here, so
+        that a refused block writes nothing, as in the reference body, and
+        copies a Ratios num that does not lie in rows (a transposed view).
 
         Raises:
             ValueError: an array's length is not the number of rows, a label
                 index is outside -1 .. k - 1, or a denominator is <= 0.
         """
-        rows = next(len(field.index) if isinstance(field, Labels) else len(field.num)
-                    for field in fields if not isinstance(field, str))
+        rows = _Arguments.length(fields)
         spec = (_Field * len(fields))()
         arrays = []
 
-        def pointer(a, rows_of_a):
-            if len(a) != rows_of_a:
-                raise ValueError("csv_rows: the fields' lengths differ")
+        def pointer(a):
             arrays.append(a)
             return _Pointer.of(a)
 
@@ -684,7 +698,7 @@ class _Arguments:
                 index = np.ascontiguousarray(field.index, dtype=_INT64)
                 if ((index < -1) | (index >= len(table))).any():
                     raise _FAILURE[_BAD_LABEL]()
-                c.ends, c.num = pointer(ends, len(table) + 1), pointer(index, rows)
+                c.ends, c.num = pointer(ends), pointer(index)
             elif isinstance(field, Deviations):
                 num, den, p, q, scale = field
                 ints = [a for a in (num, den, scale) if a is not None]
@@ -696,8 +710,8 @@ class _Arguments:
                     raise _FAILURE[_BAD_DEN]()
                 g = math.gcd(p, q)  # in lowest terms, as words that ctypes cuts to 64 bits
                 c.kind, c.p, c.q = _Field._DEVIATIONS, *((x, x >> 64) for x in (p // g, q // g))
-                c.num, c.den = (pointer(np.ascontiguousarray(a), rows) for a in (num, den))
-                c.scale = scale if scale is None else pointer(np.ascontiguousarray(scale), rows)
+                c.num, c.den = (pointer(np.ascontiguousarray(a)) for a in (num, den))
+                c.scale = scale if scale is None else pointer(np.ascontiguousarray(scale))
             else:
                 num, den, sep = field
                 if num.dtype != _INT64:
@@ -705,19 +719,16 @@ class _Arguments:
                 if isinstance(den, np.ndarray):
                     if den.dtype != _INT64 or den.ndim != 1:
                         return None
-                    c.den = pointer(np.ascontiguousarray(den), rows)
+                    c.den = pointer(np.ascontiguousarray(den))
                 elif isinstance(den, (int, np.integer)) and -(2**63) <= den < 2**63:
                     c.scalar = den
                 else:
                     return None
                 if np.any(den <= 0):
                     raise _FAILURE[_BAD_DEN]()
-                num = num if num.ndim == 2 else num[:, None]
-                if any(stride % num.itemsize for stride in num.strides):
-                    num = np.ascontiguousarray(num)
+                num = np.ascontiguousarray(num if num.ndim == 2 else num[:, None])
                 c.kind, c.k, c.sep = _Field._RATIOS, num.shape[1], ord(sep)
-                c.rs, c.cs = (stride // num.itemsize for stride in num.strides)
-                c.num = pointer(num, rows)
+                c.num = pointer(num)
         return spec, rows, arrays
 
 

@@ -304,7 +304,6 @@ def cmd_cycle(args) -> int:
         w.writerow(["entry_steps", "period", "order_class"])
         w.writerow([info.entry_steps, info.period, info.order_class])
     counts = info.firing_counts()
-    counts = counts + (0,) * (chain.n - len(counts))
     _say(f"entry after {info.entry_steps} steps, period {info.period}")
     _say(
         "per-cycle firing counts: "

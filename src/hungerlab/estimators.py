@@ -49,7 +49,7 @@ def _value(col, k):
     x, den = col.num[k], col.den
     if den is None:
         return tuple(map(float, x)) if np.ndim(x) else float(x)
-    d = int(den[k])
+    d = int(den if np.ndim(den) == 0 else den[k])
     return tuple(Fraction(int(c), d) for c in x) if np.ndim(x) else Fraction(int(x), d)
 
 
@@ -68,34 +68,21 @@ class _Lazy(Sequence):
         return self._row(range(self._n)[k])
 
 
-def _distinct(rows, arrays):
-    """rows less those whose entries in every array repeat an earlier
-    row's: equal int64 (num, den, scale) rows hold equal values. A lexsort
-    and a diff, several times faster than np.unique(axis=1) here."""
-    keys = [a[rows] for a in arrays]
-    order = np.lexsort(keys)
-    new = np.zeros(len(rows), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    return rows[order[new]]
-
-
 def _largest(col):
-    """Exact max of a column (Ratios ones hold num / den >= 0): float values
-    within err of their items shortlist the rows Python ints decide between."""
+    """Exact max of a column (Ratios ones hold num / den >= 0). A column over
+    one denominator is settled by its largest numerator; otherwise float
+    values within err of their items shortlist the rows Python ints decide
+    between."""
     if col.den is None:
         return float(col.num.max())
+    if np.ndim(col.den) == 0:
+        return Fraction(int(col.num.max()), int(col.den))
     est = np.asarray(col.num / col.den, dtype=np.float64)
     x, s = (col.p / col.q, col.scale) if isinstance(col, Deviations) else (0.0, None)
     s = 1 if s is None else s  # s |est - x| is off by a few ulps of s (|est| + |x|)
     err = (np.abs(est).max() + abs(x)) * np.max(s) * 2.0**-47
     approx = np.multiply(np.abs(est - x, out=est), s, out=est)
     near = np.flatnonzero(approx >= approx.max() - err)
-    ints = [a for a in col if isinstance(a, np.ndarray)]  # num, den and scale
-    if all(a.dtype == np.int64 and a.ndim == 1 for a in ints):
-        near = _distinct(near, ints)
     a, b = (col.take(near).ratios() if isinstance(col, Deviations) else col.take(near))[:2]
     a, b = a.astype(object), b.astype(object)
     k = int(np.argmax(approx[near]))
@@ -112,7 +99,8 @@ class DiscrepancyProfile:
     estimates[k] is the estimate at that N, sup_Nd the largest N * deviation
     and exact the oracle value. Ns holds the Ns, est, dev and nd the columns
     as _kernels.Ratios (num / den, int64 or Python ints, or float num; vector
-    estimates add an axis of n to est's num) or, for rational scalar ones, as
+    estimates add an axis of n to est's num; a rational stationary sweep's nd
+    is D over one lcd, a plain int) or, for rational scalar ones, as
     Deviations of num / den - k from r / q, where exact = k + r / q. entries
     and estimates build Fractions (floats) only for the rows read; len() is O(1).
     sup_Nd is found on its first read, then kept.
@@ -204,7 +192,7 @@ def discrepancy_profile(
     # N * dist * lcd as exact integers, vectorized over N
     D = np.abs(lcd * counts - Ns * np.array(a, dtype=counts.dtype)[:, None]).sum(axis=0)
     return DiscrepancyProfile(
-        Ns, Ratios(counts.T, Ns), Ratios(D, Ns * lcd), Ratios(D, np.full_like(D, lcd)), pi
+        Ns, Ratios(counts.T, Ns), Ratios(D, Ns * lcd), Ratios(D, lcd), pi
     )
 
 

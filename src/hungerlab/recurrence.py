@@ -56,7 +56,7 @@ class CycleInfo:
 
     def firing_counts(self) -> Tuple[int, ...]:
         """Times each state fires in one full cycle."""
-        counts = [0] * (max(self.order) + 1)
+        counts = [0] * len(self.representative)
         for i in self.order:
             counts[i] += 1
         return tuple(counts)

@@ -89,6 +89,11 @@ def test_engel_cap(reflecting3):
         engel_run(reflecting3, (1, 2, 1), cap=2)
 
 
+def test_engel_refuses_thresholds_of_another_length(reflecting3):
+    with pytest.raises(ValueError, match="expected 3 thresholds"):
+        engel_run(reflecting3, (1, 2, 1), (2, 2))
+
+
 def test_engel_cycle_certifies_stationary_vector(reflecting3):
     # uniform thresholds: the raw firing counts already solve pi P = pi
     rec = engel_run(reflecting3, (1, 2, 1))

@@ -19,6 +19,7 @@ from hungerlab import (
     absorbing_states,
     chain_to_document,
     chip_add,
+    common_denominator,
     discrepancy_profile,
     hunger_matrix,
     is_irreducible,
@@ -54,6 +55,8 @@ def test_parse_explicit_labels(two_sinks5):
 def test_parse_rejects_bad_documents():
     with pytest.raises(ChainFormatError):
         parse_chain("not json at all [")
+    with pytest.raises(ChainFormatError, match="must be a JSON object"):
+        parse_chain('[["1"]]')
     with pytest.raises(ChainFormatError):
         parse_chain('{"mode": "rational"}')
     with pytest.raises(ChainFormatError):
@@ -97,6 +100,17 @@ def test_parse_rejects_bad_documents():
 def test_rational_rows_rejected_with_their_message(row, message):
     with pytest.raises(ChainFormatError) as err:
         MarkovChain([[F(1), 0], row])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (([[1]],), {"mode": "imaginary"}, "unknown mode 'imaginary'"),
+    (([],), {}, "a chain needs at least one state"),
+    (([[1, 0], [0, 1]], ["a", "b", "c"]), {}, "label count does not match state count"),
+])
+def test_chains_rejected_with_their_message(args, kwargs, message):
+    with pytest.raises(ChainFormatError) as err:
+        MarkovChain(*args, **kwargs)
     assert str(err.value) == message
 
 
@@ -256,6 +270,8 @@ def test_lcd_rejects_float_mode():
     chain = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.5, 0.5]]}')
     with pytest.raises(FloatModeUnsupported):
         lcd_of_stationary(chain)
+    with pytest.raises(FloatModeUnsupported):
+        common_denominator(chain)
 
 
 def test_float_stationary():

@@ -350,6 +350,9 @@ BAD_GRID = "error: need step > 0 and bounds (lo, hi) with lo <= hi"
     # a step that does not advance would never end the tiling grid
     (("conjectures", "--chain", DEMO, "--samples", "2", "--step", "0"), BAD_GRID),
     (("conjectures", "--chain", DEMO, "--samples", "2", "--step=-1/20"), BAD_GRID),
+    (("return-time", "--chain", REFLECT, "--from", "9"), "error: state index 9 out of range 1..3"),
+    # no --target, and no absorbing state to default to
+    (("hitting", "--chain", REFLECT, "--from", "v1"), "error: chain has no absorbing states"),
 ])
 def test_malformed_numbers_are_usage_errors(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
@@ -599,6 +602,8 @@ GENERATED = {
     # order buffer, so its order is fired a second time
     "LONG_PERIOD": {"mode": "rational", "P": [["1/2", "1/2"], ["1/4097", "4096/4097"]]},
     "C40": chain40_document(),
+    # v3 never fires on the zero orbit's cycle: its count is printed as 0
+    "UNFIRED": {"mode": "rational", "P": [["0", "1", "0"], ["1", "0", "0"], ["1/2", "1/2", "0"]]},
     "QUOTED": {
         "mode": "rational",
         "states": ["a,b", 'say "hi"', "end"],
@@ -932,6 +937,9 @@ GOLDEN_COMMANDS = [
     (("simulate", "--chain", DEMO, "--steps", "200000", "--h0=500,250,-750"),
      "5522246d95cb07c4d5af5419640d531c142f42b586cd4b5b1340a2ea58addf2d",
      "d72fc4e07112dbed72863612e27cb8ce8b11caf013b716ab501d62e7004821d8"),
+    (("cycle", "--chain", "UNFIRED"),
+     "1ba74561c631c329080d4439878ac674424f76d8a9222034af69f1f2db471738",
+     "87c8bc3ce0ef64a6d4832ffada4ce7db54e6af375bfc0e32ba0096224714cc57"),
 ]
 
 

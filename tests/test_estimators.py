@@ -69,6 +69,8 @@ def test_discrepancy_profile_reflecting(reflecting3):
     prof = discrepancy_profile(reflecting3, None, 120)
     assert prof.exact == (F(1, 3), F(1, 3), F(1, 3))
     assert prof.sup_Nd == F(4, 3)
+    # N * deviation is D over the one lcd, held once as a plain int
+    assert type(prof.nd.den) is int and prof.nd.den == 3
     for N, dev, nd in prof.entries:
         # counts follow the floor formula, so N*deviation is 0 or 4/3
         assert nd == (F(0) if N % 3 == 0 else F(4, 3))

@@ -295,7 +295,9 @@ def test_brent_cycle_past_many_untouched_states():
     three that move among themselves from a wide start. Every tortoise and
     hare agree on the 297 leading entries, so comparing them after every
     fire would cost O(n) a fire; the compiled body compares on a hash match
-    only, and returns the reference's mu and lam, entry vector and order."""
+    only, and returns the reference's mu and lam, entry vector and order.
+    A cap that phase one stays within (its blocks end by 2^13 fires) but
+    phase two passes (mu > cap) gives (-1, -1) and leaves h0 alone."""
     n = 300
     rows = np.zeros((n, n), np.int64)  # 12 (P - I)
     rows[297:, 297:] = [[-12, 6, 6], [4, -8, 4], [9, 3, -12]]
@@ -308,6 +310,10 @@ def test_brent_cycle_past_many_untouched_states():
         results.append((body.brent_cycle(h0, rows, 10**6, order), h0.tolist(), order.tolist()))
     assert results[0][0] == (11413, 41)
     assert all(r == results[0] for r in results)
+    for body in SPARSE:
+        h0 = h.copy()
+        assert body.brent_cycle(h0, rows, 10000) == (-1, -1)
+        assert h0.tolist() == h.tolist()
 
 
 @compiled
@@ -833,6 +839,23 @@ def test_csv_rows_write_edge_cells_as_fractions_print():
         assert written(body, fields) == expected
 
 
+@pytest.mark.parametrize("den", [
+    np.array([6, 4, 9], np.int32), np.array([6, 4, 2**70], dtype=object), 2**64 + 6,
+])
+def test_ratios_the_c_body_cannot_take_print_as_fractions(den):
+    """A den array that is not int64, or one den past int64, takes the
+    reference body on either backend, and both write the reduced Fractions."""
+    num = np.array([-3, 2**40, 12])
+    field = _kernels.Ratios(num, den)
+    assert _kernels._Arguments.fields([field]) is None
+    dens = den.tolist() if isinstance(den, np.ndarray) else [den] * 3
+    expected = "".join(
+        fmt_scalar(Fraction(a, int(d))) + "\n" for a, d in zip(num.tolist(), dens)
+    )
+    for body in (_kernels, _kernels.reference):
+        assert written(body, [field]) == expected
+
+
 @compiled
 def test_csv_rows_wider_than_a_piece():
     # one row's bound passes _PIECE: each write holds a single row
@@ -888,6 +911,28 @@ def test_csv_rows_refuse_label_indices_out_of_range(index):
             assert refusals_writing_nothing([labels, other]) == {
                 "csv_rows: a label index is out of range"
             }
+
+
+UNEQUAL = [
+    [_kernels.Ratios(np.arange(3), 1), _kernels.Labels(["a", "b"], np.array([0, 1]))],
+    # float cells take the reference body on either backend
+    [_kernels.Ratios(np.arange(3.0), None), _kernels.Labels(["a", "b"], np.array([0, 1]))],
+    [_kernels.Ratios(np.arange(2), np.array([1, 2, 3]))],
+    [_kernels.Ratios(np.arange(2), np.array([1, 2, 3], dtype=object))],
+    [_kernels.Deviations(np.arange(3), np.ones(2, np.int64), 1, 3)],
+    [_kernels.Deviations(np.arange(2), np.ones(2, np.int64), 1, 3, np.ones(3, np.int64))],
+    # q past 2^126: the reference body on either backend
+    [_kernels.Deviations(np.arange(2), np.ones(2, np.int64), 1, 2**127, np.ones(3, np.int64))],
+]
+
+
+@pytest.mark.parametrize("fields", UNEQUAL, ids=[
+    "labels", "float-labels", "den", "object-den", "deviation-den", "scale", "wide-scale",
+])
+def test_csv_rows_refuse_fields_of_unequal_length(fields):
+    """Every array of every field holds the block's rows: both bodies refuse
+    a block where one does not, and write none of it."""
+    assert refusals_writing_nothing(fields) == {"csv_rows: the fields' lengths differ"}
 
 
 def deviation_cells(field):

@@ -12,6 +12,7 @@ from hungerlab import (
     CapExceeded,
     FloatModeUnsupported,
     HasAbsorbing,
+    MarkovChain,
     YNotOnZ,
     basin_scan,
     canonical_order,
@@ -67,6 +68,14 @@ def test_zero_orbit_demo_chain(basin_demo3):
     assert info.order_class == RED
 
 
+def test_firing_counts_hold_states_off_the_cycle():
+    # v3 never fires once the orbit cycles between v1 and v2
+    chain = MarkovChain([[0, 1, 0], [1, 0, 0], [F(1, 2), F(1, 2), 0]])
+    info = find_cycle(chain)
+    assert info.order == (0, 1)
+    assert info.firing_counts() == (1, 1, 0)
+
+
 def test_transient_start(basin_demo3):
     info = find_cycle(basin_demo3, (F(10), F(-10), F(0)))
     assert info.entry_steps > 0
@@ -78,6 +87,10 @@ def test_find_cycle_validation(basin_demo3, absorbing_walk5):
     fchain = parse_chain('{"mode": "float", "P": [[0.5, 0.5], [0.5, 0.5]]}')
     with pytest.raises(FloatModeUnsupported):
         find_cycle(fchain)
+    with pytest.raises(FloatModeUnsupported):
+        lattice_basis(fchain)
+    with pytest.raises(FloatModeUnsupported):
+        lattice_member(fchain, (0.0, 0.0))
     with pytest.raises(HasAbsorbing):
         find_cycle(absorbing_walk5)
     with pytest.raises(CapExceeded):
@@ -136,7 +149,7 @@ def test_cycle_counts_solve_stationary():
         chain = random_irreducible_chain(rng, n)
         h0 = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
         info = find_cycle(chain, h0)
-        counts = info.firing_counts() + (0,) * (n - len(info.firing_counts()))
+        counts = info.firing_counts()
         H = hunger_matrix(chain).H
         disp = [
             sum(counts[i] * H[i][j] for i in range(n)) for j in range(n)
