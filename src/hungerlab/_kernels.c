@@ -482,11 +482,10 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
 }
 
 /* The CSV row writer behind csv_rows in _kernels.py. A row is its fields
- * joined by ',' and ended by '\n'; a field is one of
- *   TEXT:   the same text in every row;
+ * joined by ',' and ended by '\n'; a field is one of three kinds:
  *   LABELS: label num[r] from a table of k labels, stored back to back in
  *           text with label j at text[ends[j] .. ends[j + 1]); -1 writes
- *           nothing;
+ *           nothing. A constant text is a table of one label, index 0;
  *   RATIOS: k cells num[r * k + c] / den[r] (or / scalar when den is
  *           NULL), joined by sep, each reduced by their gcd and written as
  *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction;
@@ -497,7 +496,7 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
  * Numerators are formatted from their uint64 magnitudes, so INT64_MIN comes
  * out as Python's str gives it. A RATIOS cell takes at most CELL_MAX bytes. */
 
-enum { TEXT, LABELS, RATIOS, DEVIATIONS };
+enum { LABELS, RATIOS, DEVIATIONS };
 #define BAD_DEN (-4)   /* a denominator <= 0 */
 #define BAD_LABEL (-5) /* a label index outside -1 .. k - 1 */
 #define NO_ROOM (-6)   /* the buffer cannot hold one more row */
@@ -613,9 +612,7 @@ static int64_t row_bound(const field *fields, int64_t nfields)
 {
     int64_t bound = nfields; /* the commas and the newline */
     for (const field *f = fields; f < fields + nfields; f++) {
-        if (f->kind == TEXT)
-            bound += f->k;
-        else if (f->kind == RATIOS)
+        if (f->kind == RATIOS)
             bound += f->k * (CELL_MAX + 1);
         else if (f->kind == DEVIATIONS)
             bound += CELL128_MAX;
@@ -648,10 +645,7 @@ int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
         for (const field *f = fields; f < fields + nfields; f++) {
             if (f != fields)
                 *p++ = ',';
-            if (f->kind == TEXT) {
-                memcpy(p, f->text, (size_t)f->k);
-                p += f->k;
-            } else if (f->kind == LABELS) {
+            if (f->kind == LABELS) {
                 int64_t i = f->num[r];
                 if (i < -1 || i >= f->k)
                     return BAD_LABEL;

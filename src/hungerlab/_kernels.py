@@ -56,13 +56,14 @@ touches; the compiled walk reads only the entries that can pass them.
 
 csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
-estimate's exact distance from p/q, scaled). Its C body runs when Ratios
-are int64 and Deviations fit 128 bits (m^2 max(|p|, q) < 2^126, m the
-largest magnitude in their arrays); floats (repr), Python ints and wider
-Deviations take the reference body on either backend. The C body prints
-unsigned magnitudes (INT64_MIN as Python's str does) and writes a call's
-rows through one buffer sized from them, a piece at a time, never past
-its end.
+estimate's exact distance from p/q, scaled). Both bodies first check a
+block in _Arguments.block, which hands the C body a str as a one-label
+Labels. The C body runs when Ratios are int64 and Deviations fit 128 bits
+(m^2 max(|p|, q) < 2^126, m the largest magnitude in their arrays); floats
+(repr), Python ints and wider Deviations take the reference body on either
+backend. It prints unsigned magnitudes (INT64_MIN as Python's str does) and
+writes a call's rows through one buffer sized from them, a piece at a time,
+never past its end.
 
 rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
 steps leaves a state at most N times, so its caller cuts every count at
@@ -420,24 +421,16 @@ def csv_rows(f, fields):
     for b > 1, as the reduced Fraction prints.
 
     Raises:
-        ValueError: the fields' lengths differ, a denominator is <= 0, or a
-            label index is outside -1 .. k - 1 for a table of k labels.
+        ValueError: see _Arguments.block.
     """
-    rows = _Arguments.length(fields)
     columns = []
-    for field in fields:
-        if isinstance(field, str):
-            columns.append([field] * rows)
-        elif isinstance(field, Labels):
-            if ((field.index < -1) | (field.index >= len(field.table))).any():
-                raise _FAILURE[_BAD_LABEL]()
+    for field in _Arguments.block(fields)[1]:
+        if isinstance(field, Labels):
             padded = ["", *field.table]
             columns.append([padded[i] for i in (field.index + 1).tolist()])
         else:
             num, den, sep = field.ratios() if isinstance(field, Deviations) else field
-            if den is not None and np.any(np.asarray(den) <= 0):
-                raise _FAILURE[_BAD_DEN]()
-            if isinstance(den, (int, np.integer)) and den >= 2**63:
+            if isinstance(den, int) and den >= 2**63:
                 num = num.astype(object)  # np.gcd takes no such int with int64
             cells = []
             for col in (num if num.ndim == 2 else num[:, None]).T:
@@ -511,7 +504,7 @@ def _build() -> Path:
 class _Field(ctypes.Structure):
     """A field of csv_rows in _kernels.c."""
 
-    _TEXT, _LABELS, _RATIOS, _DEVIATIONS = range(4)
+    _LABELS, _RATIOS, _DEVIATIONS = range(3)
     _fields_ = [
         ("kind", ctypes.c_int64), ("k", ctypes.c_int64),
         ("num", ctypes.c_void_p), ("den", ctypes.c_void_p),
@@ -653,33 +646,50 @@ class _Arguments:
             )
 
     @staticmethod
-    def length(fields) -> int:
-        """The rows of a csv_rows block, which every array of its fields
-        holds (Labels index; Ratios num, den; Deviations num, den, scale).
+    def block(fields):
+        """(rows, fields) of a csv_rows block, checked before either body
+        writes a byte. rows is the length of every array of its fields; a str
+        comes back as a one-label Labels, a numpy integer den, p or q as an int.
 
         Raises:
-            ValueError: two of those lengths differ.
+            ValueError: no field holds an array, two lengths differ, a label
+                index is not an integer in -1 .. k - 1, or a den or q is <= 0.
         """
-        lengths = {len(a) for field in fields if not isinstance(field, str)
-                   for a in (field[1:] if isinstance(field, Labels) else field)
-                   if isinstance(a, np.ndarray)}
+        lengths, checked = set(), []
+        for field in fields:
+            if isinstance(field, Labels):
+                index, k = field.index, len(field.table)
+                if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu"
+                        and index.ndim == 1 and ((index >= -1) & (index < k)).all()):
+                    raise _FAILURE[_BAD_LABEL]()
+                lengths.add(len(index))
+            elif not isinstance(field, str):
+                field = field._replace(**{name: int(x) for name, x in field._asdict().items()
+                                          if isinstance(x, np.integer)})
+                dens = (field.den, field.q) if isinstance(field, Deviations) else (field.den,)
+                if any(d is not None and np.any(np.asarray(d) <= 0) for d in dens):
+                    raise _FAILURE[_BAD_DEN]()
+                lengths.update(len(a) for a in field if isinstance(a, np.ndarray))
+            checked.append(field)
         if len(lengths) > 1:
             raise ValueError("csv_rows: the fields' lengths differ")
-        return lengths.pop()
+        if not lengths:
+            raise ValueError("csv_rows: no field holds an array to count the rows")
+        rows = lengths.pop()
+        return rows, [Labels([f], np.zeros(rows, _INT64)) if isinstance(f, str) else f
+                      for f in checked]
 
     @staticmethod
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
-        for the compiled csv_rows, or None when a field needs Python ints.
-        Checks every array's length, label index and denominator here, so
-        that a refused block writes nothing, as in the reference body, and
-        copies a Ratios num that does not lie in rows (a transposed view).
+        for the compiled csv_rows, or None when a field needs Python ints,
+        after _Arguments.block has checked the block. Copies a Ratios num
+        that does not lie in rows (a transposed view) into rows.
 
         Raises:
-            ValueError: an array's length is not the number of rows, a label
-                index is outside -1 .. k - 1, or a denominator is <= 0.
+            ValueError: see _Arguments.block.
         """
-        rows = _Arguments.length(fields)
+        rows, fields = _Arguments.block(fields)
         spec = (_Field * len(fields))()
         arrays = []
 
@@ -688,26 +698,19 @@ class _Arguments:
             return _Pointer.of(a)
 
         for field, c in zip(fields, spec):
-            if isinstance(field, str):
-                text = field.encode()
-                c.kind, c.k, c.text = _Field._TEXT, len(text), text
-            elif isinstance(field, Labels):
+            if isinstance(field, Labels):
                 table = [label.encode() for label in field.table]
                 c.kind, c.k, c.text = _Field._LABELS, len(table), b"".join(table)
                 ends = np.cumsum([0, *map(len, table)], dtype=_INT64)
                 index = np.ascontiguousarray(field.index, dtype=_INT64)
-                if ((index < -1) | (index >= len(table))).any():
-                    raise _FAILURE[_BAD_LABEL]()
                 c.ends, c.num = pointer(ends), pointer(index)
             elif isinstance(field, Deviations):
                 num, den, p, q, scale = field
                 ints = [a for a in (num, den, scale) if a is not None]
                 m = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in ints)
                 if not (all(a.dtype == _INT64 and a.ndim == 1 for a in ints)
-                        and 0 < q and m * m * max(abs(p), q) < 2**126):
+                        and m * m * max(abs(p), q) < 2**126):
                     return None
-                if (den <= 0).any():
-                    raise _FAILURE[_BAD_DEN]()
                 g = math.gcd(p, q)  # in lowest terms, as words that ctypes cuts to 64 bits
                 c.kind, c.p, c.q = _Field._DEVIATIONS, *((x, x >> 64) for x in (p // g, q // g))
                 c.num, c.den = (pointer(np.ascontiguousarray(a)) for a in (num, den))
@@ -720,12 +723,10 @@ class _Arguments:
                     if den.dtype != _INT64 or den.ndim != 1:
                         return None
                     c.den = pointer(np.ascontiguousarray(den))
-                elif isinstance(den, (int, np.integer)) and -(2**63) <= den < 2**63:
+                elif isinstance(den, int) and den < 2**63:
                     c.scalar = den
                 else:
                     return None
-                if np.any(den <= 0):
-                    raise _FAILURE[_BAD_DEN]()
                 num = np.ascontiguousarray(num if num.ndim == 2 else num[:, None])
                 c.kind, c.k, c.sep = _Field._RATIOS, num.shape[1], ord(sep)
                 c.num = pointer(num)

@@ -35,6 +35,7 @@ from hungerlab import (
     zero_period,
 )
 from hungerlab import _linalg
+from hungerlab.chain_model import fmt_scalar
 from conftest import load_chain
 from oracles import random_irreducible_chain, stationary_solve_float
 
@@ -213,6 +214,11 @@ def test_document_round_trip(two_sinks5, basin_demo3):
     for chain in (two_sinks5, basin_demo3, floats):
         assert parse_chain(chain_to_document(chain)) == chain
     assert json.loads(chain_to_document(floats))["P"][2] == [0.0, 0.0, 1.0]
+
+
+def test_fmt_scalar_writes_floats_that_round_trip():
+    assert fmt_scalar(0.1) == "0.1"
+    assert float(fmt_scalar(0.1)) == 0.1
 
 
 def test_absorbing_states(two_sinks5, reflecting3):

@@ -314,6 +314,16 @@ def test_conjectures_subcommand(capsys):
     assert "period-uniformity: 10 checked, 0 violations, 0 skipped" in err
 
 
+def test_conjectures_note_a_skipped_tiling_scan(tmp_path, capsys):
+    ring = tmp_path / "lazy_ring4.json"
+    half = [["1/2", "1/2", "0", "0"], ["0", "1/2", "1/2", "0"],
+            ["0", "0", "1/2", "1/2"], ["1/2", "0", "0", "1/2"]]
+    ring.write_text(json.dumps({"mode": "rational", "P": half}))
+    code, out, err = run_cli(capsys, "conjectures", "--chain", str(ring), "--samples", "5")
+    assert code == 0
+    assert err.endswith("  skipped: the tiling scan is defined for 3-state chains\n")
+
+
 def test_conjectures_bounds_that_fit_some_denominators(capsys):
     # [1/2, 1/2] holds a multiple of 1/den for even den only
     code, out, err = run_cli(

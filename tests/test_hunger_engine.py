@@ -739,6 +739,10 @@ def test_big_denominator_starts_match_big_ints_and_fire_step(case):
 # lazy countable chains
 
 
+def test_lazy_chain_labels_states_by_index():
+    assert hunger_engine.LazyChain().label(4) == "s4"
+
+
 def test_goldbug_rows_and_labels():
     g = goldbug_chain()
     assert g.label(0) == "-1"

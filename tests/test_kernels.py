@@ -856,6 +856,21 @@ def test_ratios_the_c_body_cannot_take_print_as_fractions(den):
         assert written(body, [field]) == expected
 
 
+@pytest.mark.parametrize("field, expected", [
+    (_kernels.Ratios(np.array([-3, 2**40, 12]), np.uint64(6)), ["-1/2", "549755813888/3", "2"]),
+    # m^2 q = 3 * 2^80: an np.int64 q times the int m^2 passes int64
+    (_kernels.Deviations(np.array([-3, 2**40, 12]), np.array([1, 2, 3]), np.int64(1),
+                         np.int64(3)), ["10/3", "1649267441663/3", "11/3"]),
+], ids=["uint64-den", "int64-p-q"])
+def test_numpy_integer_scalars_write_as_python_ints(field, expected):
+    """A numpy integer den, p or q writes what the Python int does, from the
+    C body on the C backend."""
+    if _kernels.active_backend() == "c":
+        assert _kernels._Arguments.fields([field]) is not None
+    for body in (_kernels, _kernels.reference):
+        assert written(body, [field]) == "".join(cell + "\n" for cell in expected)
+
+
 @compiled
 def test_csv_rows_wider_than_a_piece():
     # one row's bound passes _PIECE: each write holds a single row
@@ -911,6 +926,27 @@ def test_csv_rows_refuse_label_indices_out_of_range(index):
             assert refusals_writing_nothing([labels, other]) == {
                 "csv_rows: a label index is out of range"
             }
+
+
+@pytest.mark.parametrize("index", [np.array([0.5, 1.7]), np.array([0.0, 1.0]), [0, 1]],
+                         ids=["fractions", "whole-floats", "list"])
+def test_csv_rows_refuse_label_indices_that_are_not_integer_arrays(index):
+    """The compiled wrapper would cast a float index to int64: both bodies
+    refuse any index but an integer array, alone or beside int64 or float
+    cells."""
+    labels = _kernels.Labels(["a", "b"], index)
+    for others in ([], [_kernels.Ratios(np.arange(2), 1)], [_kernels.Ratios(np.ones(2), None)]):
+        assert refusals_writing_nothing([labels, *others]) == {
+            "csv_rows: a label index is out of range"
+        }
+
+
+@pytest.mark.parametrize("fields", [["a"], []], ids=["text", "none"])
+def test_csv_rows_refuse_blocks_without_rows(fields):
+    """A block whose fields hold no array has no row count."""
+    assert refusals_writing_nothing(fields) == {
+        "csv_rows: no field holds an array to count the rows"
+    }
 
 
 UNEQUAL = [
@@ -1021,14 +1057,14 @@ def test_deviation_cells_match_the_reference_past_a_chunk(fields):
     (5, 1, 2**121, True),  # 25 * 2^121 < 2^126
     (6, 1, 2**121, False),  # 36 * 2^121 > 2^126
     (1, -(2**126), 3, False),
-    (5, 7, 0, False),  # q > 0 is the reference's to refuse
+    (5, 7, 0, False),  # q <= 0: _Arguments.block refuses it for both bodies
 ])
 def test_wide_deviations_take_the_reference_body(num, p, q, c):
     field = _kernels.Deviations(np.array([num, 3]), np.array([1, 3]), p, q, np.array([1, 1]))
-    assert (_kernels._Arguments.fields([field]) is not None) == c
     if q <= 0:
         assert refusals(lambda body: written(body, [field])) == {"csv_rows: a denominator is <= 0"}
         return
+    assert (_kernels._Arguments.fields([field]) is not None) == c
     expected = "".join(cell + "\n" for cell in deviation_cells(field))
     for body in (_kernels, _kernels.reference):
         assert written(body, [field]) == expected
