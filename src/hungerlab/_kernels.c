@@ -2,7 +2,9 @@
  * (fire, optionally until a stop state, or the remove-and-reinsert walk
  * given a schedule) and brent_cycle (find an orbit's cycle); of the
  * rotor-router walk, rotor_walk, after them; and of the CSV row writer,
- * csv_rows, at the end of this file.
+ * csv_rows, at the end of this file, whose four field kinds write labels,
+ * reduced fractions, deviations from p/q and float64 cells (the bytes of
+ * Python's repr, from Schubfach's shortest digits: see put_double).
  *
  * Each kernel is written once inside DEFINE_KERNELS and expanded for
  * int64_t (exact, the engine's integer keys) and double (float mode),
@@ -482,25 +484,28 @@ int64_t rotor_walk(int64_t *path, int64_t N, const int64_t *run_ptr,
 }
 
 /* The CSV row writer behind csv_rows in _kernels.py. A row is its fields
- * joined by ',' and ended by '\n'; a field is one of three kinds:
+ * joined by ',' and ended by '\n'; a field is one of four kinds:
  *   LABELS: label num[r] from a table of k labels, stored back to back in
  *           text with label j at text[ends[j] .. ends[j + 1]); -1 writes
  *           nothing. A constant text is a table of one label, index 0;
  *   RATIOS: k cells num[r * k + c] / den[r] (or / scalar when den is
  *           NULL), joined by sep, each reduced by their gcd and written as
  *           "a" or "a/b" (b > 1), as Python writes the reduced Fraction;
+ *   FLOATS: k float64 cells num[r * k + c] (num points at doubles), joined
+ *           by sep, each written as Python's repr writes it (put_double);
  *   DEVIATIONS: one cell scale[r] |num[r] q - p den[r]| / (den[r] q), p / q
  *           in lowest terms and scale NULL for 1, as RATIOS cells are; in
  *           __int128, since the caller has checked that q > 0 and that
  *           m^2 max(|p|, q) < 2^126, m the largest |num|, den or |scale|.
  * Numerators are formatted from their uint64 magnitudes, so INT64_MIN comes
- * out as Python's str gives it. A RATIOS cell takes at most CELL_MAX bytes. */
+ * out as Python's str gives it. A RATIOS or FLOATS cell takes at most
+ * CELL_MAX bytes. */
 
-enum { LABELS, RATIOS, DEVIATIONS };
+enum { LABELS, RATIOS, FLOATS, DEVIATIONS };
 #define BAD_DEN (-4)   /* a denominator <= 0 */
 #define BAD_LABEL (-5) /* a label index outside -1 .. k - 1 */
 #define NO_ROOM (-6)   /* the buffer cannot hold one more row */
-#define CELL_MAX 40    /* "-", 19 digits, "/", 19 digits */
+#define CELL_MAX 40    /* "-", 19 digits, "/", 19 digits; a float: 24 */
 #define CELL128_MAX 80 /* DEVIATIONS: "-", 39 digits, "/", 39 digits */
 
 typedef unsigned __int128 u128;
@@ -514,6 +519,7 @@ typedef struct {
     int64_t sep;
     uint64_t p[2], q[2]; /* DEVIATIONS: two's complement, low word first */
     const int64_t *scale;
+    const uint64_t *g; /* FLOATS: put_double's table */
 } field;
 
 /* Binary gcd: both odd, then the odd part of their difference replaces the
@@ -607,12 +613,115 @@ static char *put_deviation(char *p, int64_t a, int64_t d, const uint64_t *pw,
     return p;
 }
 
+/* Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
+ * as in Java's DoubleToDecimal. g holds, for k = -324 .. 292, the words
+ * g >> 63 and g mod 2^63 of g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1,
+ * which _kernels.py computes exactly. round_to_odd is floor(cp g / 2^127),
+ * its last bit set when the bits below it are not all zero. */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    uint64_t x1 = (uint64_t)((u128)g[1] * cp >> 64);
+    u128 y = (u128)g[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1, low = UINT64_MAX >> 1;
+    return ((uint64_t)(y >> 64) + (z >> 63)) | ((z & low) + low) >> 63;
+}
+
+/* The shortest decimal f 10^e in the rounding interval of c 2^q (c > 0, the
+ * interval closed for even c), the closest to c 2^q among them and the even
+ * one of a tie; returns f and sets *e. Java returns at least two digits,
+ * from its C_TINY branch for the least subnormals and a guard s >= 100, and
+ * so writes 4.9e-324 where repr writes 5e-324: here s >= 10 and no branch.
+ * k's and h's magic constants give floor(q log10 2), floor(q log10 2 +
+ * log10 3/4) and floor(e log2 10) over every q and e this meets. */
+static uint64_t shortest(uint64_t c, int64_t q, const uint64_t *g, int64_t *e)
+{
+    uint64_t odd = c & 1, cb = c << 2, cbl = cb - 2, cbr = cb + 2;
+    int64_t k = q * INT64_C(661971961083) >> 41;
+    if (c == UINT64_C(1) << 52 && q > -1074) { /* the gap below is half */
+        cbl = cb - 1;
+        k = (q * INT64_C(661971961083) - INT64_C(274743187321)) >> 41;
+    }
+    int64_t h = q + (-k * INT64_C(913124641741) >> 38) + 2;
+    g += 2 * (k + 324);
+    uint64_t vb = round_to_odd(g, cb << h), s = vb >> 2;
+    uint64_t vbl = round_to_odd(g, cbl << h) + odd; /* open for odd c */
+    uint64_t vbr = round_to_odd(g, cbr << h) - odd;
+    *e = k;
+    if (s >= 10) {
+        uint64_t sp10 = s / 10 * 10, tp10 = sp10 + 10;
+        int upin = vbl <= sp10 << 2, wpin = tp10 << 2 <= vbr;
+        if (upin != wpin)
+            return upin ? sp10 : tp10;
+    }
+    int uin = vbl <= s << 2, win = (s + 1) << 2 <= vbr;
+    if (uin != win)
+        return uin ? s : s + 1;
+    uint64_t mid = 4 * s + 2;
+    return vb < mid || (vb == mid && (s & 1) == 0) ? s : s + 1;
+}
+
+/* v as Python's repr writes it, in at most 24 bytes: the shortest digits
+ * that round-trip, in exponent form ("d.ddde+XX", at least two exponent
+ * digits) when the first digit's place is below 10^-4 or at least 10^16,
+ * positional otherwise, with ".0" after an integer. No printf, so the C
+ * locale changes nothing. */
+static char *put_double(char *p, double v, const uint64_t *g)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t c = bits & ((UINT64_C(1) << 52) - 1), bq = bits >> 52 & 0x7ff;
+    if (bits >> 63 && !(bq == 0x7ff && c != 0)) /* a nan has no sign */
+        *p++ = '-';
+    if (bq == 0x7ff || (bq == 0 && c == 0)) {
+        memcpy(p, c ? "nan" : bq ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    int64_t q = bq == 0 ? -1074 : (int64_t)bq - 1075, e;
+    uint64_t f = shortest(bq == 0 ? c : c | UINT64_C(1) << 52, q, g, &e);
+    for (; f % 10 == 0; f /= 10)
+        e++;
+    char digits[20];
+    size_t n = (size_t)(put_u64(digits, f) - digits);
+    int64_t point = (int64_t)n + e; /* digits[0]'s place is 10^(point - 1) */
+    if (point <= -4 || point > 16) {
+        *p++ = digits[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, n - 1);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = point > 0 ? '+' : '-';
+        uint64_t x = (uint64_t)(point > 0 ? point - 1 : 1 - point);
+        if (x < 10)
+            *p++ = '0';
+        return put_u64(p, x);
+    }
+    if (point <= 0) { /* 0.ddd, 0.0ddd, ... */
+        size_t lead = (size_t)(2 - point);
+        memcpy(p, "0.000", lead);
+        memcpy(p + lead, digits, n);
+        return p + lead + n;
+    }
+    size_t at = (size_t)point;
+    if (at >= n) { /* ddd000.0 */
+        memcpy(p, digits, n);
+        memset(p + n, '0', at - n);
+        memcpy(p + at, ".0", 2);
+        return p + at + 2;
+    }
+    memcpy(p, digits, at);
+    p[at] = '.';
+    memcpy(p + at + 1, digits + at, n - at);
+    return p + n + 1;
+}
+
 /* The most bytes one row can take. */
 static int64_t row_bound(const field *fields, int64_t nfields)
 {
     int64_t bound = nfields; /* the commas and the newline */
     for (const field *f = fields; f < fields + nfields; f++) {
-        if (f->kind == RATIOS)
+        if (f->kind == RATIOS || f->kind == FLOATS)
             bound += f->k * (CELL_MAX + 1);
         else if (f->kind == DEVIATIONS)
             bound += CELL128_MAX;
@@ -659,6 +768,13 @@ int64_t csv_rows(const field *fields, int64_t nfields, int64_t *row,
                     return BAD_DEN;
                 p = put_deviation(p, f->num[r], f->den[r], f->p, f->q,
                                   f->scale == NULL ? NULL : f->scale + r);
+            } else if (f->kind == FLOATS) {
+                const double *a = (const void *)(f->num + r * f->k);
+                for (int64_t c = 0; c < f->k; c++) {
+                    if (c > 0)
+                        *p++ = (char)f->sep;
+                    p = put_double(p, a[c], f->g);
+                }
             } else {
                 int64_t d = f->den == NULL ? f->scalar : f->den[r];
                 if (d <= 0)

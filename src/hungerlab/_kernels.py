@@ -26,8 +26,8 @@ error if the build fails), ``numpy`` forces the reference loops.
 Kernels take int64 state (exact arithmetic on the engine's integer keys
 of the hunger vector), float64 state, or dtype=object arrays of Python
 ints, exact at any scale, which the compiled kernels hand to their
-reference body (as csv_rows does non-int64 fields): callers always call
-_kernels.<name>. The engine uses Python ints only when the keys could
+reference body (as csv_rows does fields C cannot write): callers always
+call _kernels.<name>. The engine uses Python ints only when the keys could
 overflow int64: hunger of huge magnitude or a chain whose own
 denominators overflow, never the start's denominators alone.
 
@@ -58,12 +58,13 @@ csv_rows takes a row's fields as str (a constant), Labels (a label a row),
 Ratios (k cells num/den a row, reduced by their gcd) and Deviations (an
 estimate's exact distance from p/q, scaled). Both bodies first check a
 block in _Arguments.block, which hands the C body a str as a one-label
-Labels. The C body runs when Ratios are int64 and Deviations fit 128 bits
-(m^2 max(|p|, q) < 2^126, m the largest magnitude in their arrays); floats
-(repr), Python ints and wider Deviations take the reference body on either
-backend. It prints unsigned magnitudes (INT64_MIN as Python's str does) and
-writes a call's rows through one buffer sized from them, a piece at a time,
-never past its end.
+Labels. The C body runs when Ratios are int64 or float64 (den None) and
+Deviations fit 128 bits (m^2 max(|p|, q) < 2^126, m the largest magnitude
+in their arrays); other floats, Python ints and wider Deviations take the
+reference body on either backend. It prints unsigned magnitudes (INT64_MIN
+as Python's str does), float64 cells with repr's bytes (Schubfach's
+shortest digits, from _Arguments.schubfach_table), and writes a call's rows
+through one buffer sized from them, a piece at a time, never past its end.
 
 rotor_walk takes int64 arrays only, whatever the slot counts: a walk of N
 steps leaves a state at most N times, so its caller cuts every count at
@@ -74,7 +75,7 @@ import ctypes
 import hashlib
 import math
 import os
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
@@ -504,13 +505,14 @@ def _build() -> Path:
 class _Field(ctypes.Structure):
     """A field of csv_rows in _kernels.c."""
 
-    _LABELS, _RATIOS, _DEVIATIONS = range(3)
+    _LABELS, _RATIOS, _FLOATS, _DEVIATIONS = range(4)
     _fields_ = [
         ("kind", ctypes.c_int64), ("k", ctypes.c_int64),
         ("num", ctypes.c_void_p), ("den", ctypes.c_void_p),
         ("scalar", ctypes.c_int64), ("text", ctypes.c_char_p),
         ("ends", ctypes.c_void_p), ("sep", ctypes.c_int64),
         ("p", ctypes.c_uint64 * 2), ("q", ctypes.c_uint64 * 2), ("scale", ctypes.c_void_p),
+        ("g", ctypes.c_void_p),
     ]
 
 
@@ -649,7 +651,8 @@ class _Arguments:
     def block(fields):
         """(rows, fields) of a csv_rows block, checked before either body
         writes a byte. rows is the length of every array of its fields; a str
-        comes back as a one-label Labels, a numpy integer den, p or q as an int.
+        comes back as a one-label Labels, a numpy integer den, p or q as an int,
+        and an unsigned den array as int64, or as Python ints if one passes it.
 
         Raises:
             ValueError: no field holds an array, two lengths differ, a label
@@ -666,6 +669,10 @@ class _Arguments:
             elif not isinstance(field, str):
                 field = field._replace(**{name: int(x) for name, x in field._asdict().items()
                                           if isinstance(x, np.integer)})
+                if isinstance(field.den, np.ndarray) and field.den.dtype.kind == "u":
+                    # np.gcd has no loop for int64 with uint64
+                    fits = field.den.max(initial=0) < 2**63
+                    field = field._replace(den=field.den.astype(_INT64 if fits else object))
                 dens = (field.den, field.q) if isinstance(field, Deviations) else (field.den,)
                 if any(d is not None and np.any(np.asarray(d) <= 0) for d in dens):
                     raise _FAILURE[_BAD_DEN]()
@@ -680,11 +687,26 @@ class _Arguments:
                       for f in checked]
 
     @staticmethod
+    @cache
+    def schubfach_table() -> np.ndarray:
+        """put_double's table in _kernels.c: for k = -324 .. 292 the words
+        g >> 63 and g mod 2^63 of g = floor(10^-k 2^(125 - floor(-k log2 10)))
+        + 1, exact in Python ints (2^125 <= g < 2^126)."""
+        words = []
+        for k in range(-324, 293):
+            ten = 10 ** abs(k)  # floor(log2 10^-k) is bit_length - 1, or -bit_length
+            g = (ten << 126 >> ten.bit_length() if k <= 0
+                 else (1 << 125 + ten.bit_length()) // ten) + 1
+            words += [g >> 63, g & (2**63 - 1)]
+        return np.array(words, np.uint64)
+
+    @staticmethod
     def fields(fields):
         """(the _Field array, the number of rows, the arrays it points into)
-        for the compiled csv_rows, or None when a field needs Python ints,
-        after _Arguments.block has checked the block. Copies a Ratios num
-        that does not lie in rows (a transposed view) into rows.
+        for the compiled csv_rows, or None when a field needs Python ints or
+        holds floats other than float64, after _Arguments.block has checked
+        the block. Float64 cells (den None) take the FLOATS kind. Copies a
+        Ratios num that does not lie in rows (a transposed view) into rows.
 
         Raises:
             ValueError: see _Arguments.block.
@@ -717,9 +739,12 @@ class _Arguments:
                 c.scale = scale if scale is None else pointer(np.ascontiguousarray(scale))
             else:
                 num, den, sep = field
-                if num.dtype != _INT64:
+                c.kind = _Field._RATIOS
+                if den is None and num.dtype == np.float64:
+                    c.kind, c.g = _Field._FLOATS, pointer(_Arguments.schubfach_table())
+                elif num.dtype != _INT64:
                     return None
-                if isinstance(den, np.ndarray):
+                elif isinstance(den, np.ndarray):
                     if den.dtype != _INT64 or den.ndim != 1:
                         return None
                     c.den = pointer(np.ascontiguousarray(den))
@@ -728,8 +753,7 @@ class _Arguments:
                 else:
                     return None
                 num = np.ascontiguousarray(num if num.ndim == 2 else num[:, None])
-                c.kind, c.k, c.sep = _Field._RATIOS, num.shape[1], ord(sep)
-                c.num = pointer(num)
+                c.k, c.sep, c.num = num.shape[1], ord(sep), pointer(num)
         return spec, rows, arrays
 
 
@@ -784,7 +808,8 @@ if _compiled is not None:
 
     def csv_rows(f, fields):
         """Compiled reference.csv_rows, or the reference when a field needs
-        repr or Python ints (see _Arguments.fields). Rows go out in pieces of
+        Python ints or is not float64 floats (see _Arguments.fields). Float64
+        cells come out as repr writes them. Rows go out in pieces of
         at most _PIECE bytes (or one row), written into one buffer per call."""
         prepared = _Arguments.fields(fields)
         if prepared is None:

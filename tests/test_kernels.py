@@ -768,6 +768,12 @@ def test_compiled_kernels_reject_mismatched_arrays():
 INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 EDGES = [0, 1, -1, INT64_MAX, INT64_MIN]
 LABELS = _quoted(["v1", "a,b", 'say "hi"', "état", "", "x y", "中"])
+# nan, infinities, signed zeros, the least and largest subnormals, the least
+# normal, where repr turns to exponent form, and two where Schubfach as Java
+# writes it would give two digits (4.9e-324, 7.9e-323)
+FLOAT_EDGES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 8e-323,
+               2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+               1e-4, 1e-5, 0.5, -1.5]
 
 
 def written(body, fields):
@@ -787,8 +793,9 @@ def edged(rng, a, share=0.2):
 @st.composite
 def row_blocks(draw, rows=None):
     """Random csv_rows fields: an integer column, labels (index -1
-    included), a constant text, a group of k cells over one denominator and
-    a single cell over a denominator a row, in a random order."""
+    included), a constant text, a group of k cells over one denominator, a
+    single cell over a denominator a row and 1 or 3 float64 cells (random
+    bit patterns and FLOAT_EDGES), in a random order."""
     if rows is None:
         rows = draw(st.integers(1, 30))
     k = draw(st.sampled_from([1, 2, 3, 30]))
@@ -803,6 +810,10 @@ def row_blocks(draw, rows=None):
     table = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5))
     if draw(st.booleans()):
         num = np.asfortranarray(num)  # strided rows, as a profile's counts.T
+    floats = rng.integers(0, 2**64, size=(rows, draw(st.sampled_from([1, 3]))),
+                          dtype=np.uint64).view(np.float64)
+    hit = rng.random(floats.shape) < 0.3
+    floats[hit] = rng.choice(FLOAT_EDGES, size=int(hit.sum()))
     fields = [
         _kernels.Ratios(np.arange(rows) + draw(st.integers(0, 2**40)), 1),
         _kernels.Labels(table, rng.integers(-1, len(table), size=rows)),
@@ -810,6 +821,8 @@ def row_blocks(draw, rows=None):
         _kernels.Ratios(num if draw(st.booleans()) else num[:, :1].ravel(), den,
                         draw(st.sampled_from(";,"))),
         _kernels.Ratios(col, dens, ";"),
+        _kernels.Ratios(floats if floats.shape[1] > 1 else floats.ravel(), None,
+                        draw(st.sampled_from(";,"))),
     ]
     return draw(st.permutations(fields))
 
@@ -854,6 +867,37 @@ def test_ratios_the_c_body_cannot_take_print_as_fractions(den):
     )
     for body in (_kernels, _kernels.reference):
         assert written(body, [field]) == expected
+
+
+@compiled
+def test_float_cells_write_as_repr():
+    """The C body's float64 cells are repr's bytes: FLOAT_EDGES, every
+    power of two and its neighbours, subnormals, the subnormal/normal border,
+    integers, powers of ten, each with both signs, and 10^6 random bit
+    patterns."""
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    bits = np.concatenate([np.arange(1, 5 * 10**4), 2**52 + np.arange(-5 * 10**4, 5 * 10**4)])
+    x = np.concatenate([
+        FLOAT_EDGES, twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
+        bits.view(np.float64), np.arange(5 * 10**4), [float(f"1e{k}") for k in range(-323, 309)],
+    ])
+    x = np.concatenate([x, -x, np.random.default_rng(29).integers(
+        0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)])
+    field = _kernels.Ratios(x, None)
+    assert _kernels._Arguments.fields([field]) is not None  # the C body runs
+    assert written(_kernels, [field]).splitlines() == list(map(repr, x.tolist()))
+
+
+@pytest.mark.parametrize("last", [6, 2**64 - 1], ids=["fits-int64", "past-int64"])
+def test_unsigned_den_arrays_print_as_fractions(last):
+    """np.gcd has no loop for int64 with uint64: both bodies take an
+    unsigned den array as int64, on the C body where it fits, and as Python
+    ints past int64."""
+    field = _kernels.Ratios(np.array([-3, 2**40, 12]), np.array([6, 6, last], np.uint64))
+    if _kernels.active_backend() == "c":
+        assert (_kernels._Arguments.fields([field]) is not None) == (last < 2**63)
+    for body in (_kernels, _kernels.reference):
+        assert written(body, [field]) == f"-1/2\n549755813888/3\n{Fraction(12, last)}\n"
 
 
 @pytest.mark.parametrize("field, expected", [
@@ -915,14 +959,15 @@ def test_csv_rows_refuse_denominators_below_one(den):
 def test_csv_rows_refuse_label_indices_out_of_range(index):
     """Index -1 writes an empty field; one below it or past the k = 3
     labels is refused alike by both bodies, whether the other fields take
-    the C body (int64) or the reference (float cells), and neither writes
-    any of the block, also when the rows before the bad index pass _PIECE
-    bytes."""
+    the C body (int64 or float64 cells) or the reference (Python ints), and
+    neither writes any of the block, also when the rows before the bad index
+    pass _PIECE bytes."""
     for rows in (3, LONG_BLOCK):
         at = np.zeros(rows, np.int64)
         at[1], at[-1] = -1, index
         labels = _kernels.Labels(LABELS[:3], at)
-        for other in (_kernels.Ratios(np.arange(rows), 1), _kernels.Ratios(np.ones(rows), None)):
+        for other in (_kernels.Ratios(np.arange(rows), 1), _kernels.Ratios(np.ones(rows), None),
+                      _kernels.Ratios(np.arange(rows).astype(object), 1)):
             assert refusals_writing_nothing([labels, other]) == {
                 "csv_rows: a label index is out of range"
             }
@@ -951,7 +996,7 @@ def test_csv_rows_refuse_blocks_without_rows(fields):
 
 UNEQUAL = [
     [_kernels.Ratios(np.arange(3), 1), _kernels.Labels(["a", "b"], np.array([0, 1]))],
-    # float cells take the reference body on either backend
+    # float64 cells: the C body's FLOATS kind
     [_kernels.Ratios(np.arange(3.0), None), _kernels.Labels(["a", "b"], np.array([0, 1]))],
     [_kernels.Ratios(np.arange(2), np.array([1, 2, 3]))],
     [_kernels.Ratios(np.arange(2), np.array([1, 2, 3], dtype=object))],
