@@ -372,10 +372,14 @@ def rotor_walk(itinerary, run_ptr, targets, counts, at, left):
 
 class Labels(NamedTuple):
     """A CSV field of one label a row: table[index[r]], the labels already
-    quoted as csv writes them; index -1 writes an empty field."""
+    quoted as csv writes them (a list, which take keeps whole); index -1
+    writes an empty field."""
 
     table: Sequence[str]
     index: np.ndarray
+
+    def take(self, rows):  # the same field over some of its rows
+        return type(self)(*(x[rows] if isinstance(x, np.ndarray) else x for x in self))
 
 
 class Ratios(NamedTuple):
@@ -388,9 +392,7 @@ class Ratios(NamedTuple):
     num: np.ndarray
     den: object
     sep: str = ","
-
-    def take(self, rows):  # the same field over some of its rows
-        return type(self)(*(x[rows] if isinstance(x, np.ndarray) else x for x in self))
+    take = Labels.take
 
 
 class Deviations(NamedTuple):
@@ -403,7 +405,7 @@ class Deviations(NamedTuple):
     p: int
     q: int
     scale: Optional[np.ndarray] = None
-    take = Ratios.take
+    take = Labels.take
 
     def ratios(self) -> Ratios:
         """The same cells as a Ratios of Python ints."""
@@ -464,8 +466,15 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv")
 
 
+def _library() -> Path:
+    """The cache path of SOURCE built with CFLAGS: __pycache__/_kernels-<the
+    first 16 hex digits of the sha256 of the source and flags>.so."""
+    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
+    return SOURCE.parent / "__pycache__" / f"_kernels-{digest.hexdigest()[:16]}.so"
+
+
 def _build() -> Path:
-    """Compile SOURCE into __pycache__ unless this source is built already.
+    """Compile SOURCE to _library() unless this source is built already.
 
     Returns the shared library's path. The compiler writes to a file named
     after this process and os.replace moves it into place, so concurrent
@@ -474,18 +483,15 @@ def _build() -> Path:
     Raises:
         ImportError: cc is missing, fails, or the cache is not writable.
     """
-    cache = SOURCE.parent / "__pycache__"
     tmp = None
     try:
-        code = SOURCE.read_bytes()
-        digest = hashlib.sha256(code + " ".join(CFLAGS).encode()).hexdigest()[:16]
-        lib = cache / f"_kernels-{digest}.so"
+        lib = _library()
         if lib.exists():
             return lib
         import subprocess  # only a cache miss needs it; keeps imports fast
 
-        cache.mkdir(exist_ok=True)
-        tmp = cache / f"{lib.name}.{os.getpid()}.tmp"
+        lib.parent.mkdir(exist_ok=True)
+        tmp = lib.parent / f"{lib.name}.{os.getpid()}.tmp"
         proc = subprocess.run(
             ["cc", *CFLAGS, "-o", str(tmp), str(SOURCE)],
             capture_output=True,

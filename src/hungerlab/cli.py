@@ -6,16 +6,16 @@ error. Exit codes: 0 success, 2 validation or usage error, 3 a step cap
 was hit, 4 the operation does not support the chain's mode, 141 (128 +
 SIGPIPE) the reader of standard output closed it early, as `| head` does.
 
-CSV is written in blocks of PROFILE_CHUNK rows, straight from the integer
-(or float64) arrays of the run: the sweeps from their count arrays, the
-simulate and chip-add traces from the scaled hunger of the run itself, the
-rotor itinerary from its state indices. One row writer, _kernels.csv_rows,
-writes a block's rows: each row is a list of fields, an integer column
-(the step or N), a label from the quoted label table, a constant text (the
-exact value) or a group of cells num/den, each reduced by its gcd and
-written as "a" or "a/b". Blocks of int64 integers go to its C body on the
-c backend; float cells (written by repr), Python-int blocks and the numpy
-backend take its Python reference body, which writes the same bytes.
+Two writers write a header and rows: _table one row per result through csv
+(the cycle, basin, .classes, cover, conjectures and engel tables), _blocks
+blocks of rows through _kernels.csv_rows, straight from the run's integer or
+float64 arrays (sweeps, traces, rotor itinerary, compare2), which _chunks
+cuts into PROFILE_CHUNK rows. A csv_rows field is a constant text (the exact
+value), Labels (labels from the quoted label table), Ratios (cells num/den
+reduced by their gcd and written as "a" or "a/b"; float64 cells by repr) or
+Deviations; Labels.take, like Ratios.take and Deviations.take, gives a field
+over some of its rows. The C body writes int64 and float64 blocks; Python-int
+blocks and the numpy backend take the reference body, with the same bytes.
 """
 
 import argparse
@@ -120,14 +120,36 @@ def _parse_hunger(chain: MarkovChain, text):
     return tuple(float(t) for t in tokens)
 
 
-def _out(args):
-    if args.output:
-        return open(args.output, "w", newline="")
-    return nullcontext(sys.stdout)
+def _out(path):
+    return open(path, "w", newline="") if path else nullcontext(sys.stdout)
 
 
-def _writer(f):
-    return csv.writer(f, lineterminator="\n")
+def _table(path, header, rows):
+    """Write header and rows through csv, to path or standard output."""
+    with _out(path) as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _blocks(path, header, blocks):
+    """Write header, then csv_rows of each block of fields, to path or standard output."""
+    with _out(path) as f:
+        f.write(",".join(header) + "\n")
+        for fields in blocks:
+            csv_rows(f, fields)
+
+
+def _chunks(fields, rows):
+    """The csv_rows fields over rows rows, in blocks of PROFILE_CHUNK rows."""
+    for lo in range(0, rows, PROFILE_CHUNK):
+        part = slice(lo, lo + PROFILE_CHUNK)
+        yield [f if isinstance(f, str) else f.take(part) for f in fields]
+
+
+def _tally(chain, counts) -> str:
+    """label:count for each state, comma separated."""
+    return ", ".join(f"{label}:{int(c)}" for label, c in zip(chain.labels, counts))
 
 
 def _say(msg: str) -> None:
@@ -158,45 +180,41 @@ def _quoted(labels):
     quoted = []
     for label in labels:
         buf = io.StringIO()
-        _writer(buf).writerow(["", label])
+        csv.writer(buf, lineterminator="\n").writerow(["", label])
         quoted.append(buf.getvalue()[1:-1])
     return quoted
 
 
-def _write_trace(chain, h, fired, f, removed=False):
+def _write_trace(path, chain, trace, removed=False):
     """Write the trace CSV: the hunger vector before the first step and
-    after each fire, from the run's own scaled values (h is the run's start,
-    fired its firing sequence). removed takes the chip off the last fired
-    state in the final row, as chip_add does. A block holds PROFILE_CHUNK
-    rows of up to 64 states, fewer rows of more, so its (rows, n) arrays
-    stay at most PROFILE_CHUNK * 64 cells however large the chain."""
-    _writer(f).writerow(["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)])
+    after each fire, from the run's own scaled values. removed takes the
+    chip off the last fired state in the final row, as chip_add does. A
+    block holds PROFILE_CHUNK rows of up to 64 states, fewer rows of more,
+    so its (rows, n) arrays stay at most PROFILE_CHUNK * 64 cells however
+    large the chain."""
+    names = np.append(-1, trace.fired)  # step 0 fires nothing: -1 is the empty field
     quoted = _quoted(chain.labels)
     chunk = min(PROFILE_CHUNK, max(1, PROFILE_CHUNK * 64 // chain.n))
-    lo = 0
-    for block, S in _hunger_blocks(chain, h, fired, chunk):
-        hi = lo + len(block)
-        # step 0 fires nothing: label index -1 is the empty field
-        names = fired[lo - 1 : hi - 1] if lo else np.append(-1, fired[: hi - 1])
-        if removed and hi == len(fired) + 1:
-            block[-1, fired[-1]] -= S
-        den = None if chain.mode == FLOAT else S
-        csv_rows(f, [
-            Ratios(np.arange(lo, hi), 1), Labels(quoted, names), Ratios(block, den),
-        ])
-        lo = hi
+
+    def blocks():
+        hunger = _hunger_blocks(chain, trace.initial_h, trace.fired, chunk)
+        for lo, (block, S) in zip(range(0, len(names), chunk), hunger):
+            hi = lo + len(block)
+            if removed and hi == len(names):
+                block[-1, names[-1]] -= S
+            den = None if chain.mode == FLOAT else S
+            steps = Ratios(np.arange(lo, hi), 1)
+            yield [steps, Labels(quoted, names[lo:hi]), Ratios(block, den)]
+
+    _blocks(path, ["step", "fired"] + [f"h_{k + 1}" for k in range(chain.n)], blocks())
 
 
 def cmd_simulate(args) -> int:
     chain = _load_chain(args)
     h0 = _parse_hunger(chain, args.h0)
     trace = run(chain, h0, args.steps)
-    with _out(args) as f:
-        _write_trace(chain, trace.initial_h, trace.fired, f)
-    v = ", ".join(
-        f"{chain.labels[i]}:{int(c)}" for i, c in enumerate(trace.v)
-    )
-    _say(f"fired {trace.steps} steps; v = ({v})")
+    _write_trace(args.output, chain, trace)
+    _say(f"fired {trace.steps} steps; v = ({_tally(chain, trace.v)})")
     _say("final hunger: " + ",".join(_fmt(x) for x in trace.final_h))
     return 0
 
@@ -206,8 +224,7 @@ def cmd_chip_add(args) -> int:
     h0 = _parse_hunger(chain, args.h0)
     i = _state_index(chain, args.at)
     result, trace = chip_add(chain, h0, i, args.cap)
-    with _out(args) as f:
-        _write_trace(chain, trace.initial_h, trace.fired, f, removed=True)
+    _write_trace(args.output, chain, trace, removed=True)
     _say(
         "fired: "
         + " ".join(chain.labels[int(k)] for k in trace.fired)
@@ -218,13 +235,10 @@ def cmd_chip_add(args) -> int:
 
 
 def _write_profile(args, profile):
-    exact = _cell(profile.exact)
-    with _out(args) as f:
-        f.write("N,estimate,exact,deviation,N_times_deviation\n")
-        for lo in range(0, len(profile.Ns), PROFILE_CHUNK):
-            part = slice(lo, lo + PROFILE_CHUNK)
-            est, dev, nd = (c.take(part) for c in (profile.est, profile.dev, profile.nd))
-            csv_rows(f, [Ratios(profile.Ns[part], 1), est._replace(sep=";"), exact, dev, nd])
+    est, exact = profile.est._replace(sep=";"), _cell(profile.exact)
+    fields = [Ratios(profile.Ns, 1), est, exact, profile.dev, profile.nd]
+    header = ["N", "estimate", "exact", "deviation", "N_times_deviation"]
+    _blocks(args.output, header, _chunks(fields, len(profile.Ns)))
 
 
 def _last(profile, at="") -> str:
@@ -299,16 +313,10 @@ def cmd_cycle(args) -> int:
     chain = _load_chain(args)
     h0 = _parse_hunger(chain, args.h0)
     info = find_cycle(chain, h0, args.cap)
-    with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["entry_steps", "period", "order_class"])
-        w.writerow([info.entry_steps, info.period, info.order_class])
-    counts = info.firing_counts()
+    header = ["entry_steps", "period", "order_class"]
+    _table(args.output, header, [[info.entry_steps, info.period, info.order_class]])
     _say(f"entry after {info.entry_steps} steps, period {info.period}")
-    _say(
-        "per-cycle firing counts: "
-        + ", ".join(f"{chain.labels[i]}:{c}" for i, c in enumerate(counts))
-    )
+    _say("per-cycle firing counts: " + _tally(chain, info.firing_counts()))
     _say("representative: " + ",".join(_fmt(x) for x in info.representative))
     return 0
 
@@ -317,33 +325,20 @@ def cmd_basin(args) -> int:
     chain = _load_chain(args)
     bounds = tuple(_rational(b) for b in args.bounds)
     scan = basin_scan(chain, bounds, _rational(args.step), args.cap)
-    with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["h1", "h2", "recurrent", "period", "order_class", "entry_steps"])
-        for c in scan.cells:
-            if c.period is None:
-                w.writerow([_fmt(c.h1), _fmt(c.h2), "", "", "", ""])
-            else:
-                w.writerow(
-                    [
-                        _fmt(c.h1),
-                        _fmt(c.h2),
-                        _fmt(c.recurrent),
-                        c.period,
-                        c.class_id,
-                        c.entry_steps,
-                    ]
-                )
-    class_rows = [["order_class", "order"]] + [
-        [k + 1, s] for k, s in enumerate(scan.classes)
-    ]
+    _table(
+        args.output, ["h1", "h2", "recurrent", "period", "order_class", "entry_steps"],
+        ([_fmt(c.h1), _fmt(c.h2)] + (
+            ["", "", "", ""] if c.period is None
+            else [_fmt(c.recurrent), c.period, c.class_id, c.entry_steps]
+        ) for c in scan.cells),
+    )
+    classes = list(enumerate(scan.classes, 1))
     if args.output:
-        with open(args.output + ".classes", "w", newline="") as f:
-            _writer(f).writerows(class_rows)
+        _table(args.output + ".classes", ["order_class", "order"], classes)
         _say(f"classes written to {args.output}.classes")
     else:
-        for row in class_rows[1:]:
-            _say(f"class {row[0]}: {row[1]}")
+        for k, s in classes:
+            _say(f"class {k}: {s}")
     recurrent = sum(1 for c in scan.cells if c.recurrent)
     capped = sum(1 for c in scan.cells if c.period is None)
     _say(
@@ -357,10 +352,7 @@ def cmd_cover(args) -> int:
     chain = _load_chain(args)
     h0 = _parse_hunger(chain, args.h0)
     det = covering_detail(chain, h0, args.cap)
-    with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["steps", "member"])
-        w.writerow([det.steps, _fmt(det.member)])
+    _table(args.output, ["steps", "member"], [[det.steps, _fmt(det.member)]])
     verdict = "lies" if det.member else "DOES NOT lie"
     _say(
         f"after {det.steps} steps the displacement {verdict} in the "
@@ -375,11 +367,10 @@ def cmd_conjectures(args) -> int:
     reports = conjecture_reports(
         chain, args.samples, bounds, _rational(args.step), args.seed, args.cap
     )
-    with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["conjecture", "checked", "violations", "skipped"])
-        for r in reports:
-            w.writerow([r.name, r.checked, r.violations, r.skipped])
+    _table(
+        args.output, ["conjecture", "checked", "violations", "skipped"],
+        ([r.name, r.checked, r.violations, r.skipped] for r in reports),
+    )
     for r in reports:
         _say(
             f"{r.name}: {r.checked} checked, {r.violations} violations, "
@@ -394,26 +385,19 @@ def cmd_engel(args) -> int:
     chain = _load_chain(args)
     c0 = [int(t) for t in args.chips.split(",")]
     d = [int(t) for t in args.thresholds.split(",")] if args.thresholds else None
+    header = ["state", "cycle_count"]
     try:
         rec = engel_run(chain, c0, d, args.cap)
     except Stabilized as s:
-        with _out(args) as f:
-            _writer(f).writerow(["state", "cycle_count"])
+        _table(args.output, header, [])
         _say(f"stabilized after {s.steps} firings")
         return 0
-    with _out(args) as f:
-        w = _writer(f)
-        w.writerow(["state", "cycle_count"])
-        for i, c in enumerate(rec.cycle_counts):
-            w.writerow([chain.labels[i], c])
+    _table(args.output, header, zip(chain.labels, rec.cycle_counts))
     _say(
         f"configuration repeated: entry after {rec.entry_steps} firings, "
         f"period {rec.period}"
     )
-    _say(
-        "per-cycle firing counts: "
-        + ", ".join(f"{chain.labels[i]}:{c}" for i, c in enumerate(rec.cycle_counts))
-    )
+    _say("per-cycle firing counts: " + _tally(chain, rec.cycle_counts))
     return 0
 
 
@@ -424,28 +408,18 @@ def cmd_rotor(args) -> int:
         [int(t) for t in args.rotors.split(",")] if args.rotors else None
     )
     trace = rotor_run(chain, start, rotors, args.N)
-    quoted = _quoted(chain.labels)
-    with _out(args) as f:
-        f.write("step,state\n")
-        for lo in range(0, len(trace.itinerary), PROFILE_CHUNK):
-            part = trace.itinerary[lo : lo + PROFILE_CHUNK]
-            steps = np.arange(lo, lo + len(part))
-            csv_rows(f, [Ratios(steps, 1), Labels(quoted, part)])
-    _say(
-        "visits: "
-        + ", ".join(
-            f"{chain.labels[i]}:{int(c)}" for i, c in enumerate(trace.visits)
-        )
-    )
+    rows = len(trace.itinerary)
+    fields = [Ratios(np.arange(rows), 1), Labels(_quoted(chain.labels), trace.itinerary)]
+    _blocks(args.output, ["step", "state"], _chunks(fields, rows))
+    _say("visits: " + _tally(chain, trace.visits))
     return 0
 
 
 def cmd_compare2(args) -> int:
     comp = compare_two_state(_rational(args.q), args.N)
-    with _out(args) as f:
-        f.write("N,hunger_dev,rotor_dev\n")
-        hunger, rotor = comp.hunger, comp.rotor
-        csv_rows(f, [Ratios(hunger.Ns, 1), hunger.dev, rotor.dev])
+    Ns = comp.hunger.Ns
+    fields = [Ratios(Ns, 1), comp.hunger.dev, comp.rotor.dev]
+    _blocks(args.output, ["N", "hunger_dev", "rotor_dev"], _chunks(fields, len(Ns)))
     _say(
         f"max deviation over N in [2, {args.N}]: "
         f"hunger {_fmt(comp.hunger_max)}, rotor {_fmt(comp.rotor_max)}"

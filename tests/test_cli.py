@@ -619,6 +619,12 @@ GENERATED = {
         "states": ["a,b", 'say "hi"', "end"],
         "P": [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "0", "1"]],
     },
+    # QUOTED's labels without its absorbing state, so engel cycles
+    "QUOTED2": {
+        "mode": "rational",
+        "states": ["a,b", 'say "hi"'],
+        "P": [["1/2", "1/2"], ["1/3", "2/3"]],
+    },
 }
 GENERATED["WIDE_SINKS"] = {"mode": "rational", "P": [
     ["1", "0", "0", "0"], *GENERATED["WIDE"]["P"][1:3], ["0", "0", "0", "1"],
@@ -950,6 +956,14 @@ GOLDEN_COMMANDS = [
     (("cycle", "--chain", "UNFIRED"),
      "1ba74561c631c329080d4439878ac674424f76d8a9222034af69f1f2db471738",
      "87c8bc3ce0ef64a6d4832ffada4ce7db54e6af375bfc0e32ba0096224714cc57"),
+    # labels that csv quotes in a table: "a,b",1 and "say ""hi""",1
+    (("engel", "--chain", "QUOTED2", "--chips", "2,3"),
+     "d5927015851e909d09c199a1c9c0bb062e2f2c6e42e7d7c883b26d6685f22b99",
+     "936a80daf403a82c11fa984adc76f4d4394ed15590c45a3ac5d1899f647d1881"),
+    # 16390 rows: two PROFILE_CHUNK blocks
+    (("compare2", "--N", "16390"),
+     "a50515691f3a4f9b8b95db384d789f6504037eec4f8c6f7fa74741b94deeb959",
+     "a371b99b915ba677437f1d3e7656ed89b7f9ebea09744ecae6461e317fa81eba"),
 ]
 
 

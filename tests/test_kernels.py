@@ -1192,3 +1192,14 @@ def test_build_is_cached_and_compiler_errors_surface(tmp_path):
     proc = import_copy(tmp_path / "fallback", break_source=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected_output(tmp_path / "fallback", "numpy")
+
+
+@compiled
+def test_build_returns_the_library_path(monkeypatch):
+    """_build loads the library at _library(), a name that changes with the
+    source or the flags."""
+    lib = _kernels._library()
+    assert _kernels._build() == lib and lib.exists()
+    assert lib.parent == _kernels.SOURCE.parent / "__pycache__"
+    monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-g",))
+    assert _kernels._library() != lib
